@@ -31,6 +31,8 @@ distributions; concurrent runs share nothing mutable.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -45,6 +47,7 @@ from .qmath import (
     Mixture,
     OrthogonalMeasurement,
     StateVector,
+    Unitary,
     apply_unitary,
     partial_trace,
 )
@@ -53,7 +56,7 @@ THETA_DEFAULT = math.pi / 8
 COIN_THETA = math.pi / 8
 MAX_TOTAL_WIRES = 9
 
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_X = Unitary(np.array([[0.0, 1.0], [1.0, 0.0]]))
 _COMP1 = OrthogonalMeasurement.computational(1)
 
 
@@ -120,8 +123,12 @@ def phi_bx(b: int, x: int, theta: float, wire: str = "q") -> StateVector:
     return phi(bx_angle(b, x, theta), wire)
 
 
+@functools.lru_cache(maxsize=256)
 def escrow_basis(x: int, theta: float) -> OrthogonalMeasurement:
-    """The check basis {phi_{0,x}, phi_{1,x}}; outcome labels are the bit b."""
+    """The check basis {phi_{0,x}, phi_{1,x}}; outcome labels are the bit b.
+
+    Cached per (x, theta): a measurement is immutable, so every check shares one.
+    """
     return OrthogonalMeasurement.from_basis(
         [phi_vec(bx_angle(0, x, theta)), phi_vec(bx_angle(1, x, theta))], labels=(0, 1)
     )
@@ -139,7 +146,7 @@ def escrow_bit_density(b: int, theta: float, wire: str = "dep") -> DensityMatrix
 # ---------------------------------------------------------------------------
 # Strategy rounds
 
-Gate = np.ndarray | Callable[[dict], np.ndarray]
+Gate = np.ndarray | Unitary | Callable[[dict], np.ndarray]
 BitSource = int | str | Callable[[dict], int]
 
 
@@ -161,7 +168,11 @@ class SetRecord:
 
 @dataclass(frozen=True)
 class Apply:
-    """Unitary on held wires; a callable gate is resolved against the record."""
+    """Unitary on held wires; a callable gate is resolved against the record.
+
+    A fixed gate is checked once per run, when the strategy is compiled; a
+    callable gate is checked each time it resolves.
+    """
 
     wires: tuple[str, ...]
     gate: Gate
@@ -219,32 +230,66 @@ class StrategySpec:
         return tuple(f"{prefix}{i}" for i in range(self.ancilla_count))
 
 
-def validate_strategy(spec: StrategySpec, phase_wires: Mapping[str, tuple[str, ...]]) -> None:
-    """Static validity: known phases, owned wires, unitary gates, total rules."""
+def validate_strategy(spec: StrategySpec, phase_wires: Mapping[str, tuple[str, ...]]
+                      ) -> StrategySpec:
+    """Compile a strategy: check it statically and return it with checked gates.
+
+    Checks known phases, owned and distinct wires, draw distributions, gate
+    shapes and measurement dimensions, and the unitarity of every fixed gate,
+    raising ``MalformedStrategy`` before any branch runs.  The returned spec
+    holds each fixed gate as a ``qmath.Unitary``, so the runner applies it
+    without checking it again.
+    """
+    programs = {}
     for phase, rounds in spec.programs.items():
         if phase not in phase_wires:
             raise MalformedStrategy(f"{spec.party} has a program for unknown phase {phase!r}")
         allowed = set(spec.ancillas) | set(phase_wires[phase])
+        compiled = []
         for rnd in rounds:
             if isinstance(rnd, Draw):
                 if any(w < 0 for w in rnd.weights) or abs(sum(rnd.weights) - 1.0) > 1e-10:
                     raise MalformedStrategy(f"draw weights {rnd.weights} are not a distribution")
             elif isinstance(rnd, Apply):
-                if not set(rnd.wires) <= allowed:
-                    raise MalformedStrategy(
-                        f"{spec.party} touches {set(rnd.wires) - allowed} in phase {phase!r}")
-                if isinstance(rnd.gate, np.ndarray) and not qmath.is_unitary(rnd.gate):
-                    raise MalformedStrategy(f"gate in phase {phase!r} is not unitary")
+                _check_wires(spec.party, rnd.wires, allowed, phase)
+                if not callable(rnd.gate):
+                    rnd = Apply(rnd.wires, _checked_gate(rnd.gate, 2 ** len(rnd.wires), phase))
             elif isinstance(rnd, MeasureRecord):
-                if not set(rnd.wires) <= allowed:
+                _check_wires(spec.party, rnd.wires, allowed, phase)
+                m, dim = rnd.measurement, 2 ** len(rnd.wires)
+                if not isinstance(m, OrthogonalMeasurement) or m.dim != dim:
                     raise MalformedStrategy(
-                        f"{spec.party} measures {set(rnd.wires) - allowed} in phase {phase!r}")
+                        f"{spec.party} needs an OrthogonalMeasurement of dim {dim} on "
+                        f"{rnd.wires} in phase {phase!r}")
             elif isinstance(rnd, SetBits):
                 if not set(rnd.assignments) <= allowed:
                     raise MalformedStrategy(
                         f"{spec.party} writes {set(rnd.assignments) - allowed} in phase {phase!r}")
             elif not isinstance(rnd, SetRecord):
                 raise MalformedStrategy(f"unknown round type {type(rnd).__name__}")
+            compiled.append(rnd)
+        programs[phase] = tuple(compiled)
+    return dataclasses.replace(spec, programs=programs)
+
+
+def _check_wires(party: str, wires: tuple[str, ...], allowed: set[str], phase: str) -> None:
+    if len(set(wires)) != len(wires):
+        raise MalformedStrategy(f"{party} names a wire twice in {wires} in phase {phase!r}")
+    if not set(wires) <= allowed:
+        raise MalformedStrategy(f"{party} touches {set(wires) - allowed} in phase {phase!r}")
+
+
+def _checked_gate(gate: np.ndarray | Unitary, dim: int, phase: str) -> Unitary:
+    matrix = gate.matrix if isinstance(gate, Unitary) else np.asarray(gate, dtype=complex)
+    if matrix.shape != (dim, dim):
+        raise MalformedStrategy(
+            f"gate of shape {matrix.shape} in phase {phase!r} needs shape ({dim}, {dim})")
+    if isinstance(gate, Unitary):
+        return gate
+    try:
+        return Unitary(matrix)
+    except qmath.NotUnitary:
+        raise MalformedStrategy(f"gate in phase {phase!r} is not unitary") from None
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +595,8 @@ def run_escrow(alice: StrategySpec, bob: StrategySpec, challenge: Challenge,
     fails with ``MalformedStrategy``.
     """
     theta = params.theta
-    validate_strategy(alice, _ESCROW_PHASES["alice"])
-    validate_strategy(bob, _ESCROW_PHASES["bob"])
+    alice = validate_strategy(alice, _ESCROW_PHASES["alice"])
+    bob = validate_strategy(bob, _ESCROW_PHASES["bob"])
 
     wires = list(alice.ancillas) + ["dep"]
     if challenge is Challenge.REVEAL_TO_BOB:
@@ -587,8 +632,8 @@ def run_escrow_reveal_then_return(alice: StrategySpec, bob: StrategySpec,
     bit, which lands in his record under ``b_claim``.
     """
     theta = params.theta
-    validate_strategy(alice, _ESCROW_PHASES["alice"])
-    validate_strategy(bob, _ESCROW_PHASES["bob"])
+    alice = validate_strategy(alice, _ESCROW_PHASES["alice"])
+    bob = validate_strategy(bob, _ESCROW_PHASES["bob"])
 
     wires = list(alice.ancillas) + ["dep", "rb"] + list(bob.ancillas)
     seed = {} if claimed_bit is None else {"b": int(claimed_bit)}
@@ -650,8 +695,8 @@ def run_coinflip(alice: StrategySpec, bob: StrategySpec) -> OutcomeDistribution:
     err if the check catches the revealer and b xor b' otherwise; an honest
     revealer is never caught, so her result is always b xor b'.
     """
-    validate_strategy(alice, _COINFLIP_PHASES["alice"])
-    validate_strategy(bob, _COINFLIP_PHASES["bob"])
+    alice = validate_strategy(alice, _COINFLIP_PHASES["alice"])
+    bob = validate_strategy(bob, _COINFLIP_PHASES["bob"])
     if not (alice.honest or bob.honest):
         raise MalformedStrategy("at least one party must be honest")
 
@@ -678,8 +723,8 @@ def run_weak_commitment(alice: StrategySpec, bob: StrategySpec, deposited_bit: i
     only; no security property is claimed for it.
     """
     theta = params.theta
-    validate_strategy(alice, _WEAK_PHASES["alice"])
-    validate_strategy(bob, _WEAK_PHASES["bob"])
+    alice = validate_strategy(alice, _WEAK_PHASES["alice"])
+    bob = validate_strategy(bob, _WEAK_PHASES["bob"])
     if alice.ancilla_count + bob.ancilla_count > 2:
         raise MalformedStrategy("the composed game leaves room for 2 ancilla qubits")
     if not (alice.honest or bob.honest):

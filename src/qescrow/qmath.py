@@ -13,6 +13,7 @@ drawn from an explicitly passed ``numpy.random.Generator``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -68,6 +69,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_norm(amps: np.ndarray) -> None:
+    norm = math.sqrt(float(np.vdot(amps, amps).real))
+    if not abs(norm - 1.0) <= ATOL_STATE:  # written so that a NaN norm fails too
+        raise QMathError(f"state norm {norm} != 1")
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Unit-norm pure state on an ordered tuple of named qubit wires."""
@@ -87,9 +94,7 @@ class StateVector:
             )
         if not np.all(np.isfinite(amps.view(float))):
             raise QMathError("non-finite amplitude")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > ATOL_STATE:
-            raise QMathError(f"state norm {norm} != 1")
+        _check_norm(amps)
 
     @property
     def n_wires(self) -> int:
@@ -98,12 +103,6 @@ class StateVector:
     @property
     def dim(self) -> int:
         return self.amplitudes.shape[0]
-
-    def axis(self, wire: str) -> int:
-        try:
-            return self.wires.index(wire)
-        except ValueError:
-            raise UnknownWire(wire) from None
 
     def reorder(self, wires: Sequence[str]) -> "StateVector":
         """Permute the wire order (same wire set) without changing the state."""
@@ -118,6 +117,21 @@ class StateVector:
 
     def density(self) -> "DensityMatrix":
         return DensityMatrix(self.wires, np.outer(self.amplitudes, self.amplitudes.conj()))
+
+
+def _derived_state(wires: tuple[str, ...], amps: np.ndarray) -> StateVector:
+    """A state a kernel computed from a validated one, on the same wires.
+
+    The wires, the shape and the finiteness carry over from the input, so
+    only the norm is checked; a NaN amplitude makes the norm NaN and fails.
+    ``amps`` must be a fresh array that nothing else holds.
+    """
+    _check_norm(amps)
+    amps.setflags(write=False)
+    state = object.__new__(StateVector)
+    object.__setattr__(state, "wires", wires)
+    object.__setattr__(state, "amplitudes", amps)
+    return state
 
 
 @dataclass(frozen=True)
@@ -178,48 +192,62 @@ class Mixture:
 
 @dataclass(frozen=True)
 class OrthogonalMeasurement:
-    """Decomposition into orthogonal subspaces, one projector per outcome."""
+    """Measurement in an orthonormal basis: outcome ``labels[i]`` projects onto column i.
 
-    projectors: tuple[np.ndarray, ...]
+    The basis is checked once, by V^dag V = I within 1e-9, when the
+    measurement is constructed.
+    """
+
+    basis: np.ndarray
     labels: tuple
 
     def __post_init__(self):
-        projs = tuple(_frozen(p) for p in self.projectors)
-        object.__setattr__(self, "projectors", projs)
+        basis = _frozen(self.basis)
+        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "labels", tuple(self.labels))
-        if len(projs) != len(self.labels) or not projs:
-            raise QMathError("one label per projector required")
-        dim = projs[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for p in projs:
-            if p.shape != (dim, dim):
-                raise WireMismatch("projector dimensions disagree")
-            if not is_hermitian(p) or np.max(np.abs(p @ p - p)) > ATOL_OP:
-                raise QMathError("projector is not a Hermitian idempotent")
-            total += p
-        for i, p in enumerate(projs):
-            for q in projs[i + 1:]:
-                if np.max(np.abs(p @ q)) > ATOL_OP:
-                    raise QMathError("projectors are not pairwise orthogonal")
-        if np.max(np.abs(total - np.eye(dim))) > ATOL_OP:
-            raise QMathError("projectors do not sum to the identity")
+        if basis.ndim != 2 or basis.shape[0] != basis.shape[1] or not basis.size:
+            raise QMathError(f"a basis needs a nonempty square matrix, got {basis.shape}")
+        if len(self.labels) != basis.shape[1]:
+            raise QMathError("one label per basis vector required")
+        if not is_unitary(basis):
+            raise QMathError("basis vectors are not orthonormal")
 
     @property
     def dim(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.basis.shape[0]
 
     @classmethod
     def from_basis(cls, vectors: Sequence[np.ndarray], labels: Sequence | None = None
                    ) -> "OrthogonalMeasurement":
-        vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+        basis = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
         if labels is None:
-            labels = tuple(range(len(vecs)))
-        return cls(tuple(np.outer(v, v.conj()) for v in vecs), tuple(labels))
+            labels = tuple(range(basis.shape[1]))
+        return cls(basis, tuple(labels))
 
     @classmethod
     def computational(cls, n_wires: int) -> "OrthogonalMeasurement":
         dim = 2 ** n_wires
-        return cls.from_basis(list(np.eye(dim)), labels=tuple(range(dim)))
+        return cls(np.eye(dim), tuple(range(dim)))
+
+
+@dataclass(frozen=True)
+class Unitary:
+    """A square matrix that passed the 1e-9 unitarity check when it was constructed.
+
+    ``apply_unitary`` applies it without checking it again.
+    """
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        m = _frozen(self.matrix)
+        object.__setattr__(self, "matrix", m)
+        if m.ndim != 2 or not is_unitary(m):
+            raise NotUnitary("operator fails the 1e-9 unitarity check")
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -324,30 +352,38 @@ def maximally_parallel_purifications(
     return build(s0, np.eye(r0.dim)), build(s1, w1)
 
 
-def _axes_front(state: StateVector, front: Sequence[str]) -> tuple[np.ndarray, list[int]]:
-    """Amplitude tensor with the given wires moved to the leading axes."""
-    idx = [state.axis(w) for w in front]
-    rest = [i for i in range(state.n_wires) if i not in idx]
-    perm = idx + rest
-    tensor_amps = state.amplitudes.reshape((2,) * state.n_wires).transpose(perm)
-    return tensor_amps, perm
+@functools.lru_cache(maxsize=1024)
+def _wire_plan(wires: tuple[str, ...], front: tuple[str, ...]
+               ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(tensor shape, permutation moving ``front`` to the leading axes, its inverse)."""
+    if len(set(front)) != len(front):
+        raise WireMismatch(f"repeated wires in {front}")
+    idx = []
+    for w in front:
+        if w not in wires:
+            raise UnknownWire(w)
+        idx.append(wires.index(w))
+    perm = tuple(idx + [i for i in range(len(wires)) if i not in idx])
+    inv = tuple(int(i) for i in np.argsort(perm))
+    return (2,) * len(wires), perm, inv
 
 
-def apply_unitary(state: StateVector, u: np.ndarray, on: Sequence[str]) -> StateVector:
-    """Apply a unitary to a subset of wires; the wire order of the state is unchanged."""
+def apply_unitary(state: StateVector, u: Unitary | np.ndarray, on: Sequence[str]
+                  ) -> StateVector:
+    """Apply a unitary to a subset of wires; the wire order of the state is unchanged.
+
+    A plain matrix is checked for unitarity on every call; a ``Unitary`` was
+    checked when it was constructed.
+    """
     on = tuple(on)
-    u = np.asarray(u, dtype=complex)
-    k = len(on)
-    if u.shape != (2 ** k, 2 ** k):
-        raise WireMismatch(f"unitary shape {u.shape} does not act on {k} wires")
-    if not is_unitary(u):
-        raise NotUnitary("operator fails the 1e-9 unitarity check")
-    tensor_amps, perm = _axes_front(state, on)
-    block = tensor_amps.reshape(2 ** k, -1)
-    block = u @ block
-    inv = np.argsort(perm)
-    out = block.reshape((2,) * state.n_wires).transpose(inv).reshape(-1)
-    return StateVector(state.wires, out)
+    if not isinstance(u, Unitary):
+        u = Unitary(u)
+    if u.dim != 2 ** len(on):
+        raise WireMismatch(f"unitary shape {u.matrix.shape} does not act on {len(on)} wires")
+    shape, perm, inv = _wire_plan(state.wires, on)
+    block = state.amplitudes.reshape(shape).transpose(perm).reshape(u.dim, -1)
+    out = (u.matrix @ block).reshape(shape).transpose(inv).reshape(-1)
+    return _derived_state(state.wires, out)
 
 
 def measure(state: StateVector, m: OrthogonalMeasurement, on: Sequence[str]
@@ -355,23 +391,25 @@ def measure(state: StateVector, m: OrthogonalMeasurement, on: Sequence[str]
     """Enumerate measurement branches: (probability, post-state, outcome label).
 
     Branch probabilities sum to 1; branches below the 1e-14 pruning threshold
-    are omitted and each surviving post-state is renormalized.
+    are omitted and each surviving post-state is renormalized.  With V the
+    measurement basis, every outcome's amplitude comes from one V^dag @ block
+    product: outcome i leaves v_i (x) (V^dag block)_i on the measured wires.
     """
     on = tuple(on)
-    k = len(on)
-    if m.dim != 2 ** k:
-        raise WireMismatch(f"measurement dim {m.dim} does not act on {k} wires")
-    tensor_amps, perm = _axes_front(state, on)
-    block = tensor_amps.reshape(2 ** k, -1)
-    inv = np.argsort(perm)
+    if m.dim != 2 ** len(on):
+        raise WireMismatch(f"measurement dim {m.dim} does not act on {len(on)} wires")
+    shape, perm, inv = _wire_plan(state.wires, on)
+    block = state.amplitudes.reshape(shape).transpose(perm).reshape(m.dim, -1)
+    coeffs = m.basis.conj().T @ block
+    probs = np.einsum("ij,ij->i", coeffs.conj(), coeffs).real
     out = []
-    for proj, label in zip(m.projectors, m.labels):
-        piece = proj @ block
-        prob = float(np.sum(np.abs(piece) ** 2))
+    for i, label in enumerate(m.labels):
+        prob = float(probs[i])
         if prob < BRANCH_PRUNE:
             continue
-        amps = piece.reshape((2,) * state.n_wires).transpose(inv).reshape(-1)
-        out.append((prob, StateVector(state.wires, amps / math.sqrt(prob)), label))
+        piece = np.multiply.outer(m.basis[:, i], coeffs[i] / math.sqrt(prob))
+        amps = piece.reshape(shape).transpose(inv).reshape(-1)
+        out.append((prob, _derived_state(state.wires, amps), label))
     return out
 
 
@@ -383,8 +421,8 @@ def partial_trace(obj: StateVector | DensityMatrix, keep: Sequence[str]) -> Dens
             raise UnknownWire(w)
     kept = tuple(w for w in obj.wires if w in set(keep))
     if isinstance(obj, StateVector):
-        tensor_amps, _ = _axes_front(obj, kept)
-        block = tensor_amps.reshape(2 ** len(kept), -1)
+        shape, perm, _ = _wire_plan(obj.wires, kept)
+        block = obj.amplitudes.reshape(shape).transpose(perm).reshape(2 ** len(kept), -1)
         return DensityMatrix(kept, block @ block.conj().T)
     n = len(obj.wires)
     t = obj.matrix.reshape((2,) * (2 * n))
@@ -400,11 +438,6 @@ def overlap(a: StateVector, b: StateVector) -> complex:
     if set(a.wires) != set(b.wires):
         raise WireMismatch("overlap of states on different wire sets")
     return complex(np.vdot(a.amplitudes, b.reorder(a.wires).amplitudes))
-
-
-def states_equal_up_to_phase(a: StateVector, b: StateVector, tol: float = 1e-8) -> bool:
-    # Physical equality: global phase is unobservable, so compare |<a|b>|.
-    return abs(overlap(a, b)) >= 1.0 - tol
 
 
 def complete_basis(columns: np.ndarray, dim: int) -> np.ndarray:
@@ -477,16 +510,20 @@ def optimal_distinguishing_measurement(
         raise WireMismatch("states live on different wires")
     delta = r0.matrix - r1.matrix
     _, vecs = hermitian_eig(delta)
-    meas = OrthogonalMeasurement.from_basis([vecs[:, i] for i in range(vecs.shape[1])])
+    meas = OrthogonalMeasurement(vecs, tuple(range(vecs.shape[1])))
     achieved = measurement_l1_distance(r0, r1, meas)
     return meas, achieved
 
 
 def measurement_l1_distance(r0: DensityMatrix, r1: DensityMatrix,
                             m: OrthogonalMeasurement) -> float:
-    """L1 distance between the outcome distributions a measurement induces."""
+    """L1 distance between the outcome distributions a measurement induces.
+
+    With basis vectors v_i this is sum_i |<v_i| r0 - r1 |v_i>|.
+    """
     delta = r0.matrix - r1.matrix
-    return float(sum(abs(np.trace(p @ delta).real) for p in m.projectors))
+    diffs = np.einsum("ji,jk,ki->i", m.basis.conj(), delta, m.basis).real
+    return float(np.sum(np.abs(diffs)))
 
 
 def guess_success_probability(r0: DensityMatrix, r1: DensityMatrix) -> float:
@@ -526,5 +563,4 @@ def random_density(wires: Sequence[str], rng: np.random.Generator,
 
 
 def random_basis_measurement(dim: int, rng: np.random.Generator) -> OrthogonalMeasurement:
-    u = random_unitary(dim, rng)
-    return OrthogonalMeasurement.from_basis([u[:, i] for i in range(dim)])
+    return OrthogonalMeasurement(random_unitary(dim, rng), tuple(range(dim)))

@@ -68,6 +68,14 @@ def test_escrow_sealing_rows(tmp_path):
     assert len([r for r in rows if r["label"].startswith("random-attack")]) == 5
 
 
+def test_sealing_identity_error_is_reported_at_1e12_resolution(tmp_path):
+    out = tmp_path / "es.csv"
+    assert run_main(["escrow-sealing", "--samples", "8", "--seed", "42", "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    assert len(rows) == 11 + 8
+    assert all(float(r["detection_identity_error"]) == 0.0 for r in rows)
+
+
 def test_emitted_probabilities_stay_in_range(tmp_path):
     # every probability column of every artifact lands in [0, 1]
     jobs = [

@@ -23,6 +23,7 @@ from qescrow.protocols import (
     Verdict,
     bx_angle,
     deposit_reduced_state,
+    escrow_basis,
     escrow_bit_density,
     honest_alice_coinflip,
     honest_alice_escrow,
@@ -38,6 +39,7 @@ from qescrow.protocols import (
     run_escrow,
     run_escrow_reveal_then_return,
     run_weak_commitment,
+    validate_strategy,
 )
 
 THETA = math.pi / 8
@@ -258,6 +260,46 @@ def test_strategy_rejects_non_unitary_gate():
     alice = StrategySpec("alice", 0, {"deposit": (Apply(("dep",), bad),)})
     with pytest.raises(MalformedStrategy):
         run_escrow(alice, honest_bob_escrow(), Challenge.REVEAL_TO_BOB, 0)
+
+
+def _bob_choosing(*rounds):
+    return StrategySpec("bob", 1, {"choose": rounds + (SetBits({"bp": 0}),)})
+
+
+@pytest.mark.parametrize("bob", [
+    _bob_choosing(MeasureRecord(("dep", "c0"), qmath.OrthogonalMeasurement.computational(1), "m")),
+    _bob_choosing(MeasureRecord(("dep",), np.eye(2), "m")),
+    _bob_choosing(MeasureRecord(("dep", "dep"), qmath.OrthogonalMeasurement.computational(2),
+                                "m")),
+    _bob_choosing(Apply(("dep", "dep"), np.eye(4))),
+    _bob_choosing(Apply(("dep",), np.eye(4))),
+    _bob_choosing(Apply(("dep", "c0"), np.eye(2))),
+], ids=["measurement-dim", "not-a-measurement", "measure-repeated-wire",
+        "apply-repeated-wire", "gate-shape", "gate-too-small"])
+def test_malformed_round_fails_at_compile_time(bob):
+    with pytest.raises(MalformedStrategy):
+        validate_strategy(bob, {"choose": ("dep", "bp")})
+    with pytest.raises(MalformedStrategy):
+        run_coinflip(honest_alice_coinflip(), bob)
+
+
+def test_compiled_strategy_holds_checked_gates():
+    bob = _bob_choosing(Apply(("dep", "c0"), np.eye(4)), Apply(("c0",), lambda rec: np.eye(2)))
+    compiled = validate_strategy(bob, {"choose": ("dep", "bp")})
+    fixed, resolved = compiled.programs["choose"][:2]
+    assert isinstance(fixed.gate, qmath.Unitary)
+    assert callable(resolved.gate)   # record-dependent: checked each time it resolves
+
+
+def test_record_dependent_gate_is_checked_when_it_resolves():
+    bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(MalformedStrategy):
+        run_coinflip(honest_alice_coinflip(), _bob_choosing(Apply(("c0",), lambda rec: bad)))
+
+
+def test_escrow_basis_is_cached():
+    assert escrow_basis(1, THETA) is escrow_basis(1, THETA)
+    assert escrow_basis(0, THETA) is not escrow_basis(1, THETA)
 
 
 def test_strategy_rejects_bad_draw_weights():

@@ -499,6 +499,62 @@ def test_locality_average_post_measurement_state():
         assert np.max(np.abs(avg - rho_b.matrix)) < 1e-9
 
 
+def projector_branches(amps, n, on_axes, basis):
+    """Plain-numpy reference: P_i psi / ||P_i psi|| with P_i = v_i v_i^dag (x) I, None if pruned."""
+    rest = [a for a in range(n) if a not in on_axes]
+    order = list(on_axes) + rest
+    psi = np.transpose(amps.reshape((2,) * n), order).reshape(-1)
+    out = []
+    for i in range(basis.shape[1]):
+        proj = np.kron(np.outer(basis[:, i], basis[:, i].conj()), np.eye(2 ** len(rest)))
+        piece = proj @ psi
+        prob = float(np.vdot(piece, piece).real)
+        if prob < qmath.BRANCH_PRUNE:
+            out.append(None)
+            continue
+        back = np.transpose((piece / math.sqrt(prob)).reshape((2,) * n), np.argsort(order))
+        out.append((prob, back.reshape(-1)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 6), st.booleans())
+def test_measure_matches_projector_formula(seed, n, sparse):
+    # Sparse states in a permuted computational basis make some branches
+    # exactly empty, so the pruning decisions are compared too.
+    rng = np.random.default_rng(seed)
+    wires = tuple(f"w{i}" for i in range(n))
+    k = int(rng.integers(1, n + 1))
+    on_axes = [int(a) for a in rng.permutation(n)[:k]]
+    amps = random_state(wires, rng).amplitudes.copy()
+    if sparse:
+        amps[rng.random(2 ** n) < 0.5] = 0.0
+        amps[int(rng.integers(2 ** n))] = 1.0
+        amps /= np.linalg.norm(amps)
+        basis = np.eye(2 ** k, dtype=complex)[:, rng.permutation(2 ** k)]
+    else:
+        basis = random_unitary(2 ** k, rng)
+    labels = tuple(f"o{i}" for i in range(2 ** k))
+    got = measure(StateVector(wires, amps), OrthogonalMeasurement(basis, labels),
+                  tuple(wires[a] for a in on_axes))
+    want = projector_branches(amps, n, on_axes, basis)
+    assert [label for _, _, label in got] == [labels[i] for i, w in enumerate(want) if w]
+    for (prob, state, _), (ref_prob, ref_amps) in zip(got, [w for w in want if w]):
+        assert state.wires == wires
+        assert abs(prob - ref_prob) <= 1e-12
+        assert np.max(np.abs(state.amplitudes - ref_amps)) <= 1e-12
+
+
+@pytest.mark.parametrize("kernel", ["apply_unitary", "measure"])
+def test_kernels_reject_repeated_wires(kernel):
+    psi = StateVector(("a", "b"), ket(0, 0))
+    with pytest.raises(WireMismatch):
+        if kernel == "apply_unitary":
+            apply_unitary(psi, np.eye(4), ("a", "a"))
+        else:
+            measure(psi, OrthogonalMeasurement.computational(2), ("b", "b"))
+
+
 # ---------------------------------------------------------------------------
 # optimal distinguishing measurement
 
@@ -543,6 +599,21 @@ def test_optimal_measurement_achieves_trace_norm_and_dominates():
 def test_state_vector_rejects_bad_norm():
     with pytest.raises(qmath.QMathError):
         StateVector(("q",), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("amps", [np.array([np.nan, 1.0], dtype=complex),
+                                  np.array([1.0 + 1e-8, 0.0], dtype=complex)])
+def test_derived_state_keeps_the_norm_check(amps):
+    with pytest.raises(qmath.QMathError):
+        qmath._derived_state(("q",), amps)
+
+
+@pytest.mark.parametrize("basis", [np.array([[1.0, 1.0], [0.0, 1.0]]),
+                                   np.array([[1.0, 0.0], [0.0, 1.0 + 1e-6]]),
+                                   np.eye(2)[:, :1]])
+def test_measurement_rejects_non_orthonormal_basis(basis):
+    with pytest.raises(qmath.QMathError):
+        OrthogonalMeasurement(basis, tuple(range(basis.shape[1])))
 
 
 def test_density_matrix_rejects_negative():
