@@ -1,4 +1,4 @@
-"""Cheating strategies: explicit constructions, baselines, and a seeded optimizer.
+"""Cheating strategies: explicit constructions and a seeded optimizer.
 
 Two closed-form attacks are built here:
 
@@ -48,15 +48,10 @@ from .protocols import (
     MeasureRecord,
     OutcomeDistribution,
     SetBits,
-    SetRecord,
     StrategySpec,
     Verdict,
     escrow_bit_density,
     escrow_bit_mixture,
-    honest_alice_coinflip,
-    honest_alice_escrow,
-    honest_bob_coinflip,
-    honest_bob_escrow,
     rotation,
 )
 
@@ -245,35 +240,6 @@ def full_measurement_bob(params: EscrowParams = EscrowParams(), target: int = 0
     )
 
 
-def fixed_bit_alice(bit: int, params: EscrowParams = EscrowParams()) -> StrategySpec:
-    """Depositor who always escrows and claims the same bit."""
-    base = honest_alice_escrow(params)
-    return StrategySpec(
-        party="alice", ancilla_count=0, label=f"alice-always-{bit}",
-        programs={
-            "deposit": (SetRecord("b", bit),) + base.programs["deposit"],
-            "reveal": base.programs["reveal"],
-        },
-    )
-
-
-def baseline_strategies(params: EscrowParams = EscrowParams()
-                        ) -> list[tuple[str, StrategySpec]]:
-    """Named reference strategies used across reports and sweeps."""
-    zero, one = protocol_quadratic_pair(0.0, params)
-    return [
-        ("honest-alice-escrow", honest_alice_escrow(params)),
-        ("honest-alice-coinflip", honest_alice_coinflip()),
-        ("honest-bob-escrow", honest_bob_escrow()),
-        ("honest-bob-coinflip", honest_bob_coinflip()),
-        ("delayed-coin-alice", one),
-        ("delayed-coin-alice-zero-side", zero),
-        ("always-claim-0-alice", fixed_bit_alice(0, params)),
-        ("identity-bob", honest_bob_escrow()),
-        ("full-measurement-bob", full_measurement_bob(params)),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Angle parameterizations
 
@@ -319,20 +285,6 @@ def state_from_angles(dim: int, angles: Sequence[float]) -> np.ndarray:
         rest *= math.sin(thetas[k])
     amps[dim - 1] = rest * np.exp(1j * phases[dim - 2])
     return amps
-
-
-def parameterize(dim: int, angles: Sequence[float]) -> StrategySpec:
-    """Receiver attack from the documented Euler-angle family: one unitary on
-    (deposit x ancillas) of the given dimension, applied on receipt."""
-    n_wires = int(round(math.log2(dim)))
-    if 2 ** n_wires != dim or not 1 <= n_wires <= 5:
-        raise AdversaryError(f"dimension {dim} is not a supported qubit register size")
-    u = unitary_from_angles(dim, angles)
-    wires = ("dep",) + tuple(f"c{i}" for i in range(n_wires - 1))
-    return StrategySpec(
-        party="bob", ancilla_count=n_wires - 1, label=f"bob-angles(dim={dim})",
-        programs={"receive": (Apply(wires, u),)},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -472,22 +424,17 @@ def alice_coinflip_space(target: int = 0) -> ParameterSpace:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Objective and search budget; everything downstream of `seed` is deterministic."""
+    """Search budget; everything downstream of `seed` is deterministic.
 
-    objective: str = "max_win_prob"  # or "advantage_at_detection_cap"
+    The objective is the adversary's win probability: the larger of the honest
+    party's probabilities of verdict 0 and verdict 1.
+    """
+
     honest_party: str = "alice"      # whose verdict defines the win
-    detection_cap: float = 1.0
-    penalty: float = 1e3
     grid_resolution: int = 3
     simplex_iterations: int = 200
     n_starts: int = 3
     seed: int = 0
-
-    def __post_init__(self):
-        if self.objective not in ("max_win_prob", "advantage_at_detection_cap"):
-            raise AdversaryError(f"unknown objective {self.objective!r}")
-        if not 0.0 <= self.detection_cap <= 1.0:
-            raise AdversaryError("detection cap must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -499,12 +446,8 @@ class OptimizeResult:
 
 def _objective_value(dist: OutcomeDistribution, config: OptimizerConfig) -> float:
     party = config.honest_party
-    win = max(dist.verdict_probability(party, Verdict.ZERO),
-              dist.verdict_probability(party, Verdict.ONE))
-    if config.objective == "max_win_prob":
-        return win
-    err = dist.verdict_probability(party, Verdict.ERR)
-    return (win - 0.5) - config.penalty * max(0.0, err - config.detection_cap)
+    return max(dist.verdict_probability(party, Verdict.ZERO),
+               dist.verdict_probability(party, Verdict.ONE))
 
 
 def optimize(space: ParameterSpace, config: OptimizerConfig,

@@ -4,9 +4,10 @@ Conventions pinned here once:
 
 * Binding claims p0, p1 (q0, q1) count what the depositor announces, whether
   or not the check then rejects; p_err (q_err) is the checker's error verdict
-  mass.  The frontier is  |p0 - q0| <= (sqrt(p_err) + sqrt(q_err)) / cos(2t),
-  and the weaker two-parameter form gamma <= 2 sqrt(eps) / cos(2t) with
-  eps = max(p_err, q_err) is checked separately.
+  mass.  The frontier is  |p0 - q0| <= (sqrt(p_err) + sqrt(q_err)) / cos(2t).
+  The two-parameter form gamma <= 2 sqrt(eps) / cos(2t) with
+  eps = max(p_err, q_err) needs no check of its own: sqrt(p) + sqrt(q) <=
+  2 sqrt(max(p, q)), so the sharp frontier implies it.
 
 * Sealing advantage is the optimal-guess success minus 1/2 over the
   receiver's kept wires, i.e. a quarter of the kept trace distance; the kept
@@ -31,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from . import qmath
-from .qmath import DensityMatrix, trace_norm
+from .qmath import trace_norm
 from .protocols import (
     Apply,
     Challenge,
@@ -131,16 +132,6 @@ def binding_metrics(alice0: StrategySpec, alice1: StrategySpec,
 def check_binding_bound(report: BindingReport) -> bool:
     """Sharp per-run frontier: gamma <= (sqrt(p_err)+sqrt(q_err))/cos(2 theta)."""
     return report.gamma_observed <= report.bound + BOUND_TOL
-
-
-def binding_theorem_gamma(eps: float, theta: float) -> float:
-    """Two-parameter binding statement: gamma bound 2 sqrt(eps)/cos(2 theta)."""
-    return 2.0 * math.sqrt(eps) / math.cos(2 * theta)
-
-
-def check_binding_theorem_form(report: BindingReport) -> bool:
-    eps = max(report.p_err, report.q_err)
-    return report.gamma_observed <= binding_theorem_gamma(eps, report.theta) + BOUND_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -246,26 +237,6 @@ def enumerated_return_error(bob: StrategySpec, params: EscrowParams = EscrowPara
         run_escrow(alice, bob, Challenge.RETURN_TO_ALICE, claimed_bit=b, params=params
                    ).verdict_probability("alice", Verdict.ERR)
         for b in (0, 1))
-
-
-def kept_guess_advantage(bob: StrategySpec, params: EscrowParams = EscrowParams()
-                         ) -> float:
-    """Optimal-guess edge measured via the distinguishing measurement itself."""
-    u, n_anc = extract_attack_unitary(bob)
-    if n_anc == 0:
-        return 0.0  # nothing is kept
-    dec = w_decomposition(u, params.theta)
-    anc_wires = tuple(f"c{i}" for i in range(n_anc))
-    anc_dim = 2 ** n_anc
-    kept = []
-    for b in (0, 1):
-        rho = np.zeros((anc_dim, anc_dim), dtype=complex)
-        for x in (0, 1):
-            w, w_bad = dec[(b, x)]
-            rho += 0.5 * (np.outer(w, w.conj()) + np.outer(w_bad, w_bad.conj()))
-        kept.append(DensityMatrix(anc_wires, rho))
-    _, l1 = qmath.optimal_distinguishing_measurement(kept[0], kept[1])
-    return l1 / 4.0
 
 
 # ---------------------------------------------------------------------------

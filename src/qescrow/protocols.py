@@ -1,13 +1,22 @@
 """Two-party state machines for the bit-escrow and coin-flip games.
 
-Three games are implemented with exact branch-tree enumeration:
+Four games are enumerated exactly, branch by branch:
 
 * ``run_escrow``      -- deposit a qubit, then either reveal the classical
                          bits to the receiver or return the qubit for a check.
+* ``run_escrow_reveal_then_return`` -- the return check, with the bit revealed
+                         before the qubit comes back.
 * ``run_coinflip``    -- the biased coin flip built on the escrow encoding
                          (deposit angle fixed to pi/8).
 * ``run_weak_commitment`` -- deposit, reveal the bit, play the embedded coin
                          flip, then challenge the loser.
+
+Every game runs on one executor: ``_start`` compiles both strategies against
+the game's phase map and lays out the wires, ``_run_program`` runs a party's
+phase, ``_read_bit`` receives a classical message, ``_check_deposit`` projects
+a deposit on its claimed encoding (the escrow checks and the coin check alike),
+``_own_result`` sets an honest party's own result, and ``_assemble`` merges
+the leaves.  ``deposit_reduced_state`` runs the deposit phase on the same steps.
 
 Classical messages are carried on qubit wires that an honest recipient
 measures in the computational basis on receipt; a dishonest sender is free to
@@ -15,7 +24,8 @@ put superpositions on them.  Honest randomness is expanded into explicit
 branch weights, never sampled, so honest/honest runs have *exactly* zero
 error branches.
 
-Wire layout (a wire only exists in a run that uses it):
+Wire layout (a run holds Alice's ancillas, then the game's wires, then Bob's
+ancillas, at most ``MAX_TOTAL_WIRES`` = 9 in all):
 
     a0..a3   Alice's private ancillas      dep   the deposited qubit
     c0..c3   Bob's private ancillas        dep2  the embedded coin deposit
@@ -36,7 +46,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -379,9 +389,16 @@ def _read_bit(branches: list[_Branch], wire: str, reader: str, sender: str,
     return out
 
 
-def _check_deposit(branches: list[_Branch], dep_wire: str, theta: float,
-                   checker: str, b_key: str, x_key: str) -> list[_Branch]:
-    """Project the deposit on the claimed encoding; checker verdict = bit or ERR."""
+def _check_deposit(branches: list[_Branch], dep_wire: str, theta: float, checker: str,
+                   b_key: str, x_key: str, result: str = "verdict",
+                   xor_key: str | None = None) -> list[_Branch]:
+    """Project the deposit on the encoding (b, x) that the checker's record claims.
+
+    A failed projection sets the checker's ``result`` to ERR.  A passing one sets
+    it to the claimed bit, XOR the record's ``xor_key`` when one is named (the
+    coin check, where the passing result is b xor b'); a checker that never
+    recorded that key gets no result.
+    """
     out: list[_Branch] = []
     for br in branches:
         rec = br.recs[checker]
@@ -389,23 +406,52 @@ def _check_deposit(branches: list[_Branch], dep_wire: str, theta: float,
             raise MalformedStrategy(
                 f"{checker} lacks the classical record ({b_key}, {x_key}) needed to verify")
         b, x = int(rec[b_key]), int(rec[x_key])
+        if xor_key is None:
+            passed = Verdict.of_bit(b)
+        else:
+            passed = Verdict.of_bit(b ^ int(rec[xor_key])) if xor_key in rec else None
         for p, st, outcome in qmath.measure(br.state, escrow_basis(x, theta), (dep_wire,)):
             recs = _copy_recs(br.recs)
-            recs[checker]["verdict"] = (
-                Verdict.of_bit(b) if int(outcome) == b else Verdict.ERR)
+            recs[checker][result] = passed if int(outcome) == b else Verdict.ERR
             out.append(_Branch(br.prob * p, st, recs, br.transcript))
     return out
 
 
-def _initial_branches(wires: Sequence[str], alice_seed: dict, bob_seed: dict
-                      ) -> list[_Branch]:
+def _own_result(branches: list[_Branch], spec: StrategySpec, result: str,
+                *bit_keys: str) -> list[_Branch]:
+    """An honest party's own result: the XOR of the bits its record holds under ``bit_keys``.
+
+    A dishonest party has no result of its own, so nothing is set for it.
+    """
+    if spec.honest:
+        for br in branches:
+            rec = br.recs[spec.party]
+            bit = 0
+            for key in bit_keys:
+                bit ^= int(rec[key])
+            rec[result] = Verdict.of_bit(bit)
+    return branches
+
+
+def _start(alice: StrategySpec, bob: StrategySpec,
+           phases: Mapping[str, Mapping[str, tuple[str, ...]]], game_wires: tuple[str, ...],
+           alice_bit: int | None = None) -> tuple[StrategySpec, StrategySpec, list[_Branch]]:
+    """Compile both strategies against the game's phase map and build the root branch.
+
+    The wires are Alice's ancillas, then ``game_wires``, then Bob's ancillas, all
+    in |0>, within the ``MAX_TOTAL_WIRES`` budget.  Alice's record is seeded with
+    ``b = alice_bit`` when a bit is given.
+    """
+    alice = validate_strategy(alice, phases["alice"])
+    bob = validate_strategy(bob, phases["bob"])
+    wires = alice.ancillas + game_wires + bob.ancillas
     if len(wires) > MAX_TOTAL_WIRES:
         raise MalformedStrategy(
             f"{len(wires)} wires exceed the {MAX_TOTAL_WIRES}-qubit budget")
     amps = np.zeros(2 ** len(wires), dtype=complex)
     amps[0] = 1.0
-    return [_Branch(1.0, StateVector(tuple(wires), amps),
-                    {"alice": dict(alice_seed), "bob": dict(bob_seed)}, ())]
+    seed = {} if alice_bit is None else {"b": int(alice_bit)}
+    return alice, bob, [_Branch(1.0, StateVector(wires, amps), {"alice": seed, "bob": {}}, ())]
 
 
 # ---------------------------------------------------------------------------
@@ -491,17 +537,17 @@ def _assemble(branches: list[_Branch], alice_honest: bool, bob_honest: bool
 # Honest parties
 
 
+def _encoder(theta: float, b_key: str = "b", x_key: str = "x") -> Callable[[dict], np.ndarray]:
+    """Record-dependent gate taking |0> to phi_{b,x} for the (b, x) the record holds."""
+    return lambda rec: rotation(bx_angle(rec[b_key], rec[x_key], theta))
+
+
 def honest_alice_escrow(params: EscrowParams = EscrowParams()) -> StrategySpec:
     """Deposit phi_{b,x} for the instructed bit b (record-seeded) and random x."""
-    theta = params.theta
-
-    def prep(rec: dict) -> np.ndarray:
-        return rotation(bx_angle(rec["b"], rec["x"], theta))
-
     return StrategySpec(
         party="alice", ancilla_count=0, honest=True, label="honest-alice-escrow",
         programs={
-            "deposit": (Draw("x"), Apply(("dep",), prep)),
+            "deposit": (Draw("x"), Apply(("dep",), _encoder(params.theta))),
             "reveal": (SetBits({"rb": "b", "rx": "x"}),),
             "reveal_bit": (SetBits({"rb": "b"}),),
         },
@@ -514,13 +560,10 @@ def honest_bob_escrow() -> StrategySpec:
 
 
 def honest_alice_coinflip() -> StrategySpec:
-    def prep(rec: dict) -> np.ndarray:
-        return rotation(bx_angle(rec["b"], rec["x"], COIN_THETA))
-
     return StrategySpec(
         party="alice", ancilla_count=0, honest=True, label="honest-alice-coinflip",
         programs={
-            "deposit": (Draw("b"), Draw("x"), Apply(("dep",), prep)),
+            "deposit": (Draw("b"), Draw("x"), Apply(("dep",), _encoder(COIN_THETA))),
             "reveal": (SetBits({"rb": "b", "rx": "x"}),),
         },
     )
@@ -534,20 +577,13 @@ def honest_bob_coinflip() -> StrategySpec:
 
 
 def honest_alice_weak(params: EscrowParams = EscrowParams()) -> StrategySpec:
-    theta = params.theta
-
-    def prep(rec: dict) -> np.ndarray:
-        return rotation(bx_angle(rec["b"], rec["x"], theta))
-
-    def prep_coin(rec: dict) -> np.ndarray:
-        return rotation(bx_angle(rec["b2"], rec["x2"], COIN_THETA))
-
     return StrategySpec(
         party="alice", ancilla_count=0, honest=True, label="honest-alice-weak",
         programs={
-            "deposit": (Draw("x"), Apply(("dep",), prep)),
+            "deposit": (Draw("x"), Apply(("dep",), _encoder(params.theta))),
             "reveal_bit": (SetBits({"rb": "b"}),),
-            "coin_deposit": (Draw("b2"), Draw("x2"), Apply(("dep2",), prep_coin)),
+            "coin_deposit": (Draw("b2"), Draw("x2"),
+                             Apply(("dep2",), _encoder(COIN_THETA, "b2", "x2"))),
             "coin_reveal": (SetBits({"rb2": "b2", "rx2": "x2"}),),
             "reveal_x": (SetBits({"rx": "x"}),),
         },
@@ -580,6 +616,29 @@ _WEAK_PHASES = {
     "bob": {"receive": ("dep",), "coin_choose": ("dep2", "bp"), "return": ("dep",)},
 }
 
+_DEPOSIT_PHASES = {"alice": {"deposit": ("dep",)}, "bob": {}}
+
+
+def _coin(branches: list[_Branch], alice: StrategySpec, bob: StrategySpec, phase_prefix: str,
+          wire_suffix: str, result: str) -> list[_Branch]:
+    """The coin flip on the deposit wire ``"dep" + wire_suffix``.
+
+    Alice runs ``phase_prefix + "deposit"``, Bob ``phase_prefix + "choose"``
+    (announcing b' on ``bp``), Alice ``phase_prefix + "reveal"`` (claiming
+    (b, x) on the ``rb``/``rx`` wires with the same suffix).  Bob's deposit check
+    and an honest Alice's b xor b' land under ``result`` in their records.
+    """
+    branches = _run_program(branches, alice, phase_prefix + "deposit")
+    branches = _run_program(branches, bob, phase_prefix + "choose")
+    if alice.honest:
+        branches = _read_bit(branches, "bp", "alice", "bob", "bprime")
+    branches = _run_program(branches, alice, phase_prefix + "reveal")
+    branches = _read_bit(branches, "rb" + wire_suffix, "bob", "alice", "b_coin")
+    branches = _read_bit(branches, "rx" + wire_suffix, "bob", "alice", "x_coin")
+    branches = _check_deposit(branches, "dep" + wire_suffix, COIN_THETA, "bob",
+                              "b_coin", "x_coin", result, xor_key="bprime")
+    return _own_result(branches, alice, result, "b" + wire_suffix, "bprime")
+
 
 def run_escrow(alice: StrategySpec, bob: StrategySpec, challenge: Challenge,
                claimed_bit: int | None = None,
@@ -594,31 +653,20 @@ def run_escrow(alice: StrategySpec, bob: StrategySpec, challenge: Challenge,
     must contain ``b`` and ``x`` (honest strategies record them) or the run
     fails with ``MalformedStrategy``.
     """
-    theta = params.theta
-    alice = validate_strategy(alice, _ESCROW_PHASES["alice"])
-    bob = validate_strategy(bob, _ESCROW_PHASES["bob"])
-
-    wires = list(alice.ancillas) + ["dep"]
-    if challenge is Challenge.REVEAL_TO_BOB:
-        wires += ["rb", "rx"]
-    wires += list(bob.ancillas)
-    seed = {} if claimed_bit is None else {"b": int(claimed_bit)}
-    branches = _initial_branches(wires, seed, {})
-
+    reveal = challenge is Challenge.REVEAL_TO_BOB
+    alice, bob, branches = _start(alice, bob, _ESCROW_PHASES,
+                                  ("dep", "rb", "rx") if reveal else ("dep",), claimed_bit)
     branches = _run_program(branches, alice, "deposit")
     branches = _run_program(branches, bob, "receive")
-
-    if challenge is Challenge.REVEAL_TO_BOB:
+    if reveal:
         branches = _run_program(branches, alice, "reveal")
         branches = _read_bit(branches, "rb", "bob", "alice", "b")
         branches = _read_bit(branches, "rx", "bob", "alice", "x")
-        branches = _check_deposit(branches, "dep", theta, "bob", "b", "x")
-        if alice.honest:  # the revealer's own result is the bit she announced
-            for br in branches:
-                br.recs["alice"]["verdict"] = Verdict.of_bit(int(br.recs["alice"]["b"]))
+        branches = _check_deposit(branches, "dep", params.theta, "bob", "b", "x")
+        branches = _own_result(branches, alice, "verdict", "b")  # the bit she announced
     else:
         branches = _run_program(branches, bob, "return")
-        branches = _check_deposit(branches, "dep", theta, "alice", "b", "x")
+        branches = _check_deposit(branches, "dep", params.theta, "alice", "b", "x")
     return _assemble(branches, alice.honest, bob.honest)
 
 
@@ -631,60 +679,14 @@ def run_escrow_reveal_then_return(alice: StrategySpec, bob: StrategySpec,
     Bob may condition the unitary in his ``return`` program on the revealed
     bit, which lands in his record under ``b_claim``.
     """
-    theta = params.theta
-    alice = validate_strategy(alice, _ESCROW_PHASES["alice"])
-    bob = validate_strategy(bob, _ESCROW_PHASES["bob"])
-
-    wires = list(alice.ancillas) + ["dep", "rb"] + list(bob.ancillas)
-    seed = {} if claimed_bit is None else {"b": int(claimed_bit)}
-    branches = _initial_branches(wires, seed, {})
+    alice, bob, branches = _start(alice, bob, _ESCROW_PHASES, ("dep", "rb"), claimed_bit)
     branches = _run_program(branches, alice, "deposit")
     branches = _run_program(branches, bob, "receive")
     branches = _run_program(branches, alice, "reveal_bit")
     branches = _read_bit(branches, "rb", "bob", "alice", "b_claim")
     branches = _run_program(branches, bob, "return")
-    branches = _check_deposit(branches, "dep", theta, "alice", "b", "x")
+    branches = _check_deposit(branches, "dep", params.theta, "alice", "b", "x")
     return _assemble(branches, alice.honest, bob.honest)
-
-
-def _coin_subgame(branches: list[_Branch], alice: StrategySpec, bob: StrategySpec,
-                  dep_wire: str, phases: tuple[str, str, str],
-                  reveal_wires: tuple[str, str], results: tuple[str, str],
-                  alice_bit_key: str) -> list[_Branch]:
-    """Common body of the coin flip; per-party coin results land in records.
-
-    ``phases``  = (alice deposit, bob choose, alice reveal) phase names,
-    ``results`` = record keys getting each party's coin result (int or ERR),
-    ``alice_bit_key`` = record key of the honest depositor's coin bit.
-    """
-    dep_phase, choose_phase, reveal_phase = phases
-    rb_wire, rx_wire = reveal_wires
-    res_a, res_b = results
-
-    branches = _run_program(branches, alice, dep_phase)
-    branches = _run_program(branches, bob, choose_phase)
-    if alice.honest:
-        branches = _read_bit(branches, "bp", "alice", "bob", "bprime")
-    branches = _run_program(branches, alice, reveal_phase)
-    branches = _read_bit(branches, rb_wire, "bob", "alice", "b_coin")
-    branches = _read_bit(branches, rx_wire, "bob", "alice", "x_coin")
-
-    out: list[_Branch] = []
-    for br in branches:
-        b_claim = int(br.recs["bob"]["b_coin"])
-        x_claim = int(br.recs["bob"]["x_coin"])
-        for p, st, outcome in qmath.measure(br.state, escrow_basis(x_claim, COIN_THETA),
-                                            (dep_wire,)):
-            recs = _copy_recs(br.recs)
-            rb, ra = recs["bob"], recs["alice"]
-            if int(outcome) != b_claim:
-                rb[res_b] = Verdict.ERR
-            elif "bprime" in rb:
-                rb[res_b] = b_claim ^ int(rb["bprime"])
-            if alice.honest:
-                ra[res_a] = int(ra[alice_bit_key]) ^ int(ra["bprime"])
-            out.append(_Branch(br.prob * p, st, recs, br.transcript))
-    return out
 
 
 def run_coinflip(alice: StrategySpec, bob: StrategySpec) -> OutcomeDistribution:
@@ -695,21 +697,10 @@ def run_coinflip(alice: StrategySpec, bob: StrategySpec) -> OutcomeDistribution:
     err if the check catches the revealer and b xor b' otherwise; an honest
     revealer is never caught, so her result is always b xor b'.
     """
-    alice = validate_strategy(alice, _COINFLIP_PHASES["alice"])
-    bob = validate_strategy(bob, _COINFLIP_PHASES["bob"])
+    alice, bob, branches = _start(alice, bob, _COINFLIP_PHASES, ("dep", "bp", "rb", "rx"))
     if not (alice.honest or bob.honest):
         raise MalformedStrategy("at least one party must be honest")
-
-    wires = list(alice.ancillas) + ["dep", "bp", "rb", "rx"] + list(bob.ancillas)
-    branches = _initial_branches(wires, {}, {})
-    branches = _coin_subgame(branches, alice, bob, "dep",
-                             ("deposit", "choose", "reveal"), ("rb", "rx"),
-                             ("res_a", "res_b"), alice_bit_key="b")
-    for br in branches:
-        for party, key in (("alice", "res_a"), ("bob", "res_b")):
-            r = br.recs[party].get(key)
-            if r is not None:
-                br.recs[party]["verdict"] = r if r is Verdict.ERR else Verdict.of_bit(r)
+    branches = _coin(branches, alice, bob, phase_prefix="", wire_suffix="", result="verdict")
     return _assemble(branches, alice.honest, bob.honest)
 
 
@@ -719,59 +710,41 @@ def run_weak_commitment(alice: StrategySpec, bob: StrategySpec, deposited_bit: i
 
     Coin result 1 sends the depositor to the reveal-x check, coin result 0
     sends the receiver to the return-the-qubit check; a coin result of err
-    rejects outright.  This runner provides the mechanics of the composition
-    only; no security property is claimed for it.
+    rejects outright.  The coin result is the honest party's own.  This runner
+    provides the mechanics of the composition only; no security property is
+    claimed for it.
     """
-    theta = params.theta
-    alice = validate_strategy(alice, _WEAK_PHASES["alice"])
-    bob = validate_strategy(bob, _WEAK_PHASES["bob"])
-    if alice.ancilla_count + bob.ancilla_count > 2:
-        raise MalformedStrategy("the composed game leaves room for 2 ancilla qubits")
+    alice, bob, branches = _start(
+        alice, bob, _WEAK_PHASES, ("dep", "rb", "rx", "dep2", "bp", "rb2", "rx2"), deposited_bit)
     if not (alice.honest or bob.honest):
         raise MalformedStrategy("at least one party must be honest")
-
-    wires = (list(alice.ancillas) + ["dep", "rb", "rx", "dep2", "bp", "rb2", "rx2"]
-             + list(bob.ancillas))
-    branches = _initial_branches(wires, {"b": int(deposited_bit)}, {})
     branches = _run_program(branches, alice, "deposit")
     branches = _run_program(branches, bob, "receive")
     branches = _run_program(branches, alice, "reveal_bit")
     branches = _read_bit(branches, "rb", "bob", "alice", "b_claim")
-    branches = _coin_subgame(branches, alice, bob, "dep2",
-                             ("coin_deposit", "coin_choose", "coin_reveal"),
-                             ("rb2", "rx2"), ("coin_a", "coin_b"), alice_bit_key="b2")
+    branches = _coin(branches, alice, bob, phase_prefix="coin_", wire_suffix="2",
+                     result="coin")
 
-    done: list[_Branch] = []
-    alice_challenged: list[_Branch] = []
-    bob_challenged: list[_Branch] = []
+    done, alice_challenged, bob_challenged = [], [], []
+    judge = "alice" if alice.honest else "bob"
     for br in branches:
-        ra, rb = br.recs["alice"], br.recs["bob"]
-        r = ra.get("coin_a") if alice.honest else rb.get("coin_b")
-        br.transcript += (("coin", "result", "err" if r is Verdict.ERR else int(r)),)
+        r = br.recs[judge]["coin"]
+        br.transcript += (("coin", "result", r.value if r is Verdict.ERR else int(r.value)),)
         if r is Verdict.ERR:
-            ra["verdict"] = Verdict.ERR
-            rb["verdict"] = Verdict.ERR
+            br.recs["alice"]["verdict"] = br.recs["bob"]["verdict"] = Verdict.ERR
             done.append(br)
-        elif int(r) == 1:
+        elif r is Verdict.ONE:
             alice_challenged.append(br)
         else:
             bob_challenged.append(br)
 
-    if alice_challenged:
-        part = _run_program(alice_challenged, alice, "reveal_x")
-        part = _read_bit(part, "rx", "bob", "alice", "x_claim")
-        part = _check_deposit(part, "dep", theta, "bob", "b_claim", "x_claim")
-        if alice.honest:
-            for br in part:
-                br.recs["alice"]["verdict"] = Verdict.of_bit(int(br.recs["alice"]["b"]))
-        done.extend(part)
-    if bob_challenged:
-        part = _run_program(bob_challenged, bob, "return")
-        part = _check_deposit(part, "dep", theta, "alice", "b", "x")
-        if bob.honest:
-            for br in part:
-                br.recs["bob"]["verdict"] = Verdict.of_bit(int(br.recs["bob"]["b_claim"]))
-        done.extend(part)
+    part = _run_program(alice_challenged, alice, "reveal_x")
+    part = _read_bit(part, "rx", "bob", "alice", "x_claim")
+    part = _check_deposit(part, "dep", params.theta, "bob", "b_claim", "x_claim")
+    done += _own_result(part, alice, "verdict", "b")
+    part = _run_program(bob_challenged, bob, "return")
+    part = _check_deposit(part, "dep", params.theta, "alice", "b", "x")
+    done += _own_result(part, bob, "verdict", "b_claim")
     return _assemble(done, alice.honest, bob.honest)
 
 
@@ -781,11 +754,13 @@ def deposit_reduced_state(alice: StrategySpec, claimed_bit: int | None = None,
 
     Whatever the depositor later does cannot change this state, so it is the
     object that binds her; strategy pairs must agree on it to be comparable.
+    Only the deposit program is compiled and run.
     """
     del params  # the deposit phase itself never consults theta
-    wires = list(alice.ancillas) + ["dep"]
-    seed = {} if claimed_bit is None else {"b": int(claimed_bit)}
-    branches = _initial_branches(wires, seed, {})
+    deposit_only = dataclasses.replace(
+        alice, programs={"deposit": alice.programs.get("deposit", ())})
+    alice, _, branches = _start(deposit_only, honest_bob_escrow(), _DEPOSIT_PHASES, ("dep",),
+                                claimed_bit)
     branches = _run_program(branches, alice, "deposit")
     total = sum(br.prob for br in branches)
     m = sum(br.prob / total * partial_trace(br.state, ("dep",)).matrix for br in branches)

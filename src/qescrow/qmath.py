@@ -254,17 +254,6 @@ class Unitary:
 # Core operations
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def tensor_states(a: StateVector, b: StateVector) -> StateVector:
-    if set(a.wires) & set(b.wires):
-        raise WireMismatch("tensor factors share wires")
-    return StateVector(a.wires + b.wires, np.kron(a.amplitudes, b.amplitudes))
-
-
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and orthonormal eigenvector columns of a Hermitian matrix."""
     m = np.asarray(m, dtype=complex)
@@ -524,11 +513,6 @@ def measurement_l1_distance(r0: DensityMatrix, r1: DensityMatrix,
     delta = r0.matrix - r1.matrix
     diffs = np.einsum("ji,jk,ki->i", m.basis.conj(), delta, m.basis).real
     return float(np.sum(np.abs(diffs)))
-
-
-def guess_success_probability(r0: DensityMatrix, r1: DensityMatrix) -> float:
-    """Best probability of telling two equiprobable states apart: 1/2 + trn/4."""
-    return 0.5 + trace_norm(r0.matrix - r1.matrix) / 4.0
 
 
 # ---------------------------------------------------------------------------

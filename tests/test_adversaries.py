@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from helpers import fixed_bit_alice
 from qescrow import adversaries as adv
 from qescrow import analysis as ana
 from qescrow import qmath
 from qescrow.protocols import (
     Challenge,
-    StrategySpec,
     Verdict,
     escrow_bit_density,
     escrow_bit_mixture,
@@ -74,7 +74,6 @@ def test_quadratic_closed_forms_on_grid(alpha):
     assert rep.q_err < 1e-12  # the honest-delayed side is never caught
     assert abs(rep.q0 - 0.5) < 1e-9
     assert ana.check_binding_bound(rep)
-    assert ana.check_binding_theorem_form(rep)
 
 
 def test_quadratic_orthogonal_pure_states_give_no_advantage():
@@ -164,23 +163,11 @@ def test_weak_completion_choice_is_unobservable():
 
 
 # ---------------------------------------------------------------------------
-# baselines and parameterization
-
-
-def test_baseline_strategies_are_well_formed():
-    maps = {
-        "alice": {"deposit": ("dep",), "reveal": ("bp", "rb", "rx"), "reveal_bit": ("rb",)},
-        "bob": {"receive": ("dep",), "return": ("dep",), "choose": ("dep", "bp")},
-    }
-    for name, spec in adv.baseline_strategies():
-        assert isinstance(spec, StrategySpec), name
-        validate_strategy(spec, maps[spec.party])
-    names = [name for name, _ in adv.baseline_strategies()]
-    assert "full-measurement-bob" in names and "always-claim-0-alice" in names
+# fixed strategies and parameterization
 
 
 def test_always_claim_0_alice_runs():
-    dist = run_escrow(adv.fixed_bit_alice(0), honest_bob_escrow(), Challenge.REVEAL_TO_BOB)
+    dist = run_escrow(fixed_bit_alice(0), honest_bob_escrow(), Challenge.REVEAL_TO_BOB)
     assert abs(dist.transcript_probability(("alice", "b", 0)) - 1.0) < 1e-12
     assert dist.verdict_probability("bob", Verdict.ERR) < 1e-12
 
@@ -199,14 +186,12 @@ def test_delayed_alice_binding_baseline():
 
 def test_parameterize_identity_at_zero():
     for dim in (2, 4, 8):
-        spec = adv.parameterize(dim, np.zeros(3 * dim * (dim - 1) // 2))
-        u, _ = ana.extract_attack_unitary(spec)
+        u = adv.unitary_from_angles(dim, np.zeros(3 * dim * (dim - 1) // 2))
         assert np.max(np.abs(u - np.eye(dim))) < 1e-12
 
 
 def test_parameterize_single_qubit_rotation():
-    spec = adv.parameterize(2, (0.3, 0.0, 0.0))
-    u, _ = ana.extract_attack_unitary(spec)
+    u = adv.unitary_from_angles(2, (0.3, 0.0, 0.0))
     want = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
     assert np.max(np.abs(u - want)) < 1e-12
 
@@ -220,7 +205,7 @@ def test_parameterize_random_angles_unitary():
 
 def test_parameterize_rejects_bad_counts():
     with pytest.raises(adv.BadParameterCount):
-        adv.parameterize(4, (0.1, 0.2))
+        adv.unitary_from_angles(4, (0.1, 0.2))
     with pytest.raises(adv.BadParameterCount):
         adv.state_from_angles(4, (0.1,))
 
@@ -285,23 +270,6 @@ def test_optimizer_trace_is_seed_stable():
     r2 = adv.optimize(adv.bob_coinflip_space(), cfg, bob_evaluator)
     assert r1.trace == r2.trace
     assert r1.best_params == r2.best_params and r1.best_value == r2.best_value
-
-
-def test_optimizer_detection_capped_objective():
-    cfg = adv.OptimizerConfig(objective="advantage_at_detection_cap", honest_party="bob",
-                              detection_cap=0.2, penalty=1e3, grid_resolution=2,
-                              simplex_iterations=60, seed=5)
-    res = adv.optimize(adv.alice_coinflip_space(), cfg, alice_evaluator,
-                       extra_seeds=[adv.ALICE_SEED_POINT, [0.0] * 12])
-    # the seeded known point has detection 0.146 < 0.2, so its advantage survives
-    assert res.best_value >= math.cos(math.pi / 8) ** 2 - 0.5 - 1e-9
-
-
-def test_optimizer_rejects_bad_config():
-    with pytest.raises(adv.AdversaryError):
-        adv.OptimizerConfig(objective="nonsense")
-    with pytest.raises(adv.AdversaryError):
-        adv.OptimizerConfig(detection_cap=2.0)
 
 
 # ---------------------------------------------------------------------------

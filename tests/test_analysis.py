@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import fixed_bit_alice
 from qescrow import adversaries as adv
 from qescrow import analysis as ana
 from qescrow import qmath
@@ -16,13 +17,10 @@ from qescrow.analysis import (
     NotUnitaryAttack,
     SealingReport,
     binding_metrics,
-    binding_theorem_gamma,
     check_binding_bound,
-    check_binding_theorem_form,
     check_sealing_bound,
     coinflip_bias,
     enumerated_return_error,
-    kept_guess_advantage,
     modified_sealing_check,
     sealing_bound_rhs,
     sealing_metrics,
@@ -45,7 +43,7 @@ THETA = math.pi / 8
 
 def test_binding_rejects_mismatched_deposits():
     with pytest.raises(DepositMismatch):
-        binding_metrics(adv.fixed_bit_alice(0), adv.fixed_bit_alice(1))
+        binding_metrics(fixed_bit_alice(0), fixed_bit_alice(1))
 
 
 def test_binding_delayed_pair():
@@ -76,17 +74,6 @@ def test_binding_bound_formula():
 def test_binding_synthetic_violation_fails():
     rep = BindingReport(THETA, 0.9, 0.1, 0.0, 0.1, 0.9, 0.0)
     assert not check_binding_bound(rep)
-    assert not check_binding_theorem_form(rep)
-
-
-def test_binding_theorem_form_is_weaker():
-    # 2 sqrt(max eps) always dominates sqrt(p_err) + sqrt(q_err)
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        p_err, q_err = rng.uniform(0, 1, 2)
-        sharper = (math.sqrt(p_err) + math.sqrt(q_err)) / math.cos(2 * THETA)
-        weaker = binding_theorem_gamma(max(p_err, q_err), THETA)
-        assert sharper <= weaker + 1e-12
 
 
 def test_binding_report_validates_probabilities():
@@ -101,7 +88,6 @@ def test_binding_frontier_on_random_pairs():
     for _ in range(100):
         rep = binding_metrics(*adv.random_binding_pair(rng))
         assert check_binding_bound(rep)
-        assert check_binding_theorem_form(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +162,6 @@ def test_sealing_detection_identity_and_frontier_random():
         rep = sealing_metrics(bob)
         assert abs(enumerated_return_error(bob) - rep.detection_p) < 1e-9
         assert check_sealing_bound(rep)
-        assert abs(kept_guess_advantage(bob) - rep.advantage_eps) < 1e-9
 
 
 def test_sealing_bound_rhs_shape():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import fixed_bit_alice
 from qescrow import qmath
 from qescrow.protocols import (
     Apply,
@@ -175,7 +176,7 @@ def test_measuring_receiver_wins_at_cap():
 
 
 def test_coinflip_rejects_two_cheaters():
-    from qescrow.adversaries import constant_bob, fixed_bit_alice
+    from qescrow.adversaries import constant_bob
 
     with pytest.raises(MalformedStrategy):
         run_coinflip(fixed_bit_alice(0), constant_bob(0))
@@ -217,6 +218,20 @@ def test_weak_commitment_challenge_split_matches_embedded_coin():
     want_one = standalone.verdict_probability("alice", Verdict.ONE)
     got_one = dist.transcript_probability(("coin", "result", 1))
     assert abs(got_one - want_one) < 1e-12
+
+
+@pytest.mark.parametrize("theta", (math.pi / 16, math.pi / 8))
+@pytest.mark.parametrize("bit", (0, 1))
+def test_weak_commitment_dishonest_depositor(theta, bit):
+    # a depositor flagged dishonest has no coin result of her own, so the
+    # challenge follows the receiver's coin result; she plays honestly here
+    params = EscrowParams(theta)
+    alice = StrategySpec("alice", 0, honest_alice_weak(params).programs, honest=False)
+    dist = run_weak_commitment(alice, honest_bob_weak(), bit, params)
+    assert abs(dist.verdict_probability("bob", Verdict.of_bit(bit)) - 1.0) < 1e-12
+    assert dist.verdict_probability("bob", Verdict.ERR) == 0.0
+    for coin in (0, 1):
+        assert abs(dist.transcript_probability(("coin", "result", coin)) - 0.5) < 1e-12
 
 
 def test_weak_commitment_entangled_adversary_distribution():
@@ -327,6 +342,15 @@ def test_ancilla_budget_enforced():
     big_bob = StrategySpec("bob", 1, dict(honest_bob_weak().programs), honest=True)
     with pytest.raises(MalformedStrategy):
         run_weak_commitment(big_alice, big_bob, 0)
+
+
+@pytest.mark.parametrize("deposit", [
+    SetBits({"rb": 1}),
+    MeasureRecord(("rb",), qmath.OrthogonalMeasurement.computational(1), "m"),
+], ids=["writes-message-wire", "measures-message-wire"])
+def test_deposit_reduced_state_compiles_the_deposit(deposit):
+    with pytest.raises(MalformedStrategy):
+        deposit_reduced_state(StrategySpec("alice", 0, {"deposit": (deposit,)}))
 
 
 def test_distribution_requires_unit_mass():

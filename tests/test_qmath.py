@@ -34,14 +34,11 @@ from qescrow.qmath import (
     random_state,
     random_unitary,
     state_preparation_unitary,
-    tensor,
-    tensor_states,
     trace_norm,
 )
 
 THETA = math.pi / 8
 X = np.array([[0, 1], [1, 0]], dtype=complex)
-I2 = np.eye(2, dtype=complex)
 
 
 def ket(*bits):
@@ -58,30 +55,6 @@ def pure_dm(vec, wires):
 
 def phi_vec(alpha):
     return np.array([math.cos(alpha), math.sin(alpha)], dtype=complex)
-
-
-# ---------------------------------------------------------------------------
-# tensor
-
-
-def test_tensor_identity():
-    assert np.allclose(tensor(I2, I2), np.eye(4))
-
-
-def test_tensor_projector_placement():
-    p0 = np.diag([1.0, 0.0])
-    p1 = np.diag([0.0, 1.0])
-    assert np.allclose(tensor(p0, p1), np.diag([0.0, 1.0, 0.0, 0.0]))
-
-
-def test_tensor_xx_flips_00():
-    # 4x4 hand multiplication: X(x)X has antidiagonal ones, so column 0 is e3.
-    xx = tensor(X, X)
-    hand = np.zeros((4, 4))
-    for i, j in [(0, 3), (1, 2), (2, 1), (3, 0)]:
-        hand[i, j] = 1.0
-    assert np.allclose(xx, hand)
-    assert np.allclose(xx @ ket(0, 0), ket(1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +365,7 @@ def test_local_transform_multiwire_local_side():
 
 def test_local_transform_rejects_mismatched_reduction():
     psi = bell(("a", "b"))
-    prod = tensor_states(StateVector(("a",), ket(0)), StateVector(("b",), ket(0)))
+    prod = StateVector(("a", "b"), ket(0, 0))
     with pytest.raises(ReducedMismatch):
         local_purification_transform(psi, prod, ("a",))
 
@@ -402,7 +375,7 @@ def test_local_transform_rejects_mismatched_reduction():
 
 
 def test_partial_trace_product():
-    psi = tensor_states(StateVector(("a",), ket(0)), StateVector(("b",), ket(1)))
+    psi = StateVector(("a", "b"), ket(0, 1))
     assert np.max(np.abs(partial_trace(psi, ("a",)).matrix - np.diag([1.0, 0.0]))) < 1e-12
 
 
@@ -575,7 +548,6 @@ def test_optimal_measurement_escrow_mixtures():
     assert abs(l1 - math.sqrt(2)) < 1e-12
     # guessing edge 1/2 + L1/4 equals cos^2(pi/8)
     assert abs(0.5 + l1 / 4 - math.cos(math.pi / 8) ** 2) < 1e-12
-    assert abs(qmath.guess_success_probability(r0, r1) - math.cos(math.pi / 8) ** 2) < 1e-12
 
 
 def test_optimal_measurement_achieves_trace_norm_and_dominates():
