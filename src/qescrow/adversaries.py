@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import qmath
 from .qmath import (
@@ -484,6 +483,9 @@ def optimize(space: ParameterSpace, config: OptimizerConfig,
     scored = [(evaluate(x), tuple(float(t) for t in x)) for x in seeds]
     scored.sort(key=lambda sv: (-sv[0], sv[1]))
     best_value, best_params = scored[0]
+
+    # Imported here, not at the top: scipy.optimize costs every importer of qescrow ~48 MB.
+    from scipy.optimize import minimize
 
     for _, start in scored[:max(config.n_starts, 1)]:
         res = minimize(lambda x: -evaluate(x), np.array(start), method="Nelder-Mead",

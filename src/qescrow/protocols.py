@@ -18,6 +18,15 @@ a deposit on its claimed encoding (the escrow checks and the coin check alike),
 ``_own_result`` sets an honest party's own result, and ``_assemble`` merges
 the leaves.  ``deposit_reduced_state`` runs the deposit phase on the same steps.
 
+The branches of a run are rows (``_Rows``): one ``qmath.StateStack`` holds
+every branch's amplitudes, next to one probability array and per-row record
+dicts and transcripts.  Each round is one kernel call for all rows: a draw
+repeats rows, a gate is one (per-row stacked, for a record-dependent gate)
+``apply_unitary``, a measurement or deposit check is one ``qmath.measure``
+whose surviving outcomes follow their parent row in label order, and a
+classical bit write swaps amplitude halves.  Rows stay in branch order, so
+the leaves are merged in the same order as branch-by-branch enumeration.
+
 Classical messages are carried on qubit wires that an honest recipient
 measures in the computational basis on receipt; a dishonest sender is free to
 put superpositions on them.  Honest randomness is expanded into explicit
@@ -56,6 +65,7 @@ from .qmath import (
     DensityMatrix,
     Mixture,
     OrthogonalMeasurement,
+    StateStack,
     StateVector,
     Unitary,
     apply_unitary,
@@ -66,7 +76,6 @@ THETA_DEFAULT = math.pi / 8
 COIN_THETA = math.pi / 8
 MAX_TOTAL_WIRES = 9
 
-_X = Unitary(np.array([[0.0, 1.0], [1.0, 0.0]]))
 _COMP1 = OrthogonalMeasurement.computational(1)
 
 
@@ -307,15 +316,39 @@ def _checked_gate(gate: np.ndarray | Unitary, dim: int, phase: str) -> Unitary:
 
 
 @dataclass
-class _Branch:
-    prob: float
-    state: StateVector
-    recs: dict[str, dict]
-    transcript: tuple
+class _Rows:
+    """A run's branches, one row each: probability, state, records and transcript.
 
+    Rows are branch-major: a row's children follow it in outcome order.  A
+    row's records are a dict of party records that the row owns; a party's
+    record may be shared with other rows, so a write replaces it with an
+    updated copy and never changes it in place.
+    """
 
-def _copy_recs(recs: dict[str, dict]) -> dict[str, dict]:
-    return {p: dict(r) for p, r in recs.items()}
+    probs: np.ndarray
+    states: StateStack
+    recs: list[dict[str, dict]]
+    transcripts: list[tuple]
+
+    def take(self, rows: list[int]) -> "_Rows":
+        """The given rows, each at most once, sharing their records."""
+        return _Rows(self.probs[rows], self.states.take(rows), [self.recs[r] for r in rows],
+                     [self.transcripts[r] for r in rows])
+
+    def split(self, rows: np.ndarray, probs: np.ndarray, states: StateStack, party: str,
+              key: str, values: list) -> "_Rows":
+        """Children of ``rows`` (parent indices, in order) with their probabilities and states.
+
+        Each child's ``party`` record gets ``key`` set to the matching entry of ``values``.
+        """
+        parents = rows.tolist()
+        recs = []
+        for r, v in zip(parents, values):
+            rec = dict(self.recs[r])
+            rec[party] = {**rec[party], key: v}
+            recs.append(rec)
+        return _Rows(self.probs[rows] * probs, states, recs,
+                     [self.transcripts[r] for r in parents])
 
 
 def _resolve_bit(src: BitSource, rec: dict) -> int:
@@ -332,111 +365,119 @@ def _resolve_bit(src: BitSource, rec: dict) -> int:
     return int(v)
 
 
-def _run_program(branches: list[_Branch], spec: StrategySpec, phase: str) -> list[_Branch]:
-    rounds = spec.programs.get(phase, ())
-    if not rounds:
-        return branches
-    for rnd in rounds:
-        nxt: list[_Branch] = []
-        for br in branches:
-            rec = br.recs[spec.party]
-            if isinstance(rnd, Draw):
-                for value, w in enumerate(rnd.weights):
-                    if w < BRANCH_PRUNE:
-                        continue
-                    recs = _copy_recs(br.recs)
-                    recs[spec.party][rnd.name] = value
-                    nxt.append(_Branch(br.prob * w, br.state, recs, br.transcript))
-            elif isinstance(rnd, SetRecord):
-                recs = _copy_recs(br.recs)
-                recs[spec.party][rnd.name] = (
-                    rnd.value(rec) if callable(rnd.value) else rnd.value)
-                nxt.append(_Branch(br.prob, br.state, recs, br.transcript))
-            elif isinstance(rnd, Apply):
-                try:
-                    gate = rnd.gate(rec) if callable(rnd.gate) else rnd.gate
-                    state = apply_unitary(br.state, gate, rnd.wires)
-                except (qmath.QMathError, KeyError) as exc:
-                    raise MalformedStrategy(f"bad gate in phase {phase!r}: {exc!r}") from exc
-                nxt.append(_Branch(br.prob, state, br.recs, br.transcript))
-            elif isinstance(rnd, MeasureRecord):
-                for p, st, label in qmath.measure(br.state, rnd.measurement, rnd.wires):
-                    recs = _copy_recs(br.recs)
-                    recs[spec.party][rnd.name] = label
-                    nxt.append(_Branch(br.prob * p, st, recs, br.transcript))
-            elif isinstance(rnd, SetBits):
-                state = br.state
-                for wire, src in rnd.assignments.items():
-                    if _resolve_bit(src, rec):
-                        state = apply_unitary(state, _X, (wire,))
-                nxt.append(_Branch(br.prob, state, br.recs, br.transcript))
-            else:
-                raise MalformedStrategy(f"unknown round type {type(rnd).__name__}")
-        branches = nxt
-    return branches
+def _resolve_gates(gate: Callable[[dict], np.ndarray], recs: list[dict], dim: int) -> np.ndarray:
+    """One record-dependent gate per row, stacked; ``apply_unitary`` checks them in one call."""
+    gates = np.empty((len(recs), dim, dim), dtype=complex)
+    for i, rec in enumerate(recs):
+        g = gate(rec)
+        g = np.asarray(g.matrix if isinstance(g, Unitary) else g, dtype=complex)
+        if g.shape != (dim, dim):
+            raise qmath.WireMismatch(f"gate of shape {g.shape} needs shape ({dim}, {dim})")
+        gates[i] = g
+    return gates
 
 
-def _read_bit(branches: list[_Branch], wire: str, reader: str, sender: str,
-              key: str) -> list[_Branch]:
+def _run_program(rows: _Rows, spec: StrategySpec, phase: str) -> _Rows:
+    party = spec.party
+    for rnd in spec.programs.get(phase, ()):
+        if isinstance(rnd, Draw):
+            values = [(v, w) for v, w in enumerate(rnd.weights) if not w < BRANCH_PRUNE]
+            parents = np.repeat(np.arange(len(rows.recs)), len(values))
+            rows = rows.split(parents, np.array([w for _, w in values] * len(rows.recs)),
+                              rows.states.take(parents), party, rnd.name,
+                              [v for v, _ in values] * len(rows.recs))
+        elif isinstance(rnd, SetRecord):
+            for rec in rows.recs:
+                own = rec[party]
+                value = rnd.value(own) if callable(rnd.value) else rnd.value
+                rec[party] = {**own, rnd.name: value}
+        elif isinstance(rnd, Apply):
+            try:
+                gate = rnd.gate
+                if callable(gate):
+                    gate = _resolve_gates(gate, [rec[party] for rec in rows.recs],
+                                          2 ** len(rnd.wires))
+                states = apply_unitary(rows.states, gate, rnd.wires)
+            except (qmath.QMathError, KeyError) as exc:
+                raise MalformedStrategy(f"bad gate in phase {phase!r}: {exc!r}") from exc
+            rows = _Rows(rows.probs, states, rows.recs, rows.transcripts)
+        elif isinstance(rnd, MeasureRecord):
+            parents, outcomes, probs, states = qmath.measure(rows.states, rnd.measurement,
+                                                             rnd.wires)
+            labels = rnd.measurement.labels
+            rows = rows.split(parents, probs, states, party, rnd.name,
+                              [labels[o] for o in outcomes.tolist()])
+        elif isinstance(rnd, SetBits):
+            states = rows.states
+            for wire, src in rnd.assignments.items():
+                flips = np.array([_resolve_bit(src, rec[party]) for rec in rows.recs], dtype=bool)
+                if flips.any():
+                    states = states.flip(wire, flips)
+            rows = _Rows(rows.probs, states, rows.recs, rows.transcripts)
+        else:
+            raise MalformedStrategy(f"unknown round type {type(rnd).__name__}")
+    return rows
+
+
+def _read_bit(rows: _Rows, wire: str, reader: str, sender: str, key: str) -> _Rows:
     """Measure a classical-convention wire into the reader's record + transcript."""
-    out: list[_Branch] = []
-    for br in branches:
-        for p, st, label in qmath.measure(br.state, _COMP1, (wire,)):
-            recs = _copy_recs(br.recs)
-            recs[reader][key] = int(label)
-            out.append(_Branch(br.prob * p, st, recs,
-                               br.transcript + ((sender, key, int(label)),)))
+    parents, outcomes, probs, states = qmath.measure(rows.states, _COMP1, (wire,))
+    bits = outcomes.tolist()  # the computational basis labels its outcomes 0, 1
+    out = rows.split(parents, probs, states, reader, key, bits)
+    out.transcripts = [tr + ((sender, key, bit),) for tr, bit in zip(out.transcripts, bits)]
     return out
 
 
-def _check_deposit(branches: list[_Branch], dep_wire: str, theta: float, checker: str,
+def _check_deposit(rows: _Rows, dep_wire: str, theta: float, checker: str,
                    b_key: str, x_key: str, result: str = "verdict",
-                   xor_key: str | None = None) -> list[_Branch]:
+                   xor_key: str | None = None) -> _Rows:
     """Project the deposit on the encoding (b, x) that the checker's record claims.
 
     A failed projection sets the checker's ``result`` to ERR.  A passing one sets
     it to the claimed bit, XOR the record's ``xor_key`` when one is named (the
     coin check, where the passing result is b xor b'); a checker that never
-    recorded that key gets no result.
+    recorded that key gets no result.  Each row is measured in the basis of its
+    own claimed x, all rows in one call.
     """
-    out: list[_Branch] = []
-    for br in branches:
-        rec = br.recs[checker]
+    claims, passed = [], []
+    for rec in rows.recs:
+        rec = rec[checker]
         if b_key not in rec or x_key not in rec:
             raise MalformedStrategy(
                 f"{checker} lacks the classical record ({b_key}, {x_key}) needed to verify")
         b, x = int(rec[b_key]), int(rec[x_key])
+        claims.append((b, x))
         if xor_key is None:
-            passed = Verdict.of_bit(b)
+            passed.append(Verdict.of_bit(b))
         else:
-            passed = Verdict.of_bit(b ^ int(rec[xor_key])) if xor_key in rec else None
-        for p, st, outcome in qmath.measure(br.state, escrow_basis(x, theta), (dep_wire,)):
-            recs = _copy_recs(br.recs)
-            recs[checker][result] = passed if int(outcome) == b else Verdict.ERR
-            out.append(_Branch(br.prob * p, st, recs, br.transcript))
-    return out
+            passed.append(Verdict.of_bit(b ^ int(rec[xor_key])) if xor_key in rec else None)
+    bases = (escrow_basis(0, theta), escrow_basis(1, theta))
+    parents, outcomes, probs, states = qmath.measure(
+        rows.states, [bases[x] for _, x in claims], (dep_wire,))
+    verdicts = [passed[r] if o == claims[r][0] else Verdict.ERR  # labels are the bit b
+                for r, o in zip(parents.tolist(), outcomes.tolist())]
+    return rows.split(parents, probs, states, checker, result, verdicts)
 
 
-def _own_result(branches: list[_Branch], spec: StrategySpec, result: str,
-                *bit_keys: str) -> list[_Branch]:
+def _own_result(rows: _Rows, spec: StrategySpec, result: str, *bit_keys: str) -> _Rows:
     """An honest party's own result: the XOR of the bits its record holds under ``bit_keys``.
 
     A dishonest party has no result of its own, so nothing is set for it.
     """
     if spec.honest:
-        for br in branches:
-            rec = br.recs[spec.party]
+        for rec in rows.recs:
+            own = rec[spec.party]
             bit = 0
             for key in bit_keys:
-                bit ^= int(rec[key])
-            rec[result] = Verdict.of_bit(bit)
-    return branches
+                bit ^= int(own[key])
+            rec[spec.party] = {**own, result: Verdict.of_bit(bit)}
+    return rows
 
 
 def _start(alice: StrategySpec, bob: StrategySpec,
            phases: Mapping[str, Mapping[str, tuple[str, ...]]], game_wires: tuple[str, ...],
-           alice_bit: int | None = None) -> tuple[StrategySpec, StrategySpec, list[_Branch]]:
-    """Compile both strategies against the game's phase map and build the root branch.
+           alice_bit: int | None = None) -> tuple[StrategySpec, StrategySpec, _Rows]:
+    """Compile both strategies against the game's phase map and build the root row.
 
     The wires are Alice's ancillas, then ``game_wires``, then Bob's ancillas, all
     in |0>, within the ``MAX_TOTAL_WIRES`` budget.  Alice's record is seeded with
@@ -451,7 +492,8 @@ def _start(alice: StrategySpec, bob: StrategySpec,
     amps = np.zeros(2 ** len(wires), dtype=complex)
     amps[0] = 1.0
     seed = {} if alice_bit is None else {"b": int(alice_bit)}
-    return alice, bob, [_Branch(1.0, StateVector(wires, amps), {"alice": seed, "bob": {}}, ())]
+    root = StateStack.of(StateVector(wires, amps))
+    return alice, bob, _Rows(np.ones(1), root, [{"alice": seed, "bob": {}}], [()])
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +543,10 @@ class OutcomeDistribution:
         return out
 
 
-def _final_verdicts(br: _Branch, alice_honest: bool, bob_honest: bool
+def _final_verdicts(recs: dict[str, dict], alice_honest: bool, bob_honest: bool
                     ) -> tuple[Verdict, Verdict]:
-    av = br.recs["alice"].get("verdict")
-    bv = br.recs["bob"].get("verdict")
+    av = recs["alice"].get("verdict")
+    bv = recs["bob"].get("verdict")
     if av is None and bv is None:
         raise MalformedStrategy("no verdict was produced on some branch")
     # A cheater has no meaningful verdict of its own; report the honest outcome.
@@ -519,13 +561,14 @@ def _final_verdicts(br: _Branch, alice_honest: bool, bob_honest: bool
     return av, bv
 
 
-def _assemble(branches: list[_Branch], alice_honest: bool, bob_honest: bool
+def _assemble(parts: list[_Rows], alice_honest: bool, bob_honest: bool
               ) -> OutcomeDistribution:
     merged: dict[tuple, float] = {}
-    for br in branches:
-        av, bv = _final_verdicts(br, alice_honest, bob_honest)
-        key = (av, bv, br.transcript)
-        merged[key] = merged.get(key, 0.0) + br.prob
+    for rows in parts:
+        for prob, recs, transcript in zip(rows.probs.tolist(), rows.recs, rows.transcripts):
+            av, bv = _final_verdicts(recs, alice_honest, bob_honest)
+            key = (av, bv, transcript)
+            merged[key] = merged.get(key, 0.0) + prob
     leaves = tuple(
         OutcomeBranch(p, av, bv, tr)
         for (av, bv, tr), p in sorted(merged.items(), key=lambda kv: repr(kv[0]))
@@ -619,8 +662,8 @@ _WEAK_PHASES = {
 _DEPOSIT_PHASES = {"alice": {"deposit": ("dep",)}, "bob": {}}
 
 
-def _coin(branches: list[_Branch], alice: StrategySpec, bob: StrategySpec, phase_prefix: str,
-          wire_suffix: str, result: str) -> list[_Branch]:
+def _coin(rows: _Rows, alice: StrategySpec, bob: StrategySpec, phase_prefix: str,
+          wire_suffix: str, result: str) -> _Rows:
     """The coin flip on the deposit wire ``"dep" + wire_suffix``.
 
     Alice runs ``phase_prefix + "deposit"``, Bob ``phase_prefix + "choose"``
@@ -628,16 +671,16 @@ def _coin(branches: list[_Branch], alice: StrategySpec, bob: StrategySpec, phase
     (b, x) on the ``rb``/``rx`` wires with the same suffix).  Bob's deposit check
     and an honest Alice's b xor b' land under ``result`` in their records.
     """
-    branches = _run_program(branches, alice, phase_prefix + "deposit")
-    branches = _run_program(branches, bob, phase_prefix + "choose")
+    rows = _run_program(rows, alice, phase_prefix + "deposit")
+    rows = _run_program(rows, bob, phase_prefix + "choose")
     if alice.honest:
-        branches = _read_bit(branches, "bp", "alice", "bob", "bprime")
-    branches = _run_program(branches, alice, phase_prefix + "reveal")
-    branches = _read_bit(branches, "rb" + wire_suffix, "bob", "alice", "b_coin")
-    branches = _read_bit(branches, "rx" + wire_suffix, "bob", "alice", "x_coin")
-    branches = _check_deposit(branches, "dep" + wire_suffix, COIN_THETA, "bob",
-                              "b_coin", "x_coin", result, xor_key="bprime")
-    return _own_result(branches, alice, result, "b" + wire_suffix, "bprime")
+        rows = _read_bit(rows, "bp", "alice", "bob", "bprime")
+    rows = _run_program(rows, alice, phase_prefix + "reveal")
+    rows = _read_bit(rows, "rb" + wire_suffix, "bob", "alice", "b_coin")
+    rows = _read_bit(rows, "rx" + wire_suffix, "bob", "alice", "x_coin")
+    rows = _check_deposit(rows, "dep" + wire_suffix, COIN_THETA, "bob",
+                          "b_coin", "x_coin", result, xor_key="bprime")
+    return _own_result(rows, alice, result, "b" + wire_suffix, "bprime")
 
 
 def run_escrow(alice: StrategySpec, bob: StrategySpec, challenge: Challenge,
@@ -654,20 +697,20 @@ def run_escrow(alice: StrategySpec, bob: StrategySpec, challenge: Challenge,
     fails with ``MalformedStrategy``.
     """
     reveal = challenge is Challenge.REVEAL_TO_BOB
-    alice, bob, branches = _start(alice, bob, _ESCROW_PHASES,
-                                  ("dep", "rb", "rx") if reveal else ("dep",), claimed_bit)
-    branches = _run_program(branches, alice, "deposit")
-    branches = _run_program(branches, bob, "receive")
+    alice, bob, rows = _start(alice, bob, _ESCROW_PHASES,
+                              ("dep", "rb", "rx") if reveal else ("dep",), claimed_bit)
+    rows = _run_program(rows, alice, "deposit")
+    rows = _run_program(rows, bob, "receive")
     if reveal:
-        branches = _run_program(branches, alice, "reveal")
-        branches = _read_bit(branches, "rb", "bob", "alice", "b")
-        branches = _read_bit(branches, "rx", "bob", "alice", "x")
-        branches = _check_deposit(branches, "dep", params.theta, "bob", "b", "x")
-        branches = _own_result(branches, alice, "verdict", "b")  # the bit she announced
+        rows = _run_program(rows, alice, "reveal")
+        rows = _read_bit(rows, "rb", "bob", "alice", "b")
+        rows = _read_bit(rows, "rx", "bob", "alice", "x")
+        rows = _check_deposit(rows, "dep", params.theta, "bob", "b", "x")
+        rows = _own_result(rows, alice, "verdict", "b")  # the bit she announced
     else:
-        branches = _run_program(branches, bob, "return")
-        branches = _check_deposit(branches, "dep", params.theta, "alice", "b", "x")
-    return _assemble(branches, alice.honest, bob.honest)
+        rows = _run_program(rows, bob, "return")
+        rows = _check_deposit(rows, "dep", params.theta, "alice", "b", "x")
+    return _assemble([rows], alice.honest, bob.honest)
 
 
 def run_escrow_reveal_then_return(alice: StrategySpec, bob: StrategySpec,
@@ -679,14 +722,14 @@ def run_escrow_reveal_then_return(alice: StrategySpec, bob: StrategySpec,
     Bob may condition the unitary in his ``return`` program on the revealed
     bit, which lands in his record under ``b_claim``.
     """
-    alice, bob, branches = _start(alice, bob, _ESCROW_PHASES, ("dep", "rb"), claimed_bit)
-    branches = _run_program(branches, alice, "deposit")
-    branches = _run_program(branches, bob, "receive")
-    branches = _run_program(branches, alice, "reveal_bit")
-    branches = _read_bit(branches, "rb", "bob", "alice", "b_claim")
-    branches = _run_program(branches, bob, "return")
-    branches = _check_deposit(branches, "dep", params.theta, "alice", "b", "x")
-    return _assemble(branches, alice.honest, bob.honest)
+    alice, bob, rows = _start(alice, bob, _ESCROW_PHASES, ("dep", "rb"), claimed_bit)
+    rows = _run_program(rows, alice, "deposit")
+    rows = _run_program(rows, bob, "receive")
+    rows = _run_program(rows, alice, "reveal_bit")
+    rows = _read_bit(rows, "rb", "bob", "alice", "b_claim")
+    rows = _run_program(rows, bob, "return")
+    rows = _check_deposit(rows, "dep", params.theta, "alice", "b", "x")
+    return _assemble([rows], alice.honest, bob.honest)
 
 
 def run_coinflip(alice: StrategySpec, bob: StrategySpec) -> OutcomeDistribution:
@@ -697,11 +740,11 @@ def run_coinflip(alice: StrategySpec, bob: StrategySpec) -> OutcomeDistribution:
     err if the check catches the revealer and b xor b' otherwise; an honest
     revealer is never caught, so her result is always b xor b'.
     """
-    alice, bob, branches = _start(alice, bob, _COINFLIP_PHASES, ("dep", "bp", "rb", "rx"))
+    alice, bob, rows = _start(alice, bob, _COINFLIP_PHASES, ("dep", "bp", "rb", "rx"))
     if not (alice.honest or bob.honest):
         raise MalformedStrategy("at least one party must be honest")
-    branches = _coin(branches, alice, bob, phase_prefix="", wire_suffix="", result="verdict")
-    return _assemble(branches, alice.honest, bob.honest)
+    rows = _coin(rows, alice, bob, phase_prefix="", wire_suffix="", result="verdict")
+    return _assemble([rows], alice.honest, bob.honest)
 
 
 def run_weak_commitment(alice: StrategySpec, bob: StrategySpec, deposited_bit: int,
@@ -714,38 +757,40 @@ def run_weak_commitment(alice: StrategySpec, bob: StrategySpec, deposited_bit: i
     provides the mechanics of the composition only; no security property is
     claimed for it.
     """
-    alice, bob, branches = _start(
+    alice, bob, rows = _start(
         alice, bob, _WEAK_PHASES, ("dep", "rb", "rx", "dep2", "bp", "rb2", "rx2"), deposited_bit)
     if not (alice.honest or bob.honest):
         raise MalformedStrategy("at least one party must be honest")
-    branches = _run_program(branches, alice, "deposit")
-    branches = _run_program(branches, bob, "receive")
-    branches = _run_program(branches, alice, "reveal_bit")
-    branches = _read_bit(branches, "rb", "bob", "alice", "b_claim")
-    branches = _coin(branches, alice, bob, phase_prefix="coin_", wire_suffix="2",
-                     result="coin")
+    rows = _run_program(rows, alice, "deposit")
+    rows = _run_program(rows, bob, "receive")
+    rows = _run_program(rows, alice, "reveal_bit")
+    rows = _read_bit(rows, "rb", "bob", "alice", "b_claim")
+    rows = _coin(rows, alice, bob, phase_prefix="coin_", wire_suffix="2", result="coin")
 
     done, alice_challenged, bob_challenged = [], [], []
     judge = "alice" if alice.honest else "bob"
-    for br in branches:
-        r = br.recs[judge]["coin"]
-        br.transcript += (("coin", "result", r.value if r is Verdict.ERR else int(r.value)),)
+    for i, recs in enumerate(rows.recs):
+        r = recs[judge].get("coin")
+        if r is None:
+            raise MalformedStrategy(f"{judge} has no coin result to choose the challenge")
+        rows.transcripts[i] += (("coin", "result", r.value if r is Verdict.ERR else int(r.value)),)
         if r is Verdict.ERR:
-            br.recs["alice"]["verdict"] = br.recs["bob"]["verdict"] = Verdict.ERR
-            done.append(br)
+            for party in ("alice", "bob"):
+                recs[party] = {**recs[party], "verdict": Verdict.ERR}
+            done.append(i)
         elif r is Verdict.ONE:
-            alice_challenged.append(br)
+            alice_challenged.append(i)
         else:
-            bob_challenged.append(br)
+            bob_challenged.append(i)
 
-    part = _run_program(alice_challenged, alice, "reveal_x")
+    part = _run_program(rows.take(alice_challenged), alice, "reveal_x")
     part = _read_bit(part, "rx", "bob", "alice", "x_claim")
     part = _check_deposit(part, "dep", params.theta, "bob", "b_claim", "x_claim")
-    done += _own_result(part, alice, "verdict", "b")
-    part = _run_program(bob_challenged, bob, "return")
+    checked_alice = _own_result(part, alice, "verdict", "b")
+    part = _run_program(rows.take(bob_challenged), bob, "return")
     part = _check_deposit(part, "dep", params.theta, "alice", "b", "x")
-    done += _own_result(part, bob, "verdict", "b_claim")
-    return _assemble(done, alice.honest, bob.honest)
+    checked_bob = _own_result(part, bob, "verdict", "b_claim")
+    return _assemble([rows.take(done), checked_alice, checked_bob], alice.honest, bob.honest)
 
 
 def deposit_reduced_state(alice: StrategySpec, claimed_bit: int | None = None,
@@ -759,9 +804,10 @@ def deposit_reduced_state(alice: StrategySpec, claimed_bit: int | None = None,
     del params  # the deposit phase itself never consults theta
     deposit_only = dataclasses.replace(
         alice, programs={"deposit": alice.programs.get("deposit", ())})
-    alice, _, branches = _start(deposit_only, honest_bob_escrow(), _DEPOSIT_PHASES, ("dep",),
-                                claimed_bit)
-    branches = _run_program(branches, alice, "deposit")
-    total = sum(br.prob for br in branches)
-    m = sum(br.prob / total * partial_trace(br.state, ("dep",)).matrix for br in branches)
+    alice, _, rows = _start(deposit_only, honest_bob_escrow(), _DEPOSIT_PHASES, ("dep",),
+                            claimed_bit)
+    rows = _run_program(rows, alice, "deposit")
+    probs = rows.probs.tolist()
+    total = sum(probs)
+    m = sum(p / total * r for p, r in zip(probs, partial_trace(rows.states, ("dep",))))
     return DensityMatrix(("dep",), m)

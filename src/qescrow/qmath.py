@@ -6,6 +6,11 @@ application, orthogonal measurement with branch enumeration, partial trace,
 trace norm, fidelity, purification, and the eigenbasis measurement that
 achieves the trace-norm distinguishing bound.
 
+The kernels (``apply_unitary``, ``measure``, ``partial_trace``) work on a
+``StateStack``: rows of states on one wire tuple, amplitudes of shape
+(rows, 2^wires), processed in one numpy call per operation.  A
+``StateVector`` is the one-row case of the same code.
+
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no synchronization.  Randomness is always
 drawn from an explicitly passed ``numpy.random.Generator``.
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -57,10 +62,12 @@ def is_hermitian(m: np.ndarray, tol: float = ATOL_OP) -> bool:
 
 
 def is_unitary(m: np.ndarray, tol: float = ATOL_OP) -> bool:
+    """Whether a matrix, or every matrix of a stack over the last two axes, is unitary."""
     m = np.asarray(m, dtype=complex)
-    if m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return False
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
+    gram = m.conj().swapaxes(-1, -2) @ m
+    return bool(np.abs(gram - np.eye(m.shape[-1])).max(initial=0.0) <= tol)  # NaN fails
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -69,10 +76,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_norm(amps: np.ndarray) -> None:
-    norm = math.sqrt(float(np.vdot(amps, amps).real))
-    if not abs(norm - 1.0) <= ATOL_STATE:  # written so that a NaN norm fails too
-        raise QMathError(f"state norm {norm} != 1")
+def _check_norms(amps: np.ndarray) -> None:
+    """Every row of a (rows, dim) amplitude array has norm 1 within 1e-10."""
+    for squared in np.square(amps.view(float)).sum(axis=1).tolist():
+        if not abs(math.sqrt(squared) - 1.0) <= ATOL_STATE:  # written so that NaN fails too
+            raise QMathError(f"state norm {math.sqrt(squared)} != 1")
 
 
 @dataclass(frozen=True)
@@ -94,7 +102,7 @@ class StateVector:
             )
         if not np.all(np.isfinite(amps.view(float))):
             raise QMathError("non-finite amplitude")
-        _check_norm(amps)
+        _check_norms(amps[None])
 
     @property
     def n_wires(self) -> int:
@@ -119,19 +127,74 @@ class StateVector:
         return DensityMatrix(self.wires, np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
-def _derived_state(wires: tuple[str, ...], amps: np.ndarray) -> StateVector:
-    """A state a kernel computed from a validated one, on the same wires.
+@dataclass(frozen=True)
+class StateStack:
+    """Rows of unit-norm pure states on one ordered tuple of named qubit wires.
+
+    ``amplitudes`` has shape (rows, 2^wires); row r holds the amplitudes a
+    ``StateVector`` on ``wires`` would hold.  A stack may have zero rows.
+    """
+
+    wires: tuple[str, ...]
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "wires", tuple(self.wires))
+        amps = _frozen(self.amplitudes)
+        object.__setattr__(self, "amplitudes", amps)
+        if len(set(self.wires)) != len(self.wires):
+            raise WireMismatch(f"duplicate wire labels: {self.wires}")
+        if amps.ndim != 2 or amps.shape[1] != 2 ** len(self.wires):
+            raise WireMismatch(
+                f"{len(self.wires)} wires need rows of {2 ** len(self.wires)} amplitudes, "
+                f"got {amps.shape}")
+        if not np.all(np.isfinite(amps.view(float))):
+            raise QMathError("non-finite amplitude")
+        _check_norms(amps)
+
+    @classmethod
+    def of(cls, state: StateVector) -> "StateStack":
+        """The one-row stack holding a validated state."""
+        return _trusted(cls, state.wires, state.amplitudes[None])
+
+    def take(self, rows: Sequence[int]) -> "StateStack":
+        """The stack of the given rows, in the given order (a row may repeat)."""
+        amps = self.amplitudes[np.asarray(rows, dtype=np.intp)]
+        amps.setflags(write=False)
+        return _trusted(StateStack, self.wires, amps)
+
+    def flip(self, wire: str, rows: np.ndarray) -> "StateStack":
+        """X on ``wire`` in the rows where the boolean mask ``rows`` is set.
+
+        The two halves of each such row swap, which is exact.
+        """
+        n = len(self.amplitudes)
+        amps = self.amplitudes.reshape(n, 2 ** self.wires.index(wire), 2, -1).copy()
+        amps[rows] = amps[rows][:, :, ::-1]
+        amps = amps.reshape(n, -1)
+        amps.setflags(write=False)
+        return _trusted(StateStack, self.wires, amps)
+
+
+def _trusted(cls: type, wires: tuple[str, ...], amps: np.ndarray) -> StateVector | StateStack:
+    """A state or stack built without validation from amplitudes already checked."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "wires", wires)
+    object.__setattr__(obj, "amplitudes", amps)
+    return obj
+
+
+def _derived_state(wires: tuple[str, ...], amps: np.ndarray) -> StateVector | StateStack:
+    """A state (1-D amplitudes) or a stack (2-D) a kernel computed from validated ones.
 
     The wires, the shape and the finiteness carry over from the input, so
-    only the norm is checked; a NaN amplitude makes the norm NaN and fails.
-    ``amps`` must be a fresh array that nothing else holds.
+    only the norm of each row is checked; a NaN amplitude makes its row's
+    norm NaN and fails.  ``amps`` must be a fresh array that nothing else
+    writes.
     """
-    _check_norm(amps)
+    _check_norms(amps.reshape(-1, amps.shape[-1]))
     amps.setflags(write=False)
-    state = object.__new__(StateVector)
-    object.__setattr__(state, "wires", wires)
-    object.__setattr__(state, "amplitudes", amps)
-    return state
+    return _trusted(StateStack if amps.ndim == 2 else StateVector, wires, amps)
 
 
 @dataclass(frozen=True)
@@ -200,6 +263,7 @@ class OrthogonalMeasurement:
 
     basis: np.ndarray
     labels: tuple
+    adjoint: np.ndarray = field(init=False, repr=False, compare=False)  # V^dag, for measure
 
     def __post_init__(self):
         basis = _frozen(self.basis)
@@ -211,6 +275,7 @@ class OrthogonalMeasurement:
             raise QMathError("one label per basis vector required")
         if not is_unitary(basis):
             raise QMathError("basis vectors are not orthonormal")
+        object.__setattr__(self, "adjoint", basis.conj().T)
 
     @property
     def dim(self) -> int:
@@ -232,7 +297,8 @@ class OrthogonalMeasurement:
 
 @dataclass(frozen=True)
 class Unitary:
-    """A square matrix that passed the 1e-9 unitarity check when it was constructed.
+    """A square matrix, or a stack of them (one per row of a ``StateStack``), that
+    passed the 1e-9 unitarity check when it was constructed.
 
     ``apply_unitary`` applies it without checking it again.
     """
@@ -242,12 +308,12 @@ class Unitary:
     def __post_init__(self):
         m = _frozen(self.matrix)
         object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or not is_unitary(m):
+        if m.ndim not in (2, 3) or not is_unitary(m):
             raise NotUnitary("operator fails the 1e-9 unitarity check")
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +410,10 @@ def maximally_parallel_purifications(
 @functools.lru_cache(maxsize=1024)
 def _wire_plan(wires: tuple[str, ...], front: tuple[str, ...]
                ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(tensor shape, permutation moving ``front`` to the leading axes, its inverse)."""
+    """(tensor shape of one row, permutation moving ``front`` to the leading axes, its inverse).
+
+    Axis 0 of both permutations is the row axis of a stack and stays in place.
+    """
     if len(set(front)) != len(front):
         raise WireMismatch(f"repeated wires in {front}")
     idx = []
@@ -354,65 +423,109 @@ def _wire_plan(wires: tuple[str, ...], front: tuple[str, ...]
         idx.append(wires.index(w))
     perm = tuple(idx + [i for i in range(len(wires)) if i not in idx])
     inv = tuple(int(i) for i in np.argsort(perm))
-    return (2,) * len(wires), perm, inv
+    return ((2,) * len(wires), (0,) + tuple(p + 1 for p in perm),
+            (0,) + tuple(p + 1 for p in inv))
 
 
-def apply_unitary(state: StateVector, u: Unitary | np.ndarray, on: Sequence[str]
-                  ) -> StateVector:
-    """Apply a unitary to a subset of wires; the wire order of the state is unchanged.
+def _blocks(states: StateVector | StateStack, front: tuple[str, ...]
+            ) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Rows as (rows, 2^len(front), rest) blocks with ``front`` leading; and the inverse plan."""
+    shape, perm, inv = _wire_plan(states.wires, front)
+    amps = states.amplitudes
+    n = amps.size // amps.shape[-1]
+    d = 2 ** len(front)
+    block = amps.reshape((n,) + shape).transpose(perm).reshape(n, d, amps.shape[-1] // d)
+    return block, inv
 
-    A plain matrix is checked for unitarity on every call; a ``Unitary`` was
-    checked when it was constructed.
+
+def _unblock(block: np.ndarray, wires: tuple[str, ...], inv: tuple[int, ...]) -> np.ndarray:
+    n = block.shape[0]
+    return block.reshape((n,) + (2,) * len(wires)).transpose(inv).reshape(n, 2 ** len(wires))
+
+
+def apply_unitary(states: StateVector | StateStack, u: Unitary | np.ndarray,
+                  on: Sequence[str]) -> StateVector | StateStack:
+    """Apply a unitary to a subset of wires of every row; the wire order is unchanged.
+
+    ``u`` is one matrix for all rows or a stack with one matrix per row.  A
+    plain matrix or stack is checked for unitarity on every call, in one
+    check; a ``Unitary`` was checked when it was constructed.  The result has
+    the input's type: a ``StateVector`` is the one-row case.
     """
     on = tuple(on)
     if not isinstance(u, Unitary):
         u = Unitary(u)
     if u.dim != 2 ** len(on):
         raise WireMismatch(f"unitary shape {u.matrix.shape} does not act on {len(on)} wires")
-    shape, perm, inv = _wire_plan(state.wires, on)
-    block = state.amplitudes.reshape(shape).transpose(perm).reshape(u.dim, -1)
-    out = (u.matrix @ block).reshape(shape).transpose(inv).reshape(-1)
-    return _derived_state(state.wires, out)
+    block, inv = _blocks(states, on)
+    if u.matrix.ndim == 3 and u.matrix.shape[0] != block.shape[0]:
+        raise WireMismatch(f"{u.matrix.shape[0]} gates for {block.shape[0]} rows")
+    out = _unblock(u.matrix @ block, states.wires, inv)
+    return _derived_state(states.wires, out.reshape(states.amplitudes.shape))
 
 
-def measure(state: StateVector, m: OrthogonalMeasurement, on: Sequence[str]
-            ) -> list[tuple[float, StateVector, object]]:
-    """Enumerate measurement branches: (probability, post-state, outcome label).
+def measure(states: StateVector | StateStack,
+            m: OrthogonalMeasurement | Sequence[OrthogonalMeasurement], on: Sequence[str]):
+    """Enumerate measurement branches of every row.
 
-    Branch probabilities sum to 1; branches below the 1e-14 pruning threshold
-    are omitted and each surviving post-state is renormalized.  With V the
-    measurement basis, every outcome's amplitude comes from one V^dag @ block
-    product: outcome i leaves v_i (x) (V^dag block)_i on the measured wires.
+    ``m`` is one measurement for all rows or a sequence with one per row.
+    Branches below the 1e-14 pruning threshold are omitted and each surviving
+    post-state is renormalized.  With V the measurement basis, every outcome's
+    amplitude comes from one V^dag @ block product: outcome i leaves
+    v_i (x) (V^dag block)_i on the measured wires.
+
+    For a ``StateStack`` the result is ``(rows, outcomes, probs, post)``: for
+    every surviving branch, row by row and each row's outcomes in label order,
+    the row index, the outcome's index into that row's labels, its
+    probability, and its post-state as the matching row of the stack
+    ``post``.  For a ``StateVector`` (the one-row case) it is a list of
+    (probability, post-state, outcome label).
     """
     on = tuple(on)
-    if m.dim != 2 ** len(on):
-        raise WireMismatch(f"measurement dim {m.dim} does not act on {len(on)} wires")
-    shape, perm, inv = _wire_plan(state.wires, on)
-    block = state.amplitudes.reshape(shape).transpose(perm).reshape(m.dim, -1)
-    coeffs = m.basis.conj().T @ block
-    probs = np.einsum("ij,ij->i", coeffs.conj(), coeffs).real
-    out = []
-    for i, label in enumerate(m.labels):
-        prob = float(probs[i])
-        if prob < BRANCH_PRUNE:
-            continue
-        piece = np.multiply.outer(m.basis[:, i], coeffs[i] / math.sqrt(prob))
-        amps = piece.reshape(shape).transpose(inv).reshape(-1)
-        out.append((prob, _derived_state(state.wires, amps), label))
-    return out
+    d = 2 ** len(on)
+    block, inv = _blocks(states, on)
+    if isinstance(m, OrthogonalMeasurement):
+        if m.dim != d:
+            raise WireMismatch(f"measurement dim {m.dim} does not act on {len(on)} wires")
+        coeffs = m.adjoint @ block
+        vectors = m.basis.T  # row i is v_i
+    else:
+        if len(m) != block.shape[0] or any(mi.dim != d for mi in m):
+            raise WireMismatch(f"need one measurement of dim {d} per row on {len(on)} wires")
+        coeffs = np.array([mi.adjoint for mi in m]).reshape(-1, d, d) @ block
+        vectors = np.array([mi.basis.T for mi in m]).reshape(-1, d, d)
+    probs = np.einsum("rij,rij->ri", coeffs.conj(), coeffs).real
+    keep = ~(probs < BRANCH_PRUNE)  # a NaN row is kept, and fails the norm check below
+    rows, outcomes = keep.nonzero()
+    p = probs[keep]
+    kept = coeffs[keep] / np.sqrt(p)[:, None]
+    vecs = vectors[outcomes] if vectors.ndim == 2 else vectors[keep]
+    post = _derived_state(states.wires,
+                          _unblock(vecs[:, :, None] * kept[:, None, :], states.wires, inv))
+    if isinstance(states, StateStack):
+        return rows, outcomes, p, post
+    labels = m.labels if isinstance(m, OrthogonalMeasurement) else m[0].labels
+    return [(float(pk), _trusted(StateVector, states.wires, amps), labels[o])
+            for pk, amps, o in zip(p, post.amplitudes, outcomes)]
 
 
-def partial_trace(obj: StateVector | DensityMatrix, keep: Sequence[str]) -> DensityMatrix:
-    """Reduce onto `keep` (returned in the source wire order), tracing out the rest."""
+def partial_trace(obj: StateVector | StateStack | DensityMatrix, keep: Sequence[str]
+                  ) -> DensityMatrix | np.ndarray:
+    """Reduce onto `keep` (in the source wire order), tracing out the rest.
+
+    A ``StateStack`` reduces row by row to a (rows, 2^k, 2^k) array of reduced
+    matrices; a ``StateVector`` is its one-row case and returns a
+    ``DensityMatrix``, as a ``DensityMatrix`` does.
+    """
     keep = tuple(keep)
     for w in keep:
         if w not in obj.wires:
             raise UnknownWire(w)
     kept = tuple(w for w in obj.wires if w in set(keep))
-    if isinstance(obj, StateVector):
-        shape, perm, _ = _wire_plan(obj.wires, kept)
-        block = obj.amplitudes.reshape(shape).transpose(perm).reshape(2 ** len(kept), -1)
-        return DensityMatrix(kept, block @ block.conj().T)
+    if not isinstance(obj, DensityMatrix):
+        block, _ = _blocks(obj, kept)
+        reduced = block @ block.conj().transpose(0, 2, 1)
+        return reduced if isinstance(obj, StateStack) else DensityMatrix(kept, reduced[0])
     n = len(obj.wires)
     t = obj.matrix.reshape((2,) * (2 * n))
     traced = [i for i, w in enumerate(obj.wires) if w not in set(keep)]

@@ -1,0 +1,53 @@
+"""The executor reaches the kernels through the module attributes that wrappers can replace.
+
+A profiler or tracer that wraps ``qmath.measure`` and ``qmath.apply_unitary``
+(and the ``protocols`` aliases of ``apply_unitary`` and ``partial_trace``)
+must see every run's kernel calls, and must not change any outcome.
+"""
+
+import pytest
+
+from qescrow import protocols, qmath
+from qescrow.protocols import (
+    Challenge,
+    honest_alice_coinflip,
+    honest_alice_escrow,
+    honest_alice_weak,
+    honest_bob_coinflip,
+    honest_bob_escrow,
+    honest_bob_weak,
+)
+
+RUNS = {
+    "escrow": lambda: protocols.run_escrow(honest_alice_escrow(), honest_bob_escrow(),
+                                           Challenge.REVEAL_TO_BOB, 1),
+    "reveal_then_return": lambda: protocols.run_escrow_reveal_then_return(
+        honest_alice_escrow(), honest_bob_escrow(), 0),
+    "coinflip": lambda: protocols.run_coinflip(honest_alice_coinflip(), honest_bob_coinflip()),
+    "weak_commitment": lambda: protocols.run_weak_commitment(honest_alice_weak(),
+                                                             honest_bob_weak(), 1),
+}
+
+
+def test_protocols_aliases_are_the_kernels():
+    assert protocols.apply_unitary is qmath.apply_unitary
+    assert protocols.partial_trace is qmath.partial_trace
+
+
+@pytest.mark.parametrize("runner", sorted(RUNS))
+def test_wrapped_kernels_see_every_runner(runner, monkeypatch):
+    unwrapped = RUNS[runner]()
+    calls = {"measure": 0, "apply_unitary": 0}
+
+    def counting(name, kernel):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(qmath, "measure", counting("measure", qmath.measure))
+    apply_unitary = counting("apply_unitary", qmath.apply_unitary)
+    monkeypatch.setattr(qmath, "apply_unitary", apply_unitary)
+    monkeypatch.setattr(protocols, "apply_unitary", apply_unitary)
+    assert RUNS[runner]() == unwrapped
+    assert calls["measure"] > 0 and calls["apply_unitary"] > 0

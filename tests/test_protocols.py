@@ -234,6 +234,30 @@ def test_weak_commitment_dishonest_depositor(theta, bit):
         assert abs(dist.transcript_probability(("coin", "result", coin)) - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("theta", (math.pi / 16, math.pi / 8))
+@pytest.mark.parametrize("bit", (0, 1))
+def test_weak_commitment_with_every_coin_result_err(theta, bit):
+    # the depositor reveals the wrong coin bit, so every coin result is err and
+    # both challenge partitions are empty: zero-row stacks run every later step
+    params = EscrowParams(theta)
+    programs = dict(honest_alice_weak(params).programs)
+    programs["coin_reveal"] = (SetBits({"rb2": lambda rec: 1 - rec["b2"], "rx2": "x2"}),)
+    alice = StrategySpec("alice", 0, programs, honest=False)
+    dist = run_weak_commitment(alice, honest_bob_weak(), bit, params)
+    assert dist.verdict_probability("bob", Verdict.ERR) == 1.0
+    assert len(dist.branches) == 4
+    assert dist.transcript_probability(("coin", "result", "err")) == 1.0
+
+
+def test_weak_commitment_needs_the_judges_coin_result():
+    # an honest-flagged receiver who never records b' leaves his coin check
+    # without a result, so no challenge can be chosen
+    alice = StrategySpec("alice", 0, honest_alice_weak().programs)
+    bob = StrategySpec("bob", 0, {"coin_choose": (SetBits({"bp": 0}),)}, honest=True)
+    with pytest.raises(MalformedStrategy):
+        run_weak_commitment(alice, bob, 0)
+
+
 def test_weak_commitment_entangled_adversary_distribution():
     # receiver couples the deposit to an ancilla, then derives his coin bit
     # from that same ancilla: wires entangled across the two components

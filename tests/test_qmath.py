@@ -490,32 +490,100 @@ def projector_branches(amps, n, on_axes, basis):
     return out
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10 ** 6), st.integers(1, 6), st.booleans())
-def test_measure_matches_projector_formula(seed, n, sparse):
-    # Sparse states in a permuted computational basis make some branches
-    # exactly empty, so the pruning decisions are compared too.
-    rng = np.random.default_rng(seed)
-    wires = tuple(f"w{i}" for i in range(n))
-    k = int(rng.integers(1, n + 1))
-    on_axes = [int(a) for a in rng.permutation(n)[:k]]
-    amps = random_state(wires, rng).amplitudes.copy()
+def _random_amplitudes(n, sparse, rng):
+    amps = random_state(tuple(f"w{i}" for i in range(n)), rng).amplitudes.copy()
     if sparse:
         amps[rng.random(2 ** n) < 0.5] = 0.0
         amps[int(rng.integers(2 ** n))] = 1.0
         amps /= np.linalg.norm(amps)
-        basis = np.eye(2 ** k, dtype=complex)[:, rng.permutation(2 ** k)]
-    else:
-        basis = random_unitary(2 ** k, rng)
+    return amps
+
+
+def _random_basis(k, sparse, rng):
+    if sparse:
+        return np.eye(2 ** k, dtype=complex)[:, rng.permutation(2 ** k)]
+    return random_unitary(2 ** k, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 6), st.booleans(), st.integers(1, 5),
+       st.booleans())
+def test_measure_matches_projector_formula(seed, n, sparse, rows, per_row):
+    # Sparse states in a permuted computational basis make some branches
+    # exactly empty, so the pruning decisions are compared too.  A stack of
+    # `rows` states is measured in one call, in one shared basis or in one
+    # basis per row; a StateVector is the one-row case.
+    rng = np.random.default_rng(seed)
+    wires = tuple(f"w{i}" for i in range(n))
+    k = int(rng.integers(1, n + 1))
+    on_axes = [int(a) for a in rng.permutation(n)[:k]]
+    on = tuple(wires[a] for a in on_axes)
+    amps = np.array([_random_amplitudes(n, sparse, rng) for _ in range(rows)])
     labels = tuple(f"o{i}" for i in range(2 ** k))
-    got = measure(StateVector(wires, amps), OrthogonalMeasurement(basis, labels),
-                  tuple(wires[a] for a in on_axes))
-    want = projector_branches(amps, n, on_axes, basis)
-    assert [label for _, _, label in got] == [labels[i] for i, w in enumerate(want) if w]
-    for (prob, state, _), (ref_prob, ref_amps) in zip(got, [w for w in want if w]):
+    bases = [_random_basis(k, sparse, rng) for _ in range(rows if per_row else 1)]
+    meas = [OrthogonalMeasurement(b, labels) for b in bases]
+    got = measure(qmath.StateStack(wires, amps), meas if per_row else meas[0], on)
+    want = [(r, i, w) for r in range(rows)
+            for i, w in enumerate(projector_branches(amps[r], n, on_axes, bases[r % len(bases)]))
+            if w]
+    got_rows, got_outcomes, got_probs, post = got
+    assert post.wires == wires
+    assert [(int(r), int(i)) for r, i in zip(got_rows, got_outcomes)] == \
+        [(r, i) for r, i, _ in want]
+    for prob, state, (_, _, (ref_prob, ref_amps)) in zip(got_probs, post.amplitudes, want):
+        assert abs(prob - ref_prob) <= 1e-12
+        assert np.max(np.abs(state - ref_amps)) <= 1e-12
+    single = measure(StateVector(wires, amps[0]), meas[0], on)
+    assert [label for _, _, label in single] == [labels[i] for r, i, _ in want if r == 0]
+    for (prob, state, _), (_, _, (ref_prob, ref_amps)) in zip(single, want):
         assert state.wires == wires
         assert abs(prob - ref_prob) <= 1e-12
         assert np.max(np.abs(state.amplitudes - ref_amps)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 5), st.integers(0, 5), st.booleans())
+def test_apply_unitary_matches_kron_operator(seed, n, rows, per_row):
+    # Reference: the full operator U (x) I on the wires in `on` + rest order,
+    # conjugated back to the state's order, built with np.kron for each row.
+    rng = np.random.default_rng(seed)
+    wires = tuple(f"w{i}" for i in range(n))
+    k = int(rng.integers(1, n + 1))
+    on_axes = [int(a) for a in rng.permutation(n)[:k]]
+    rest = [a for a in range(n) if a not in on_axes]
+    amps = np.array([_random_amplitudes(n, False, rng) for _ in range(rows)]).reshape(rows, 2 ** n)
+    gates = np.array([random_unitary(2 ** k, rng) for _ in range(rows if per_row else 1)]
+                     ).reshape(-1, 2 ** k, 2 ** k)
+    got = apply_unitary(qmath.StateStack(wires, amps), gates if per_row else gates[0],
+                        tuple(wires[a] for a in on_axes))
+    assert got.wires == wires and got.amplitudes.shape == (rows, 2 ** n)
+    order = on_axes + rest
+    for r in range(rows):
+        op = np.kron(gates[r % len(gates)], np.eye(2 ** len(rest)))
+        psi = np.transpose(amps[r].reshape((2,) * n), order).reshape(-1)
+        ref = np.transpose((op @ psi).reshape((2,) * n), np.argsort(order)).reshape(-1)
+        assert np.max(np.abs(got.amplitudes[r] - ref)) <= 1e-12
+
+
+def test_kernels_pass_an_empty_stack():
+    empty = qmath.StateStack(("a", "b"), np.zeros((0, 4), dtype=complex))
+    assert apply_unitary(empty, np.zeros((0, 2, 2)), ("b",)).amplitudes.shape == (0, 4)
+    assert apply_unitary(empty, X, ("a",)).amplitudes.shape == (0, 4)
+    rows, outcomes, probs, post = measure(empty, OrthogonalMeasurement.computational(1), ("a",))
+    assert rows.size == outcomes.size == probs.size == 0 and post.amplitudes.shape == (0, 4)
+    assert measure(empty, [], ("b",))[3].amplitudes.shape == (0, 4)
+    assert partial_trace(empty, ("b",)).shape == (0, 2, 2)
+
+
+def test_stacked_gates_are_checked_in_one_call():
+    stack = qmath.StateStack(("q",), np.array([ket(0), ket(1)]))
+    with pytest.raises(NotUnitary):
+        apply_unitary(stack, np.array([X, [[1, 1], [0, 1]]], dtype=complex), ("q",))
+    with pytest.raises(WireMismatch):
+        apply_unitary(stack, np.array([X]), ("q",))
+    assert qmath.is_unitary(np.array([X, np.eye(2)]))
+    assert not qmath.is_unitary(np.array([X, 2 * np.eye(2)]))
+    assert qmath.is_unitary(np.zeros((0, 2, 2)))
 
 
 @pytest.mark.parametrize("kernel", ["apply_unitary", "measure"])
@@ -574,7 +642,9 @@ def test_state_vector_rejects_bad_norm():
 
 
 @pytest.mark.parametrize("amps", [np.array([np.nan, 1.0], dtype=complex),
-                                  np.array([1.0 + 1e-8, 0.0], dtype=complex)])
+                                  np.array([1.0 + 1e-8, 0.0], dtype=complex),
+                                  np.array([[1.0, 0.0], [np.nan, 1.0]], dtype=complex),
+                                  np.array([[0.0, 1.0], [1.0 + 1e-8, 0.0]], dtype=complex)])
 def test_derived_state_keeps_the_norm_check(amps):
     with pytest.raises(qmath.QMathError):
         qmath._derived_state(("q",), amps)
