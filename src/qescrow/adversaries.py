@@ -184,24 +184,18 @@ class BobWeakParams:
             raise AdversaryError(f"p {self.p} outside [0, 1]")
 
 
-def weak_measurement_unitary(r0: DensityMatrix, r1: DensityMatrix, p: float,
-                             completion: str = "reflection") -> np.ndarray:
+def weak_measurement_unitary(r0: DensityMatrix, r1: DensityMatrix, p: float) -> np.ndarray:
     """U on (message x one-qubit ancilla): identity on the nonnegative eigenspace
     of r0 - r1, ancilla write sqrt(1-p)|0> + sqrt(p)|1> on the negative one.
 
-    The completion on the never-reached |e,1> fibers is a free choice; both
-    options agree on every reachable branch.
+    The never-reached |e,1> fibers are completed by a reflection; any other
+    unitary completion gives the same amplitudes on every reachable branch.
     """
     if r0.wires != r1.wires:
         raise qmath.WireMismatch("attack targets live on different wires")
     vals, vecs = hermitian_eig(r0.matrix - r1.matrix)
     sp, sq = math.sqrt(1.0 - p), math.sqrt(p)
-    if completion == "reflection":
-        anc = np.array([[sp, sq], [sq, -sp]], dtype=complex)
-    elif completion == "rotation":
-        anc = np.array([[sp, -sq], [sq, sp]], dtype=complex)
-    else:
-        raise AdversaryError(f"unknown completion {completion!r}")
+    anc = np.array([[sp, sq], [sq, -sp]], dtype=complex)
     u = np.zeros((2 * r0.dim, 2 * r0.dim), dtype=complex)
     for i in range(r0.dim):
         e = vecs[:, i]
@@ -222,16 +216,15 @@ def bob_weak_measurement(params: BobWeakParams, r0: DensityMatrix, r1: DensityMa
     )
 
 
-def full_measurement_bob(params: EscrowParams = EscrowParams(), target: int = 0
-                         ) -> StrategySpec:
+def full_measurement_bob(params: EscrowParams = EscrowParams()) -> StrategySpec:
     """Coin-flip receiver who measures the deposit in the eigenbasis of the
-    encoding difference and announces the maximum-likelihood guess (xor target)."""
+    encoding difference and announces the maximum-likelihood guess."""
     r0, r1 = escrow_bit_density(0, params.theta), escrow_bit_density(1, params.theta)
     vals, vecs = hermitian_eig(r0.matrix - r1.matrix)
     meas = OrthogonalMeasurement.from_basis([vecs[:, i] for i in range(2)])
-    guesses = tuple((0 if vals[i] >= 0 else 1) ^ target for i in range(2))
+    guesses = tuple(0 if vals[i] >= 0 else 1 for i in range(2))
     return StrategySpec(
-        party="bob", ancilla_count=0, label=f"bob-full-measurement(target={target})",
+        party="bob", ancilla_count=0, label="bob-full-measurement",
         programs={"choose": (
             MeasureRecord(("dep",), meas, "guess"),
             SetBits({"bp": lambda rec: guesses[rec["guess"]]}),
@@ -298,34 +291,34 @@ def constant_bob(bit: int) -> StrategySpec:
     )
 
 
-def bob_measure_coinflip(u2: np.ndarray, target: int = 0) -> StrategySpec:
+def bob_measure_coinflip(u2: np.ndarray) -> StrategySpec:
     """Coin-flip receiver measuring the deposit in the basis given by u2's columns."""
     meas = OrthogonalMeasurement.from_basis([u2[:, 0], u2[:, 1]])
     return StrategySpec(
         party="bob", ancilla_count=0, label="bob-basis-measurement",
         programs={"choose": (
             MeasureRecord(("dep",), meas, "guess"),
-            SetBits({"bp": lambda rec, t=target: rec["guess"] ^ t}),
+            SetBits({"bp": "guess"}),
         )},
     )
 
 
-def bob_entangling_coinflip(u8: np.ndarray, target: int = 0) -> StrategySpec:
+def bob_entangling_coinflip(u8: np.ndarray) -> StrategySpec:
     """Coin-flip receiver coupling the deposit to two ancillas, guessing from c0."""
     return StrategySpec(
         party="bob", ancilla_count=2, label="bob-entangling",
         programs={"choose": (
             Apply(("dep", "c0", "c1"), u8),
             MeasureRecord(("c0",), _COMP1, "guess"),
-            SetBits({"bp": lambda rec, t=target: rec["guess"] ^ t}),
+            SetBits({"bp": "guess"}),
         )},
     )
 
 
-def alice_coinflip_from_angles(angles: Sequence[float], target: int = 0) -> StrategySpec:
+def alice_coinflip_from_angles(angles: Sequence[float]) -> StrategySpec:
     """12-angle coin-flip depositor: 6 angles prepare the (a0, dep) state, then
     per received coin bit a 3-angle basis measurement of a0 picks the claimed x;
-    the claimed bit is the received bit xor target."""
+    the claimed bit is the received bit."""
     angles = np.asarray(angles, dtype=float)
     if angles.shape != (12,):
         raise BadParameterCount("the coin-flip depositor space has 12 angles")
@@ -336,17 +329,17 @@ def alice_coinflip_from_angles(angles: Sequence[float], target: int = 0) -> Stra
     ctrl_basis[:2, :2] = v0.conj().T
     ctrl_basis[2:, 2:] = v1.conj().T
     cnot = np.eye(4)[[0, 1, 3, 2]].astype(complex)  # (bp, rb): rb ^= bp
-    reveal = [Apply(("bp", "rb"), cnot)]
-    if target:
-        reveal.append(Apply(("rb",), np.array([[0, 1], [1, 0]], dtype=complex)))
-    reveal += [
-        Apply(("bp", "a0"), ctrl_basis),
-        MeasureRecord(("a0",), _COMP1, "mx"),
-        SetBits({"rx": "mx"}),
-    ]
     return StrategySpec(
         party="alice", ancilla_count=1, label="alice-angles",
-        programs={"deposit": (Apply(("a0", "dep"), prep),), "reveal": tuple(reveal)},
+        programs={
+            "deposit": (Apply(("a0", "dep"), prep),),
+            "reveal": (
+                Apply(("bp", "rb"), cnot),
+                Apply(("bp", "a0"), ctrl_basis),
+                MeasureRecord(("a0",), _COMP1, "mx"),
+                SetBits({"rx": "mx"}),
+            ),
+        },
     )
 
 
@@ -406,19 +399,18 @@ class ParameterSpace:
     build: Callable[[np.ndarray], StrategySpec]
 
     @classmethod
-    def angles(cls, label: str, dim: int, build: Callable[[np.ndarray], StrategySpec],
-               span: float = math.pi) -> "ParameterSpace":
-        return cls(label, dim, (0.0,) * dim, (span,) * dim, build)
+    def angles(cls, label: str, dim: int, build: Callable[[np.ndarray], StrategySpec]
+               ) -> "ParameterSpace":
+        return cls(label, dim, (0.0,) * dim, (math.pi,) * dim, build)
 
 
-def bob_coinflip_space(target: int = 0) -> ParameterSpace:
+def bob_coinflip_space() -> ParameterSpace:
     return ParameterSpace.angles(
-        "bob-basis-3", 3, lambda x: bob_measure_coinflip(unitary_from_angles(2, x), target))
+        "bob-basis-3", 3, lambda x: bob_measure_coinflip(unitary_from_angles(2, x)))
 
 
-def alice_coinflip_space(target: int = 0) -> ParameterSpace:
-    return ParameterSpace.angles(
-        "alice-12", 12, lambda x: alice_coinflip_from_angles(x, target))
+def alice_coinflip_space() -> ParameterSpace:
+    return ParameterSpace.angles("alice-12", 12, alice_coinflip_from_angles)
 
 
 @dataclass(frozen=True)

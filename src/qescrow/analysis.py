@@ -179,13 +179,14 @@ def w_decomposition(u: np.ndarray, theta: float) -> dict[tuple[int, int], tuple[
     the w' masses are exactly the per-case check-failure probabilities.
     """
     anc_dim = u.shape[0] // 2
-    e0 = np.zeros(anc_dim)
-    e0[0] = 1.0
     out = {}
     for b in (0, 1):
         for x in (0, 1):
-            attacked = (u @ np.kron(phi_vec(bx_angle(b, x, theta)), e0)).reshape(2, anc_dim)
-            w = phi_vec(bx_angle(b, x, theta)).conj() @ attacked
+            phi = phi_vec(bx_angle(b, x, theta))
+            start = np.zeros(2 * anc_dim, dtype=complex)
+            start[::anc_dim] = phi  # phi_{b,x} (x) |0..0>
+            attacked = (u @ start).reshape(2, anc_dim)
+            w = phi.conj() @ attacked
             w_bad = phi_vec(bx_angle(1 - b, x, theta)).conj() @ attacked
             out[(b, x)] = (w, w_bad)
     return out

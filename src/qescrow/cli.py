@@ -11,9 +11,9 @@ diff-able CSV/JSON artifacts:
 Identical (config, seed) runs produce byte-identical artifacts: floats are
 fixed to 12 significant digits, rows keep grid order, and all randomness flows
 from the --seed.  Wall time goes to the console only.  Exit codes: 0 success,
-2 config error, 3 bound violation (a counterexample to a proved bound stops
-the build by design; see README for the one known stated-constant erratum,
-which is reported as data rather than treated as a violation).
+2 config error, 3 a row failing its bound or closed form (a counterexample
+stops the build by design; see README for the one known stated-constant
+erratum, which is reported as data rather than treated as a violation).
 """
 
 from __future__ import annotations
@@ -68,8 +68,7 @@ class RunConfig:
     seed: int = 0
     samples: int = 200
     out: str | None = None
-    fmt: str = "csv"
-    config_file: str | None = None
+    format: str = "csv"
     config_echo: dict = field(default_factory=dict)
     inject_failure: bool = False
 
@@ -79,7 +78,7 @@ class RunConfig:
             "theta": _round12(self.theta),
             "seed": self.seed,
             "samples": self.samples,
-            "format": self.fmt,
+            "format": self.format,
         }
         if self.command == "escrow-binding":
             d["alpha_grid"] = [_round12(a) for a in self.alpha_grid]
@@ -92,13 +91,20 @@ class RunConfig:
 
 @dataclass
 class RunSummary:
-    command: str
+    """A subcommand's rows; a row passes when its ``pass_column`` is true."""
+
     config: dict
     columns: tuple[str, ...]
     rows: list[dict]
-    passed: int
-    failed: int
-    wall_time: float
+    pass_column: str
+
+    @property
+    def passed(self) -> int:
+        return sum(bool(row[self.pass_column]) for row in self.rows)
+
+    @property
+    def failed(self) -> int:
+        return len(self.rows) - self.passed
 
 
 def _fmt(v) -> str:
@@ -137,21 +143,18 @@ def write_summary(summary: RunSummary, path: str, fmt: str) -> None:
         fh.write(text)
 
 
-def _tally(rows: list[dict], flag_columns: tuple[str, ...]) -> tuple[int, int]:
-    passed = failed = 0
-    for row in rows:
-        ok = all(row[c] for c in flag_columns if c in row)
-        passed += ok
-        failed += not ok
-    return passed, failed
-
-
 # ---------------------------------------------------------------------------
 # coinflip
 
+ALICE_HONEST = ana.HonestParty.ALICE_HONEST
+BOB_HONEST = ana.HonestParty.BOB_HONEST
 
-def _bias_row(label: str, report: ana.BiasReport, cap: float) -> dict:
-    win = max(report.win_prob_0, report.win_prob_1)
+COINFLIP_COLUMNS = ("strategy", "win_prob_0", "win_prob_1", "err_prob",
+                    "delta_observed", "cap", "within_cap")
+
+
+def _bias_row(label: str, honest: ana.HonestParty, adversary, cap: float) -> dict:
+    report = ana.coinflip_bias(honest, adversary)
     return {
         "strategy": label,
         "win_prob_0": report.win_prob_0,
@@ -159,82 +162,50 @@ def _bias_row(label: str, report: ana.BiasReport, cap: float) -> dict:
         "err_prob": report.err_prob,
         "delta_observed": report.delta_observed,
         "cap": cap,
-        "within_cap": win <= cap + 1e-9,
+        "within_cap": max(report.win_prob_0, report.win_prob_1) <= cap + 1e-9,
     }
 
 
-COINFLIP_COLUMNS = ("strategy", "win_prob_0", "win_prob_1", "err_prob",
-                    "delta_observed", "cap", "within_cap")
+def _best_row(label: str, honest: ana.HonestParty, cap: float, n: int, draw) -> dict:
+    """The row of the most biased of ``n`` adversaries ``draw()`` returns (the first on ties)."""
+    return max((_bias_row(f"{label}-best-of-{n}", honest, draw(), cap) for _ in range(n)),
+               key=lambda row: row["delta_observed"])
+
+
+def _optimized_row(label: str, honest: ana.HonestParty, space: adv.ParameterSpace, cap: float,
+                   config: adv.OptimizerConfig, evaluator, extra_seeds=()) -> dict:
+    best = adv.optimize(space, config, evaluator, extra_seeds=extra_seeds).best_params
+    return _bias_row(label, honest, space.build(np.array(best)), cap)
 
 
 def cmd_coinflip(cfg: RunConfig) -> RunSummary:
-    t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
-    rows = []
-
-    dist = run_coinflip(honest_alice_coinflip(), honest_bob_coinflip())
-    honest = ana.BiasReport(dist.verdict_probability("alice", Verdict.ZERO),
-                            dist.verdict_probability("alice", Verdict.ONE),
-                            dist.verdict_probability("alice", Verdict.ERR))
-    rows.append(_bias_row("honest-honest", honest, 0.5))
-
-    rows.append(_bias_row("bob-constant-0",
-                          ana.coinflip_bias(ana.HonestParty.ALICE_HONEST, adv.constant_bob(0)),
-                          0.5))
-    rows.append(_bias_row("bob-full-measurement",
-                          ana.coinflip_bias(ana.HonestParty.ALICE_HONEST,
-                                            adv.full_measurement_bob()),
-                          ana.BOB_WIN_CAP))
-
-    n_each = max(cfg.samples // 2, 1)
-    best_basis = max(
-        (ana.coinflip_bias(ana.HonestParty.ALICE_HONEST,
-                           adv.bob_measure_coinflip(adv.unitary_from_angles(
-                               2, rng.uniform(0, math.pi, 3))))
-         for _ in range(n_each)),
-        key=lambda r: r.delta_observed)
-    rows.append(_bias_row(f"bob-random-basis-best-of-{n_each}", best_basis, ana.BOB_WIN_CAP))
-    best_ent = max(
-        (ana.coinflip_bias(ana.HonestParty.ALICE_HONEST,
-                           adv.bob_entangling_coinflip(qmath.random_unitary(8, rng)))
-         for _ in range(n_each)),
-        key=lambda r: r.delta_observed)
-    rows.append(_bias_row(f"bob-random-entangling-best-of-{n_each}", best_ent, ana.BOB_WIN_CAP))
-
-    bob_cfg = adv.OptimizerConfig(honest_party="alice", grid_resolution=5,
-                                  simplex_iterations=120, seed=cfg.seed)
-    bob_opt = adv.optimize(adv.bob_coinflip_space(), bob_cfg,
-                           lambda s: run_coinflip(honest_alice_coinflip(), s))
-    rows.append(_bias_row(
-        "bob-optimized",
-        ana.coinflip_bias(ana.HonestParty.ALICE_HONEST,
-                          adv.bob_coinflip_space().build(np.array(bob_opt.best_params))),
-        ana.BOB_WIN_CAP))
-
-    zero, one = adv.protocol_quadratic_pair(0.0)
-    rows.append(_bias_row("alice-delayed-choice",
-                          ana.coinflip_bias(ana.HonestParty.BOB_HONEST, one), ana.ALICE_WIN_CAP))
-    best_alice = max(
-        (ana.coinflip_bias(ana.HonestParty.BOB_HONEST,
-                           adv.alice_coinflip_from_angles(rng.uniform(0, math.pi, 12)))
-         for _ in range(n_each)),
-        key=lambda r: r.delta_observed)
-    rows.append(_bias_row(f"alice-random-best-of-{n_each}", best_alice, ana.ALICE_WIN_CAP))
-
-    alice_cfg = adv.OptimizerConfig(honest_party="bob", grid_resolution=2,
-                                    simplex_iterations=150, seed=cfg.seed)
-    alice_opt = adv.optimize(adv.alice_coinflip_space(), alice_cfg,
-                             lambda s: run_coinflip(s, honest_bob_coinflip()),
-                             extra_seeds=[adv.ALICE_SEED_POINT])
-    rows.append(_bias_row(
-        "alice-optimized",
-        ana.coinflip_bias(ana.HonestParty.BOB_HONEST,
-                          adv.alice_coinflip_space().build(np.array(alice_opt.best_params))),
-        ana.ALICE_WIN_CAP))
-
-    passed, failed = _tally(rows, ("within_cap",))
-    return RunSummary("coinflip", cfg.echo(), COINFLIP_COLUMNS, rows,
-                      passed, failed, time.perf_counter() - t0)
+    n = max(cfg.samples // 2, 1)
+    rows = [
+        _bias_row("honest-honest", ALICE_HONEST, honest_bob_coinflip(), 0.5),
+        _bias_row("bob-constant-0", ALICE_HONEST, adv.constant_bob(0), 0.5),
+        _bias_row("bob-full-measurement", ALICE_HONEST, adv.full_measurement_bob(),
+                  ana.BOB_WIN_CAP),
+        _best_row("bob-random-basis", ALICE_HONEST, ana.BOB_WIN_CAP, n,
+                  lambda: adv.bob_measure_coinflip(
+                      adv.unitary_from_angles(2, rng.uniform(0, math.pi, 3)))),
+        _best_row("bob-random-entangling", ALICE_HONEST, ana.BOB_WIN_CAP, n,
+                  lambda: adv.bob_entangling_coinflip(qmath.random_unitary(8, rng))),
+        _optimized_row("bob-optimized", ALICE_HONEST, adv.bob_coinflip_space(), ana.BOB_WIN_CAP,
+                       adv.OptimizerConfig(honest_party="alice", grid_resolution=5,
+                                           simplex_iterations=120, seed=cfg.seed),
+                       lambda s: run_coinflip(honest_alice_coinflip(), s)),
+        _bias_row("alice-delayed-choice", BOB_HONEST, adv.protocol_quadratic_pair(0.0)[1],
+                  ana.ALICE_WIN_CAP),
+        _best_row("alice-random", BOB_HONEST, ana.ALICE_WIN_CAP, n,
+                  lambda: adv.alice_coinflip_from_angles(rng.uniform(0, math.pi, 12))),
+        _optimized_row("alice-optimized", BOB_HONEST, adv.alice_coinflip_space(), ana.ALICE_WIN_CAP,
+                       adv.OptimizerConfig(honest_party="bob", grid_resolution=2,
+                                           simplex_iterations=150, seed=cfg.seed),
+                       lambda s: run_coinflip(s, honest_bob_coinflip()),
+                       extra_seeds=[adv.ALICE_SEED_POINT]),
+    ]
+    return RunSummary(cfg.echo(), COINFLIP_COLUMNS, rows, "within_cap")
 
 
 # ---------------------------------------------------------------------------
@@ -247,47 +218,52 @@ BINDING_COLUMNS = ("label", "alpha", "advantage", "advantage_closed_form",
                    "gamma_observed", "gamma_bound", "binding_pass")
 
 
+def _binding_row(label: str, alpha: float, pair, params: EscrowParams) -> dict:
+    """One pair's binding row.  A quadratic-depositor row (``alpha`` not NaN) passes
+    only if both of its closed forms also agree with the enumeration."""
+    rep = ana.binding_metrics(*pair, params)
+    passed = ana.check_binding_bound(rep)
+    nan = float("nan")
+    advantage = advantage_form = detection = detection_form = theorem_cap = nan
+    within_theorem_cap = True
+    if not math.isnan(alpha):
+        f = qmath.fidelity(escrow_bit_density(0, params.theta),
+                           escrow_bit_density(1, params.theta))
+        advantage, detection = rep.p0 - 0.5, rep.p_err
+        advantage_form = math.sqrt(f) * math.sin(2 * alpha) / 2
+        detection_form = (1 - f) * math.sin(alpha) ** 2
+        theorem_cap = detection_form / 2
+        within_theorem_cap = detection <= theorem_cap + 1e-9
+        passed = (passed and abs(advantage - advantage_form) <= 1e-8
+                  and abs(detection - detection_form) <= 1e-9)
+    return {
+        "label": label,
+        "alpha": alpha,
+        "advantage": advantage, "advantage_closed_form": advantage_form,
+        "detection": detection, "detection_construction_form": detection_form,
+        "detection_theorem_cap": theorem_cap,
+        "detection_within_theorem_cap": within_theorem_cap,
+        "p0": rep.p0, "q0": rep.q0, "p_err": rep.p_err, "q_err": rep.q_err,
+        "gamma_observed": rep.gamma_observed, "gamma_bound": rep.bound,
+        "binding_pass": passed,
+    }
+
+
+def _quadratic_rows(alpha_grid, params: EscrowParams) -> list[dict]:
+    return [_binding_row("quadratic", alpha, adv.protocol_quadratic_pair(alpha, params), params)
+            for alpha in alpha_grid]
+
+
+def _random_pair_rows(n: int, rng: np.random.Generator, params: EscrowParams) -> list[dict]:
+    return [_binding_row(f"random-pair-{i}", float("nan"), adv.random_binding_pair(rng), params)
+            for i in range(n)]
+
+
 def cmd_escrow_binding(cfg: RunConfig) -> RunSummary:
-    t0 = time.perf_counter()
     params = EscrowParams(cfg.theta)
-    r0 = escrow_bit_density(0, cfg.theta)
-    r1 = escrow_bit_density(1, cfg.theta)
-    f = qmath.fidelity(r0, r1)
-    rows = []
-    for alpha in cfg.alpha_grid:
-        zero, one = adv.protocol_quadratic_pair(alpha, params)
-        rep = ana.binding_metrics(zero, one, params)
-        rows.append({
-            "label": "quadratic",
-            "alpha": alpha,
-            "advantage": rep.p0 - 0.5,
-            "advantage_closed_form": math.sqrt(f) * math.sin(2 * alpha) / 2,
-            "detection": rep.p_err,
-            "detection_construction_form": (1 - f) * math.sin(alpha) ** 2,
-            "detection_theorem_cap": (1 - f) * math.sin(alpha) ** 2 / 2,
-            "detection_within_theorem_cap":
-                rep.p_err <= (1 - f) * math.sin(alpha) ** 2 / 2 + 1e-9,
-            "p0": rep.p0, "q0": rep.q0, "p_err": rep.p_err, "q_err": rep.q_err,
-            "gamma_observed": rep.gamma_observed, "gamma_bound": rep.bound,
-            "binding_pass": ana.check_binding_bound(rep),
-        })
-    rng = np.random.default_rng(cfg.seed)
-    for i in range(cfg.samples):
-        a0, a1 = adv.random_binding_pair(rng)
-        rep = ana.binding_metrics(a0, a1, params)
-        rows.append({
-            "label": f"random-pair-{i}",
-            "alpha": float("nan"),
-            "advantage": float("nan"), "advantage_closed_form": float("nan"),
-            "detection": float("nan"), "detection_construction_form": float("nan"),
-            "detection_theorem_cap": float("nan"), "detection_within_theorem_cap": True,
-            "p0": rep.p0, "q0": rep.q0, "p_err": rep.p_err, "q_err": rep.q_err,
-            "gamma_observed": rep.gamma_observed, "gamma_bound": rep.bound,
-            "binding_pass": ana.check_binding_bound(rep),
-        })
-    passed, failed = _tally(rows, ("binding_pass",))
-    return RunSummary("escrow-binding", cfg.echo(), BINDING_COLUMNS, rows,
-                      passed, failed, time.perf_counter() - t0)
+    rows = (_quadratic_rows(cfg.alpha_grid, params)
+            + _random_pair_rows(cfg.samples, np.random.default_rng(cfg.seed), params))
+    return RunSummary(cfg.echo(), BINDING_COLUMNS, rows, "binding_pass")
 
 
 # ---------------------------------------------------------------------------
@@ -299,58 +275,78 @@ SEALING_COLUMNS = ("label", "p", "advantage_eps", "detection_p", "kept_trace_dis
                    "bound_rhs", "detection_identity_error", "seal_pass")
 
 
-def _sealing_row(label: str, p, bob, params: EscrowParams) -> dict:
+def _sealing_row(label: str, p: float, bob, params: EscrowParams) -> dict:
+    """One attack's sealing row.  A weak-measurement row (``p`` not NaN) passes only
+    if its kept distance is t sqrt(p) and its detection is within (1-sqrt(1-p))/2."""
     rep = ana.sealing_metrics(bob, params)
-    enum_err = ana.enumerated_return_error(bob, params)
-    identity_error = abs(enum_err - rep.detection_p)
-    t = qmath.trace_norm(escrow_bit_density(0, params.theta).matrix
-                         - escrow_bit_density(1, params.theta).matrix)
+    identity_error = abs(ana.enumerated_return_error(bob, params) - rep.detection_p)
+    passed = ana.check_sealing_bound(rep) and identity_error <= 1e-9
+    predicted = cap = float("nan")
+    if not math.isnan(p):
+        t = qmath.trace_norm(escrow_bit_density(0, params.theta).matrix
+                             - escrow_bit_density(1, params.theta).matrix)
+        predicted = t * math.sqrt(p)
+        cap = 0.5 * (1 - math.sqrt(1 - p))
+        passed = (passed and abs(rep.kept_trace_distance - predicted) <= 1e-8
+                  and rep.detection_p <= cap + 1e-9)
     return {
         "label": label,
         "p": p,
         "advantage_eps": rep.advantage_eps,
         "detection_p": rep.detection_p,
         "kept_trace_distance": rep.kept_trace_distance,
-        "predicted_distance": t * math.sqrt(p) if not math.isnan(p) else float("nan"),
-        "detection_cap": 0.5 * (1 - math.sqrt(1 - p)) if not math.isnan(p) else float("nan"),
+        "predicted_distance": predicted,
+        "detection_cap": cap,
         "w2_00": rep.w_norms[0], "w2_01": rep.w_norms[1],
         "w2_10": rep.w_norms[2], "w2_11": rep.w_norms[3],
         "bound_rhs": rep.bound_rhs,
         "detection_identity_error": round(identity_error, IDENTITY_ERROR_DECIMALS),
-        "seal_pass": ana.check_sealing_bound(rep) and identity_error <= 1e-9,
+        "seal_pass": passed,
     }
 
 
+def _weak_rows(p_grid, params: EscrowParams) -> list[dict]:
+    r0, r1 = escrow_bit_density(0, params.theta), escrow_bit_density(1, params.theta)
+    return [_sealing_row(f"weak-p-{format(p, '.12g')}", p,
+                         adv.bob_weak_measurement(adv.BobWeakParams(p), r0, r1), params)
+            for p in p_grid]
+
+
+def _random_attack_rows(n: int, rng: np.random.Generator, params: EscrowParams) -> list[dict]:
+    return [_sealing_row(f"random-attack-{i}", float("nan"), adv.random_return_attack(rng, 2),
+                         params)
+            for i in range(n)]
+
+
 def cmd_escrow_sealing(cfg: RunConfig) -> RunSummary:
-    t0 = time.perf_counter()
     params = EscrowParams(cfg.theta)
-    r0 = escrow_bit_density(0, cfg.theta)
-    r1 = escrow_bit_density(1, cfg.theta)
-    rows = []
-    for p in cfg.p_grid:
-        bob = adv.bob_weak_measurement(adv.BobWeakParams(p), r0, r1)
-        rows.append(_sealing_row(f"weak-p-{format(p, '.12g')}", p, bob, params))
-    rng = np.random.default_rng(cfg.seed)
-    for i in range(cfg.samples):
-        rows.append(_sealing_row(f"random-attack-{i}", float("nan"),
-                                 adv.random_return_attack(rng, 2), params))
-    passed, failed = _tally(rows, ("seal_pass",))
-    return RunSummary("escrow-sealing", cfg.echo(), SEALING_COLUMNS, rows,
-                      passed, failed, time.perf_counter() - t0)
+    rows = (_weak_rows(cfg.p_grid, params)
+            + _random_attack_rows(cfg.samples, np.random.default_rng(cfg.seed), params))
+    return RunSummary(cfg.echo(), SEALING_COLUMNS, rows, "seal_pass")
 
 
 # ---------------------------------------------------------------------------
 # selftest
 
 
+def _all_pass(rows: list[dict], pass_column: str, key: tuple[str, ...], detail: str):
+    """(ok, detail) for a selftest check: the first failing row's key columns, if any."""
+    for row in rows:
+        if not row[pass_column]:
+            return False, " ".join(f"{c}={_fmt(row[c])}" for c in key) + f" fails {pass_column}"
+    return True, detail
+
+
 def _selftest_checks(cfg: RunConfig):
-    """Yield (name, callable) pairs; each callable returns (ok, detail)."""
-    theta = cfg.theta
-    params = EscrowParams(theta)
+    """(name, callable) pairs; each callable returns (ok, detail)."""
+    params = EscrowParams(cfg.theta)
     rng_master = np.random.default_rng(cfg.seed)
 
+    def child_rng():
+        return np.random.default_rng(rng_master.integers(2 ** 32))
+
     def check_pure_distance_law():
-        rng = np.random.default_rng(rng_master.integers(2 ** 32))
+        rng = child_rng()
         worst = 0.0
         for _ in range(50):
             a, b = qmath.random_state(("q",), rng), qmath.random_state(("q",), rng)
@@ -360,7 +356,7 @@ def _selftest_checks(cfg: RunConfig):
         return worst < 1e-9, f"max deviation {worst:.2e}"
 
     def check_tensor_multiplicativity():
-        rng = np.random.default_rng(rng_master.integers(2 ** 32))
+        rng = child_rng()
         worst = 0.0
         for _ in range(20):
             z1 = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -371,7 +367,7 @@ def _selftest_checks(cfg: RunConfig):
         return worst < 1e-8, f"max deviation {worst:.2e}"
 
     def check_purify_round_trip():
-        rng = np.random.default_rng(rng_master.integers(2 ** 32))
+        rng = child_rng()
         worst = 0.0
         for _ in range(20):
             rho = qmath.random_density(("q",), rng)
@@ -380,7 +376,7 @@ def _selftest_checks(cfg: RunConfig):
         return worst < 1e-9, f"max deviation {worst:.2e}"
 
     def check_measurement_dominance():
-        rng = np.random.default_rng(rng_master.integers(2 ** 32))
+        rng = child_rng()
         for _ in range(5):
             r0, r1 = qmath.random_density(("q",), rng), qmath.random_density(("q",), rng)
             _, l1 = qmath.optimal_distinguishing_measurement(r0, r1)
@@ -409,7 +405,7 @@ def _selftest_checks(cfg: RunConfig):
         return ok, "honest runs exact"
 
     def check_monte_carlo():
-        rng = np.random.default_rng(rng_master.integers(2 ** 32))
+        rng = child_rng()
         d = run_coinflip(honest_alice_coinflip(), adv.full_measurement_bob())
         counts = d.sample(100_000, rng)
         p = d.verdict_probability("alice", Verdict.ZERO)
@@ -417,72 +413,25 @@ def _selftest_checks(cfg: RunConfig):
         sigma = math.sqrt(p * (1 - p) / 100_000)
         return abs(got - p) <= 4 * sigma, f"|{got:.5f} - {p:.5f}| vs 4 sigma {4*sigma:.5f}"
 
-    def check_quadratic_closed_forms():
-        r0, r1 = escrow_bit_density(0, theta), escrow_bit_density(1, theta)
-        f = qmath.fidelity(r0, r1)
-        for alpha in cfg.alpha_grid:
-            zero, one = adv.protocol_quadratic_pair(alpha, params)
-            rep = ana.binding_metrics(zero, one, params)
-            if abs((rep.p0 - 0.5) - math.sqrt(f) * math.sin(2 * alpha) / 2) > 1e-8:
-                return False, f"advantage mismatch at alpha={alpha}"
-            if abs(rep.p_err - (1 - f) * math.sin(alpha) ** 2) > 1e-9:
-                return False, f"detection form mismatch at alpha={alpha}"
-            if not ana.check_binding_bound(rep):
-                return False, f"binding frontier violated at alpha={alpha}"
-        return True, "advantage sqrt(f)sin(2a)/2, detection (1-f)sin^2(a), frontier holds"
-
-    def check_weak_measurement_forms():
-        r0, r1 = escrow_bit_density(0, theta), escrow_bit_density(1, theta)
-        t = qmath.trace_norm(r0.matrix - r1.matrix)
-        for p in cfg.p_grid:
-            bob = adv.bob_weak_measurement(adv.BobWeakParams(p), r0, r1)
-            rep = ana.sealing_metrics(bob, params)
-            if abs(rep.kept_trace_distance - t * math.sqrt(p)) > 1e-8:
-                return False, f"kept distance mismatch at p={p}"
-            if rep.detection_p > 0.5 * (1 - math.sqrt(1 - p)) + 1e-9:
-                return False, f"detection cap violated at p={p}"
-            if abs(ana.enumerated_return_error(bob, params) - rep.detection_p) > 1e-9:
-                return False, f"detection identity broken at p={p}"
-        return True, "kept distance t sqrt(p), detection <= (1-sqrt(1-p))/2, identity holds"
-
-    def check_binding_frontier_random():
-        rng = np.random.default_rng(rng_master.integers(2 ** 32))
-        for i in range(50):
-            rep = ana.binding_metrics(*adv.random_binding_pair(rng), params)
-            if not ana.check_binding_bound(rep):
-                return False, f"pair {i} violates the frontier"
-        return True, "50 random shared-deposit pairs inside the frontier"
-
-    def check_sealing_frontier_random():
-        rng = np.random.default_rng(rng_master.integers(2 ** 32))
-        for i in range(50):
-            bob = adv.random_return_attack(rng, 2)
-            rep = ana.sealing_metrics(bob, params)
-            if not ana.check_sealing_bound(rep):
-                return False, f"attack {i} violates the frontier"
-            if abs(ana.enumerated_return_error(bob, params) - rep.detection_p) > 1e-9:
-                return False, f"attack {i} breaks the detection identity"
-        return True, "50 random attacks inside the frontier with the detection identity"
-
     def check_coinflip_caps():
-        rng = np.random.default_rng(rng_master.integers(2 ** 32))
-        full = ana.coinflip_bias(ana.HonestParty.ALICE_HONEST, adv.full_measurement_bob())
-        if abs(max(full.win_prob_0, full.win_prob_1) - ana.BOB_WIN_CAP) > 1e-9:
+        rng = child_rng()
+        full = _bias_row("bob-full-measurement", ALICE_HONEST, adv.full_measurement_bob(),
+                         ana.BOB_WIN_CAP)
+        if abs(max(full["win_prob_0"], full["win_prob_1"]) - ana.BOB_WIN_CAP) > 1e-9:
             return False, "full measurement does not attain the receiver cap"
-        for _ in range(100):
-            bob = adv.bob_measure_coinflip(adv.unitary_from_angles(2, rng.uniform(0, math.pi, 3)))
-            rep = ana.coinflip_bias(ana.HonestParty.ALICE_HONEST, bob)
-            if max(rep.win_prob_0, rep.win_prob_1) > ana.BOB_WIN_CAP + 1e-9:
-                return False, "a sampled receiver beat the cap"
-        for _ in range(50):
-            alice = adv.alice_coinflip_from_angles(rng.uniform(0, math.pi, 12))
-            rep = ana.coinflip_bias(ana.HonestParty.BOB_HONEST, alice)
-            if max(rep.win_prob_0, rep.win_prob_1) > ana.ALICE_WIN_CAP + 1e-9:
-                return False, "a sampled depositor beat the cap"
-        return True, "caps hold; full measurement attains the receiver cap"
+        rows = [
+            full,
+            _best_row("bob-random-basis", ALICE_HONEST, ana.BOB_WIN_CAP, 100,
+                      lambda: adv.bob_measure_coinflip(
+                          adv.unitary_from_angles(2, rng.uniform(0, math.pi, 3)))),
+            _best_row("alice-random", BOB_HONEST, ana.ALICE_WIN_CAP, 50,
+                      lambda: adv.alice_coinflip_from_angles(rng.uniform(0, math.pi, 12))),
+        ]
+        return _all_pass(rows, "within_cap", ("strategy",),
+                         "caps hold; full measurement attains the receiver cap")
 
     def check_modified_sealing():
-        rng = np.random.default_rng(rng_master.integers(2 ** 32))
+        rng = child_rng()
         for i in range(20):
             pair = (adv.random_return_attack(rng, 1), adv.random_return_attack(rng, 1))
             if not ana.modified_sealing_check(pair, params).passed:
@@ -496,10 +445,18 @@ def _selftest_checks(cfg: RunConfig):
         ("distinguishing-measurement-dominance", check_measurement_dominance),
         ("honest-runs-exact", check_honest_runs),
         ("monte-carlo-consistency", check_monte_carlo),
-        ("quadratic-depositor-closed-forms", check_quadratic_closed_forms),
-        ("weak-measurement-closed-forms", check_weak_measurement_forms),
-        ("binding-frontier-random-pairs", check_binding_frontier_random),
-        ("sealing-frontier-random-attacks", check_sealing_frontier_random),
+        ("quadratic-depositor-closed-forms", lambda: _all_pass(
+            _quadratic_rows(cfg.alpha_grid, params), "binding_pass", ("label", "alpha"),
+            "advantage sqrt(f)sin(2a)/2, detection (1-f)sin^2(a), frontier holds")),
+        ("weak-measurement-closed-forms", lambda: _all_pass(
+            _weak_rows(cfg.p_grid, params), "seal_pass", ("label", "p"),
+            "kept distance t sqrt(p), detection <= (1-sqrt(1-p))/2, identity holds")),
+        ("binding-frontier-random-pairs", lambda: _all_pass(
+            _random_pair_rows(50, child_rng(), params), "binding_pass", ("label",),
+            "50 random shared-deposit pairs inside the frontier")),
+        ("sealing-frontier-random-attacks", lambda: _all_pass(
+            _random_attack_rows(50, child_rng(), params), "seal_pass", ("label",),
+            "50 random attacks inside the frontier with the detection identity")),
         ("coinflip-caps", check_coinflip_caps),
         ("modified-return-variant", check_modified_sealing),
     ]
@@ -512,15 +469,12 @@ SELFTEST_COLUMNS = ("check", "passed", "detail")
 
 
 def cmd_selftest(cfg: RunConfig) -> RunSummary:
-    t0 = time.perf_counter()
     rows = []
     for name, fn in _selftest_checks(cfg):
         ok, detail = fn()
         rows.append({"check": name, "passed": ok, "detail": detail})
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
-    passed, failed = _tally(rows, ("passed",))
-    return RunSummary("selftest", cfg.echo(), SELFTEST_COLUMNS, rows,
-                      passed, failed, time.perf_counter() - t0)
+    return RunSummary(cfg.echo(), SELFTEST_COLUMNS, rows, "passed")
 
 
 # ---------------------------------------------------------------------------
@@ -528,12 +482,9 @@ def cmd_selftest(cfg: RunConfig) -> RunSummary:
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    try:
-        grid = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad grid {text!r}: {exc}") from exc
+    grid = tuple(float(tok) for tok in text.split(",") if tok.strip())
     if not grid:
-        raise ConfigError("grid must be nonempty")
+        raise ValueError("grid must be nonempty")
     return grid
 
 
@@ -554,46 +505,37 @@ def _read_config_file(path: str) -> dict:
     return echo
 
 
+# Each setting: its parser, its valid values and their description, which is
+# also the flag's help.  A flag wins over a config file line of the same name.
+SETTINGS = {
+    "theta": (float, lambda v: 0.0 < v <= math.pi / 8 + 1e-12, "escrow angle in (0, pi/8]"),
+    "alpha_grid": (_parse_grid, lambda g: all(0.0 <= a <= math.pi / 4 + 1e-12 for a in g),
+                   "comma-separated angles in [0, pi/4]"),
+    "p_grid": (_parse_grid, lambda g: all(0.0 <= p <= 1.0 for p in g),
+               "comma-separated strengths in [0, 1]"),
+    "seed": (int, lambda v: v >= 0, "nonnegative integer"),
+    "samples": (int, lambda v: v >= 0, "nonnegative integer"),
+    "format": (str, lambda v: v in ("csv", "json"), "csv or json"),
+}
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     echo = _read_config_file(args.config) if args.config else {}
-
-    def pick(flag, key, cast):
-        if flag is not None:
-            return cast(flag)
-        if key in echo:
-            return cast(echo[key])
-        return None
-
-    kwargs = {"command": args.command, "config_file": args.config, "config_echo": echo}
-    theta = pick(args.theta, "theta", float)
-    if theta is not None:
-        if not 0.0 < theta <= math.pi / 8 + 1e-12:
-            raise ConfigError(f"theta {theta} outside (0, pi/8]")
-        kwargs["theta"] = theta
-    alpha = pick(args.alpha_grid, "alpha_grid", _parse_grid)
-    if alpha is not None:
-        kwargs["alpha_grid"] = alpha
-    pgrid = pick(args.p_grid, "p_grid", _parse_grid)
-    if pgrid is not None:
-        if any(not 0.0 <= p <= 1.0 for p in pgrid):
-            raise ConfigError("p grid values must lie in [0, 1]")
-        kwargs["p_grid"] = pgrid
-    seed = pick(args.seed, "seed", int)
-    if seed is not None:
-        kwargs["seed"] = seed
-    samples = pick(args.samples, "samples", int)
-    if samples is not None:
-        if samples < 0:
-            raise ConfigError("samples must be nonnegative")
-        kwargs["samples"] = samples
-    if args.out is not None:
-        kwargs["out"] = args.out
-    fmt = pick(args.format, "format", str)
-    if fmt is not None:
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"unknown format {fmt!r}")
-        kwargs["fmt"] = fmt
-    kwargs["inject_failure"] = bool(getattr(args, "inject_failure", False))
+    kwargs = {"command": args.command, "config_echo": echo,
+              "out": args.out, "inject_failure": bool(getattr(args, "inject_failure", False))}
+    for key, (parse, valid, description) in SETTINGS.items():
+        raw = getattr(args, key)
+        if raw is None:
+            raw = echo.get(key)
+        if raw is None:
+            continue
+        try:
+            value = parse(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad {key} {raw!r}: {exc}") from exc
+        if not valid(value):
+            raise ConfigError(f"{key} {raw!r}: expected {description}")
+        kwargs[key] = value
     return RunConfig(**kwargs)
 
 
@@ -601,15 +543,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qescrow", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("coinflip", "escrow-binding", "escrow-sealing", "selftest"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--theta", type=float, default=None)
-        p.add_argument("--alpha-grid", default=None, help="comma-separated angles")
-        p.add_argument("--p-grid", default=None, help="comma-separated strengths in [0,1]")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
+        for key, (_, _, description) in SETTINGS.items():
+            p.add_argument("--" + key.replace("_", "-"), default=None, help=description)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", default=None, choices=("csv", "json"))
         p.add_argument("--config", default=None, help="optional key=value config file")
         if name == "selftest":
             p.add_argument("--inject-failure", action="store_true",
@@ -633,11 +571,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    t0 = time.perf_counter()
     summary = COMMANDS[cfg.command](cfg)
+    wall_time = time.perf_counter() - t0
     if cfg.out:
-        write_summary(summary, cfg.out, cfg.fmt)
+        write_summary(summary, cfg.out, cfg.format)
     print(f"{cfg.command}: {summary.passed} passed, {summary.failed} failed "
-          f"({summary.wall_time:.2f}s)")
+          f"({wall_time:.2f}s)")
     return 0 if summary.failed == 0 else 3
 
 

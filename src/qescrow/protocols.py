@@ -519,9 +519,6 @@ class OutcomeDistribution:
         if abs(total - 1.0) > 1e-9:
             raise ProtocolError(f"branch probabilities sum to {total}")
 
-    def total(self) -> float:
-        return sum(b.probability for b in self.branches)
-
     def verdict_probability(self, party: str, verdict: Verdict) -> float:
         if party == "alice":
             return sum(b.probability for b in self.branches if b.alice_verdict is verdict)

@@ -373,18 +373,17 @@ def fresh_wires(prefix: str, count: int, avoid: Sequence[str]) -> tuple[str, ...
     return tuple(out)
 
 
-def purify(r: DensityMatrix, ancilla_prefix: str = "p") -> StateVector:
+def purify(r: DensityMatrix) -> StateVector:
     """Spectral purification sum_i sqrt(w_i) |i>|v_i> on (fresh ancilla wires, r.wires)."""
     vals, vecs = hermitian_eig(r.matrix)
-    anc = fresh_wires(ancilla_prefix, len(r.wires), r.wires)
+    anc = fresh_wires("p", len(r.wires), r.wires)
     amps = (np.sqrt(np.clip(vals, 0.0, None))[:, None] * vecs.T).reshape(-1)
     amps = amps / np.linalg.norm(amps)
     return StateVector(anc + r.wires, amps)
 
 
-def maximally_parallel_purifications(
-    r0: DensityMatrix, r1: DensityMatrix, ancilla_prefix: str = "p"
-) -> tuple[StateVector, StateVector]:
+def maximally_parallel_purifications(r0: DensityMatrix, r1: DensityMatrix
+                                     ) -> tuple[StateVector, StateVector]:
     """Purifications of r0 and r1 whose overlap is real, nonnegative, and achieves the fidelity.
 
     Built from the singular decomposition of sqrt(r0) sqrt(r1): with that SVD
@@ -397,7 +396,7 @@ def maximally_parallel_purifications(
     s0, s1 = sqrtm_psd(r0.matrix), sqrtm_psd(r1.matrix)
     u, _, vh = np.linalg.svd(s0 @ s1)
     w1 = (vh.conj().T @ u.conj().T).T  # unitary aligning the second ancilla
-    anc = fresh_wires(ancilla_prefix, len(r0.wires), r0.wires)
+    anc = fresh_wires("p", len(r0.wires), r0.wires)
     wires = anc + r0.wires
 
     def build(sqrt_r, w):

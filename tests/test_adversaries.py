@@ -150,18 +150,6 @@ def test_weak_p_quarter_reference_numbers():
     assert rep.detection_p <= 0.0669872981077807 + 1e-9
 
 
-def test_weak_completion_choice_is_unobservable():
-    r0, r1 = protocol_densities()
-    e0 = np.array([1, 0])
-    for p in (0.3, 0.8):
-        u_refl = adv.weak_measurement_unitary(r0, r1, p, completion="reflection")
-        u_rot = adv.weak_measurement_unitary(r0, r1, p, completion="rotation")
-        assert qmath.is_unitary(u_refl) and qmath.is_unitary(u_rot)
-        for amp in (np.array([1, 0]), np.array([0, 1]), np.array([1, 1]) / math.sqrt(2)):
-            reach = np.kron(amp, e0)
-            assert np.max(np.abs(u_refl @ reach - u_rot @ reach)) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # fixed strategies and parameterization
 

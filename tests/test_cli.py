@@ -1,11 +1,16 @@
 """Command-line runner tests: schemas, determinism, exit codes."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
+from qescrow import adversaries as adv
 from qescrow import cli
 
+real_quadratic_pair = adv.protocol_quadratic_pair
+real_weak_measurement = adv.bob_weak_measurement
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 def run_main(argv):
     return cli.main(argv)
@@ -144,12 +149,53 @@ def test_config_file_defaults_and_flag_override(tmp_path):
                                                 "format": "json"}
 
 
-def test_config_errors_exit_2():
+def test_config_errors_exit_2(tmp_path):
     assert run_main(["coinflip", "--theta", "1.0"]) == 2
     assert run_main(["escrow-sealing", "--p-grid", "0.5,2.0"]) == 2
     assert run_main(["escrow-binding", "--alpha-grid", "abc"]) == 2
+    for alpha in ("1.0", "nan", "-0.1"):
+        assert run_main(["escrow-binding", "--alpha-grid", alpha]) == 2
     assert run_main(["coinflip", "--samples", "-3"]) == 2
+    assert run_main(["coinflip", "--seed", "-1"]) == 2
     assert run_main(["coinflip", "--config", "/nonexistent/path.cfg"]) == 2
+    for line in ("theta=abc", "seed=abc", "seed=-1", "alpha_grid=1.0"):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert run_main(["escrow-binding", "--config", str(cfg)]) == 2, line
+
+
+def test_wrong_quadratic_closed_form_fails_the_run(tmp_path, monkeypatch, capsys):
+    # the honest delayed-choice strategy on both sides keeps the frontier but not
+    # the quadratic depositor's advantage sqrt(f) sin(2a)/2
+    def one_twice(alpha, params):
+        one = real_quadratic_pair(alpha, params)[1]
+        return one, one
+
+    monkeypatch.setattr(cli.adv, "protocol_quadratic_pair", one_twice)
+    out = tmp_path / "eb.csv"
+    assert run_main(["escrow-binding", "--samples", "1", "--out", str(out)]) == 3
+    _, rows = read_rows(out)
+    assert [r["binding_pass"] for r in rows if r["label"] == "quadratic"] == [
+        "true", "false", "false", "false", "false"]
+    run_main(["selftest"])
+    assert "FAIL  quadratic-depositor-closed-forms: label=quadratic alpha=0.196349540849" \
+        in capsys.readouterr().out
+
+
+def test_wrong_weak_measurement_strength_fails_the_run(tmp_path, monkeypatch, capsys):
+    # strength p/2 keeps the frontier and the detection identity but not the kept
+    # distance t sqrt(p)
+    monkeypatch.setattr(cli.adv, "bob_weak_measurement",
+                        lambda params, r0, r1: real_weak_measurement(
+                            adv.BobWeakParams(params.p / 2), r0, r1))
+    out = tmp_path / "es.csv"
+    assert run_main(["escrow-sealing", "--samples", "1", "--p-grid", "0,0.5",
+                     "--out", str(out)]) == 3
+    _, rows = read_rows(out)
+    assert [r["seal_pass"] for r in rows] == ["true", "false", "true"]
+    run_main(["selftest"])
+    assert "FAIL  weak-measurement-closed-forms: label=weak-p-0.1 p=0.1 fails seal_pass" \
+        in capsys.readouterr().out
 
 
 def test_console_entry_point_runs():
@@ -159,3 +205,19 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "escrow-sealing" in proc.stdout
+
+
+def test_sealing_frontier_script_writes_every_point(tmp_path):
+    out = tmp_path / "frontier.csv"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "sealing_frontier.py"), "--points", "3",
+         "--out", str(out)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    header, rows = read_rows(out)
+    assert header == ["family", "strength", "detection", "advantage", "frontier_bound"]
+    assert [r["family"] for r in rows] == ["weak"] * 3 + ["haar-1anc"] * 3 + ["haar-2anc"] * 3
+    assert [r["strength"] for r in rows[:3]] == ["0", "0.5", "1"]
+    for r in rows:
+        assert 0.0 <= float(r["detection"]) <= 1.0
+        assert float(r["advantage"]) <= float(r["frontier_bound"]) + 1e-9

@@ -109,7 +109,7 @@ def test_honest_escrow_is_exact(theta, challenge, bit):
     params = EscrowParams(theta)
     dist = run_escrow(honest_alice_escrow(params), honest_bob_escrow(), challenge,
                       claimed_bit=bit, params=params)
-    assert abs(dist.total() - 1.0) < 1e-12
+    assert abs(sum(br.probability for br in dist.branches) - 1.0) < 1e-12
     # exactly zero error branches, not merely small mass
     assert all(br.bob_verdict is not Verdict.ERR for br in dist.branches)
     assert all(br.alice_verdict is not Verdict.ERR for br in dist.branches)
@@ -191,7 +191,7 @@ def test_coinflip_rejects_two_cheaters():
 def test_honest_weak_commitment(theta, bit):
     params = EscrowParams(theta)
     dist = run_weak_commitment(honest_alice_weak(params), honest_bob_weak(), bit, params)
-    assert abs(dist.total() - 1.0) < 1e-12
+    assert abs(sum(br.probability for br in dist.branches) - 1.0) < 1e-12
     assert dist.verdict_probability("bob", Verdict.ERR) == 0.0
     assert abs(dist.verdict_probability("bob", Verdict.of_bit(bit)) - 1.0) < 1e-12
     assert abs(dist.verdict_probability("alice", Verdict.of_bit(bit)) - 1.0) < 1e-12
@@ -273,7 +273,7 @@ def test_weak_commitment_entangled_adversary_distribution():
         },
     )
     dist = run_weak_commitment(honest_alice_weak(), bob, 1)
-    assert abs(dist.total() - 1.0) < 1e-9
+    assert abs(sum(br.probability for br in dist.branches) - 1.0) < 1e-9
     again = run_weak_commitment(honest_alice_weak(), bob, 1)
     assert dist == again  # exact reproducibility
     counts = dist.sample(10 ** 6, np.random.default_rng(7))
@@ -394,7 +394,7 @@ def test_arbitrary_receiver_distribution_sums_to_one(seed):
     for challenge in Challenge:
         dist = run_escrow(honest_alice_escrow(), bob, challenge,
                           claimed_bit=int(rng.integers(0, 2)))
-        assert abs(dist.total() - 1.0) < 1e-9
+        assert abs(sum(br.probability for br in dist.branches) - 1.0) < 1e-9
 
 
 @settings(max_examples=20, deadline=None)
@@ -405,7 +405,7 @@ def test_arbitrary_depositor_distribution_sums_to_one(seed):
 
     alice, _ = random_binding_pair(rng)
     dist = run_escrow(alice, honest_bob_escrow(), Challenge.REVEAL_TO_BOB)
-    assert abs(dist.total() - 1.0) < 1e-9
+    assert abs(sum(br.probability for br in dist.branches) - 1.0) < 1e-9
     claims = (dist.transcript_probability(("alice", "b", 0))
               + dist.transcript_probability(("alice", "b", 1)))
     assert abs(claims - 1.0) < 1e-9
