@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Run every benchmark workload over a few seeds and record the numbers in BENCH_<pr>.json.
+
+Usage: python scripts/bench.py --pr N [--repo DIR] [--out PATH]
+
+For each workload that BENCHMARK.json declares, ``benchmark/run.py`` of the
+checkout ``--repo`` (default: this one) runs for the file's ``run_seconds``
+once per seed in ``SEEDS`` with ``--trace 0`` and once, at the first seed,
+with ``--trace 1``, each in a fresh process.
+The file holds, per workload, the median and quartiles of every end-to-end
+metric over the seeds, the attempted and failed evaluation counts, the
+environment line of the first run and the traced run's per-layer counters.
+The numbers are a record, not a gate: the script exits 0 whatever they are,
+and nonzero only if a run crashes or prints no result.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import statistics
+import subprocess
+import sys
+from typing import Callable
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SEEDS = (1, 2, 3)
+
+# runner(workload, seed, trace) -> (environment-and-details line, result line)
+Runner = Callable[[str, int, int], tuple[dict, dict]]
+
+
+def spread(values: list[float]) -> dict:
+    """Median and quartiles (inclusive method) of one metric over the seeds."""
+    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                      if len(values) > 1 else values * 3)
+    return {"median": median, "q1": q1, "q3": q3, "values": list(values)}
+
+
+def summarize(workloads: list[str], seeds: list[int], runner: Runner) -> dict:
+    out = {}
+    for name in workloads:
+        runs = [runner(name, seed, 0) for seed in seeds]
+        _, traced = runner(name, seeds[0], 1)
+        metrics = {}
+        for _, result in runs:
+            for key, m in result["metrics"].items():
+                metrics.setdefault(key, []).append(m["value"])
+        out[name] = {
+            "end_to_end": {key: spread(values) for key, values in metrics.items()},
+            "attempted": sum(result["attempted"] for _, result in runs),
+            "failed": sum(result["failed"] for _, result in runs),
+            "correct": all(result["correct"] for _, result in runs) and traced["correct"],
+            "environment": runs[0][0]["environment"],
+            "per_layer": {key: m["value"] for key, m in traced["metrics"].items()},
+        }
+    return out
+
+
+def subprocess_runner(repo: pathlib.Path, seconds: float) -> Runner:
+    def run(workload: str, seed: int, trace: int) -> tuple[dict, dict]:
+        proc = subprocess.run(
+            [sys.executable, str(repo / "benchmark" / "run.py"), "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+            capture_output=True, text=True, cwd=repo)
+        lines = proc.stdout.strip().splitlines()
+        if proc.returncode != 0 or len(lines) < 2:
+            raise SystemExit(f"{workload} seed {seed} trace {trace} failed "
+                             f"(exit {proc.returncode}):\n{proc.stderr}")
+        print(f"{workload} seed {seed} trace {trace}: {lines[-1][:120]}", file=sys.stderr)
+        return json.loads(lines[-2]), json.loads(lines[-1])
+    return run
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--pr", type=int, required=True)
+    p.add_argument("--repo", type=pathlib.Path, default=ROOT)
+    p.add_argument("--out", type=pathlib.Path, default=None)
+    args = p.parse_args(argv)
+    repo = args.repo.resolve()
+    declared = json.loads((repo / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in declared["workloads"]]
+    seconds = declared["run_seconds"]
+    doc = {"pr": args.pr, "seeds": list(SEEDS), "seconds": seconds,
+           "workloads": summarize(workloads, list(SEEDS), subprocess_runner(repo, seconds))}
+    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

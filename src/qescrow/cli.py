@@ -31,6 +31,7 @@ from . import adversaries as adv
 from . import analysis as ana
 from . import qmath
 from .protocols import (
+    COIN_THETA,
     Challenge,
     EscrowParams,
     Verdict,
@@ -59,6 +60,15 @@ class ConfigError(Exception):
     pass
 
 
+# The settings each command reads; its artifact echoes exactly these.
+READS = {
+    "coinflip": ("theta", "seed", "samples", "format"),
+    "escrow-binding": ("theta", "alpha_grid", "seed", "samples", "format"),
+    "escrow-sealing": ("theta", "p_grid", "seed", "samples", "format"),
+    "selftest": ("theta", "alpha_grid", "p_grid", "seed", "format"),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     command: str
@@ -73,17 +83,12 @@ class RunConfig:
     inject_failure: bool = False
 
     def echo(self) -> dict:
-        d = {
-            "command": self.command,
-            "theta": _round12(self.theta),
-            "seed": self.seed,
-            "samples": self.samples,
-            "format": self.format,
-        }
-        if self.command == "escrow-binding":
-            d["alpha_grid"] = [_round12(a) for a in self.alpha_grid]
-        if self.command == "escrow-sealing":
-            d["p_grid"] = [_round12(p) for p in self.p_grid]
+        d = {"command": self.command}
+        for key in READS[self.command]:
+            value = getattr(self, key)
+            if isinstance(value, tuple):
+                value = [_round12(v) for v in value]
+            d[key] = _round12(value) if isinstance(value, float) else value
         if self.config_echo:
             d["config_file"] = dict(self.config_echo)
         return d
@@ -508,7 +513,8 @@ def _read_config_file(path: str) -> dict:
 # Each setting: its parser, its valid values and their description, which is
 # also the flag's help.  A flag wins over a config file line of the same name.
 SETTINGS = {
-    "theta": (float, lambda v: 0.0 < v <= math.pi / 8 + 1e-12, "escrow angle in (0, pi/8]"),
+    "theta": (float, lambda v: 0.0 < v <= math.pi / 8 + 1e-12,
+              "escrow angle in (0, pi/8]; coinflip runs at pi/8 only"),
     "alpha_grid": (_parse_grid, lambda g: all(0.0 <= a <= math.pi / 4 + 1e-12 for a in g),
                    "comma-separated angles in [0, pi/4]"),
     "p_grid": (_parse_grid, lambda g: all(0.0 <= p <= 1.0 for p in g),
@@ -536,6 +542,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if not valid(value):
             raise ConfigError(f"{key} {raw!r}: expected {description}")
         kwargs[key] = value
+    if args.command == "coinflip" and abs(kwargs.get("theta", COIN_THETA) - COIN_THETA) > 1e-12:
+        raise ConfigError(f"theta {kwargs['theta']!r}: coinflip runs at the fixed angle pi/8")
     return RunConfig(**kwargs)
 
 

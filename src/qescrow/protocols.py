@@ -19,19 +19,28 @@ a deposit on its claimed encoding (the escrow checks and the coin check alike),
 the leaves.  ``deposit_reduced_state`` runs the deposit phase on the same steps.
 
 The branches of a run are rows (``_Rows``): one ``qmath.StateStack`` holds
-every branch's amplitudes, next to one probability array and per-row record
-dicts and transcripts.  Each round is one kernel call for all rows: a draw
-repeats rows, a gate is one (per-row stacked, for a record-dependent gate)
+every branch's amplitudes on the run's quantum wires, next to one probability
+array, one bit column per wire of the layout, and per-row record dicts and
+transcripts.  Each round is one kernel call for all rows: a draw repeats
+rows, a gate is one (per-row stacked, for a record-dependent gate)
 ``apply_unitary``, a measurement or deposit check is one ``qmath.measure``
-whose surviving outcomes follow their parent row in label order, and a
-classical bit write swaps amplitude halves.  Rows stay in branch order, so
-the leaves are merged in the same order as branch-by-branch enumeration.
+whose surviving outcomes follow their parent row in label order.  Rows stay
+in branch order, so the leaves are merged in the same order as
+branch-by-branch enumeration.
 
 Classical messages are carried on qubit wires that an honest recipient
 measures in the computational basis on receipt; a dishonest sender is free to
-put superpositions on them.  Honest randomness is expanded into explicit
-branch weights, never sampled, so honest/honest runs have *exactly* zero
-error branches.
+put superpositions on them.  The stack holds the quantum wires: the
+parties' ancillas and the deposits from the start, and a message wire
+(``_MESSAGES``) from the first gate or ``MeasureRecord`` that acts on it,
+when ``StateStack.insert`` enters it in |bit> from its column; the stack
+keeps the layout's wire order.  Until then a message wire is a classical bit
+per row: a classical write XORs its column (on a quantum wire it swaps
+amplitude halves), and reading it has one outcome, the row's bit, whose
+probability and post-state ``qmath.renormalize`` gives without a ``measure``
+call.  In honest play no message wire enters the stack.  Honest randomness
+is expanded into explicit branch weights, never sampled, so honest/honest
+runs have *exactly* zero error branches.
 
 Wire layout (a run holds Alice's ancillas, then the game's wires, then Bob's
 ancillas, at most ``MAX_TOTAL_WIRES`` = 9 in all):
@@ -75,6 +84,9 @@ from .qmath import (
 THETA_DEFAULT = math.pi / 8
 COIN_THETA = math.pi / 8
 MAX_TOTAL_WIRES = 9
+# Wires that carry classical messages; they stay classical until a gate or a
+# measurement acts on them.  Every other wire of a run is quantum from the start.
+_MESSAGES = frozenset({"rb", "rx", "bp", "rb2", "rx2"})
 
 _COMP1 = OrthogonalMeasurement.computational(1)
 
@@ -319,21 +331,45 @@ def _checked_gate(gate: np.ndarray | Unitary, dim: int, phase: str) -> Unitary:
 class _Rows:
     """A run's branches, one row each: probability, state, records and transcript.
 
-    Rows are branch-major: a row's children follow it in outcome order.  A
-    row's records are a dict of party records that the row owns; a party's
-    record may be shared with other rows, so a write replaces it with an
-    updated copy and never changes it in place.
+    The state of a row is its amplitudes on the quantum wires (``states``,
+    a subsequence of ``layout``) times one definite bit on each classical
+    message wire (the row's ``bits`` column of that wire; the columns of
+    quantum wires are unused).  Rows are branch-major: a row's children
+    follow it in outcome order.  A row's records are a dict of party records
+    that the row owns; a party's record may be shared with other rows, so a
+    write replaces it with an updated copy and never changes it in place.
     """
 
     probs: np.ndarray
     states: StateStack
+    bits: np.ndarray
+    layout: tuple[str, ...]
     recs: list[dict[str, dict]]
     transcripts: list[tuple]
 
     def take(self, rows: list[int]) -> "_Rows":
         """The given rows, each at most once, sharing their records."""
-        return _Rows(self.probs[rows], self.states.take(rows), [self.recs[r] for r in rows],
-                     [self.transcripts[r] for r in rows])
+        return _Rows(self.probs[rows], self.states.take(rows), self.bits[rows], self.layout,
+                     [self.recs[r] for r in rows], [self.transcripts[r] for r in rows])
+
+    def quantum(self, wires: tuple[str, ...]) -> "_Rows":
+        """The rows with each of ``wires`` in the stack; a classical one enters in |bit>.
+
+        The stack keeps the layout's order, so the same wires always sit in
+        the same positions.
+        """
+        states = self.states
+        for wire in wires:
+            if wire not in states.wires:
+                col = self.layout.index(wire)
+                at = sum(self.layout.index(w) < col for w in states.wires)
+                states = states.insert(at, wire, self.bits[:, col])
+        return self if states is self.states else self.with_states(states)
+
+    def with_states(self, states: StateStack, bits: np.ndarray | None = None) -> "_Rows":
+        """The same rows with new states (and bit columns, when given)."""
+        return _Rows(self.probs, states, self.bits if bits is None else bits, self.layout,
+                     self.recs, self.transcripts)
 
     def split(self, rows: np.ndarray, probs: np.ndarray, states: StateStack, party: str,
               key: str, values: list) -> "_Rows":
@@ -347,7 +383,7 @@ class _Rows:
             rec = dict(self.recs[r])
             rec[party] = {**rec[party], key: v}
             recs.append(rec)
-        return _Rows(self.probs[rows] * probs, states, recs,
+        return _Rows(self.probs[rows] * probs, states, self.bits[rows], self.layout, recs,
                      [self.transcripts[r] for r in parents])
 
 
@@ -397,32 +433,46 @@ def _run_program(rows: _Rows, spec: StrategySpec, phase: str) -> _Rows:
                 if callable(gate):
                     gate = _resolve_gates(gate, [rec[party] for rec in rows.recs],
                                           2 ** len(rnd.wires))
+                rows = rows.quantum(rnd.wires)
                 states = apply_unitary(rows.states, gate, rnd.wires)
             except (qmath.QMathError, KeyError) as exc:
                 raise MalformedStrategy(f"bad gate in phase {phase!r}: {exc!r}") from exc
-            rows = _Rows(rows.probs, states, rows.recs, rows.transcripts)
+            rows = rows.with_states(states)
         elif isinstance(rnd, MeasureRecord):
+            rows = rows.quantum(rnd.wires)
             parents, outcomes, probs, states = qmath.measure(rows.states, rnd.measurement,
                                                              rnd.wires)
             labels = rnd.measurement.labels
             rows = rows.split(parents, probs, states, party, rnd.name,
                               [labels[o] for o in outcomes.tolist()])
         elif isinstance(rnd, SetBits):
-            states = rows.states
+            states, bits = rows.states, rows.bits.copy()
             for wire, src in rnd.assignments.items():
                 flips = np.array([_resolve_bit(src, rec[party]) for rec in rows.recs], dtype=bool)
-                if flips.any():
+                if wire not in states.wires:
+                    bits[:, rows.layout.index(wire)] ^= flips
+                elif flips.any():
                     states = states.flip(wire, flips)
-            rows = _Rows(rows.probs, states, rows.recs, rows.transcripts)
+            rows = rows.with_states(states, bits)
         else:
             raise MalformedStrategy(f"unknown round type {type(rnd).__name__}")
     return rows
 
 
 def _read_bit(rows: _Rows, wire: str, reader: str, sender: str, key: str) -> _Rows:
-    """Measure a classical-convention wire into the reader's record + transcript."""
-    parents, outcomes, probs, states = qmath.measure(rows.states, _COMP1, (wire,))
-    bits = outcomes.tolist()  # the computational basis labels its outcomes 0, 1
+    """Measure a classical-convention wire into the reader's record + transcript.
+
+    A wire outside the stack holds one bit per row, so its measurement has
+    one outcome, that bit, and ``qmath.renormalize`` gives its probability
+    and post-state without a ``measure`` call.
+    """
+    if wire in rows.states.wires:
+        parents, outcomes, probs, states = qmath.measure(rows.states, _COMP1, (wire,))
+        bits = outcomes.tolist()  # the computational basis labels its outcomes 0, 1
+    else:
+        parents = np.arange(len(rows.probs))
+        probs, states = qmath.renormalize(rows.states)
+        bits = rows.bits[:, rows.layout.index(wire)].tolist()
     out = rows.split(parents, probs, states, reader, key, bits)
     out.transcripts = [tr + ((sender, key, bit),) for tr, bit in zip(out.transcripts, bits)]
     return out
@@ -479,9 +529,10 @@ def _start(alice: StrategySpec, bob: StrategySpec,
            alice_bit: int | None = None) -> tuple[StrategySpec, StrategySpec, _Rows]:
     """Compile both strategies against the game's phase map and build the root row.
 
-    The wires are Alice's ancillas, then ``game_wires``, then Bob's ancillas, all
-    in |0>, within the ``MAX_TOTAL_WIRES`` budget.  Alice's record is seeded with
-    ``b = alice_bit`` when a bit is given.
+    The layout is Alice's ancillas, then ``game_wires``, then Bob's ancillas,
+    within the ``MAX_TOTAL_WIRES`` budget, all in |0>.  The message wires
+    start classical, and the root's stack holds the others.  Alice's record
+    is seeded with ``b = alice_bit`` when a bit is given.
     """
     alice = validate_strategy(alice, phases["alice"])
     bob = validate_strategy(bob, phases["bob"])
@@ -489,11 +540,13 @@ def _start(alice: StrategySpec, bob: StrategySpec,
     if len(wires) > MAX_TOTAL_WIRES:
         raise MalformedStrategy(
             f"{len(wires)} wires exceed the {MAX_TOTAL_WIRES}-qubit budget")
-    amps = np.zeros(2 ** len(wires), dtype=complex)
+    quantum = tuple(w for w in wires if w not in _MESSAGES)
+    amps = np.zeros(2 ** len(quantum), dtype=complex)
     amps[0] = 1.0
     seed = {} if alice_bit is None else {"b": int(alice_bit)}
-    root = StateStack.of(StateVector(wires, amps))
-    return alice, bob, _Rows(np.ones(1), root, [{"alice": seed, "bob": {}}], [()])
+    root = StateStack.of(StateVector(quantum, amps))
+    return alice, bob, _Rows(np.ones(1), root, np.zeros((1, len(wires)), dtype=np.uint8), wires,
+                             [{"alice": seed, "bob": {}}], [()])
 
 
 # ---------------------------------------------------------------------------

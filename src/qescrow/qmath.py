@@ -9,7 +9,9 @@ achieves the trace-norm distinguishing bound.
 The kernels (``apply_unitary``, ``measure``, ``partial_trace``) work on a
 ``StateStack``: rows of states on one wire tuple, amplitudes of shape
 (rows, 2^wires), processed in one numpy call per operation.  A
-``StateVector`` is the one-row case of the same code.
+``StateVector`` is the one-row case of the same code.  A stack gains a wire
+in a computational basis state per row with ``StateStack.insert``, and
+``renormalize`` is the measurement of a wire that holds a definite bit.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no synchronization.  Randomness is always
@@ -174,6 +176,25 @@ class StateStack:
         amps = amps.reshape(n, -1)
         amps.setflags(write=False)
         return _trusted(StateStack, self.wires, amps)
+
+    def insert(self, at: int, wire: str, bits: np.ndarray) -> "StateStack":
+        """The stack with ``wire`` placed before position ``at``, in |bits[r]> in row r.
+
+        The new wire is in a product state with the others, so each row's
+        amplitudes are copied into the half its bit selects, which is exact.
+        """
+        if wire in self.wires:
+            raise WireMismatch(f"wire {wire!r} is already in {self.wires}")
+        n = len(self.amplitudes)
+        bits = np.asarray(bits)
+        if bits.shape != (n,):
+            raise WireMismatch(f"bits of shape {bits.shape} for {n} rows")
+        before, after = 2 ** at, 2 ** (len(self.wires) - at)
+        amps = np.zeros((n, before, 2, after), dtype=complex)
+        amps[np.arange(n), :, bits] = self.amplitudes.reshape(n, before, after)
+        amps = amps.reshape(n, 2 * before * after)
+        amps.setflags(write=False)
+        return _trusted(StateStack, self.wires[:at] + (wire,) + self.wires[at:], amps)
 
 
 def _trusted(cls: type, wires: tuple[str, ...], amps: np.ndarray) -> StateVector | StateStack:
@@ -506,6 +527,19 @@ def measure(states: StateVector | StateStack,
     labels = m.labels if isinstance(m, OrthogonalMeasurement) else m[0].labels
     return [(float(pk), _trusted(StateVector, states.wires, amps), labels[o])
             for pk, amps, o in zip(p, post.amplitudes, outcomes)]
+
+
+def renormalize(states: StateStack) -> tuple[np.ndarray, StateStack]:
+    """Each row's squared norm, and the rows divided by their norm.
+
+    This is ``measure`` of a wire that holds a definite bit in every row: the
+    one outcome's probability, computed as ``measure`` computes it, and its
+    post-state.  The norms are 1 up to rounding, and dividing the rounding
+    out keeps a run's later probabilities what that measurement would give.
+    """
+    amps = states.amplitudes[:, None]
+    probs = np.einsum("rij,rij->ri", amps.conj(), amps).real[:, 0]
+    return probs, _derived_state(states.wires, states.amplitudes / np.sqrt(probs)[:, None])
 
 
 def partial_trace(obj: StateVector | StateStack | DensityMatrix, keep: Sequence[str]

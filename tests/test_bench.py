@@ -1,0 +1,46 @@
+"""scripts/bench.py: the aggregation of benchmark runs into BENCH_<pr>.json, with a fake runner."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench", pathlib.Path(__file__).resolve().parents[1] / "scripts" / "bench.py")
+bench = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench)
+
+
+def fake_runner(calls):
+    def run(workload, seed, trace):
+        calls.append((workload, seed, trace))
+        if trace:
+            return ({"environment": {"traced": True}},
+                    {"correct": True, "attempted": 5, "failed": 0,
+                     "metrics": {"qmath.max_wires": {"value": 4, "unit": "count"}}})
+        return ({"environment": {"python": "3.x", "seed": seed}},
+                {"correct": seed != 13, "attempted": 10 * seed, "failed": seed % 2,
+                 "metrics": {"evals_per_s": {"value": 100.0 * seed, "unit": "1/s"},
+                             "setup_s": {"value": 0.5, "unit": "s"}}})
+    return run
+
+
+def test_summarize_takes_median_and_quartiles_per_metric():
+    calls = []
+    out = bench.summarize(["w"], [1, 2, 4], fake_runner(calls))
+    assert calls == [("w", 1, 0), ("w", 2, 0), ("w", 4, 0), ("w", 1, 1)]
+    w = out["w"]
+    assert w["end_to_end"]["evals_per_s"] == {"median": 200.0, "q1": 150.0, "q3": 300.0,
+                                              "values": [100.0, 200.0, 400.0]}
+    assert w["end_to_end"]["setup_s"]["median"] == 0.5
+    assert (w["attempted"], w["failed"], w["correct"]) == (70, 1, True)
+    assert w["environment"] == {"python": "3.x", "seed": 1}
+    assert w["per_layer"] == {"qmath.max_wires": 4}
+
+
+def test_summarize_reports_a_failed_check_and_a_single_seed():
+    out = bench.summarize(["a", "b"], [13], fake_runner([]))
+    assert set(out) == {"a", "b"}
+    assert out["a"]["correct"] is False
+    assert out["a"]["end_to_end"]["evals_per_s"] == pytest.approx(
+        {"median": 1300.0, "q1": 1300.0, "q3": 1300.0, "values": [1300.0]})

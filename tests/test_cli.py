@@ -151,6 +151,7 @@ def test_config_file_defaults_and_flag_override(tmp_path):
 
 def test_config_errors_exit_2(tmp_path):
     assert run_main(["coinflip", "--theta", "1.0"]) == 2
+    assert run_main(["coinflip", "--theta", "0.2"]) == 2  # the coin flip's angle is fixed
     assert run_main(["escrow-sealing", "--p-grid", "0.5,2.0"]) == 2
     assert run_main(["escrow-binding", "--alpha-grid", "abc"]) == 2
     for alpha in ("1.0", "nan", "-0.1"):
@@ -162,6 +163,21 @@ def test_config_errors_exit_2(tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         assert run_main(["escrow-binding", "--config", str(cfg)]) == 2, line
+    cfg.write_text("theta=0.2\n")
+    assert run_main(["coinflip", "--config", str(cfg)]) == 2
+
+
+def test_config_echo_holds_the_settings_the_command_reads():
+    def echo(argv):
+        return cli.build_config(cli.build_parser().parse_args(argv)).echo()
+
+    plain = echo(["selftest", "--seed", "1"])
+    grids = echo(["selftest", "--seed", "1", "--alpha-grid", "0.3", "--p-grid", "0.4"])
+    assert plain != grids
+    assert grids["alpha_grid"] == [0.3] and grids["p_grid"] == [0.4]
+    assert "samples" not in plain  # the selftest draws fixed sample counts
+    for command, reads in cli.READS.items():
+        assert set(echo([command])) == {"command", *reads}
 
 
 def test_wrong_quadratic_closed_form_fails_the_run(tmp_path, monkeypatch, capsys):

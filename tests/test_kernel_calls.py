@@ -5,11 +5,14 @@ A profiler or tracer that wraps ``qmath.measure`` and ``qmath.apply_unitary``
 must see every run's kernel calls, and must not change any outcome.
 """
 
+import numpy as np
 import pytest
 
 from qescrow import protocols, qmath
 from qescrow.protocols import (
+    Apply,
     Challenge,
+    StrategySpec,
     honest_alice_coinflip,
     honest_alice_escrow,
     honest_alice_weak,
@@ -51,3 +54,40 @@ def test_wrapped_kernels_see_every_runner(runner, monkeypatch):
     monkeypatch.setattr(protocols, "apply_unitary", apply_unitary)
     assert RUNS[runner]() == unwrapped
     assert calls["measure"] > 0 and calls["apply_unitary"] > 0
+
+
+@pytest.mark.parametrize("runner", sorted(RUNS))
+def test_honest_messages_stay_out_of_the_kernels(runner, monkeypatch):
+    # honest parties only write and read the message wires, so those stay classical bits
+    seen = _record_stack_wires(monkeypatch)
+    RUNS[runner]()
+    assert "dep" in set().union(*seen)
+    assert not set().union(*seen) & {"rb", "rx", "bp", "rb2", "rx2"}
+
+
+def test_a_message_wire_enters_at_its_layout_position(monkeypatch):
+    # the depositor's gate on rb brings it into the stack between dep and dep2
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    programs = dict(honest_alice_weak().programs, reveal_bit=(Apply(("rb",), hadamard),))
+    seen = _record_stack_wires(monkeypatch)
+    protocols.run_weak_commitment(StrategySpec("alice", 0, programs), honest_bob_weak(), 1)
+    layout = ("dep", "rb", "rx", "dep2", "bp", "rb2", "rx2")
+    assert ("dep", "rb", "dep2") in seen
+    assert all(wires == tuple(sorted(wires, key=layout.index)) for wires in seen)
+
+
+def _record_stack_wires(monkeypatch) -> list:
+    """The wire tuple of every stack the wrapped kernels receive, in call order."""
+    seen = []
+
+    def recording(kernel):
+        def wrapper(states, *args, **kwargs):
+            seen.append(states.wires)
+            return kernel(states, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(qmath, "measure", recording(qmath.measure))
+    apply_unitary = recording(qmath.apply_unitary)
+    monkeypatch.setattr(qmath, "apply_unitary", apply_unitary)
+    monkeypatch.setattr(protocols, "apply_unitary", apply_unitary)
+    return seen

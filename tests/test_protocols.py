@@ -1,5 +1,6 @@
 """Protocol state-machine tests: honest play is exact, cheats enumerate correctly."""
 
+import itertools
 import math
 
 import numpy as np
@@ -427,3 +428,90 @@ def test_monte_carlo_sampling_matches_enumeration():
         got = sum(c for (av, _), c in counts.items() if av is verdict) / 10 ** 6
         sigma = math.sqrt(0.25 / 10 ** 6)
         assert abs(got - 0.5) <= 4 * sigma
+
+
+# ---------------------------------------------------------------------------
+# dishonest parties on the message wires, against a dense plain-numpy reference
+
+X2 = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def _dense_op(psi, layout, matrix, on):
+    """``matrix`` on the wires ``on`` of the dense state ``psi`` on ``layout``."""
+    k, axes = len(on), [layout.index(w) for w in on]
+    t = np.tensordot(np.asarray(matrix).reshape((2,) * 2 * k), psi.reshape((2,) * len(layout)),
+                     axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(t, list(range(k)), axes).reshape(-1)
+
+
+def _dense_checks(layout, branches, theta, keys):
+    """Honest Bob reads rb and rx and checks the deposit, on every dense branch.
+
+    ``branches`` are (unnormalized state, b') pairs whose squared norms are
+    their probabilities; a passing check's result is b xor b'.  Leaves are
+    keyed by (verdict, transcript).
+    """
+    ket, out = np.eye(2), {}
+    for psi, bprime in branches:
+        for b, x, c in itertools.product((0, 1), repeat=3):
+            phi_c = phi_vec(bx_angle(c, x, theta))
+            v = _dense_op(psi, layout, np.outer(ket[b], ket[b]), ("rb",))
+            v = _dense_op(v, layout, np.outer(ket[x], ket[x]), ("rx",))
+            v = _dense_op(v, layout, np.outer(phi_c, phi_c.conj()), ("dep",))
+            key = (Verdict.of_bit(b ^ bprime) if c == b else Verdict.ERR,
+                   (("alice", keys[0], b), ("alice", keys[1], x)))
+            out[key] = out.get(key, 0.0) + np.vdot(v, v).real
+    return out
+
+
+def _message_wire_case(case, rng):
+    """(outcome distribution, dense reference) of one dishonest depositor on the message wires."""
+    u_dep = qmath.random_unitary(4, rng)
+    deposit = (Apply(("a0", "dep"), u_dep),)
+    layout = ("a0", "dep") + (("bp",) if case == "coin-bp-rb-rx" else ()) + ("rb", "rx")
+    root = np.zeros(2 ** len(layout), dtype=complex)
+    root[0] = 1.0
+    psi = _dense_op(root, layout, u_dep, ("a0", "dep"))
+    if case == "coin-bp-rb-rx":
+        u = qmath.random_unitary(8, rng)
+        alice = StrategySpec("alice", 1, {"deposit": deposit,
+                                          "reveal": (Apply(("bp", "rb", "rx"), u),)})
+        announced = (psi, _dense_op(psi, layout, X2, ("bp",)))  # b' = 0, 1 on the bp wire
+        branches = [(_dense_op(math.sqrt(0.5) * announced[bp], layout, u, ("bp", "rb", "rx")), bp)
+                    for bp in (0, 1)]
+        return (run_coinflip(alice, honest_bob_coinflip()),
+                _dense_checks(layout, branches, THETA, ("b_coin", "x_coin")))
+    if case in ("gate-rb-rx", "gate-a0-rb"):
+        on = ("rb", "rx") if case == "gate-rb-rx" else ("a0", "rb")
+        u = qmath.random_unitary(4, rng)
+        reveal = (SetBits({"rb": 1}), Apply(on, u))
+        branches = [(_dense_op(_dense_op(psi, layout, X2, ("rb",)), layout, u, on), 0)]
+    elif case == "measure-rb":
+        m = qmath.random_basis_measurement(2, rng)
+        reveal = (MeasureRecord(("rb",), m, "m"), SetBits({"rx": "m"}))
+        branches = []
+        for k in (0, 1):
+            v = m.basis[:, k]
+            branch = _dense_op(psi, layout, np.outer(v, v.conj()), ("rb",))
+            branches.append((_dense_op(branch, layout, X2, ("rx",)) if k else branch, 0))
+    else:  # "set-after-gate": a gate makes rb quantum, then the classical write flips it
+        u = qmath.random_unitary(2, rng)
+        reveal = (Apply(("rb",), u), SetBits({"rb": 1, "rx": 1}))
+        v = _dense_op(_dense_op(psi, layout, u, ("rb",)), layout, X2, ("rb",))
+        branches = [(_dense_op(v, layout, X2, ("rx",)), 0)]
+    alice = StrategySpec("alice", 1, {"deposit": deposit, "reveal": reveal})
+    return (run_escrow(alice, honest_bob_escrow(), Challenge.REVEAL_TO_BOB),
+            _dense_checks(layout, branches, THETA, ("b", "x")))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", ["gate-rb-rx", "gate-a0-rb", "coin-bp-rb-rx", "measure-rb",
+                                  "set-after-gate"])
+def test_dishonest_message_wires_match_the_dense_reference(case, seed):
+    dist, ref = _message_wire_case(case, np.random.default_rng(seed))
+    got = {(br.bob_verdict, br.transcript): br.probability for br in dist.branches}
+    assert len(got) == len(dist.branches)
+    assert all(br.alice_verdict is br.bob_verdict for br in dist.branches)
+    for key in set(got) | set(ref):
+        assert abs(got.get(key, 0.0) - ref.get(key, 0.0)) <= 1e-12, key
+    assert sum(ref.values()) == pytest.approx(1.0, abs=1e-12)

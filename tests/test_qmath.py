@@ -575,6 +575,52 @@ def test_kernels_pass_an_empty_stack():
     assert partial_trace(empty, ("b",)).shape == (0, 2, 2)
 
 
+@pytest.mark.parametrize("rows", [0, 3])
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_insert_places_the_wire_as_np_kron_does(n, rows):
+    rng = np.random.default_rng(10 * n + rows)
+    wires = tuple(f"w{i}" for i in range(n))
+    amps = np.array([random_state(wires, rng).amplitudes for _ in range(rows)]
+                    ).reshape(rows, 2 ** n)
+    stack = qmath.StateStack(wires, amps)
+    bits = rng.integers(0, 2, rows)
+    for at in range(n + 1):
+        got = stack.insert(at, "new", bits)
+        assert got.wires == wires[:at] + ("new",) + wires[at:]
+        want = np.zeros((rows, 2 ** (n + 1)), dtype=complex)
+        for r in range(rows):
+            # rows are (before, after) matrices; np.kron puts the bit's axis between them
+            want[r] = np.kron(amps[r].reshape(2 ** at, -1), np.eye(2)[:, bits[r]:bits[r] + 1]
+                              ).reshape(-1)
+        assert np.array_equal(got.amplitudes, want)
+    with pytest.raises(WireMismatch):
+        stack.insert(0, "new", np.zeros(rows + 1, dtype=int))
+    if n:
+        with pytest.raises(WireMismatch):
+            stack.insert(0, "w0", bits)
+
+
+@pytest.mark.parametrize("rows", (0, 1, 4))
+def test_renormalize_is_the_measurement_of_a_definite_bit(rows):
+    rng = np.random.default_rng(rows)
+    wires = ("a", "b")
+    scale = 1 + rng.uniform(-1e-11, 1e-11, rows)
+    amps = np.array([random_state(wires, rng).amplitudes for _ in range(rows)]
+                    ).reshape(rows, 4) * scale[:, None]
+    stack = qmath.StateStack(wires, amps)
+    bits = rng.integers(0, 2, rows)
+    probs, post = qmath.renormalize(stack)
+    parents, outcomes, want_probs, want_post = qmath.measure(
+        stack.insert(1, "m", bits), OrthogonalMeasurement.computational(1), ("m",))
+    assert parents.tolist() == list(range(rows)) and outcomes.tolist() == bits.tolist()
+    assert post.wires == wires
+    assert np.allclose(probs, want_probs, rtol=0, atol=1e-15)
+    # drop the measured wire m, which sits between a and b
+    kept = want_post.amplitudes.reshape(rows, 2, 2, 2)[np.arange(rows), :, bits]
+    assert np.allclose(post.amplitudes, kept.reshape(rows, 4), rtol=0, atol=1e-15)
+    assert np.allclose(np.linalg.norm(post.amplitudes, axis=1), 1, rtol=0, atol=1e-15)
+
+
 def test_stacked_gates_are_checked_in_one_call():
     stack = qmath.StateStack(("q",), np.array([ket(0), ket(1)]))
     with pytest.raises(NotUnitary):
@@ -648,6 +694,13 @@ def test_state_vector_rejects_bad_norm():
 def test_derived_state_keeps_the_norm_check(amps):
     with pytest.raises(qmath.QMathError):
         qmath._derived_state(("q",), amps)
+
+
+@pytest.mark.parametrize("rows, norm", [([[1.0, 0.0], [np.nan, 1.0], [2.0, 0.0]], "nan"),
+                                        ([[0.0, 1.0], [0.0, 3.0], [2.0, 0.0]], "3.0")])
+def test_norm_check_names_the_first_failing_row(rows, norm):
+    with pytest.raises(qmath.QMathError, match=f"state norm {norm} != 1"):
+        qmath._derived_state(("q",), np.array(rows, dtype=complex))
 
 
 @pytest.mark.parametrize("basis", [np.array([[1.0, 1.0], [0.0, 1.0]]),
