@@ -11,6 +11,7 @@ Usage: python scripts/sealing_frontier.py [--points N] [--seed N] [--out PATH]
 
 import argparse
 import math
+import pathlib
 
 import numpy as np
 
@@ -37,14 +38,19 @@ def rows(points: int, seed: int):
                    rep.detection_p, rep.advantage_eps, rep.bound_rhs)
 
 
+def nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
+    return value
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--points", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--points", type=nonnegative, default=200)
+    parser.add_argument("--seed", type=nonnegative, default=0)
     parser.add_argument("--out", default="out/sealing_frontier.csv")
     args = parser.parse_args()
-    import pathlib
-
     path = pathlib.Path(args.out)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:

@@ -42,6 +42,7 @@ from .qmath import (
     state_preparation_unitary,
 )
 from .protocols import (
+    COIN_THETA,
     Apply,
     EscrowParams,
     MeasureRecord,
@@ -216,10 +217,10 @@ def bob_weak_measurement(params: BobWeakParams, r0: DensityMatrix, r1: DensityMa
     )
 
 
-def full_measurement_bob(params: EscrowParams = EscrowParams()) -> StrategySpec:
+def full_measurement_bob() -> StrategySpec:
     """Coin-flip receiver who measures the deposit in the eigenbasis of the
     encoding difference and announces the maximum-likelihood guess."""
-    r0, r1 = escrow_bit_density(0, params.theta), escrow_bit_density(1, params.theta)
+    r0, r1 = escrow_bit_density(0, COIN_THETA), escrow_bit_density(1, COIN_THETA)
     vals, vecs = hermitian_eig(r0.matrix - r1.matrix)
     meas = OrthogonalMeasurement.from_basis([vecs[:, i] for i in range(2)])
     guesses = tuple(0 if vals[i] >= 0 else 1 for i in range(2))
@@ -456,10 +457,6 @@ def optimize(space: ParameterSpace, config: OptimizerConfig,
         v = _objective_value(evaluator(space.build(np.asarray(x, dtype=float))), config)
         trace.append((tuple(float(t) for t in x), float(v)))
         return v
-
-    if space.dim == 0:
-        v = evaluate(np.zeros(0))
-        return OptimizeResult((), v, tuple(trace))
 
     lower = np.asarray(space.lower)
     upper = np.asarray(space.upper)

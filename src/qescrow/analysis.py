@@ -154,13 +154,11 @@ class SealingReport:
             raise AnalysisError("detection mass disagrees with the w' component masses")
 
 
-def extract_attack_unitary(bob: StrategySpec, phase: str = "receive"
-                           ) -> tuple[np.ndarray, int]:
+def extract_attack_unitary(bob: StrategySpec) -> tuple[np.ndarray, int]:
     """The receiver's single attack unitary on (dep, ancillas), plus ancilla count."""
-    rounds = bob.programs.get(phase, ())
+    rounds = bob.programs.get("receive", ())
     if len(rounds) != 1 or not isinstance(rounds[0], Apply):
-        raise NotUnitaryAttack(
-            f"attack must be a single unitary round in phase {phase!r}")
+        raise NotUnitaryAttack("attack must be a single unitary round in phase 'receive'")
     rnd = rounds[0]
     if rnd.wires != ("dep",) + bob.ancillas:
         raise NotUnitaryAttack("attack must act on (dep, ancillas) in that order")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -503,8 +504,10 @@ def _read_config_file(path: str) -> dict:
                     continue
                 if "=" not in line:
                     raise ConfigError(f"bad config line {line!r}")
-                key, value = line.split("=", 1)
-                echo[key.strip()] = value.strip()
+                key, value = (part.strip() for part in line.split("=", 1))
+                if key not in SETTINGS:
+                    raise ConfigError(f"unknown config key {key!r}; known: {', '.join(SETTINGS)}")
+                echo[key] = value
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return echo
@@ -526,6 +529,9 @@ SETTINGS = {
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
+    if args.out and (os.path.isdir(args.out)
+                     or not os.path.isdir(os.path.dirname(os.path.abspath(args.out)))):
+        raise ConfigError(f"--out {args.out!r} is a directory or its directory does not exist")
     echo = _read_config_file(args.config) if args.config else {}
     kwargs = {"command": args.command, "config_echo": echo,
               "out": args.out, "inject_failure": bool(getattr(args, "inject_failure", False))}

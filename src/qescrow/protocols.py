@@ -51,7 +51,7 @@ ancillas, at most ``MAX_TOTAL_WIRES`` = 9 in all):
     rb2, rx2 reveal wires of the embedded coin
 
 Strategies are data: per-phase lists of rounds (unitaries on held wires,
-orthogonal measurements with classical rules, classical draws/records).  The
+orthogonal measurements with classical rules, fair-coin draws).  The
 runner enforces wire ownership per phase and raises ``MalformedStrategy`` on
 any violation.  Runners are pure functions from strategies to outcome
 distributions; concurrent runs share nothing mutable.
@@ -70,7 +70,6 @@ import numpy as np
 
 from . import qmath
 from .qmath import (
-    BRANCH_PRUNE,
     DensityMatrix,
     Mixture,
     OrthogonalMeasurement,
@@ -165,36 +164,28 @@ def escrow_basis(x: int, theta: float) -> OrthogonalMeasurement:
     )
 
 
-def escrow_bit_mixture(b: int, theta: float, wire: str = "dep") -> Mixture:
-    """Honest depositor's view of bit b: uniform over the two x encodings."""
-    return Mixture((0.5, 0.5), (phi_bx(b, 0, theta, wire), phi_bx(b, 1, theta, wire)))
+def escrow_bit_mixture(b: int, theta: float) -> Mixture:
+    """Honest depositor's view of bit b on ``dep``: uniform over the two x encodings."""
+    return Mixture((0.5, 0.5), (phi_bx(b, 0, theta, "dep"), phi_bx(b, 1, theta, "dep")))
 
 
-def escrow_bit_density(b: int, theta: float, wire: str = "dep") -> DensityMatrix:
-    return escrow_bit_mixture(b, theta, wire).density()
+def escrow_bit_density(b: int, theta: float) -> DensityMatrix:
+    return escrow_bit_mixture(b, theta).density()
 
 
 # ---------------------------------------------------------------------------
 # Strategy rounds
 
+# A strategy gives a matrix or a callable; ``validate_strategy`` compiles a matrix to a Unitary.
 Gate = np.ndarray | Unitary | Callable[[dict], np.ndarray]
 BitSource = int | str | Callable[[dict], int]
 
 
 @dataclass(frozen=True)
 class Draw:
-    """Classical randomness: branch on record[name] = 0..len(weights)-1."""
+    """A fair coin: branch on record[name] = 0 and 1, each with weight 1/2."""
 
     name: str
-    weights: tuple[float, ...] = (0.5, 0.5)
-
-
-@dataclass(frozen=True)
-class SetRecord:
-    """Write a classical note into the party's record (no quantum action)."""
-
-    name: str
-    value: int | Callable[[dict], int]
 
 
 @dataclass(frozen=True)
@@ -229,7 +220,7 @@ class SetBits:
     assignments: Mapping[str, BitSource]
 
 
-Round = Draw | SetRecord | Apply | MeasureRecord | SetBits
+Round = Draw | Apply | MeasureRecord | SetBits
 
 
 @dataclass(frozen=True)
@@ -265,8 +256,8 @@ def validate_strategy(spec: StrategySpec, phase_wires: Mapping[str, tuple[str, .
                       ) -> StrategySpec:
     """Compile a strategy: check it statically and return it with checked gates.
 
-    Checks known phases, owned and distinct wires, draw distributions, gate
-    shapes and measurement dimensions, and the unitarity of every fixed gate,
+    Checks known phases, owned and distinct wires, gate shapes and
+    measurement dimensions, and the unitarity of every fixed gate,
     raising ``MalformedStrategy`` before any branch runs.  The returned spec
     holds each fixed gate as a ``qmath.Unitary``, so the runner applies it
     without checking it again.
@@ -278,10 +269,7 @@ def validate_strategy(spec: StrategySpec, phase_wires: Mapping[str, tuple[str, .
         allowed = set(spec.ancillas) | set(phase_wires[phase])
         compiled = []
         for rnd in rounds:
-            if isinstance(rnd, Draw):
-                if any(w < 0 for w in rnd.weights) or abs(sum(rnd.weights) - 1.0) > 1e-10:
-                    raise MalformedStrategy(f"draw weights {rnd.weights} are not a distribution")
-            elif isinstance(rnd, Apply):
+            if isinstance(rnd, Apply):
                 _check_wires(spec.party, rnd.wires, allowed, phase)
                 if not callable(rnd.gate):
                     rnd = Apply(rnd.wires, _checked_gate(rnd.gate, 2 ** len(rnd.wires), phase))
@@ -296,7 +284,7 @@ def validate_strategy(spec: StrategySpec, phase_wires: Mapping[str, tuple[str, .
                 if not set(rnd.assignments) <= allowed:
                     raise MalformedStrategy(
                         f"{spec.party} writes {set(rnd.assignments) - allowed} in phase {phase!r}")
-            elif not isinstance(rnd, SetRecord):
+            elif not isinstance(rnd, Draw):
                 raise MalformedStrategy(f"unknown round type {type(rnd).__name__}")
             compiled.append(rnd)
         programs[phase] = tuple(compiled)
@@ -310,13 +298,14 @@ def _check_wires(party: str, wires: tuple[str, ...], allowed: set[str], phase: s
         raise MalformedStrategy(f"{party} touches {set(wires) - allowed} in phase {phase!r}")
 
 
-def _checked_gate(gate: np.ndarray | Unitary, dim: int, phase: str) -> Unitary:
-    matrix = gate.matrix if isinstance(gate, Unitary) else np.asarray(gate, dtype=complex)
+def _checked_gate(gate: np.ndarray, dim: int, phase: str) -> Unitary:
+    try:
+        matrix = np.asarray(gate, dtype=complex)
+    except (TypeError, ValueError):
+        raise MalformedStrategy(f"gate in phase {phase!r} is not a numeric matrix") from None
     if matrix.shape != (dim, dim):
         raise MalformedStrategy(
             f"gate of shape {matrix.shape} in phase {phase!r} needs shape ({dim}, {dim})")
-    if isinstance(gate, Unitary):
-        return gate
     try:
         return Unitary(matrix)
     except qmath.NotUnitary:
@@ -405,8 +394,7 @@ def _resolve_gates(gate: Callable[[dict], np.ndarray], recs: list[dict], dim: in
     """One record-dependent gate per row, stacked; ``apply_unitary`` checks them in one call."""
     gates = np.empty((len(recs), dim, dim), dtype=complex)
     for i, rec in enumerate(recs):
-        g = gate(rec)
-        g = np.asarray(g.matrix if isinstance(g, Unitary) else g, dtype=complex)
+        g = np.asarray(gate(rec), dtype=complex)
         if g.shape != (dim, dim):
             raise qmath.WireMismatch(f"gate of shape {g.shape} needs shape ({dim}, {dim})")
         gates[i] = g
@@ -417,16 +405,10 @@ def _run_program(rows: _Rows, spec: StrategySpec, phase: str) -> _Rows:
     party = spec.party
     for rnd in spec.programs.get(phase, ()):
         if isinstance(rnd, Draw):
-            values = [(v, w) for v, w in enumerate(rnd.weights) if not w < BRANCH_PRUNE]
-            parents = np.repeat(np.arange(len(rows.recs)), len(values))
-            rows = rows.split(parents, np.array([w for _, w in values] * len(rows.recs)),
-                              rows.states.take(parents), party, rnd.name,
-                              [v for v, _ in values] * len(rows.recs))
-        elif isinstance(rnd, SetRecord):
-            for rec in rows.recs:
-                own = rec[party]
-                value = rnd.value(own) if callable(rnd.value) else rnd.value
-                rec[party] = {**own, rnd.name: value}
+            n = len(rows.recs)
+            parents = np.repeat(np.arange(n), 2)
+            rows = rows.split(parents, np.full(2 * n, 0.5), rows.states.take(parents), party,
+                              rnd.name, [0, 1] * n)
         elif isinstance(rnd, Apply):
             try:
                 gate = rnd.gate
@@ -445,7 +427,7 @@ def _run_program(rows: _Rows, spec: StrategySpec, phase: str) -> _Rows:
             labels = rnd.measurement.labels
             rows = rows.split(parents, probs, states, party, rnd.name,
                               [labels[o] for o in outcomes.tolist()])
-        elif isinstance(rnd, SetBits):
+        else:  # SetBits: validate_strategy admits no other round type
             states, bits = rows.states, rows.bits.copy()
             for wire, src in rnd.assignments.items():
                 flips = np.array([_resolve_bit(src, rec[party]) for rec in rows.recs], dtype=bool)
@@ -454,8 +436,6 @@ def _run_program(rows: _Rows, spec: StrategySpec, phase: str) -> _Rows:
                 elif flips.any():
                     states = states.flip(wire, flips)
             rows = rows.with_states(states, bits)
-        else:
-            raise MalformedStrategy(f"unknown round type {type(rnd).__name__}")
     return rows
 
 
@@ -544,6 +524,7 @@ def _start(alice: StrategySpec, bob: StrategySpec,
     amps = np.zeros(2 ** len(quantum), dtype=complex)
     amps[0] = 1.0
     seed = {} if alice_bit is None else {"b": int(alice_bit)}
+    # Built through a validated StateVector: the benchmark's tracer counts this construction.
     root = StateStack.of(StateVector(quantum, amps))
     return alice, bob, _Rows(np.ones(1), root, np.zeros((1, len(wires)), dtype=np.uint8), wires,
                              [{"alice": seed, "bob": {}}], [()])
@@ -843,19 +824,17 @@ def run_weak_commitment(alice: StrategySpec, bob: StrategySpec, deposited_bit: i
     return _assemble([rows.take(done), checked_alice, checked_bob], alice.honest, bob.honest)
 
 
-def deposit_reduced_state(alice: StrategySpec, claimed_bit: int | None = None,
-                          params: EscrowParams = EscrowParams()) -> DensityMatrix:
+def deposit_reduced_state(alice: StrategySpec) -> DensityMatrix:
     """Reduced density matrix on the deposit wire right after the deposit phase.
 
     Whatever the depositor later does cannot change this state, so it is the
     object that binds her; strategy pairs must agree on it to be comparable.
-    Only the deposit program is compiled and run.
+    Only the deposit program is compiled and run, with no bit seeded in the
+    depositor's record.
     """
-    del params  # the deposit phase itself never consults theta
     deposit_only = dataclasses.replace(
         alice, programs={"deposit": alice.programs.get("deposit", ())})
-    alice, _, rows = _start(deposit_only, honest_bob_escrow(), _DEPOSIT_PHASES, ("dep",),
-                            claimed_bit)
+    alice, _, rows = _start(deposit_only, honest_bob_escrow(), _DEPOSIT_PHASES, ("dep",))
     rows = _run_program(rows, alice, "deposit")
     probs = rows.probs.tolist()
     total = sum(probs)

@@ -8,10 +8,11 @@ achieves the trace-norm distinguishing bound.
 
 The kernels (``apply_unitary``, ``measure``, ``partial_trace``) work on a
 ``StateStack``: rows of states on one wire tuple, amplitudes of shape
-(rows, 2^wires), processed in one numpy call per operation.  A
-``StateVector`` is the one-row case of the same code.  A stack gains a wire
-in a computational basis state per row with ``StateStack.insert``, and
-``renormalize`` is the measurement of a wire that holds a definite bit.
+(rows, 2^wires), processed in one numpy call per operation;
+``apply_unitary`` and ``partial_trace`` also take a single ``StateVector``.
+A stack gains a wire in a computational basis state per row with
+``StateStack.insert``, and ``renormalize`` is the measurement of a wire that
+holds a definite bit.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no synchronization.  Randomness is always
@@ -63,13 +64,13 @@ def is_hermitian(m: np.ndarray, tol: float = ATOL_OP) -> bool:
     return m.shape[0] == m.shape[1] and bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
-def is_unitary(m: np.ndarray, tol: float = ATOL_OP) -> bool:
+def is_unitary(m: np.ndarray) -> bool:
     """Whether a matrix, or every matrix of a stack over the last two axes, is unitary."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         return False
     gram = m.conj().swapaxes(-1, -2) @ m
-    return bool(np.abs(gram - np.eye(m.shape[-1])).max(initial=0.0) <= tol)  # NaN fails
+    return bool(np.abs(gram - np.eye(m.shape[-1])).max(initial=0.0) <= ATOL_OP)  # NaN fails
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -484,8 +485,8 @@ def apply_unitary(states: StateVector | StateStack, u: Unitary | np.ndarray,
     return _derived_state(states.wires, out.reshape(states.amplitudes.shape))
 
 
-def measure(states: StateVector | StateStack,
-            m: OrthogonalMeasurement | Sequence[OrthogonalMeasurement], on: Sequence[str]):
+def measure(states: StateStack, m: OrthogonalMeasurement | Sequence[OrthogonalMeasurement],
+            on: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, StateStack]:
     """Enumerate measurement branches of every row.
 
     ``m`` is one measurement for all rows or a sequence with one per row.
@@ -494,12 +495,10 @@ def measure(states: StateVector | StateStack,
     amplitude comes from one V^dag @ block product: outcome i leaves
     v_i (x) (V^dag block)_i on the measured wires.
 
-    For a ``StateStack`` the result is ``(rows, outcomes, probs, post)``: for
-    every surviving branch, row by row and each row's outcomes in label order,
-    the row index, the outcome's index into that row's labels, its
-    probability, and its post-state as the matching row of the stack
-    ``post``.  For a ``StateVector`` (the one-row case) it is a list of
-    (probability, post-state, outcome label).
+    The result is ``(rows, outcomes, probs, post)``: for every surviving
+    branch, row by row and each row's outcomes in label order, the row index,
+    the outcome's index into that row's labels, its probability, and its
+    post-state as the matching row of the stack ``post``.
     """
     on = tuple(on)
     d = 2 ** len(on)
@@ -522,11 +521,7 @@ def measure(states: StateVector | StateStack,
     vecs = vectors[outcomes] if vectors.ndim == 2 else vectors[keep]
     post = _derived_state(states.wires,
                           _unblock(vecs[:, :, None] * kept[:, None, :], states.wires, inv))
-    if isinstance(states, StateStack):
-        return rows, outcomes, p, post
-    labels = m.labels if isinstance(m, OrthogonalMeasurement) else m[0].labels
-    return [(float(pk), _trusted(StateVector, states.wires, amps), labels[o])
-            for pk, amps, o in zip(p, post.amplitudes, outcomes)]
+    return rows, outcomes, p, post
 
 
 def renormalize(states: StateStack) -> tuple[np.ndarray, StateStack]:
@@ -678,12 +673,10 @@ def random_state(wires: Sequence[str], rng: np.random.Generator) -> StateVector:
     return StateVector(tuple(wires), z / np.linalg.norm(z))
 
 
-def random_density(wires: Sequence[str], rng: np.random.Generator,
-                   rank: int | None = None) -> DensityMatrix:
+def random_density(wires: Sequence[str], rng: np.random.Generator) -> DensityMatrix:
     wires = tuple(wires)
     dim = 2 ** len(wires)
-    rank = dim if rank is None else rank
-    weights = rng.dirichlet(np.ones(rank))
+    weights = rng.dirichlet(np.ones(dim))
     m = np.zeros((dim, dim), dtype=complex)
     for w in weights:
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)

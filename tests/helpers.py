@@ -1,15 +1,24 @@
 """Strategies that only the tests need."""
 
-from qescrow.protocols import EscrowParams, SetRecord, StrategySpec, honest_alice_escrow
+import numpy as np
+
+from qescrow.protocols import MeasureRecord, StrategySpec, honest_alice_escrow
+from qescrow.qmath import OrthogonalMeasurement
 
 
-def fixed_bit_alice(bit: int, params: EscrowParams = EscrowParams()) -> StrategySpec:
-    """Depositor who always escrows and claims the same bit."""
-    base = honest_alice_escrow(params)
+def fixed_bit_alice(bit: int) -> StrategySpec:
+    """Depositor who always escrows and claims the same bit.
+
+    Measuring her fresh ancilla a0, which is |0>, in the computational basis
+    with the outcome labels (bit, 1 - bit) records ``b = bit`` with certainty;
+    then she runs the honest depositor's programs.
+    """
+    base = honest_alice_escrow()
+    fix_b = MeasureRecord(("a0",), OrthogonalMeasurement(np.eye(2), (bit, 1 - bit)), "b")
     return StrategySpec(
-        party="alice", ancilla_count=0, label=f"alice-always-{bit}",
+        party="alice", ancilla_count=1, label=f"alice-always-{bit}",
         programs={
-            "deposit": (SetRecord("b", bit),) + base.programs["deposit"],
+            "deposit": (fix_b,) + base.programs["deposit"],
             "reveal": base.programs["reveal"],
         },
     )

@@ -223,15 +223,6 @@ def alice_evaluator(spec):
     return run_coinflip(spec, honest_bob_coinflip())
 
 
-def test_optimizer_zero_dimensional_space():
-    space = adv.ParameterSpace("fixed", 0, (), (), lambda x: adv.full_measurement_bob())
-    cfg = adv.OptimizerConfig(honest_party="alice", seed=0)
-    res = adv.optimize(space, cfg, bob_evaluator)
-    assert res.best_params == ()
-    assert abs(res.best_value - math.cos(math.pi / 8) ** 2) < 1e-12
-    assert len(res.trace) == 1
-
-
 def test_optimizer_receiver_converges_to_cap_and_respects_it():
     cfg = adv.OptimizerConfig(honest_party="alice", grid_resolution=5,
                               simplex_iterations=120, seed=7)

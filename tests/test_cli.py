@@ -159,12 +159,23 @@ def test_config_errors_exit_2(tmp_path):
     assert run_main(["coinflip", "--samples", "-3"]) == 2
     assert run_main(["coinflip", "--seed", "-1"]) == 2
     assert run_main(["coinflip", "--config", "/nonexistent/path.cfg"]) == 2
-    for line in ("theta=abc", "seed=abc", "seed=-1", "alpha_grid=1.0"):
+    for line in ("theta=abc", "seed=abc", "seed=-1", "alpha_grid=1.0", "sead=5"):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         assert run_main(["escrow-binding", "--config", str(cfg)]) == 2, line
     cfg.write_text("theta=0.2\n")
     assert run_main(["coinflip", "--config", str(cfg)]) == 2
+
+
+def test_unwritable_out_is_a_config_error_before_any_row_runs(tmp_path, monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(cli, "_quadratic_rows", no_rows)
+    out = tmp_path / "missing" / "o.csv"
+    assert run_main(["escrow-binding", "--out", str(out)]) == 2
+    assert not out.parent.exists()
+    assert run_main(["escrow-binding", "--out", str(tmp_path)]) == 2
 
 
 def test_config_echo_holds_the_settings_the_command_reads():
@@ -237,3 +248,11 @@ def test_sealing_frontier_script_writes_every_point(tmp_path):
     for r in rows:
         assert 0.0 <= float(r["detection"]) <= 1.0
         assert float(r["advantage"]) <= float(r["frontier_bound"]) + 1e-9
+    for flag in ("--seed", "--points"):
+        bad = tmp_path / f"bad{flag}.csv"
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "sealing_frontier.py"), flag, "-1",
+             "--out", str(bad)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr, proc.stderr
+        assert not bad.exists()  # rejected before the file is opened

@@ -20,7 +20,6 @@ from qescrow.protocols import (
     OutcomeDistribution,
     ProtocolError,
     SetBits,
-    SetRecord,
     StrategySpec,
     Verdict,
     bx_angle,
@@ -120,7 +119,7 @@ def test_honest_escrow_is_exact(theta, challenge, bit):
 
 def test_honest_deposit_reduced_state():
     for bit in (0, 1):
-        rho = deposit_reduced_state(honest_alice_escrow(), claimed_bit=bit)
+        rho = deposit_reduced_state(fixed_bit_alice(bit))
         assert np.max(np.abs(rho.matrix - escrow_bit_density(bit, THETA).matrix)) < 1e-12
 
 
@@ -314,8 +313,9 @@ def _bob_choosing(*rounds):
     _bob_choosing(Apply(("dep", "dep"), np.eye(4))),
     _bob_choosing(Apply(("dep",), np.eye(4))),
     _bob_choosing(Apply(("dep", "c0"), np.eye(2))),
+    _bob_choosing(Apply(("dep",), qmath.Unitary(np.eye(2)))),
 ], ids=["measurement-dim", "not-a-measurement", "measure-repeated-wire",
-        "apply-repeated-wire", "gate-shape", "gate-too-small"])
+        "apply-repeated-wire", "gate-shape", "gate-too-small", "gate-not-a-matrix"])
 def test_malformed_round_fails_at_compile_time(bob):
     with pytest.raises(MalformedStrategy):
         validate_strategy(bob, {"choose": ("dep", "bp")})
@@ -342,14 +342,8 @@ def test_escrow_basis_is_cached():
     assert escrow_basis(0, THETA) is not escrow_basis(1, THETA)
 
 
-def test_strategy_rejects_bad_draw_weights():
-    alice = StrategySpec("alice", 0, {"deposit": (Draw("x", (0.5, 0.7)),)})
-    with pytest.raises(MalformedStrategy):
-        run_escrow(alice, honest_bob_escrow(), Challenge.REVEAL_TO_BOB, 0)
-
-
 def test_strategy_rejects_unknown_phase():
-    alice = StrategySpec("alice", 0, {"banana": (SetRecord("b", 0),)})
+    alice = StrategySpec("alice", 0, {"banana": (Draw("b"),)})
     with pytest.raises(MalformedStrategy):
         run_escrow(alice, honest_bob_escrow(), Challenge.REVEAL_TO_BOB, 0)
 

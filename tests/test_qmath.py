@@ -423,17 +423,17 @@ def test_apply_unitary_preserves_norm(seed):
 
 
 def test_measure_deterministic():
-    res = measure(StateVector(("q",), ket(0)), OrthogonalMeasurement.computational(1), ("q",))
-    assert len(res) == 1
-    prob, state, label = res[0]
-    assert abs(prob - 1.0) < 1e-12 and label == 0
-    assert np.allclose(state.amplitudes, ket(0))
+    rows, outcomes, probs, post = measure(qmath.StateStack.of(StateVector(("q",), ket(0))),
+                                          OrthogonalMeasurement.computational(1), ("q",))
+    assert rows.tolist() == [0] and outcomes.tolist() == [0]  # the outcome labelled 0
+    assert abs(probs[0] - 1.0) < 1e-12
+    assert np.allclose(post.amplitudes[0], ket(0))
 
 
 def test_measure_phi_pi8_probabilities():
-    res = measure(StateVector(("q",), phi_vec(THETA)),
-                  OrthogonalMeasurement.computational(1), ("q",))
-    probs = {label: p for p, _, label in res}
+    _, outcomes, probs, _ = measure(qmath.StateStack.of(StateVector(("q",), phi_vec(THETA))),
+                                    OrthogonalMeasurement.computational(1), ("q",))
+    probs = dict(zip(outcomes.tolist(), probs.tolist()))  # computational labels are indices
     assert abs(probs[0] - 0.8535533905932737) < 1e-12
     assert abs(probs[1] - 0.1464466094067262) < 1e-12
 
@@ -443,10 +443,11 @@ def test_measure_escrow_state_in_own_basis():
 
     for b in (0, 1):
         for x in (0, 1):
-            res = measure(phi_bx(b, x, THETA), escrow_basis(x, THETA), ("q",))
-            assert len(res) == 1  # the wrong branch is exactly pruned
-            prob, _, label = res[0]
-            assert abs(prob - 1.0) < 1e-12 and label == b
+            basis = escrow_basis(x, THETA)
+            _, outcomes, probs, _ = measure(qmath.StateStack.of(phi_bx(b, x, THETA)), basis,
+                                            ("q",))
+            assert len(probs) == 1  # the wrong branch is exactly pruned
+            assert abs(probs[0] - 1.0) < 1e-12 and basis.labels[outcomes[0]] == b
 
 
 @settings(max_examples=25, deadline=None)
@@ -454,10 +455,11 @@ def test_measure_escrow_state_in_own_basis():
 def test_measure_probabilities_sum_to_one(seed):
     rng = np.random.default_rng(seed)
     psi = random_state(("a", "b"), rng)
-    res = measure(psi, random_basis_measurement(2, rng), ("b",))
-    assert abs(sum(p for p, _, _ in res) - 1.0) < 1e-10
-    for _, st_out, _ in res:
-        assert abs(np.linalg.norm(st_out.amplitudes) - 1.0) < 1e-10
+    _, _, probs, post = measure(qmath.StateStack.of(psi), random_basis_measurement(2, rng),
+                                ("b",))
+    assert abs(sum(probs) - 1.0) < 1e-10
+    for amps in post.amplitudes:
+        assert abs(np.linalg.norm(amps) - 1.0) < 1e-10
 
 
 def test_locality_average_post_measurement_state():
@@ -467,8 +469,9 @@ def test_locality_average_post_measurement_state():
         meas = random_basis_measurement(2, rng)
         rho_b = partial_trace(psi, ("b", "c"))
         avg = np.zeros((4, 4), dtype=complex)
-        for p, state, _ in measure(psi, meas, ("a",)):
-            avg += p * partial_trace(state, ("b", "c")).matrix
+        _, _, probs, post = measure(qmath.StateStack.of(psi), meas, ("a",))
+        for p, reduced in zip(probs, partial_trace(post, ("b", "c"))):
+            avg += p * reduced
         assert np.max(np.abs(avg - rho_b.matrix)) < 1e-9
 
 
@@ -512,7 +515,7 @@ def test_measure_matches_projector_formula(seed, n, sparse, rows, per_row):
     # Sparse states in a permuted computational basis make some branches
     # exactly empty, so the pruning decisions are compared too.  A stack of
     # `rows` states is measured in one call, in one shared basis or in one
-    # basis per row; a StateVector is the one-row case.
+    # basis per row.
     rng = np.random.default_rng(seed)
     wires = tuple(f"w{i}" for i in range(n))
     k = int(rng.integers(1, n + 1))
@@ -533,12 +536,6 @@ def test_measure_matches_projector_formula(seed, n, sparse, rows, per_row):
     for prob, state, (_, _, (ref_prob, ref_amps)) in zip(got_probs, post.amplitudes, want):
         assert abs(prob - ref_prob) <= 1e-12
         assert np.max(np.abs(state - ref_amps)) <= 1e-12
-    single = measure(StateVector(wires, amps[0]), meas[0], on)
-    assert [label for _, _, label in single] == [labels[i] for r, i, _ in want if r == 0]
-    for (prob, state, _), (_, _, (ref_prob, ref_amps)) in zip(single, want):
-        assert state.wires == wires
-        assert abs(prob - ref_prob) <= 1e-12
-        assert np.max(np.abs(state.amplitudes - ref_amps)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -639,7 +636,8 @@ def test_kernels_reject_repeated_wires(kernel):
         if kernel == "apply_unitary":
             apply_unitary(psi, np.eye(4), ("a", "a"))
         else:
-            measure(psi, OrthogonalMeasurement.computational(2), ("b", "b"))
+            measure(qmath.StateStack.of(psi), OrthogonalMeasurement.computational(2),
+                    ("b", "b"))
 
 
 # ---------------------------------------------------------------------------
