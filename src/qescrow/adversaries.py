@@ -391,27 +391,18 @@ def random_return_attack(rng: np.random.Generator, ancillas: int = 2) -> Strateg
 
 @dataclass(frozen=True)
 class ParameterSpace:
-    """A continuous family of strategies: angle bounds plus a builder."""
+    """A continuous family of strategies: a builder of ``dim`` angles, each in [0, pi]."""
 
-    label: str
     dim: int
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
     build: Callable[[np.ndarray], StrategySpec]
-
-    @classmethod
-    def angles(cls, label: str, dim: int, build: Callable[[np.ndarray], StrategySpec]
-               ) -> "ParameterSpace":
-        return cls(label, dim, (0.0,) * dim, (math.pi,) * dim, build)
 
 
 def bob_coinflip_space() -> ParameterSpace:
-    return ParameterSpace.angles(
-        "bob-basis-3", 3, lambda x: bob_measure_coinflip(unitary_from_angles(2, x)))
+    return ParameterSpace(3, lambda x: bob_measure_coinflip(unitary_from_angles(2, x)))
 
 
 def alice_coinflip_space() -> ParameterSpace:
-    return ParameterSpace.angles("alice-12", 12, alice_coinflip_from_angles)
+    return ParameterSpace(12, alice_coinflip_from_angles)
 
 
 @dataclass(frozen=True)
@@ -445,7 +436,7 @@ def _objective_value(dist: OutcomeDistribution, config: OptimizerConfig) -> floa
 def optimize(space: ParameterSpace, config: OptimizerConfig,
              evaluator: Callable[[StrategySpec], OutcomeDistribution],
              extra_seeds: Sequence[Sequence[float]] = ()) -> OptimizeResult:
-    """Grid-seeded Nelder-Mead maximization over a strategy space.
+    """Grid-seeded Nelder-Mead maximization over a strategy space, seeded in [0, pi]^dim.
 
     Every evaluated point is appended to the trace in evaluation order; ties
     in the best value are broken toward the lexicographically smaller
@@ -458,15 +449,13 @@ def optimize(space: ParameterSpace, config: OptimizerConfig,
         trace.append((tuple(float(t) for t in x), float(v)))
         return v
 
-    lower = np.asarray(space.lower)
-    upper = np.asarray(space.upper)
     g = max(config.grid_resolution, 1)
     if g ** space.dim <= 729:
-        axes = [np.linspace(lower[i], upper[i], g) for i in range(space.dim)]
+        axes = [np.linspace(0.0, math.pi, g)] * space.dim
         seeds = [np.array(pt) for pt in itertools.product(*axes)]
     else:
         rng = np.random.default_rng(config.seed)
-        seeds = [rng.uniform(lower, upper) for _ in range(128)]
+        seeds = [rng.uniform(0.0, math.pi, space.dim) for _ in range(128)]
     seeds += [np.asarray(s, dtype=float) for s in extra_seeds]
 
     scored = [(evaluate(x), tuple(float(t) for t in x)) for x in seeds]

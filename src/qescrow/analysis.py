@@ -31,7 +31,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import qmath
 from .qmath import trace_norm
 from .protocols import (
     Apply,
@@ -162,12 +161,9 @@ def extract_attack_unitary(bob: StrategySpec) -> tuple[np.ndarray, int]:
     rnd = rounds[0]
     if rnd.wires != ("dep",) + bob.ancillas:
         raise NotUnitaryAttack("attack must act on (dep, ancillas) in that order")
-    gate = rnd.gate
-    if callable(gate):
+    if rnd.unitary is None:
         raise NotUnitaryAttack("attack unitary must be a fixed matrix")
-    if not qmath.is_unitary(gate):
-        raise NotUnitaryAttack("attack matrix fails the unitarity check")
-    return np.asarray(gate, dtype=complex), bob.ancilla_count
+    return rnd.unitary.matrix, bob.ancilla_count
 
 
 def w_decomposition(u: np.ndarray, theta: float) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
@@ -288,8 +284,6 @@ class ModifiedSealingReport:
     detection_b1: float
     detection_total: float
     enumerated_total: float
-    component_reports: tuple[SealingReport, SealingReport]
-    cross_detection: tuple[float, float]  # each unitary applied to the *other* bit's states
     passed: bool
 
 
@@ -307,8 +301,7 @@ def modified_sealing_check(bob_pair: tuple[StrategySpec, StrategySpec],
     convention the first entry is what he does on 0).  The check passes iff
     both conditional actions, taken as unconditional attacks, sit inside the
     sealing frontier and the conditional game's total detection matches the
-    decomposition identity.  Detection of each unitary on the other bit's
-    encodings is reported so the cross-bit spillover ratio stays visible.
+    decomposition identity.
     """
     theta = params.theta
     u0, n0 = extract_attack_unitary(bob_pair[0])
@@ -334,8 +327,4 @@ def modified_sealing_check(bob_pair: tuple[StrategySpec, StrategySpec],
     reports = (sealing_metrics(bob_pair[0], params), sealing_metrics(bob_pair[1], params))
     passed = (all(check_sealing_bound(r) for r in reports)
               and abs(enumerated - total) <= BOUND_TOL)
-    return ModifiedSealingReport(
-        theta, d0, d1, total, enumerated, reports,
-        (_conditional_detection(u0, theta, 1), _conditional_detection(u1, theta, 0)),
-        passed,
-    )
+    return ModifiedSealingReport(theta, d0, d1, total, enumerated, passed)

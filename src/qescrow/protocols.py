@@ -11,7 +11,7 @@ Four games are enumerated exactly, branch by branch:
 * ``run_weak_commitment`` -- deposit, reveal the bit, play the embedded coin
                          flip, then challenge the loser.
 
-Every game runs on one executor: ``_start`` compiles both strategies against
+Every game runs on one executor: ``_start`` checks both strategies against
 the game's phase map and lays out the wires, ``_run_program`` runs a party's
 phase, ``_read_bit`` receives a classical message, ``_check_deposit`` projects
 a deposit on its claimed encoding (the escrow checks and the coin check alike),
@@ -51,18 +51,22 @@ ancillas, at most ``MAX_TOTAL_WIRES`` = 9 in all):
     rb2, rx2 reveal wires of the embedded coin
 
 Strategies are data: per-phase lists of rounds (unitaries on held wires,
-orthogonal measurements with classical rules, fair-coin draws).  The
-runner enforces wire ownership per phase and raises ``MalformedStrategy`` on
-any violation.  Runners are pure functions from strategies to outcome
-distributions; concurrent runs share nothing mutable.
+orthogonal measurements with classical rules, fair-coin draws).  Each round
+checks itself once, when it is built: distinct wires, a fixed gate that is a
+unitary matrix of the right shape, a measurement of the right dimension.  A
+run checks only what the game adds: every phase is known and every round
+touches only wires the party holds in it.  Every violation raises
+``MalformedStrategy`` before any branch runs; only a record-dependent gate is
+checked during the run, each time it resolves.  Runners are pure functions
+from strategies to outcome distributions; concurrent runs share nothing
+mutable.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping
 
@@ -176,8 +180,7 @@ def escrow_bit_density(b: int, theta: float) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 # Strategy rounds
 
-# A strategy gives a matrix or a callable; ``validate_strategy`` compiles a matrix to a Unitary.
-Gate = np.ndarray | Unitary | Callable[[dict], np.ndarray]
+Gate = np.ndarray | Callable[[dict], np.ndarray]
 BitSource = int | str | Callable[[dict], int]
 
 
@@ -188,25 +191,58 @@ class Draw:
     name: str
 
 
+def _check_distinct(wires: tuple[str, ...]) -> None:
+    if len(set(wires)) != len(wires):
+        raise MalformedStrategy(f"a wire is named twice in {wires}")
+
+
+def _gate_matrix(gate, dim: int) -> np.ndarray:
+    """The gate as a complex (dim, dim) matrix; ``MalformedStrategy`` if it is not one."""
+    try:
+        matrix = np.asarray(gate, dtype=complex)
+    except (TypeError, ValueError):
+        raise MalformedStrategy(f"gate {type(gate).__name__} is not a numeric matrix") from None
+    if matrix.shape != (dim, dim):
+        raise MalformedStrategy(f"gate of shape {matrix.shape} needs shape ({dim}, {dim})")
+    return matrix
+
+
 @dataclass(frozen=True)
 class Apply:
-    """Unitary on held wires; a callable gate is resolved against the record.
+    """Unitary on distinct held wires; a callable gate is resolved against the record.
 
-    A fixed gate is checked once per run, when the strategy is compiled; a
-    callable gate is checked each time it resolves.
+    A fixed gate is checked once, when the round is built, and kept checked
+    in ``unitary``; a callable gate is checked each time it resolves.
     """
 
     wires: tuple[str, ...]
     gate: Gate
+    unitary: Unitary | None = field(init=False, repr=False, compare=False)  # None if callable
+
+    def __post_init__(self):
+        _check_distinct(self.wires)
+        unitary = None
+        if not callable(self.gate):
+            try:
+                unitary = Unitary(_gate_matrix(self.gate, 2 ** len(self.wires)))
+            except qmath.NotUnitary:
+                raise MalformedStrategy(f"gate on {self.wires} is not unitary") from None
+        object.__setattr__(self, "unitary", unitary)
 
 
 @dataclass(frozen=True)
 class MeasureRecord:
-    """Orthogonal measurement on held wires, outcome label stored in the record."""
+    """Orthogonal measurement on distinct held wires, outcome label stored in the record."""
 
     wires: tuple[str, ...]
     measurement: OrthogonalMeasurement
     name: str
+
+    def __post_init__(self):
+        _check_distinct(self.wires)
+        dim = 2 ** len(self.wires)
+        if not isinstance(self.measurement, OrthogonalMeasurement) or self.measurement.dim != dim:
+            raise MalformedStrategy(f"{self.wires} need an OrthogonalMeasurement of dim {dim}")
 
 
 @dataclass(frozen=True)
@@ -243,8 +279,12 @@ class StrategySpec:
             raise MalformedStrategy(f"unknown party {self.party!r}")
         if not 0 <= self.ancilla_count <= 4:
             raise MalformedStrategy("ancilla count must be between 0 and 4")
-        object.__setattr__(self, "programs",
-                           {k: tuple(v) for k, v in dict(self.programs).items()})
+        programs = {k: tuple(v) for k, v in dict(self.programs).items()}
+        for rounds in programs.values():
+            for rnd in rounds:
+                if not isinstance(rnd, Round):
+                    raise MalformedStrategy(f"unknown round type {type(rnd).__name__}")
+        object.__setattr__(self, "programs", programs)
 
     @property
     def ancillas(self) -> tuple[str, ...]:
@@ -252,64 +292,24 @@ class StrategySpec:
         return tuple(f"{prefix}{i}" for i in range(self.ancilla_count))
 
 
-def validate_strategy(spec: StrategySpec, phase_wires: Mapping[str, tuple[str, ...]]
-                      ) -> StrategySpec:
-    """Compile a strategy: check it statically and return it with checked gates.
+def validate_strategy(spec: StrategySpec, phase_wires: Mapping[str, tuple[str, ...]]) -> None:
+    """Check a strategy against a game's phase map, before any branch runs.
 
-    Checks known phases, owned and distinct wires, gate shapes and
-    measurement dimensions, and the unitarity of every fixed gate,
-    raising ``MalformedStrategy`` before any branch runs.  The returned spec
-    holds each fixed gate as a ``qmath.Unitary``, so the runner applies it
-    without checking it again.
+    Raises ``MalformedStrategy`` unless every phase is one of the game's and
+    every round touches only the party's ancillas and the phase's wires.
+    The rounds checked everything else when they were built.
     """
-    programs = {}
     for phase, rounds in spec.programs.items():
         if phase not in phase_wires:
             raise MalformedStrategy(f"{spec.party} has a program for unknown phase {phase!r}")
         allowed = set(spec.ancillas) | set(phase_wires[phase])
-        compiled = []
         for rnd in rounds:
-            if isinstance(rnd, Apply):
-                _check_wires(spec.party, rnd.wires, allowed, phase)
-                if not callable(rnd.gate):
-                    rnd = Apply(rnd.wires, _checked_gate(rnd.gate, 2 ** len(rnd.wires), phase))
-            elif isinstance(rnd, MeasureRecord):
-                _check_wires(spec.party, rnd.wires, allowed, phase)
-                m, dim = rnd.measurement, 2 ** len(rnd.wires)
-                if not isinstance(m, OrthogonalMeasurement) or m.dim != dim:
-                    raise MalformedStrategy(
-                        f"{spec.party} needs an OrthogonalMeasurement of dim {dim} on "
-                        f"{rnd.wires} in phase {phase!r}")
-            elif isinstance(rnd, SetBits):
-                if not set(rnd.assignments) <= allowed:
-                    raise MalformedStrategy(
-                        f"{spec.party} writes {set(rnd.assignments) - allowed} in phase {phase!r}")
-            elif not isinstance(rnd, Draw):
-                raise MalformedStrategy(f"unknown round type {type(rnd).__name__}")
-            compiled.append(rnd)
-        programs[phase] = tuple(compiled)
-    return dataclasses.replace(spec, programs=programs)
-
-
-def _check_wires(party: str, wires: tuple[str, ...], allowed: set[str], phase: str) -> None:
-    if len(set(wires)) != len(wires):
-        raise MalformedStrategy(f"{party} names a wire twice in {wires} in phase {phase!r}")
-    if not set(wires) <= allowed:
-        raise MalformedStrategy(f"{party} touches {set(wires) - allowed} in phase {phase!r}")
-
-
-def _checked_gate(gate: np.ndarray, dim: int, phase: str) -> Unitary:
-    try:
-        matrix = np.asarray(gate, dtype=complex)
-    except (TypeError, ValueError):
-        raise MalformedStrategy(f"gate in phase {phase!r} is not a numeric matrix") from None
-    if matrix.shape != (dim, dim):
-        raise MalformedStrategy(
-            f"gate of shape {matrix.shape} in phase {phase!r} needs shape ({dim}, {dim})")
-    try:
-        return Unitary(matrix)
-    except qmath.NotUnitary:
-        raise MalformedStrategy(f"gate in phase {phase!r} is not unitary") from None
+            if isinstance(rnd, Draw):
+                continue
+            touched = set(rnd.assignments if isinstance(rnd, SetBits) else rnd.wires)
+            if not touched <= allowed:
+                raise MalformedStrategy(
+                    f"{spec.party} touches {touched - allowed} in phase {phase!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +394,7 @@ def _resolve_gates(gate: Callable[[dict], np.ndarray], recs: list[dict], dim: in
     """One record-dependent gate per row, stacked; ``apply_unitary`` checks them in one call."""
     gates = np.empty((len(recs), dim, dim), dtype=complex)
     for i, rec in enumerate(recs):
-        g = np.asarray(gate(rec), dtype=complex)
-        if g.shape != (dim, dim):
-            raise qmath.WireMismatch(f"gate of shape {g.shape} needs shape ({dim}, {dim})")
-        gates[i] = g
+        gates[i] = _gate_matrix(gate(rec), dim)
     return gates
 
 
@@ -411,9 +408,9 @@ def _run_program(rows: _Rows, spec: StrategySpec, phase: str) -> _Rows:
                               rnd.name, [0, 1] * n)
         elif isinstance(rnd, Apply):
             try:
-                gate = rnd.gate
-                if callable(gate):
-                    gate = _resolve_gates(gate, [rec[party] for rec in rows.recs],
+                gate = rnd.unitary
+                if gate is None:
+                    gate = _resolve_gates(rnd.gate, [rec[party] for rec in rows.recs],
                                           2 ** len(rnd.wires))
                 rows = rows.quantum(rnd.wires)
                 states = apply_unitary(rows.states, gate, rnd.wires)
@@ -427,7 +424,7 @@ def _run_program(rows: _Rows, spec: StrategySpec, phase: str) -> _Rows:
             labels = rnd.measurement.labels
             rows = rows.split(parents, probs, states, party, rnd.name,
                               [labels[o] for o in outcomes.tolist()])
-        else:  # SetBits: validate_strategy admits no other round type
+        else:  # SetBits: a StrategySpec admits no other round type
             states, bits = rows.states, rows.bits.copy()
             for wire, src in rnd.assignments.items():
                 flips = np.array([_resolve_bit(src, rec[party]) for rec in rows.recs], dtype=bool)
@@ -506,16 +503,16 @@ def _own_result(rows: _Rows, spec: StrategySpec, result: str, *bit_keys: str) ->
 
 def _start(alice: StrategySpec, bob: StrategySpec,
            phases: Mapping[str, Mapping[str, tuple[str, ...]]], game_wires: tuple[str, ...],
-           alice_bit: int | None = None) -> tuple[StrategySpec, StrategySpec, _Rows]:
-    """Compile both strategies against the game's phase map and build the root row.
+           alice_bit: int | None = None) -> _Rows:
+    """Check both strategies against the game's phase map and build the root row.
 
     The layout is Alice's ancillas, then ``game_wires``, then Bob's ancillas,
     within the ``MAX_TOTAL_WIRES`` budget, all in |0>.  The message wires
     start classical, and the root's stack holds the others.  Alice's record
     is seeded with ``b = alice_bit`` when a bit is given.
     """
-    alice = validate_strategy(alice, phases["alice"])
-    bob = validate_strategy(bob, phases["bob"])
+    validate_strategy(alice, phases["alice"])
+    validate_strategy(bob, phases["bob"])
     wires = alice.ancillas + game_wires + bob.ancillas
     if len(wires) > MAX_TOTAL_WIRES:
         raise MalformedStrategy(
@@ -526,7 +523,7 @@ def _start(alice: StrategySpec, bob: StrategySpec,
     seed = {} if alice_bit is None else {"b": int(alice_bit)}
     # Built through a validated StateVector: the benchmark's tracer counts this construction.
     root = StateStack.of(StateVector(quantum, amps))
-    return alice, bob, _Rows(np.ones(1), root, np.zeros((1, len(wires)), dtype=np.uint8), wires,
+    return _Rows(np.ones(1), root, np.zeros((1, len(wires)), dtype=np.uint8), wires,
                              [{"alice": seed, "bob": {}}], [()])
 
 
@@ -690,8 +687,6 @@ _WEAK_PHASES = {
     "bob": {"receive": ("dep",), "coin_choose": ("dep2", "bp"), "return": ("dep",)},
 }
 
-_DEPOSIT_PHASES = {"alice": {"deposit": ("dep",)}, "bob": {}}
-
 
 def _coin(rows: _Rows, alice: StrategySpec, bob: StrategySpec, phase_prefix: str,
           wire_suffix: str, result: str) -> _Rows:
@@ -728,8 +723,8 @@ def run_escrow(alice: StrategySpec, bob: StrategySpec, challenge: Challenge,
     fails with ``MalformedStrategy``.
     """
     reveal = challenge is Challenge.REVEAL_TO_BOB
-    alice, bob, rows = _start(alice, bob, _ESCROW_PHASES,
-                              ("dep", "rb", "rx") if reveal else ("dep",), claimed_bit)
+    rows = _start(alice, bob, _ESCROW_PHASES, ("dep", "rb", "rx") if reveal else ("dep",),
+                  claimed_bit)
     rows = _run_program(rows, alice, "deposit")
     rows = _run_program(rows, bob, "receive")
     if reveal:
@@ -753,7 +748,7 @@ def run_escrow_reveal_then_return(alice: StrategySpec, bob: StrategySpec,
     Bob may condition the unitary in his ``return`` program on the revealed
     bit, which lands in his record under ``b_claim``.
     """
-    alice, bob, rows = _start(alice, bob, _ESCROW_PHASES, ("dep", "rb"), claimed_bit)
+    rows = _start(alice, bob, _ESCROW_PHASES, ("dep", "rb"), claimed_bit)
     rows = _run_program(rows, alice, "deposit")
     rows = _run_program(rows, bob, "receive")
     rows = _run_program(rows, alice, "reveal_bit")
@@ -771,7 +766,7 @@ def run_coinflip(alice: StrategySpec, bob: StrategySpec) -> OutcomeDistribution:
     err if the check catches the revealer and b xor b' otherwise; an honest
     revealer is never caught, so her result is always b xor b'.
     """
-    alice, bob, rows = _start(alice, bob, _COINFLIP_PHASES, ("dep", "bp", "rb", "rx"))
+    rows = _start(alice, bob, _COINFLIP_PHASES, ("dep", "bp", "rb", "rx"))
     if not (alice.honest or bob.honest):
         raise MalformedStrategy("at least one party must be honest")
     rows = _coin(rows, alice, bob, phase_prefix="", wire_suffix="", result="verdict")
@@ -788,8 +783,8 @@ def run_weak_commitment(alice: StrategySpec, bob: StrategySpec, deposited_bit: i
     provides the mechanics of the composition only; no security property is
     claimed for it.
     """
-    alice, bob, rows = _start(
-        alice, bob, _WEAK_PHASES, ("dep", "rb", "rx", "dep2", "bp", "rb2", "rx2"), deposited_bit)
+    rows = _start(alice, bob, _WEAK_PHASES, ("dep", "rb", "rx", "dep2", "bp", "rb2", "rx2"),
+                  deposited_bit)
     if not (alice.honest or bob.honest):
         raise MalformedStrategy("at least one party must be honest")
     rows = _run_program(rows, alice, "deposit")
@@ -829,12 +824,10 @@ def deposit_reduced_state(alice: StrategySpec) -> DensityMatrix:
 
     Whatever the depositor later does cannot change this state, so it is the
     object that binds her; strategy pairs must agree on it to be comparable.
-    Only the deposit program is compiled and run, with no bit seeded in the
-    depositor's record.
+    The strategy is checked against the escrow game's phases; only its
+    deposit program runs, with no bit seeded in the depositor's record.
     """
-    deposit_only = dataclasses.replace(
-        alice, programs={"deposit": alice.programs.get("deposit", ())})
-    alice, _, rows = _start(deposit_only, honest_bob_escrow(), _DEPOSIT_PHASES, ("dep",))
+    rows = _start(alice, honest_bob_escrow(), _ESCROW_PHASES, ("dep",))
     rows = _run_program(rows, alice, "deposit")
     probs = rows.probs.tolist()
     total = sum(probs)

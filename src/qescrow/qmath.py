@@ -537,31 +537,22 @@ def renormalize(states: StateStack) -> tuple[np.ndarray, StateStack]:
     return probs, _derived_state(states.wires, states.amplitudes / np.sqrt(probs)[:, None])
 
 
-def partial_trace(obj: StateVector | StateStack | DensityMatrix, keep: Sequence[str]
+def partial_trace(obj: StateVector | StateStack, keep: Sequence[str]
                   ) -> DensityMatrix | np.ndarray:
     """Reduce onto `keep` (in the source wire order), tracing out the rest.
 
     A ``StateStack`` reduces row by row to a (rows, 2^k, 2^k) array of reduced
     matrices; a ``StateVector`` is its one-row case and returns a
-    ``DensityMatrix``, as a ``DensityMatrix`` does.
+    ``DensityMatrix``.
     """
     keep = tuple(keep)
     for w in keep:
         if w not in obj.wires:
             raise UnknownWire(w)
     kept = tuple(w for w in obj.wires if w in set(keep))
-    if not isinstance(obj, DensityMatrix):
-        block, _ = _blocks(obj, kept)
-        reduced = block @ block.conj().transpose(0, 2, 1)
-        return reduced if isinstance(obj, StateStack) else DensityMatrix(kept, reduced[0])
-    n = len(obj.wires)
-    t = obj.matrix.reshape((2,) * (2 * n))
-    traced = [i for i, w in enumerate(obj.wires) if w not in set(keep)]
-    for offset, i in enumerate(sorted(traced)):
-        ax = i - offset
-        t = np.trace(t, axis1=ax, axis2=ax + (n - offset))
-    d = 2 ** len(kept)
-    return DensityMatrix(kept, t.reshape(d, d))
+    block, _ = _blocks(obj, kept)
+    reduced = block @ block.conj().transpose(0, 2, 1)
+    return reduced if isinstance(obj, StateStack) else DensityMatrix(kept, reduced[0])
 
 
 def overlap(a: StateVector, b: StateVector) -> complex:

@@ -92,7 +92,7 @@ def test_quadratic_orthogonal_pure_states_give_no_advantage():
 def test_quadratic_strategies_validate():
     for alpha in ALPHA_GRID:
         for spec in adv.protocol_quadratic_pair(alpha):
-            validate_strategy(spec, {"deposit": ("dep",), "reveal": ("rb", "rx")})
+            assert validate_strategy(spec, {"deposit": ("dep",), "reveal": ("rb", "rx")}) is None
 
 
 # ---------------------------------------------------------------------------

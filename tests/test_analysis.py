@@ -232,7 +232,6 @@ def test_modified_unconditional_pair_matches_sealing_metrics():
     bob = adv.bob_weak_measurement(adv.BobWeakParams(0.4), r0, r1)
     rep = modified_sealing_check((bob, bob))
     base = sealing_metrics(bob)
-    assert rep.component_reports[0] == base and rep.component_reports[1] == base
     assert abs(rep.detection_total - base.detection_p) < 1e-12
     assert abs(rep.enumerated_total - rep.detection_total) < 1e-9
     assert rep.passed
@@ -245,7 +244,6 @@ def test_modified_random_conditional_pairs():
         rep = modified_sealing_check(pair)
         assert rep.passed
         assert abs(rep.enumerated_total - rep.detection_total) < 1e-9
-        assert all(c >= -1e-12 for c in rep.cross_detection)
 
 
 def test_modified_rejects_mismatched_registers():

@@ -2,7 +2,9 @@
 
 A profiler or tracer that wraps ``qmath.measure`` and ``qmath.apply_unitary``
 (and the ``protocols`` aliases of ``apply_unitary`` and ``partial_trace``)
-must see every run's kernel calls, and must not change any outcome.
+must see every run's kernel calls, and must not change any outcome.  The
+same kind of wrapper on ``qmath.is_unitary`` shows that a run does not check a
+fixed gate again once its round is built.
 """
 
 import numpy as np
@@ -10,15 +12,19 @@ import pytest
 
 from qescrow import protocols, qmath
 from qescrow.protocols import (
+    COIN_THETA,
     Apply,
     Challenge,
+    SetBits,
     StrategySpec,
+    escrow_basis,
     honest_alice_coinflip,
     honest_alice_escrow,
     honest_alice_weak,
     honest_bob_coinflip,
     honest_bob_escrow,
     honest_bob_weak,
+    rotation,
 )
 
 RUNS = {
@@ -91,3 +97,23 @@ def _record_stack_wires(monkeypatch) -> list:
     monkeypatch.setattr(qmath, "apply_unitary", apply_unitary)
     monkeypatch.setattr(protocols, "apply_unitary", apply_unitary)
     return seen
+
+
+def test_a_built_gate_is_not_checked_again_by_its_runs(monkeypatch):
+    # the depositor's one gate is fixed and the honest receiver applies none,
+    # so any unitarity check during these runs would re-check that gate
+    alice = StrategySpec("alice", 0, {"deposit": (Apply(("dep",), rotation(0.3)),),
+                                      "reveal": (SetBits({"rb": 0, "rx": 1}),)})
+    for x in (0, 1):
+        escrow_basis(x, COIN_THETA)   # the check bases are cached on first use: build them now
+    checks = []
+
+    def counting(m):
+        checks.append(m)
+        return is_unitary(m)
+
+    is_unitary = qmath.is_unitary
+    monkeypatch.setattr(qmath, "is_unitary", counting)
+    for _ in range(2):
+        protocols.run_coinflip(alice, honest_bob_coinflip())
+    assert checks == []

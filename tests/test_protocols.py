@@ -40,7 +40,6 @@ from qescrow.protocols import (
     run_escrow,
     run_escrow_reveal_then_return,
     run_weak_commitment,
-    validate_strategy,
 )
 
 THETA = math.pi / 8
@@ -296,45 +295,52 @@ def test_strategy_rejects_foreign_wires():
 
 def test_strategy_rejects_non_unitary_gate():
     bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
-    alice = StrategySpec("alice", 0, {"deposit": (Apply(("dep",), bad),)})
     with pytest.raises(MalformedStrategy):
-        run_escrow(alice, honest_bob_escrow(), Challenge.REVEAL_TO_BOB, 0)
+        Apply(("dep",), bad)
 
 
 def _bob_choosing(*rounds):
     return StrategySpec("bob", 1, {"choose": rounds + (SetBits({"bp": 0}),)})
 
 
-@pytest.mark.parametrize("bob", [
-    _bob_choosing(MeasureRecord(("dep", "c0"), qmath.OrthogonalMeasurement.computational(1), "m")),
-    _bob_choosing(MeasureRecord(("dep",), np.eye(2), "m")),
-    _bob_choosing(MeasureRecord(("dep", "dep"), qmath.OrthogonalMeasurement.computational(2),
-                                "m")),
-    _bob_choosing(Apply(("dep", "dep"), np.eye(4))),
-    _bob_choosing(Apply(("dep",), np.eye(4))),
-    _bob_choosing(Apply(("dep", "c0"), np.eye(2))),
-    _bob_choosing(Apply(("dep",), qmath.Unitary(np.eye(2)))),
+@pytest.mark.parametrize("build", [
+    lambda: MeasureRecord(("dep", "c0"), qmath.OrthogonalMeasurement.computational(1), "m"),
+    lambda: MeasureRecord(("dep",), np.eye(2), "m"),
+    lambda: MeasureRecord(("dep", "dep"), qmath.OrthogonalMeasurement.computational(2), "m"),
+    lambda: Apply(("dep", "dep"), np.eye(4)),
+    lambda: Apply(("dep",), np.eye(4)),
+    lambda: Apply(("dep", "c0"), np.eye(2)),
+    lambda: Apply(("dep",), qmath.Unitary(np.eye(2))),
+    lambda: _bob_choosing("not a round"),
 ], ids=["measurement-dim", "not-a-measurement", "measure-repeated-wire",
-        "apply-repeated-wire", "gate-shape", "gate-too-small", "gate-not-a-matrix"])
-def test_malformed_round_fails_at_compile_time(bob):
+        "apply-repeated-wire", "gate-shape", "gate-too-small", "gate-not-a-matrix",
+        "unknown-round-type"])
+def test_malformed_round_fails_at_compile_time(build):
+    # a round checks itself when it is built, before any strategy or run holds it
     with pytest.raises(MalformedStrategy):
-        validate_strategy(bob, {"choose": ("dep", "bp")})
-    with pytest.raises(MalformedStrategy):
-        run_coinflip(honest_alice_coinflip(), bob)
+        build()
 
 
-def test_compiled_strategy_holds_checked_gates():
-    bob = _bob_choosing(Apply(("dep", "c0"), np.eye(4)), Apply(("c0",), lambda rec: np.eye(2)))
-    compiled = validate_strategy(bob, {"choose": ("dep", "bp")})
-    fixed, resolved = compiled.programs["choose"][:2]
-    assert isinstance(fixed.gate, qmath.Unitary)
-    assert callable(resolved.gate)   # record-dependent: checked each time it resolves
+def test_built_apply_holds_its_checked_unitary():
+    eye4 = np.eye(4)
+    fixed = Apply(("dep", "c0"), eye4)
+    assert fixed.gate is eye4   # kept as given
+    assert isinstance(fixed.unitary, qmath.Unitary)
+    assert np.array_equal(fixed.unitary.matrix, eye4)
+    resolved = Apply(("c0",), lambda rec: np.eye(2))
+    assert resolved.unitary is None   # record-dependent: checked each time it resolves
 
 
 def test_record_dependent_gate_is_checked_when_it_resolves():
     bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(MalformedStrategy):
         run_coinflip(honest_alice_coinflip(), _bob_choosing(Apply(("c0",), lambda rec: bad)))
+
+
+def test_record_dependent_gate_that_is_not_a_matrix_is_malformed():
+    gate = qmath.Unitary(np.eye(2))
+    with pytest.raises(MalformedStrategy):
+        run_coinflip(honest_alice_coinflip(), _bob_choosing(Apply(("c0",), lambda rec: gate)))
 
 
 def test_escrow_basis_is_cached():
