@@ -10,6 +10,13 @@ with ``--trace 1``, each in a fresh process.
 The file holds, per workload, the median and quartiles of every end-to-end
 metric over the seeds, the attempted and failed evaluation counts, the
 environment line of the first run and the traced run's per-layer counters.
+
+It also records each CLI subcommand of that checkout at ``CLI_ARGS``: the
+wall seconds and the peak RSS of the ``qescrow`` process, median and
+quartiles over ``CLI_RUNS`` runs.  Each run is timed by a fresh wrapper
+process, because ``RUSAGE_CHILDREN`` reports the largest peak of all the
+children a process has waited for.
+
 The numbers are a record, not a gate: the script exits 0 whatever they are,
 and nonzero only if a run crashes or prints no result.
 """
@@ -18,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import statistics
 import subprocess
@@ -26,9 +34,23 @@ from typing import Callable
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
+CLI_COMMANDS = ("coinflip", "escrow-binding", "escrow-sealing", "selftest")
+CLI_ARGS = ("--seed", "7", "--samples", "20")
+CLI_RUNS = 3
+# Runs the command in argv[1:] and prints its exit code, wall seconds and peak RSS.
+CLI_WRAPPER = """
+import json, resource, subprocess, sys, time
+t0 = time.perf_counter()
+code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode
+seconds = time.perf_counter() - t0
+peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+print(json.dumps({"exit": code, "seconds": seconds, "peak_rss_mb": peak_kb / 1024}))
+"""
 
 # runner(workload, seed, trace) -> (environment-and-details line, result line)
 Runner = Callable[[str, int, int], tuple[dict, dict]]
+# cli_runner(command) -> {"exit": code, "seconds": wall, "peak_rss_mb": peak}
+CliRunner = Callable[[str], dict]
 
 
 def spread(values: list[float]) -> dict:
@@ -58,6 +80,16 @@ def summarize(workloads: list[str], seeds: list[int], runner: Runner) -> dict:
     return out
 
 
+def summarize_cli(commands: list[str], runs: int, runner: CliRunner) -> dict:
+    out = {}
+    for command in commands:
+        results = [runner(command) for _ in range(runs)]
+        out[command] = {"exit": sorted({r["exit"] for r in results}),
+                        "seconds": spread([r["seconds"] for r in results]),
+                        "peak_rss_mb": spread([r["peak_rss_mb"] for r in results])}
+    return out
+
+
 def subprocess_runner(repo: pathlib.Path, seconds: float) -> Runner:
     def run(workload: str, seed: int, trace: int) -> tuple[dict, dict]:
         proc = subprocess.run(
@@ -73,6 +105,23 @@ def subprocess_runner(repo: pathlib.Path, seconds: float) -> Runner:
     return run
 
 
+def cli_subprocess_runner(repo: pathlib.Path) -> CliRunner:
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+
+    def run(command: str) -> dict:
+        proc = subprocess.run(
+            [sys.executable, "-c", CLI_WRAPPER, sys.executable, "-m", "qescrow", command,
+             *CLI_ARGS], capture_output=True, text=True, cwd=repo, env=env)
+        lines = proc.stdout.strip().splitlines()
+        result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
+        # Exit 3 is a row failing its bound: a result, not a crash.
+        if result is None or result["exit"] not in (0, 3):
+            raise SystemExit(f"qescrow {command} failed:\n{proc.stdout}{proc.stderr}")
+        print(f"qescrow {command}: {lines[-1]}", file=sys.stderr)
+        return result
+    return run
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", type=int, required=True)
@@ -84,7 +133,10 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in declared["workloads"]]
     seconds = declared["run_seconds"]
     doc = {"pr": args.pr, "seeds": list(SEEDS), "seconds": seconds,
-           "workloads": summarize(workloads, list(SEEDS), subprocess_runner(repo, seconds))}
+           "workloads": summarize(workloads, list(SEEDS), subprocess_runner(repo, seconds)),
+           "cli": {"args": list(CLI_ARGS),
+                   "commands": summarize_cli(list(CLI_COMMANDS), CLI_RUNS,
+                                             cli_subprocess_runner(repo))}}
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}", file=sys.stderr)

@@ -398,6 +398,13 @@ class ParameterSpace:
 
 
 def bob_coinflip_space() -> ParameterSpace:
+    """A receiver measuring the deposit in the basis ``unitary_from_angles(2, x)``.
+
+    Only the first angle moves the objective.  The other two are phases that
+    leave the outcome probabilities, and so the win probability, unchanged up
+    to round-off.  Nelder-Mead's comparisons between vertices that differ
+    only in those angles are therefore ties decided by round-off.
+    """
     return ParameterSpace(3, lambda x: bob_measure_coinflip(unitary_from_angles(2, x)))
 
 
@@ -433,6 +440,93 @@ def _objective_value(dist: OutcomeDistribution, config: OptimizerConfig) -> floa
                dist.verdict_probability(party, Verdict.ONE))
 
 
+class _BudgetSpent(Exception):
+    """The search asked for one evaluation more than its budget."""
+
+
+def _nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray,
+                 maxfev: int) -> tuple[np.ndarray, float]:
+    """Minimize ``func`` from ``x0`` within ``maxfev`` evaluations; returns ``(x, f(x))``.
+
+    This is SciPy's ``minimize(method="Nelder-Mead")`` with ``xatol`` 1e-7
+    and ``fatol`` 1e-12 (non-adaptive, unbounded), reproduced operation for
+    operation: the same initial simplex (each entry scaled by 1.05, or
+    0.00025 for a zero entry), the same reflection, expansion, contraction
+    and shrink arithmetic, the same ``argsort`` re-sorts, and a budget that
+    ends the search mid-iteration.  It evaluates exactly the points SciPy
+    does, in the same order, and returns the same bits.  That bit identity
+    is what keeps the search path, and with it the trace, stable: the
+    receiver objective is flat in two of its three angles (see
+    `bob_coinflip_space`), so ties between vertices are decided by
+    round-off, and any other arithmetic would take another path.  The
+    equivalence with SciPy is tested in ``tests/test_adversaries.py``.
+    """
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.full(n + 1, np.inf)
+    calls = 0
+
+    def f(x: np.ndarray) -> float:
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetSpent
+        calls += 1
+        return func(np.copy(x))
+
+    def ordered(sim, fsim):
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    # Sorted twice, as SciPy does: argsort is not stable, so a second sort
+    # may reorder tied vertices.
+    sim, fsim = ordered(*ordered(sim, fsim))
+
+    while calls < maxfev:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-7
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-12):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            shrink = False
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:
+                xcc = 0.5 * xbar + 0.5 * sim[-1]
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        sim, fsim = ordered(sim, fsim)
+    return sim[0], np.min(fsim)
+
+
 def optimize(space: ParameterSpace, config: OptimizerConfig,
              evaluator: Callable[[StrategySpec], OutcomeDistribution],
              extra_seeds: Sequence[Sequence[float]] = ()) -> OptimizeResult:
@@ -462,15 +556,11 @@ def optimize(space: ParameterSpace, config: OptimizerConfig,
     scored.sort(key=lambda sv: (-sv[0], sv[1]))
     best_value, best_params = scored[0]
 
-    # Imported here, not at the top: scipy.optimize costs every importer of qescrow ~48 MB.
-    from scipy.optimize import minimize
-
     for _, start in scored[:max(config.n_starts, 1)]:
-        res = minimize(lambda x: -evaluate(x), np.array(start), method="Nelder-Mead",
-                       options={"maxfev": config.simplex_iterations,
-                                "xatol": 1e-7, "fatol": 1e-12, "disp": False})
-        value, params = -float(res.fun), tuple(float(t) for t in res.x)
+        x, fun = _nelder_mead(lambda x: -evaluate(x), np.array(start), config.simplex_iterations)
+        value, params = -float(fun), tuple(float(t) for t in x)
         if value > best_value + 1e-15 or (abs(value - best_value) <= 1e-15
                                           and params < best_params):
             best_value, best_params = value, params
     return OptimizeResult(best_params, best_value, tuple(trace))
+

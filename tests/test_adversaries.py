@@ -1,9 +1,14 @@
 """Cheating-strategy tests: closed forms, parameterizations, optimizer behavior."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from helpers import fixed_bit_alice
 from qescrow import adversaries as adv
@@ -249,6 +254,72 @@ def test_optimizer_trace_is_seed_stable():
     r2 = adv.optimize(adv.bob_coinflip_space(), cfg, bob_evaluator)
     assert r1.trace == r2.trace
     assert r1.best_params == r2.best_params and r1.best_value == r2.best_value
+
+
+def _receiver_loss(x):
+    spec = adv.bob_coinflip_space().build(x)
+    return -adv._objective_value(bob_evaluator(spec), adv.OptimizerConfig(honest_party="alice"))
+
+
+def _recording(func, points):
+    def f(x):
+        points.append(x.tobytes())
+        return func(x)
+    return f
+
+
+# name -> (objective, dimensions searched)
+NELDER_MEAD_OBJECTIVES = {
+    "quadratic": (lambda x: float(np.sum((x - 0.3) ** 2)), (1, 3, 12)),
+    "constant": (lambda x: 1.0, (1, 3, 12)),
+    "rounded": (lambda x: round(float(np.sum(np.cos(3 * x))), 2), (1, 3, 12)),
+    "receiver": (_receiver_loss, (3,)),
+}
+
+
+@pytest.mark.parametrize("maxfev", [5, 37, 150])
+@pytest.mark.parametrize("objective", sorted(NELDER_MEAD_OBJECTIVES))
+def test_nelder_mead_is_scipys_bit_for_bit(objective, maxfev):
+    """Same evaluated points in the same order, same x and f(x), to the bit.
+
+    Between them the cases end every way a search can: the budget runs out
+    mid-iteration or between iterations (every search at budget 5 or 37), or
+    the tolerance test stops it (at budget 150, every search in dimension 1
+    and most in dimension 3).
+    """
+    func, dims = NELDER_MEAD_OBJECTIVES[objective]
+    rng = np.random.default_rng(maxfev)
+    for dim in dims:
+        with_zeros = np.where(np.arange(dim) % 2 == 0, 0.0, 1.0)
+        for x0 in (rng.uniform(0.0, math.pi, dim), with_zeros):
+            ref_points, points = [], []
+            ref = minimize(_recording(func, ref_points), x0.copy(), method="Nelder-Mead",
+                           options={"maxfev": maxfev, "xatol": 1e-7, "fatol": 1e-12})
+            x, fun = adv._nelder_mead(_recording(func, points), x0.copy(), maxfev)
+            assert points == ref_points and 0 < len(points) <= maxfev
+            assert x.tobytes() == ref.x.tobytes()
+            assert float.hex(float(fun)) == float.hex(float(ref.fun))
+
+
+def test_searches_and_the_coinflip_command_import_no_scipy(tmp_path):
+    code = """
+import sys
+from qescrow import adversaries as adv, cli
+from qescrow.protocols import honest_alice_coinflip, honest_bob_coinflip, run_coinflip
+adv.optimize(adv.bob_coinflip_space(),
+             adv.OptimizerConfig(honest_party="alice", simplex_iterations=20),
+             lambda s: run_coinflip(honest_alice_coinflip(), s))
+adv.optimize(adv.alice_coinflip_space(),
+             adv.OptimizerConfig(honest_party="bob", grid_resolution=2, simplex_iterations=20),
+             lambda s: run_coinflip(s, honest_bob_coinflip()))
+assert cli.main(["coinflip", "--seed", "7", "--samples", "2", "--out", sys.argv[1]]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "cf.csv")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -44,3 +44,22 @@ def test_summarize_reports_a_failed_check_and_a_single_seed():
     assert out["a"]["correct"] is False
     assert out["a"]["end_to_end"]["evals_per_s"] == pytest.approx(
         {"median": 1300.0, "q1": 1300.0, "q3": 1300.0, "values": [1300.0]})
+
+
+def test_summarize_cli_runs_each_command_and_takes_the_median():
+    calls = []
+
+    def run(command):
+        calls.append(command)
+        k = len(calls)
+        return {"exit": 3 if k == 5 else 0, "seconds": float(k), "peak_rss_mb": 40.0 + k % 3}
+
+    out = bench.summarize_cli(["coinflip", "selftest"], 3, run)
+    assert calls == ["coinflip"] * 3 + ["selftest"] * 3
+    assert out["coinflip"]["seconds"] == {"median": 2.0, "q1": 1.5, "q3": 2.5,
+                                          "values": [1.0, 2.0, 3.0]}
+    assert out["coinflip"]["peak_rss_mb"]["values"] == [41.0, 42.0, 40.0]
+    assert out["coinflip"]["peak_rss_mb"]["median"] == 41.0
+    assert out["coinflip"]["exit"] == [0]
+    assert out["selftest"]["exit"] == [0, 3]
+    assert out["selftest"]["seconds"]["median"] == 5.0
