@@ -17,6 +17,10 @@ quartiles over ``CLI_RUNS`` runs.  Each run is timed by a fresh wrapper
 process, because ``RUSAGE_CHILDREN`` reports the largest peak of all the
 children a process has waited for.
 
+Last, it runs the checkout's tier-1 test command once with a JUnit XML
+report and records its exit code, wall seconds, passed and failed counts,
+and the call seconds of each ``tests/test_acceptance.py`` test.
+
 The numbers are a record, not a gate: the script exits 0 whatever they are,
 and nonzero only if a run crashes or prints no result.
 """
@@ -30,6 +34,9 @@ import pathlib
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
+import xml.etree.ElementTree as ET
 from typing import Callable
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -47,10 +54,17 @@ peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
 print(json.dumps({"exit": code, "seconds": seconds, "peak_rss_mb": peak_kb / 1024}))
 """
 
+# The tier-1 command, with each test's time in the JUnit XML being its call phase.
+TIER1_ARGS = ("-m", "pytest", "-q", "--continue-on-collection-errors",
+              "-o", "junit_duration_report=call")
+ACCEPTANCE = "tests.test_acceptance"
+
 # runner(workload, seed, trace) -> (environment-and-details line, result line)
 Runner = Callable[[str, int, int], tuple[dict, dict]]
 # cli_runner(command) -> {"exit": code, "seconds": wall, "peak_rss_mb": peak}
 CliRunner = Callable[[str], dict]
+# tier1_runner() -> (exit code, wall seconds, JUnit XML text)
+Tier1Runner = Callable[[], tuple[int, float, str]]
 
 
 def spread(values: list[float]) -> dict:
@@ -90,6 +104,20 @@ def summarize_cli(commands: list[str], runs: int, runner: CliRunner) -> dict:
     return out
 
 
+def summarize_tier1(runner: Tier1Runner) -> dict:
+    code, seconds, report = runner()
+    suite = ET.fromstring(report)
+    if suite.tag != "testsuite":
+        suite = suite.find("testsuite")
+    counts = {k: int(suite.get(k, 0)) for k in ("tests", "failures", "errors", "skipped")}
+    return {"exit": code, "seconds": seconds,
+            "passed": counts["tests"] - counts["failures"] - counts["errors"] - counts["skipped"],
+            "failed": counts["failures"] + counts["errors"],
+            "acceptance_call_s": {case.get("name"): float(case.get("time"))
+                                  for case in suite.iter("testcase")
+                                  if case.get("classname") == ACCEPTANCE}}
+
+
 def subprocess_runner(repo: pathlib.Path, seconds: float) -> Runner:
     def run(workload: str, seed: int, trace: int) -> tuple[dict, dict]:
         proc = subprocess.run(
@@ -122,6 +150,26 @@ def cli_subprocess_runner(repo: pathlib.Path) -> CliRunner:
     return run
 
 
+def tier1_subprocess_runner(repo: pathlib.Path) -> Tier1Runner:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(repo / "src"), os.environ.get("PYTHONPATH")) if p))
+
+    def run() -> tuple[int, float, str]:
+        with tempfile.TemporaryDirectory() as tmp:
+            report = pathlib.Path(tmp) / "tier1.xml"
+            t0 = time.perf_counter()
+            proc = subprocess.run([sys.executable, *TIER1_ARGS, f"--junitxml={report}"],
+                                  capture_output=True, text=True, cwd=repo, env=env)
+            seconds = time.perf_counter() - t0
+            # Exit 1 is a failing test: a result, not a crash.
+            if proc.returncode not in (0, 1) or not report.exists():
+                raise SystemExit(f"tier-1 failed (exit {proc.returncode}):\n"
+                                 f"{proc.stdout[-2000:]}{proc.stderr}")
+            print(f"tier-1: exit {proc.returncode} in {seconds:.1f} s", file=sys.stderr)
+            return proc.returncode, seconds, report.read_text()
+    return run
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", type=int, required=True)
@@ -136,7 +184,8 @@ def main(argv=None) -> int:
            "workloads": summarize(workloads, list(SEEDS), subprocess_runner(repo, seconds)),
            "cli": {"args": list(CLI_ARGS),
                    "commands": summarize_cli(list(CLI_COMMANDS), CLI_RUNS,
-                                             cli_subprocess_runner(repo))}}
+                                             cli_subprocess_runner(repo))},
+           "tier1": summarize_tier1(tier1_subprocess_runner(repo))}
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}", file=sys.stderr)

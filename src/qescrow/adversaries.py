@@ -222,13 +222,14 @@ def full_measurement_bob() -> StrategySpec:
     encoding difference and announces the maximum-likelihood guess."""
     r0, r1 = escrow_bit_density(0, COIN_THETA), escrow_bit_density(1, COIN_THETA)
     vals, vecs = hermitian_eig(r0.matrix - r1.matrix)
-    meas = OrthogonalMeasurement.from_basis([vecs[:, i] for i in range(2)])
-    guesses = tuple(0 if vals[i] >= 0 else 1 for i in range(2))
+    # guess 0 on the nonnegative eigenvalue, 1 on the negative: outcome index = guess
+    order = np.argsort(vals < 0, kind="stable")
+    meas = OrthogonalMeasurement.from_basis([vecs[:, i] for i in order])
     return StrategySpec(
         party="bob", ancilla_count=0, label="bob-full-measurement",
         programs={"choose": (
             MeasureRecord(("dep",), meas, "guess"),
-            SetBits({"bp": lambda rec: guesses[rec["guess"]]}),
+            SetBits({"bp": "guess"}),
         )},
     )
 

@@ -161,7 +161,7 @@ def extract_attack_unitary(bob: StrategySpec) -> tuple[np.ndarray, int]:
     rnd = rounds[0]
     if rnd.wires != ("dep",) + bob.ancillas:
         raise NotUnitaryAttack("attack must act on (dep, ancillas) in that order")
-    if rnd.unitary is None:
+    if rnd.keys:
         raise NotUnitaryAttack("attack unitary must be a fixed matrix")
     return rnd.unitary.matrix, bob.ancilla_count
 
@@ -312,11 +312,10 @@ def modified_sealing_check(bob_pair: tuple[StrategySpec, StrategySpec],
     d1 = _conditional_detection(u1, theta, 1)
     total = 0.5 * (d0 + d1)
 
-    gates = (u0, u1)
     conditional_bob = StrategySpec(
         party="bob", ancilla_count=n0, label="bob-conditional-return",
-        programs={"return": (Apply(("dep",) + bob_pair[0].ancillas,
-                                   lambda rec: gates[rec["b_claim"]]),)},
+        programs={"return": (Apply(("dep",) + bob_pair[0].ancillas, np.stack((u0, u1)),
+                                   keys=("b_claim",)),)},
     )
     alice = honest_alice_escrow(params)
     enumerated = 0.5 * sum(

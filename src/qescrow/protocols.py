@@ -24,7 +24,7 @@ array, one bit column per wire of the layout, and per-row record dicts and
 transcripts.  Each round is one kernel call for all rows: a draw repeats
 rows, a gate is one (per-row stacked, for a record-dependent gate)
 ``apply_unitary``, a measurement or deposit check is one ``qmath.measure``
-whose surviving outcomes follow their parent row in label order.  Rows stay
+whose surviving outcomes follow their parent row in outcome order.  Rows stay
 in branch order, so the leaves are merged in the same order as
 branch-by-branch enumeration.
 
@@ -50,14 +50,15 @@ ancillas, at most ``MAX_TOTAL_WIRES`` = 9 in all):
     rb, rx   Alice's revealed bit/basis    bp    Bob's announced coin bit
     rb2, rx2 reveal wires of the embedded coin
 
-Strategies are data: per-phase lists of rounds (unitaries on held wires,
-orthogonal measurements with classical rules, fair-coin draws).  Each round
-checks itself once, when it is built: distinct wires, a fixed gate that is a
-unitary matrix of the right shape, a measurement of the right dimension.  A
+Strategies are data: per-phase lists of rounds (unitaries, or tables of them
+indexed by record bits, on held wires; orthogonal measurements; fair-coin
+draws; message bits that are constants or record keys).  Each round checks
+itself once, when it is built: distinct wires, unitaries of the right shape,
+a measurement of the right dimension, bit sources that are 0, 1 or a key.  A
 run checks only what the game adds: every phase is known and every round
 touches only wires the party holds in it.  Every violation raises
-``MalformedStrategy`` before any branch runs; only a record-dependent gate is
-checked during the run, each time it resolves.  Runners are pure functions
+``MalformedStrategy`` before any branch runs, except a record key that is
+unset or not a bit, which raises it when read.  Runners are pure functions
 from strategies to outcome distributions; concurrent runs share nothing
 mutable.
 """
@@ -68,7 +69,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -159,13 +160,12 @@ def phi_bx(b: int, x: int, theta: float, wire: str = "q") -> StateVector:
 
 @functools.lru_cache(maxsize=256)
 def escrow_basis(x: int, theta: float) -> OrthogonalMeasurement:
-    """The check basis {phi_{0,x}, phi_{1,x}}; outcome labels are the bit b.
+    """The check basis {phi_{0,x}, phi_{1,x}}; the outcome index is the bit b.
 
     Cached per (x, theta): a measurement is immutable, so every check shares one.
     """
     return OrthogonalMeasurement.from_basis(
-        [phi_vec(bx_angle(0, x, theta)), phi_vec(bx_angle(1, x, theta))], labels=(0, 1)
-    )
+        [phi_vec(bx_angle(0, x, theta)), phi_vec(bx_angle(1, x, theta))])
 
 
 def escrow_bit_mixture(b: int, theta: float) -> Mixture:
@@ -180,9 +180,6 @@ def escrow_bit_density(b: int, theta: float) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 # Strategy rounds
 
-Gate = np.ndarray | Callable[[dict], np.ndarray]
-BitSource = int | str | Callable[[dict], int]
-
 
 @dataclass(frozen=True)
 class Draw:
@@ -196,43 +193,38 @@ def _check_distinct(wires: tuple[str, ...]) -> None:
         raise MalformedStrategy(f"a wire is named twice in {wires}")
 
 
-def _gate_matrix(gate, dim: int) -> np.ndarray:
-    """The gate as a complex (dim, dim) matrix; ``MalformedStrategy`` if it is not one."""
-    try:
-        matrix = np.asarray(gate, dtype=complex)
-    except (TypeError, ValueError):
-        raise MalformedStrategy(f"gate {type(gate).__name__} is not a numeric matrix") from None
-    if matrix.shape != (dim, dim):
-        raise MalformedStrategy(f"gate of shape {matrix.shape} needs shape ({dim}, {dim})")
-    return matrix
-
-
 @dataclass(frozen=True)
 class Apply:
-    """Unitary on distinct held wires; a callable gate is resolved against the record.
+    """Unitary on distinct held wires, fixed or chosen by bits of the party's record.
 
-    A fixed gate is checked once, when the round is built, and kept checked
-    in ``unitary``; a callable gate is checked each time it resolves.
+    With no ``keys`` the gate is one (d, d) matrix.  With k record keys it is
+    a (2^k, d, d) table, and a row applies the entry its bits under the keys
+    index, the first key most significant.  The gate or whole table is
+    checked once, when the round is built, and kept checked in ``unitary``.
     """
 
     wires: tuple[str, ...]
-    gate: Gate
-    unitary: Unitary | None = field(init=False, repr=False, compare=False)  # None if callable
+    gate: np.ndarray
+    keys: tuple[str, ...] = ()
+    unitary: Unitary = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_distinct(self.wires)
-        unitary = None
-        if not callable(self.gate):
-            try:
-                unitary = Unitary(_gate_matrix(self.gate, 2 ** len(self.wires)))
-            except qmath.NotUnitary:
-                raise MalformedStrategy(f"gate on {self.wires} is not unitary") from None
-        object.__setattr__(self, "unitary", unitary)
+        object.__setattr__(self, "keys", tuple(self.keys))
+        dim = 2 ** len(self.wires)
+        shape = (2 ** len(self.keys), dim, dim) if self.keys else (dim, dim)
+        try:
+            matrix = np.asarray(self.gate, dtype=complex)
+            if matrix.shape != shape:
+                raise MalformedStrategy(f"gate of shape {matrix.shape} needs shape {shape}")
+            object.__setattr__(self, "unitary", Unitary(matrix))
+        except (TypeError, ValueError, qmath.NotUnitary) as exc:
+            raise MalformedStrategy(f"gate on {self.wires} is not a unitary: {exc}") from None
 
 
 @dataclass(frozen=True)
 class MeasureRecord:
-    """Orthogonal measurement on distinct held wires, outcome label stored in the record."""
+    """Orthogonal measurement on distinct held wires, outcome index stored in the record."""
 
     wires: tuple[str, ...]
     measurement: OrthogonalMeasurement
@@ -247,13 +239,19 @@ class MeasureRecord:
 
 @dataclass(frozen=True)
 class SetBits:
-    """Write classical bits onto fresh message wires (X^bit per wire).
+    """Write classical bits onto message wires (X^bit per wire).
 
-    Sources may be constants, record keys, or callables of the record; this is
-    the classical rule mapping measurement outcomes to the next message bits.
+    Each source, checked when the round is built, is a constant 0 or 1 or a
+    record key whose bit is copied: the classical rule mapping measurement
+    outcomes to the next message bits.
     """
 
-    assignments: Mapping[str, BitSource]
+    assignments: Mapping[str, int | str]
+
+    def __post_init__(self):
+        for wire, src in self.assignments.items():
+            if not (isinstance(src, str) or (isinstance(src, (int, np.integer)) and src in (0, 1))):
+                raise MalformedStrategy(f"bit source {src!r} for {wire!r} is not 0, 1 or a key")
 
 
 Round = Draw | Apply | MeasureRecord | SetBits
@@ -376,26 +374,19 @@ class _Rows:
                      [self.transcripts[r] for r in parents])
 
 
-def _resolve_bit(src: BitSource, rec: dict) -> int:
-    if callable(src):
-        v = src(rec)
-    elif isinstance(src, str):
-        if src not in rec:
-            raise MalformedStrategy(f"record key {src!r} not set before use")
-        v = rec[src]
-    else:
-        v = src
-    if v not in (0, 1):
-        raise MalformedStrategy(f"classical bit source produced {v!r}")
-    return int(v)
+def _record_bits(rows: _Rows, party: str, keys: tuple[str, ...]) -> list[tuple[int, ...]]:
+    """The bits ``party``'s record holds under ``keys``: one tuple of 0/1 per branch.
 
-
-def _resolve_gates(gate: Callable[[dict], np.ndarray], recs: list[dict], dim: int) -> np.ndarray:
-    """One record-dependent gate per row, stacked; ``apply_unitary`` checks them in one call."""
-    gates = np.empty((len(recs), dim, dim), dtype=complex)
-    for i, rec in enumerate(recs):
-        gates[i] = _gate_matrix(gate(rec), dim)
-    return gates
+    This is the one place that reads a record as bits.  A key that is not
+    set, or holds something other than 0 or 1, raises ``MalformedStrategy``.
+    """
+    try:
+        columns = [[rec[party][key] for rec in rows.recs] for key in keys]
+    except KeyError as exc:
+        raise MalformedStrategy(f"{party} reads key {exc.args[0]!r} before it is set") from None
+    if not set().union(*columns) <= {0, 1}:
+        raise MalformedStrategy(f"{party}'s record holds a value that is not a bit under {keys}")
+    return list(zip(*columns))
 
 
 def _run_program(rows: _Rows, spec: StrategySpec, phase: str) -> _Rows:
@@ -407,27 +398,29 @@ def _run_program(rows: _Rows, spec: StrategySpec, phase: str) -> _Rows:
             rows = rows.split(parents, np.full(2 * n, 0.5), rows.states.take(parents), party,
                               rnd.name, [0, 1] * n)
         elif isinstance(rnd, Apply):
+            gate = rnd.unitary
+            if rnd.keys:  # a row's table index: its bits under the keys, the first most significant
+                bits = np.array(_record_bits(rows, party, rnd.keys), dtype=np.intp)
+                weights = 1 << np.arange(len(rnd.keys))[::-1]
+                gate = gate.take(bits.reshape(-1, len(rnd.keys)) @ weights)
+            rows = rows.quantum(rnd.wires)
             try:
-                gate = rnd.unitary
-                if gate is None:
-                    gate = _resolve_gates(rnd.gate, [rec[party] for rec in rows.recs],
-                                          2 ** len(rnd.wires))
-                rows = rows.quantum(rnd.wires)
                 states = apply_unitary(rows.states, gate, rnd.wires)
-            except (qmath.QMathError, KeyError) as exc:
+            except qmath.QMathError as exc:
                 raise MalformedStrategy(f"bad gate in phase {phase!r}: {exc!r}") from exc
             rows = rows.with_states(states)
         elif isinstance(rnd, MeasureRecord):
             rows = rows.quantum(rnd.wires)
             parents, outcomes, probs, states = qmath.measure(rows.states, rnd.measurement,
                                                              rnd.wires)
-            labels = rnd.measurement.labels
-            rows = rows.split(parents, probs, states, party, rnd.name,
-                              [labels[o] for o in outcomes.tolist()])
+            rows = rows.split(parents, probs, states, party, rnd.name, outcomes.tolist())
         else:  # SetBits: a StrategySpec admits no other round type
             states, bits = rows.states, rows.bits.copy()
             for wire, src in rnd.assignments.items():
-                flips = np.array([_resolve_bit(src, rec[party]) for rec in rows.recs], dtype=bool)
+                if isinstance(src, str):
+                    flips = np.array(_record_bits(rows, party, (src,)), dtype=bool).reshape(-1)
+                else:
+                    flips = np.full(len(rows.recs), bool(src))
                 if wire not in states.wires:
                     bits[:, rows.layout.index(wire)] ^= flips
                 elif flips.any():
@@ -445,7 +438,7 @@ def _read_bit(rows: _Rows, wire: str, reader: str, sender: str, key: str) -> _Ro
     """
     if wire in rows.states.wires:
         parents, outcomes, probs, states = qmath.measure(rows.states, _COMP1, (wire,))
-        bits = outcomes.tolist()  # the computational basis labels its outcomes 0, 1
+        bits = outcomes.tolist()  # in the computational basis the outcome index is the bit
     else:
         parents = np.arange(len(rows.probs))
         probs, states = qmath.renormalize(rows.states)
@@ -466,22 +459,16 @@ def _check_deposit(rows: _Rows, dep_wire: str, theta: float, checker: str,
     recorded that key gets no result.  Each row is measured in the basis of its
     own claimed x, all rows in one call.
     """
-    claims, passed = [], []
-    for rec in rows.recs:
-        rec = rec[checker]
-        if b_key not in rec or x_key not in rec:
-            raise MalformedStrategy(
-                f"{checker} lacks the classical record ({b_key}, {x_key}) needed to verify")
-        b, x = int(rec[b_key]), int(rec[x_key])
-        claims.append((b, x))
-        if xor_key is None:
-            passed.append(Verdict.of_bit(b))
-        else:
-            passed.append(Verdict.of_bit(b ^ int(rec[xor_key])) if xor_key in rec else None)
+    has_xor = xor_key is not None and all(xor_key in rec[checker] for rec in rows.recs)
+    claims = _record_bits(rows, checker, (b_key, x_key) + ((xor_key,) if has_xor else ()))
+    if has_xor or xor_key is None:
+        passed = [Verdict.of_bit(c[0] ^ c[2] if has_xor else c[0]) for c in claims]
+    else:
+        passed = [None] * len(claims)
     bases = (escrow_basis(0, theta), escrow_basis(1, theta))
     parents, outcomes, probs, states = qmath.measure(
-        rows.states, [bases[x] for _, x in claims], (dep_wire,))
-    verdicts = [passed[r] if o == claims[r][0] else Verdict.ERR  # labels are the bit b
+        rows.states, [bases[c[1]] for c in claims], (dep_wire,))
+    verdicts = [passed[r] if o == claims[r][0] else Verdict.ERR  # the outcome index is b
                 for r, o in zip(parents.tolist(), outcomes.tolist())]
     return rows.split(parents, probs, states, checker, result, verdicts)
 
@@ -492,12 +479,8 @@ def _own_result(rows: _Rows, spec: StrategySpec, result: str, *bit_keys: str) ->
     A dishonest party has no result of its own, so nothing is set for it.
     """
     if spec.honest:
-        for rec in rows.recs:
-            own = rec[spec.party]
-            bit = 0
-            for key in bit_keys:
-                bit ^= int(own[key])
-            rec[spec.party] = {**own, result: Verdict.of_bit(bit)}
+        for rec, bits in zip(rows.recs, _record_bits(rows, spec.party, bit_keys)):
+            rec[spec.party] = {**rec[spec.party], result: Verdict.of_bit(sum(bits) % 2)}
     return rows
 
 
@@ -608,9 +591,14 @@ def _assemble(parts: list[_Rows], alice_honest: bool, bob_honest: bool
 # Honest parties
 
 
-def _encoder(theta: float, b_key: str = "b", x_key: str = "x") -> Callable[[dict], np.ndarray]:
-    """Record-dependent gate taking |0> to phi_{b,x} for the (b, x) the record holds."""
-    return lambda rec: rotation(bx_angle(rec[b_key], rec[x_key], theta))
+@functools.lru_cache(maxsize=256)
+def _encoder(wire: str, theta: float, b_key: str, x_key: str) -> Apply:
+    """The table of four rotations, keyed on (b, x), taking |0> on ``wire`` to phi_{b,x}.
+
+    Cached like ``escrow_basis``: a round is immutable, so every honest party shares one.
+    """
+    table = [rotation(bx_angle(b, x, theta)) for b in (0, 1) for x in (0, 1)]
+    return Apply((wire,), np.stack(table), keys=(b_key, x_key))
 
 
 def honest_alice_escrow(params: EscrowParams = EscrowParams()) -> StrategySpec:
@@ -618,7 +606,7 @@ def honest_alice_escrow(params: EscrowParams = EscrowParams()) -> StrategySpec:
     return StrategySpec(
         party="alice", ancilla_count=0, honest=True, label="honest-alice-escrow",
         programs={
-            "deposit": (Draw("x"), Apply(("dep",), _encoder(params.theta))),
+            "deposit": (Draw("x"), _encoder("dep", params.theta, "b", "x")),
             "reveal": (SetBits({"rb": "b", "rx": "x"}),),
             "reveal_bit": (SetBits({"rb": "b"}),),
         },
@@ -634,7 +622,7 @@ def honest_alice_coinflip() -> StrategySpec:
     return StrategySpec(
         party="alice", ancilla_count=0, honest=True, label="honest-alice-coinflip",
         programs={
-            "deposit": (Draw("b"), Draw("x"), Apply(("dep",), _encoder(COIN_THETA))),
+            "deposit": (Draw("b"), Draw("x"), _encoder("dep", COIN_THETA, "b", "x")),
             "reveal": (SetBits({"rb": "b", "rx": "x"}),),
         },
     )
@@ -651,10 +639,9 @@ def honest_alice_weak(params: EscrowParams = EscrowParams()) -> StrategySpec:
     return StrategySpec(
         party="alice", ancilla_count=0, honest=True, label="honest-alice-weak",
         programs={
-            "deposit": (Draw("x"), Apply(("dep",), _encoder(params.theta))),
+            "deposit": (Draw("x"), _encoder("dep", params.theta, "b", "x")),
             "reveal_bit": (SetBits({"rb": "b"}),),
-            "coin_deposit": (Draw("b2"), Draw("x2"),
-                             Apply(("dep2",), _encoder(COIN_THETA, "b2", "x2"))),
+            "coin_deposit": (Draw("b2"), Draw("x2"), _encoder("dep2", COIN_THETA, "b2", "x2")),
             "coin_reveal": (SetBits({"rb2": "b2", "rx2": "x2"}),),
             "reveal_x": (SetBits({"rx": "x"}),),
         },

@@ -277,24 +277,20 @@ class Mixture:
 
 @dataclass(frozen=True)
 class OrthogonalMeasurement:
-    """Measurement in an orthonormal basis: outcome ``labels[i]`` projects onto column i.
+    """Measurement in an orthonormal basis: outcome i projects onto column i.
 
     The basis is checked once, by V^dag V = I within 1e-9, when the
     measurement is constructed.
     """
 
     basis: np.ndarray
-    labels: tuple
     adjoint: np.ndarray = field(init=False, repr=False, compare=False)  # V^dag, for measure
 
     def __post_init__(self):
         basis = _frozen(self.basis)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "labels", tuple(self.labels))
         if basis.ndim != 2 or basis.shape[0] != basis.shape[1] or not basis.size:
             raise QMathError(f"a basis needs a nonempty square matrix, got {basis.shape}")
-        if len(self.labels) != basis.shape[1]:
-            raise QMathError("one label per basis vector required")
         if not is_unitary(basis):
             raise QMathError("basis vectors are not orthonormal")
         object.__setattr__(self, "adjoint", basis.conj().T)
@@ -304,25 +300,22 @@ class OrthogonalMeasurement:
         return self.basis.shape[0]
 
     @classmethod
-    def from_basis(cls, vectors: Sequence[np.ndarray], labels: Sequence | None = None
-                   ) -> "OrthogonalMeasurement":
-        basis = np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors])
-        if labels is None:
-            labels = tuple(range(basis.shape[1]))
-        return cls(basis, tuple(labels))
+    def from_basis(cls, vectors: Sequence[np.ndarray]) -> "OrthogonalMeasurement":
+        return cls(np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors]))
 
     @classmethod
     def computational(cls, n_wires: int) -> "OrthogonalMeasurement":
-        dim = 2 ** n_wires
-        return cls(np.eye(dim), tuple(range(dim)))
+        return cls(np.eye(2 ** n_wires))
 
 
 @dataclass(frozen=True)
 class Unitary:
-    """A square matrix, or a stack of them (one per row of a ``StateStack``), that
-    passed the 1e-9 unitarity check when it was constructed.
+    """A square matrix, or a stack of them, that passed the 1e-9 unitarity
+    check when it was constructed.
 
-    ``apply_unitary`` applies it without checking it again.
+    A stack is either one matrix per row of a ``StateStack`` or a table that
+    ``take`` indexes into such a per-row stack.  ``apply_unitary`` applies it
+    without checking it again.
     """
 
     matrix: np.ndarray
@@ -336,6 +329,14 @@ class Unitary:
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
+
+    def take(self, rows: Sequence[int]) -> "Unitary":
+        """The given matrices of a stack, in order (one may repeat); not checked again."""
+        m = self.matrix[np.asarray(rows, dtype=np.intp)]
+        m.setflags(write=False)
+        out = object.__new__(Unitary)
+        object.__setattr__(out, "matrix", m)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +497,8 @@ def measure(states: StateStack, m: OrthogonalMeasurement | Sequence[OrthogonalMe
     v_i (x) (V^dag block)_i on the measured wires.
 
     The result is ``(rows, outcomes, probs, post)``: for every surviving
-    branch, row by row and each row's outcomes in label order, the row index,
-    the outcome's index into that row's labels, its probability, and its
+    branch, row by row and each row's outcomes in index order, the row index,
+    the outcome's index (its basis column), its probability, and its
     post-state as the matching row of the stack ``post``.
     """
     on = tuple(on)
@@ -631,7 +632,7 @@ def optimal_distinguishing_measurement(
         raise WireMismatch("states live on different wires")
     delta = r0.matrix - r1.matrix
     _, vecs = hermitian_eig(delta)
-    meas = OrthogonalMeasurement(vecs, tuple(range(vecs.shape[1])))
+    meas = OrthogonalMeasurement(vecs)
     achieved = measurement_l1_distance(r0, r1, meas)
     return meas, achieved
 
@@ -677,4 +678,4 @@ def random_density(wires: Sequence[str], rng: np.random.Generator) -> DensityMat
 
 
 def random_basis_measurement(dim: int, rng: np.random.Generator) -> OrthogonalMeasurement:
-    return OrthogonalMeasurement(random_unitary(dim, rng), tuple(range(dim)))
+    return OrthogonalMeasurement(random_unitary(dim, rng))

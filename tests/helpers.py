@@ -9,12 +9,13 @@ from qescrow.qmath import OrthogonalMeasurement
 def fixed_bit_alice(bit: int) -> StrategySpec:
     """Depositor who always escrows and claims the same bit.
 
-    Measuring her fresh ancilla a0, which is |0>, in the computational basis
-    with the outcome labels (bit, 1 - bit) records ``b = bit`` with certainty;
-    then she runs the honest depositor's programs.
+    Her fresh ancilla a0 is |0>, and she measures it in the computational
+    basis with its columns ordered so that |0> is outcome ``bit``: this
+    records ``b = bit`` with certainty.  Then she runs the honest depositor's
+    programs.
     """
     base = honest_alice_escrow()
-    fix_b = MeasureRecord(("a0",), OrthogonalMeasurement(np.eye(2), (bit, 1 - bit)), "b")
+    fix_b = MeasureRecord(("a0",), OrthogonalMeasurement(np.eye(2)[:, [bit, 1 - bit]]), "b")
     return StrategySpec(
         party="alice", ancilla_count=1, label=f"alice-always-{bit}",
         programs={

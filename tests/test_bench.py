@@ -63,3 +63,16 @@ def test_summarize_cli_runs_each_command_and_takes_the_median():
     assert out["coinflip"]["exit"] == [0]
     assert out["selftest"]["exit"] == [0, 3]
     assert out["selftest"]["seconds"]["median"] == 5.0
+
+
+def test_summarize_tier1_counts_tests_and_times_each_criterion():
+    report = """<?xml version="1.0" encoding="utf-8"?><testsuites><testsuite name="pytest"
+        errors="1" failures="2" skipped="1" tests="10" time="30.0">
+      <testcase classname="tests.test_acceptance" name="test_criterion_1" time="0.5"/>
+      <testcase classname="tests.test_acceptance" name="test_criterion_4_x" time="1.25">
+        <failure message="red"/></testcase>
+      <testcase classname="tests.test_cli" name="test_criterion_1" time="7.0"/>
+    </testsuite></testsuites>"""
+    out = bench.summarize_tier1(lambda: (1, 31.5, report))
+    assert out == {"exit": 1, "seconds": 31.5, "passed": 6, "failed": 3,
+                   "acceptance_call_s": {"test_criterion_1": 0.5, "test_criterion_4_x": 1.25}}

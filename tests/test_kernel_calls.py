@@ -4,7 +4,7 @@ A profiler or tracer that wraps ``qmath.measure`` and ``qmath.apply_unitary``
 (and the ``protocols`` aliases of ``apply_unitary`` and ``partial_trace``)
 must see every run's kernel calls, and must not change any outcome.  The
 same kind of wrapper on ``qmath.is_unitary`` shows that a run does not check a
-fixed gate again once its round is built.
+gate, or a record-dependent table of gates, again once its round is built.
 """
 
 import numpy as np
@@ -99,11 +99,35 @@ def _record_stack_wires(monkeypatch) -> list:
     return seen
 
 
-def test_a_built_gate_is_not_checked_again_by_its_runs(monkeypatch):
-    # the depositor's one gate is fixed and the honest receiver applies none,
-    # so any unitarity check during these runs would re-check that gate
+def _fixed_gate_coinflip():
+    # the depositor's one gate is fixed and the honest receiver applies none
     alice = StrategySpec("alice", 0, {"deposit": (Apply(("dep",), rotation(0.3)),),
                                       "reveal": (SetBits({"rb": 0, "rx": 1}),)})
+    return lambda: protocols.run_coinflip(alice, honest_bob_coinflip())
+
+
+def _honest_coinflip():
+    # the honest depositor's encoder is a table of four rotations keyed on (b, x)
+    alice, bob = honest_alice_coinflip(), honest_bob_coinflip()
+    return lambda: protocols.run_coinflip(alice, bob)
+
+
+def _conditional_receiver():
+    # the receiver's return unitary is a table keyed on the revealed bit
+    rng = np.random.default_rng(5)
+    table = np.stack([qmath.random_unitary(4, rng) for _ in range(2)])
+    bob = StrategySpec("bob", 1, {"return": (Apply(("dep", "c0"), table, keys=("b_claim",)),)})
+    alice = honest_alice_escrow()
+    return lambda: protocols.run_escrow_reveal_then_return(alice, bob, 1)
+
+
+@pytest.mark.parametrize("build", [_fixed_gate_coinflip, _honest_coinflip,
+                                   _conditional_receiver],
+                         ids=["fixed-gate", "honest-coinflip", "conditional-receiver"])
+def test_a_built_gate_is_not_checked_again_by_its_runs(build, monkeypatch):
+    # every gate and table is checked when its round is built, before the
+    # wrapper is in place, so any unitarity check during the runs would re-check one
+    run = build()
     for x in (0, 1):
         escrow_basis(x, COIN_THETA)   # the check bases are cached on first use: build them now
     checks = []
@@ -115,5 +139,5 @@ def test_a_built_gate_is_not_checked_again_by_its_runs(monkeypatch):
     is_unitary = qmath.is_unitary
     monkeypatch.setattr(qmath, "is_unitary", counting)
     for _ in range(2):
-        protocols.run_coinflip(alice, honest_bob_coinflip())
+        run()
     assert checks == []

@@ -237,11 +237,22 @@ def test_weak_commitment_dishonest_depositor(theta, bit):
 @pytest.mark.parametrize("bit", (0, 1))
 def test_weak_commitment_with_every_coin_result_err(theta, bit):
     # the depositor reveals the wrong coin bit, so every coin result is err and
-    # both challenge partitions are empty: zero-row stacks run every later step
+    # both challenge partitions are empty: zero-row stacks run every later step.
+    # She draws her coin bit b2 first and writes 1 - b2 onto her ancilla with a
+    # b2-keyed (X, I) table, where the state is still exactly |0...0>, so that
+    # reading it back leaves every probability exact.
     params = EscrowParams(theta)
     programs = dict(honest_alice_weak(params).programs)
-    programs["coin_reveal"] = (SetBits({"rb2": lambda rec: 1 - rec["b2"], "rx2": "x2"}),)
-    alice = StrategySpec("alice", 0, programs, honest=False)
+    not_b2 = np.stack((np.array([[0, 1], [1, 0]]), np.eye(2)))
+    programs["deposit"] = (
+        Draw("b2"),
+        Apply(("a0",), not_b2, keys=("b2",)),
+        MeasureRecord(("a0",), qmath.OrthogonalMeasurement.computational(1), "not_b2"),
+    ) + programs["deposit"]
+    assert programs["coin_deposit"][0] == Draw("b2")
+    programs["coin_deposit"] = programs["coin_deposit"][1:]
+    programs["coin_reveal"] = (SetBits({"rb2": "not_b2", "rx2": "x2"}),)
+    alice = StrategySpec("alice", 1, programs, honest=False)
     dist = run_weak_commitment(alice, honest_bob_weak(), bit, params)
     assert dist.verdict_probability("bob", Verdict.ERR) == 1.0
     assert len(dist.branches) == 4
@@ -303,6 +314,9 @@ def _bob_choosing(*rounds):
     return StrategySpec("bob", 1, {"choose": rounds + (SetBits({"bp": 0}),)})
 
 
+_NOT_UNITARY = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+
+
 @pytest.mark.parametrize("build", [
     lambda: MeasureRecord(("dep", "c0"), qmath.OrthogonalMeasurement.computational(1), "m"),
     lambda: MeasureRecord(("dep",), np.eye(2), "m"),
@@ -312,9 +326,16 @@ def _bob_choosing(*rounds):
     lambda: Apply(("dep", "c0"), np.eye(2)),
     lambda: Apply(("dep",), qmath.Unitary(np.eye(2))),
     lambda: _bob_choosing("not a round"),
+    lambda: Apply(("dep",), np.stack((np.eye(2),) * 3), keys=("b",)),
+    lambda: Apply(("dep",), np.stack((np.eye(2), _NOT_UNITARY)), keys=("b",)),
+    lambda: Apply(("dep",), np.eye(2), keys=("b",)),
+    lambda: SetBits({"bp": 2}),
+    lambda: Apply(("dep",), lambda rec: np.eye(2)),
+    lambda: SetBits({"bp": lambda rec: 0}),
 ], ids=["measurement-dim", "not-a-measurement", "measure-repeated-wire",
         "apply-repeated-wire", "gate-shape", "gate-too-small", "gate-not-a-matrix",
-        "unknown-round-type"])
+        "unknown-round-type", "table-length", "table-entry-not-unitary", "gate-with-keys",
+        "bit-source-2", "callable-gate", "callable-source"])
 def test_malformed_round_fails_at_compile_time(build):
     # a round checks itself when it is built, before any strategy or run holds it
     with pytest.raises(MalformedStrategy):
@@ -327,20 +348,50 @@ def test_built_apply_holds_its_checked_unitary():
     assert fixed.gate is eye4   # kept as given
     assert isinstance(fixed.unitary, qmath.Unitary)
     assert np.array_equal(fixed.unitary.matrix, eye4)
-    resolved = Apply(("c0",), lambda rec: np.eye(2))
-    assert resolved.unitary is None   # record-dependent: checked each time it resolves
+    table = np.stack((np.eye(2), np.array([[0, 1], [1, 0]])))
+    keyed = Apply(("c0",), table, keys=("m",))
+    assert keyed.gate is table   # record-dependent: the whole table is checked once, when built
+    assert isinstance(keyed.unitary, qmath.Unitary)
+    assert np.array_equal(keyed.unitary.matrix, table)
+    assert np.array_equal(keyed.unitary.take([1, 0, 1]).matrix, table[[1, 0, 1]])
 
 
-def test_record_dependent_gate_is_checked_when_it_resolves():
-    bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+def test_record_dependent_gate_table_is_checked_when_built():
     with pytest.raises(MalformedStrategy):
-        run_coinflip(honest_alice_coinflip(), _bob_choosing(Apply(("c0",), lambda rec: bad)))
+        run_coinflip(honest_alice_coinflip(), _bob_choosing(
+            Apply(("c0",), np.stack((np.eye(2), _NOT_UNITARY)), keys=("m",))))
 
 
 def test_record_dependent_gate_that_is_not_a_matrix_is_malformed():
     gate = qmath.Unitary(np.eye(2))
     with pytest.raises(MalformedStrategy):
-        run_coinflip(honest_alice_coinflip(), _bob_choosing(Apply(("c0",), lambda rec: gate)))
+        run_coinflip(honest_alice_coinflip(),
+                     _bob_choosing(Apply(("c0",), [gate, gate], keys=("m",))))
+
+
+def test_record_key_that_is_unset_or_not_a_bit_is_malformed():
+    # a table and a bit source read the record through the same reader
+    for rnd in (Apply(("c0",), np.stack((np.eye(2),) * 2), keys=("m",)), SetBits({"bp": "m"})):
+        with pytest.raises(MalformedStrategy, match="before it is set"):
+            run_coinflip(honest_alice_coinflip(), _bob_choosing(rnd))
+    four = MeasureRecord(("dep", "c0"), qmath.OrthogonalMeasurement.computational(2), "m")
+    with pytest.raises(MalformedStrategy, match="not a bit"):
+        run_coinflip(honest_alice_coinflip(), _bob_choosing(four, SetBits({"bp": "m"})))
+
+
+_HONEST_ALICE_WITHOUT_B = StrategySpec(
+    "alice", 0, {"deposit": (Apply(("dep",), np.eye(2)),),
+                 "reveal": (SetBits({"rb": 0, "rx": 0}),)}, honest=True)
+
+
+@pytest.mark.parametrize("run", [
+    lambda alice: run_coinflip(alice, honest_bob_coinflip()),
+    lambda alice: run_escrow(alice, honest_bob_escrow(), Challenge.REVEAL_TO_BOB),
+], ids=["coinflip", "escrow-reveal"])
+def test_honest_party_without_its_result_bits_is_malformed(run):
+    # an honest-flagged depositor who never records b has no result of her own
+    with pytest.raises(MalformedStrategy):
+        run(_HONEST_ALICE_WITHOUT_B)
 
 
 def test_escrow_basis_is_cached():
