@@ -8,8 +8,10 @@ checkout ``--repo`` (default: this one) runs for the file's ``run_seconds``
 once per seed in ``SEEDS`` with ``--trace 0`` and once, at the first seed,
 with ``--trace 1``, each in a fresh process.
 The file holds, per workload, the median and quartiles of every end-to-end
-metric over the seeds, the attempted and failed evaluation counts, the
-environment line of the first run and the traced run's per-layer counters.
+metric over the seeds, the attempted and failed evaluation counts (attempted
+also per seed, so a peak_rss_mb value can be set against the evaluations that
+grew it), the environment line of the first run and the traced run's
+per-layer counters.
 
 It also records each CLI subcommand of that checkout at ``CLI_ARGS``: the
 wall seconds and the peak RSS of the ``qescrow`` process, median and
@@ -86,6 +88,8 @@ def summarize(workloads: list[str], seeds: list[int], runner: Runner) -> dict:
         out[name] = {
             "end_to_end": {key: spread(values) for key, values in metrics.items()},
             "attempted": sum(result["attempted"] for _, result in runs),
+            # one per seed, aligned with each metric's "values"
+            "attempted_per_seed": [result["attempted"] for _, result in runs],
             "failed": sum(result["failed"] for _, result in runs),
             "correct": all(result["correct"] for _, result in runs) and traced["correct"],
             "environment": runs[0][0]["environment"],

@@ -20,13 +20,18 @@ the leaves.  ``deposit_reduced_state`` runs the deposit phase on the same steps.
 
 The branches of a run are rows (``_Rows``): one ``qmath.StateStack`` holds
 every branch's amplitudes on the run's quantum wires, next to one probability
-array, one bit column per wire of the layout, and per-row record dicts and
-transcripts.  Each round is one kernel call for all rows: a draw repeats
-rows, a gate is one (per-row stacked, for a record-dependent gate)
-``apply_unitary``, a measurement or deposit check is one ``qmath.measure``
-whose surviving outcomes follow their parent row in outcome order.  Rows stay
-in branch order, so the leaves are merged in the same order as
-branch-by-branch enumeration.
+array and one small-integer table.  The table has a column per wire of the
+layout (its classical bit), per (party, key) of the records and per
+transcript entry; a record value is a bit, an outcome index or a verdict
+code, and a run's one key-to-column map and transcript header name the
+columns.  Each round is one kernel call for all rows: a draw repeats rows, a
+gate is one (per-row stacked, for a record-dependent gate) ``apply_unitary``,
+a measurement or deposit check is one ``qmath.measure`` whose surviving
+outcomes follow their parent row in outcome order, and its record is one
+column of the children's table.  Rows stay in branch order, so ``_assemble``
+sums each leaf's rows in the same order as branch-by-branch enumeration, and
+builds the leaf objects only for distinct rows of verdict and transcript
+codes.
 
 Classical messages are carried on qubit wires that an honest recipient
 measures in the computational basis on receipt; a dishonest sender is free to
@@ -168,6 +173,12 @@ def escrow_basis(x: int, theta: float) -> OrthogonalMeasurement:
         [phi_vec(bx_angle(0, x, theta)), phi_vec(bx_angle(1, x, theta))])
 
 
+@functools.lru_cache(maxsize=256)
+def _check_bases(theta: float) -> OrthogonalMeasurement:
+    """Both check bases as one stack indexed by x, checked once and cached per theta."""
+    return OrthogonalMeasurement(np.stack([escrow_basis(x, theta).basis for x in (0, 1)]))
+
+
 def escrow_bit_mixture(b: int, theta: float) -> Mixture:
     """Honest depositor's view of bit b on ``dep``: uniform over the two x encodings."""
     return Mixture((0.5, 0.5), (phi_bx(b, 0, theta, "dep"), phi_bx(b, 1, theta, "dep")))
@@ -233,8 +244,9 @@ class MeasureRecord:
     def __post_init__(self):
         _check_distinct(self.wires)
         dim = 2 ** len(self.wires)
-        if not isinstance(self.measurement, OrthogonalMeasurement) or self.measurement.dim != dim:
-            raise MalformedStrategy(f"{self.wires} need an OrthogonalMeasurement of dim {dim}")
+        m = self.measurement
+        if not isinstance(m, OrthogonalMeasurement) or m.basis.shape != (dim, dim):
+            raise MalformedStrategy(f"{self.wires} need one OrthogonalMeasurement of dim {dim}")
 
 
 @dataclass(frozen=True)
@@ -284,7 +296,7 @@ class StrategySpec:
                     raise MalformedStrategy(f"unknown round type {type(rnd).__name__}")
         object.__setattr__(self, "programs", programs)
 
-    @property
+    @functools.cached_property
     def ancillas(self) -> tuple[str, ...]:
         prefix = "a" if self.party == "alice" else "c"
         return tuple(f"{prefix}{i}" for i in range(self.ancilla_count))
@@ -313,31 +325,43 @@ def validate_strategy(spec: StrategySpec, phase_wires: Mapping[str, tuple[str, .
 # ---------------------------------------------------------------------------
 # Branch-tree execution
 
+# Every classical value of a row is a small integer.  A bit or an outcome
+# index is itself; these codes mark a key that was never set and the three
+# verdicts.
+_CODE = np.int16
+_UNSET, _ZERO, _ONE, _ERR = -1, -2, -3, -4   # the verdict of bit b is _ZERO - b
+_VERDICTS = {_ZERO: Verdict.ZERO, _ONE: Verdict.ONE, _ERR: Verdict.ERR}
+_SAID = {_ZERO: 0, _ONE: 1, _ERR: Verdict.ERR.value}   # a verdict in a transcript
 
-@dataclass
+
+@dataclass(slots=True)
 class _Rows:
-    """A run's branches, one row each: probability, state, records and transcript.
+    """A run's branches, one row each: probability, state, and a row of small integers.
 
     The state of a row is its amplitudes on the quantum wires (``states``,
     a subsequence of ``layout``) times one definite bit on each classical
-    message wire (the row's ``bits`` column of that wire; the columns of
-    quantum wires are unused).  Rows are branch-major: a row's children
-    follow it in outcome order.  A row's records are a dict of party records
-    that the row owns; a party's record may be shared with other rows, so a
-    write replaces it with an updated copy and never changes it in place.
+    message wire.  Every classical value of a row sits in ``table``: column
+    i holds the bit of the layout's wire i (unused while the wire is
+    quantum), and the run's ``columns`` map, shared by every ``_Rows`` of
+    the run, places the others: one column per (party, key) of the records
+    and one per transcript position.  A record value is a bit, an outcome
+    index or a verdict code, and ``_UNSET`` marks a key the row never set.
+    ``entries`` names the (sender, key) of each transcript position; it is
+    the same for every row.  Rows are branch-major: a row's children follow
+    it in outcome order.
     """
 
     probs: np.ndarray
     states: StateStack
-    bits: np.ndarray
     layout: tuple[str, ...]
-    recs: list[dict[str, dict]]
-    transcripts: list[tuple]
+    table: np.ndarray
+    columns: dict[tuple[str, str] | int, int]
+    entries: tuple[tuple[str, str], ...] = ()
 
-    def take(self, rows: list[int]) -> "_Rows":
-        """The given rows, each at most once, sharing their records."""
-        return _Rows(self.probs[rows], self.states.take(rows), self.bits[rows], self.layout,
-                     [self.recs[r] for r in rows], [self.transcripts[r] for r in rows])
+    def take(self, rows: np.ndarray) -> "_Rows":
+        """The given rows (indices), each at most once."""
+        return _Rows(self.probs[rows], self.states.take(rows), self.layout, self.table[rows],
+                     self.columns, self.entries)
 
     def quantum(self, wires: tuple[str, ...]) -> "_Rows":
         """The rows with each of ``wires`` in the stack; a classical one enters in |bit>.
@@ -350,59 +374,81 @@ class _Rows:
             if wire not in states.wires:
                 col = self.layout.index(wire)
                 at = sum(self.layout.index(w) < col for w in states.wires)
-                states = states.insert(at, wire, self.bits[:, col])
+                states = states.insert(at, wire, self.table[:, col])
         return self if states is self.states else self.with_states(states)
 
-    def with_states(self, states: StateStack, bits: np.ndarray | None = None) -> "_Rows":
-        """The same rows with new states (and bit columns, when given)."""
-        return _Rows(self.probs, states, self.bits if bits is None else bits, self.layout,
-                     self.recs, self.transcripts)
+    def with_states(self, states: StateStack, table: np.ndarray | None = None) -> "_Rows":
+        """The same rows with new states (and table, when given)."""
+        return _Rows(self.probs, states, self.layout, self.table if table is None else table,
+                     self.columns, self.entries)
 
     def split(self, rows: np.ndarray, probs: np.ndarray, states: StateStack, party: str,
-              key: str, values: list) -> "_Rows":
+              key: str, values: np.ndarray) -> "_Rows":
         """Children of ``rows`` (parent indices, in order) with their probabilities and states.
 
         Each child's ``party`` record gets ``key`` set to the matching entry of ``values``.
         """
-        parents = rows.tolist()
-        recs = []
-        for r, v in zip(parents, values):
-            rec = dict(self.recs[r])
-            rec[party] = {**rec[party], key: v}
-            recs.append(rec)
-        return _Rows(self.probs[rows] * probs, states, self.bits[rows], self.layout, recs,
-                     [self.transcripts[r] for r in parents])
+        out = _Rows(self.probs[rows] * probs, states, self.layout, self.table[rows],
+                    self.columns, self.entries)
+        out.record((party, key), values)
+        return out
+
+    def column(self, name: tuple[str, str] | int) -> int:
+        """The table column of a (party, key) or transcript position, placed when new."""
+        col = self.columns.setdefault(name, len(self.layout) + len(self.columns))
+        n, width = self.table.shape
+        if col >= width:  # beyond this table: widen it with unset columns, and room to spare
+            table = np.full((n, max(2 * width, col + 1)), _UNSET, dtype=self.table.dtype)
+            table[:, :width] = self.table
+            self.table = table
+        return col
+
+    def read(self, *names: tuple[str, str] | int) -> np.ndarray:
+        """A (rows, names) copy of the named columns, in C order."""
+        try:
+            return self.table.take([self.columns[name] for name in names], axis=1)
+        except (KeyError, IndexError):  # a name not placed yet, or beyond this table
+            return self.table.take([self.column(name) for name in names], axis=1)
+
+    def record(self, name: tuple[str, str] | int, values) -> None:
+        """Set the named column of every row, in place."""
+        col = self.column(name)   # first: placing a new column may replace the table
+        self.table[:, col] = values
+
+    def tell(self, sender: str, key: str, values) -> None:
+        """Append the entry (sender, key), with one value per row, to the transcript."""
+        self.record(len(self.entries), values)
+        self.entries += ((sender, key),)
 
 
-def _record_bits(rows: _Rows, party: str, keys: tuple[str, ...]) -> list[tuple[int, ...]]:
-    """The bits ``party``'s record holds under ``keys``: one tuple of 0/1 per branch.
+def _record_bits(rows: _Rows, party: str, keys: tuple[str, ...]) -> np.ndarray:
+    """The bits ``party``'s record holds under ``keys``: a (rows, keys) array of 0/1.
 
     This is the one place that reads a record as bits.  A key that is not
     set, or holds something other than 0 or 1, raises ``MalformedStrategy``.
     """
-    try:
-        columns = [[rec[party][key] for rec in rows.recs] for key in keys]
-    except KeyError as exc:
-        raise MalformedStrategy(f"{party} reads key {exc.args[0]!r} before it is set") from None
-    if not set().union(*columns) <= {0, 1}:
+    values = rows.read(*((party, key) for key in keys))
+    if not set(values.ravel().tolist()) <= {0, 1}:
+        for key, column in zip(keys, values.T.tolist()):
+            if _UNSET in column:
+                raise MalformedStrategy(f"{party} reads key {key!r} before it is set")
         raise MalformedStrategy(f"{party}'s record holds a value that is not a bit under {keys}")
-    return list(zip(*columns))
+    return values
 
 
 def _run_program(rows: _Rows, spec: StrategySpec, phase: str) -> _Rows:
     party = spec.party
     for rnd in spec.programs.get(phase, ()):
         if isinstance(rnd, Draw):
-            n = len(rows.recs)
-            parents = np.repeat(np.arange(n), 2)
-            rows = rows.split(parents, np.full(2 * n, 0.5), rows.states.take(parents), party,
-                              rnd.name, [0, 1] * n)
+            children = np.arange(2 * len(rows.probs))
+            parents = children >> 1
+            rows = rows.split(parents, 0.5, rows.states.take(parents), party, rnd.name,
+                              children & 1)
         elif isinstance(rnd, Apply):
             gate = rnd.unitary
             if rnd.keys:  # a row's table index: its bits under the keys, the first most significant
-                bits = np.array(_record_bits(rows, party, rnd.keys), dtype=np.intp)
                 weights = 1 << np.arange(len(rnd.keys))[::-1]
-                gate = gate.take(bits.reshape(-1, len(rnd.keys)) @ weights)
+                gate = gate.take(_record_bits(rows, party, rnd.keys) @ weights)
             rows = rows.quantum(rnd.wires)
             try:
                 states = apply_unitary(rows.states, gate, rnd.wires)
@@ -413,19 +459,18 @@ def _run_program(rows: _Rows, spec: StrategySpec, phase: str) -> _Rows:
             rows = rows.quantum(rnd.wires)
             parents, outcomes, probs, states = qmath.measure(rows.states, rnd.measurement,
                                                              rnd.wires)
-            rows = rows.split(parents, probs, states, party, rnd.name, outcomes.tolist())
+            rows = rows.split(parents, probs, states, party, rnd.name, outcomes)
         else:  # SetBits: a StrategySpec admits no other round type
-            states, bits = rows.states, rows.bits.copy()
+            states, table = rows.states, rows.table.copy()
+            keys = tuple(src for src in rnd.assignments.values() if isinstance(src, str))
+            bits = dict(zip(keys, _record_bits(rows, party, keys).T == 1))
             for wire, src in rnd.assignments.items():
-                if isinstance(src, str):
-                    flips = np.array(_record_bits(rows, party, (src,)), dtype=bool).reshape(-1)
-                else:
-                    flips = np.full(len(rows.recs), bool(src))
+                flips = bits[src] if isinstance(src, str) else np.full(len(rows.probs), bool(src))
                 if wire not in states.wires:
-                    bits[:, rows.layout.index(wire)] ^= flips
+                    table[:, rows.layout.index(wire)] ^= flips
                 elif flips.any():
                     states = states.flip(wire, flips)
-            rows = rows.with_states(states, bits)
+            rows = rows.with_states(states, table)
     return rows
 
 
@@ -437,14 +482,14 @@ def _read_bit(rows: _Rows, wire: str, reader: str, sender: str, key: str) -> _Ro
     and post-state without a ``measure`` call.
     """
     if wire in rows.states.wires:
-        parents, outcomes, probs, states = qmath.measure(rows.states, _COMP1, (wire,))
-        bits = outcomes.tolist()  # in the computational basis the outcome index is the bit
+        # in the computational basis the outcome index is the bit
+        parents, bits, probs, states = qmath.measure(rows.states, _COMP1, (wire,))
     else:
         parents = np.arange(len(rows.probs))
         probs, states = qmath.renormalize(rows.states)
-        bits = rows.bits[:, rows.layout.index(wire)].tolist()
+        bits = rows.table[:, rows.layout.index(wire)]
     out = rows.split(parents, probs, states, reader, key, bits)
-    out.transcripts = [tr + ((sender, key, bit),) for tr, bit in zip(out.transcripts, bits)]
+    out.tell(sender, key, bits)
     return out
 
 
@@ -459,17 +504,16 @@ def _check_deposit(rows: _Rows, dep_wire: str, theta: float, checker: str,
     recorded that key gets no result.  Each row is measured in the basis of its
     own claimed x, all rows in one call.
     """
-    has_xor = xor_key is not None and all(xor_key in rec[checker] for rec in rows.recs)
-    claims = _record_bits(rows, checker, (b_key, x_key) + ((xor_key,) if has_xor else ()))
+    has_xor = xor_key is not None and _UNSET not in rows.read((checker, xor_key)).ravel().tolist()
+    claims = _record_bits(rows, checker, (b_key, x_key, xor_key) if has_xor else (b_key, x_key))
+    b = claims[:, 0]
     if has_xor or xor_key is None:
-        passed = [Verdict.of_bit(c[0] ^ c[2] if has_xor else c[0]) for c in claims]
+        passed = _ZERO - (b ^ claims[:, 2] if has_xor else b)
     else:
-        passed = [None] * len(claims)
-    bases = (escrow_basis(0, theta), escrow_basis(1, theta))
+        passed = np.full(len(b), _UNSET)
     parents, outcomes, probs, states = qmath.measure(
-        rows.states, [bases[c[1]] for c in claims], (dep_wire,))
-    verdicts = [passed[r] if o == claims[r][0] else Verdict.ERR  # the outcome index is b
-                for r, o in zip(parents.tolist(), outcomes.tolist())]
+        rows.states, _check_bases(theta).take(claims[:, 1]), (dep_wire,))
+    verdicts = np.where(outcomes == b[parents], passed[parents], _ERR)  # the outcome index is b
     return rows.split(parents, probs, states, checker, result, verdicts)
 
 
@@ -479,8 +523,8 @@ def _own_result(rows: _Rows, spec: StrategySpec, result: str, *bit_keys: str) ->
     A dishonest party has no result of its own, so nothing is set for it.
     """
     if spec.honest:
-        for rec, bits in zip(rows.recs, _record_bits(rows, spec.party, bit_keys)):
-            rec[spec.party] = {**rec[spec.party], result: Verdict.of_bit(sum(bits) % 2)}
+        bits = _record_bits(rows, spec.party, bit_keys)
+        rows.record((spec.party, result), _ZERO - np.bitwise_xor.reduce(bits, axis=1))
     return rows
 
 
@@ -503,11 +547,15 @@ def _start(alice: StrategySpec, bob: StrategySpec,
     quantum = tuple(w for w in wires if w not in _MESSAGES)
     amps = np.zeros(2 ** len(quantum), dtype=complex)
     amps[0] = 1.0
-    seed = {} if alice_bit is None else {"b": int(alice_bit)}
     # Built through a validated StateVector: the benchmark's tracer counts this construction.
     root = StateStack.of(StateVector(quantum, amps))
-    return _Rows(np.ones(1), root, np.zeros((1, len(wires)), dtype=np.uint8), wires,
-                             [{"alice": seed, "bob": {}}], [()])
+    table = np.full((1, 32), _UNSET, dtype=_CODE)   # room for a run's records and transcript
+    table[:, :len(wires)] = 0
+    rows = _Rows(np.ones(1), root, wires, table, {})
+    if alice_bit is not None:
+        b = int(alice_bit)
+        rows.record(("alice", "b"), b if b in (0, 1) else 2)   # any other seed is not a bit
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -554,37 +602,61 @@ class OutcomeDistribution:
         return out
 
 
-def _final_verdicts(recs: dict[str, dict], alice_honest: bool, bob_honest: bool
-                    ) -> tuple[Verdict, Verdict]:
-    av = recs["alice"].get("verdict")
-    bv = recs["bob"].get("verdict")
-    if av is None and bv is None:
+def _final_verdicts(av: int, bv: int, alice_honest: bool, bob_honest: bool) -> tuple[int, int]:
+    """A leaf's final (Alice, Bob) verdict codes from the codes its row recorded."""
+    if av == _UNSET and bv == _UNSET:
         raise MalformedStrategy("no verdict was produced on some branch")
     # A cheater has no meaningful verdict of its own; report the honest outcome.
-    if alice_honest and not bob_honest and av is not None:
+    if alice_honest and not bob_honest and av != _UNSET:
         bv = av
-    elif bob_honest and not alice_honest and bv is not None:
+    elif bob_honest and not alice_honest and bv != _UNSET:
         av = bv
-    if av is None:
+    if av == _UNSET:
         av = bv
-    if bv is None:
+    if bv == _UNSET:
         bv = av
     return av, bv
 
 
+@functools.lru_cache(maxsize=4096)
+def _leaf(entries: tuple[tuple[str, str], ...], codes: bytes, alice_honest: bool,
+          bob_honest: bool) -> tuple[str, tuple]:
+    """The leaf that a row's verdict and transcript codes spell, and its ``repr``.
+
+    The leaf is (Alice's verdict, Bob's verdict, transcript).  Cached: the
+    runners fix every (sender, key), and each value is a bit or a verdict, so
+    a game has few distinct leaves.
+    """
+    av, bv, *said = np.frombuffer(codes, dtype=_CODE).tolist()
+    av, bv = _final_verdicts(av, bv, alice_honest, bob_honest)
+    leaf = (_VERDICTS.get(av, av), _VERDICTS.get(bv, bv),
+            tuple((sender, key, _SAID.get(v, v)) for (sender, key), v in zip(entries, said)))
+    return repr(leaf), leaf
+
+
 def _assemble(parts: list[_Rows], alice_honest: bool, bob_honest: bool
               ) -> OutcomeDistribution:
-    merged: dict[tuple, float] = {}
+    """One leaf per distinct (verdicts, transcript), in the order of the leaves' ``repr``.
+
+    Each part reads its rows' verdict and transcript codes as one matrix, and
+    a dict keyed by each row's bytes keeps every distinct row once, so only
+    distinct rows become leaves.  One ``np.bincount`` sums the probabilities
+    over every row in part and row order, as a branch-by-branch merge would.
+    """
+    leaves: dict[str, tuple[int, tuple]] = {}   # repr -> (index, leaf)
+    ids: list[int] = []
     for rows in parts:
-        for prob, recs, transcript in zip(rows.probs.tolist(), rows.recs, rows.transcripts):
-            av, bv = _final_verdicts(recs, alice_honest, bob_honest)
-            key = (av, bv, transcript)
-            merged[key] = merged.get(key, 0.0) + prob
-    leaves = tuple(
-        OutcomeBranch(p, av, bv, tr)
-        for (av, bv, tr), p in sorted(merged.items(), key=lambda kv: repr(kv[0]))
-    )
-    return OutcomeDistribution(leaves)
+        codes = rows.read(("alice", "verdict"), ("bob", "verdict"), *range(len(rows.entries)))
+        keys = codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1]))).ravel().tolist()
+        distinct = dict.fromkeys(keys)   # in the order of first rows
+        for key in distinct:
+            text, leaf = _leaf(rows.entries, key, alice_honest, bob_honest)
+            distinct[key] = leaves.setdefault(text, (len(leaves), leaf))[0]
+        ids += map(distinct.__getitem__, keys)
+    sums = np.bincount(ids, np.concatenate([rows.probs for rows in parts]),
+                       minlength=len(leaves)).tolist()
+    return OutcomeDistribution(tuple(OutcomeBranch(sums[i], *leaf)
+                                     for _, (i, leaf) in sorted(leaves.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -780,21 +852,15 @@ def run_weak_commitment(alice: StrategySpec, bob: StrategySpec, deposited_bit: i
     rows = _read_bit(rows, "rb", "bob", "alice", "b_claim")
     rows = _coin(rows, alice, bob, phase_prefix="coin_", wire_suffix="2", result="coin")
 
-    done, alice_challenged, bob_challenged = [], [], []
     judge = "alice" if alice.honest else "bob"
-    for i, recs in enumerate(rows.recs):
-        r = recs[judge].get("coin")
-        if r is None:
-            raise MalformedStrategy(f"{judge} has no coin result to choose the challenge")
-        rows.transcripts[i] += (("coin", "result", r.value if r is Verdict.ERR else int(r.value)),)
-        if r is Verdict.ERR:
-            for party in ("alice", "bob"):
-                recs[party] = {**recs[party], "verdict": Verdict.ERR}
-            done.append(i)
-        elif r is Verdict.ONE:
-            alice_challenged.append(i)
-        else:
-            bob_challenged.append(i)
+    coin = rows.read((judge, "coin"))[:, 0]
+    if _UNSET in coin.tolist():
+        raise MalformedStrategy(f"{judge} has no coin result to choose the challenge")
+    rows.tell("coin", "result", coin)
+    done = rows.take(np.flatnonzero(coin == _ERR))
+    for party in ("alice", "bob"):
+        done.record((party, "verdict"), _ERR)
+    alice_challenged, bob_challenged = np.flatnonzero(coin == _ONE), np.flatnonzero(coin == _ZERO)
 
     part = _run_program(rows.take(alice_challenged), alice, "reveal_x")
     part = _read_bit(part, "rx", "bob", "alice", "x_claim")
@@ -803,7 +869,7 @@ def run_weak_commitment(alice: StrategySpec, bob: StrategySpec, deposited_bit: i
     part = _run_program(rows.take(bob_challenged), bob, "return")
     part = _check_deposit(part, "dep", params.theta, "alice", "b", "x")
     checked_bob = _own_result(part, bob, "verdict", "b_claim")
-    return _assemble([rows.take(done), checked_alice, checked_bob], alice.honest, bob.honest)
+    return _assemble([done, checked_alice, checked_bob], alice.honest, bob.honest)
 
 
 def deposit_reduced_state(alice: StrategySpec) -> DensityMatrix:

@@ -279,8 +279,10 @@ class Mixture:
 class OrthogonalMeasurement:
     """Measurement in an orthonormal basis: outcome i projects onto column i.
 
-    The basis is checked once, by V^dag V = I within 1e-9, when the
-    measurement is constructed.
+    ``basis`` is one matrix, or a stack of them: one per row of a
+    ``StateStack``, or a table that ``take`` indexes into such a per-row
+    stack.  Every basis is checked once, by V^dag V = I within 1e-9, when
+    the measurement is constructed.
     """
 
     basis: np.ndarray
@@ -289,15 +291,25 @@ class OrthogonalMeasurement:
     def __post_init__(self):
         basis = _frozen(self.basis)
         object.__setattr__(self, "basis", basis)
-        if basis.ndim != 2 or basis.shape[0] != basis.shape[1] or not basis.size:
-            raise QMathError(f"a basis needs a nonempty square matrix, got {basis.shape}")
+        if basis.ndim not in (2, 3) or basis.shape[-1] != basis.shape[-2] or not basis.size:
+            raise QMathError(f"a basis needs nonempty square matrices, got {basis.shape}")
         if not is_unitary(basis):
             raise QMathError("basis vectors are not orthonormal")
-        object.__setattr__(self, "adjoint", basis.conj().T)
+        object.__setattr__(self, "adjoint", basis.conj().swapaxes(-1, -2))
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return self.basis.shape[-1]
+
+    def take(self, rows: Sequence[int]) -> "OrthogonalMeasurement":
+        """The given bases of a stack, in order (one may repeat); not checked again."""
+        rows = np.asarray(rows, dtype=np.intp)
+        out = object.__new__(OrthogonalMeasurement)
+        for name in ("basis", "adjoint"):
+            m = getattr(self, name)[rows]
+            m.setflags(write=False)
+            object.__setattr__(out, name, m)
+        return out
 
     @classmethod
     def from_basis(cls, vectors: Sequence[np.ndarray]) -> "OrthogonalMeasurement":
@@ -486,11 +498,11 @@ def apply_unitary(states: StateVector | StateStack, u: Unitary | np.ndarray,
     return _derived_state(states.wires, out.reshape(states.amplitudes.shape))
 
 
-def measure(states: StateStack, m: OrthogonalMeasurement | Sequence[OrthogonalMeasurement],
-            on: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, StateStack]:
+def measure(states: StateStack, m: OrthogonalMeasurement, on: Sequence[str]
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, StateStack]:
     """Enumerate measurement branches of every row.
 
-    ``m`` is one measurement for all rows or a sequence with one per row.
+    ``m`` holds one basis for all rows or a stack with one basis per row.
     Branches below the 1e-14 pruning threshold are omitted and each surviving
     post-state is renormalized.  With V the measurement basis, every outcome's
     amplitude comes from one V^dag @ block product: outcome i leaves
@@ -504,16 +516,12 @@ def measure(states: StateStack, m: OrthogonalMeasurement | Sequence[OrthogonalMe
     on = tuple(on)
     d = 2 ** len(on)
     block, inv = _blocks(states, on)
-    if isinstance(m, OrthogonalMeasurement):
-        if m.dim != d:
-            raise WireMismatch(f"measurement dim {m.dim} does not act on {len(on)} wires")
-        coeffs = m.adjoint @ block
-        vectors = m.basis.T  # row i is v_i
-    else:
-        if len(m) != block.shape[0] or any(mi.dim != d for mi in m):
-            raise WireMismatch(f"need one measurement of dim {d} per row on {len(on)} wires")
-        coeffs = np.array([mi.adjoint for mi in m]).reshape(-1, d, d) @ block
-        vectors = np.array([mi.basis.T for mi in m]).reshape(-1, d, d)
+    if m.dim != d:
+        raise WireMismatch(f"measurement dim {m.dim} does not act on {len(on)} wires")
+    if m.basis.ndim == 3 and len(m.basis) != block.shape[0]:
+        raise WireMismatch(f"{len(m.basis)} measurements for {block.shape[0]} rows")
+    coeffs = m.adjoint @ block
+    vectors = m.basis.swapaxes(-1, -2)  # row i (of each row's matrix) is v_i
     probs = np.einsum("rij,rij->ri", coeffs.conj(), coeffs).real
     keep = ~(probs < BRANCH_PRUNE)  # a NaN row is kept, and fails the norm check below
     rows, outcomes = keep.nonzero()

@@ -34,6 +34,7 @@ def test_summarize_takes_median_and_quartiles_per_metric():
                                               "values": [100.0, 200.0, 400.0]}
     assert w["end_to_end"]["setup_s"]["median"] == 0.5
     assert (w["attempted"], w["failed"], w["correct"]) == (70, 1, True)
+    assert w["attempted_per_seed"] == [10, 20, 40]   # aligned with each metric's values
     assert w["environment"] == {"python": "3.x", "seed": 1}
     assert w["per_layer"] == {"qmath.max_wires": 4}
 
@@ -42,6 +43,7 @@ def test_summarize_reports_a_failed_check_and_a_single_seed():
     out = bench.summarize(["a", "b"], [13], fake_runner([]))
     assert set(out) == {"a", "b"}
     assert out["a"]["correct"] is False
+    assert out["a"]["attempted_per_seed"] == [130]
     assert out["a"]["end_to_end"]["evals_per_s"] == pytest.approx(
         {"median": 1300.0, "q1": 1300.0, "q3": 1300.0, "values": [1300.0]})
 

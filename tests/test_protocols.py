@@ -332,10 +332,12 @@ _NOT_UNITARY = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
     lambda: SetBits({"bp": 2}),
     lambda: Apply(("dep",), lambda rec: np.eye(2)),
     lambda: SetBits({"bp": lambda rec: 0}),
+    lambda: MeasureRecord(("dep",), qmath.OrthogonalMeasurement(np.stack((np.eye(2),) * 2)),
+                          "m"),
 ], ids=["measurement-dim", "not-a-measurement", "measure-repeated-wire",
         "apply-repeated-wire", "gate-shape", "gate-too-small", "gate-not-a-matrix",
         "unknown-round-type", "table-length", "table-entry-not-unitary", "gate-with-keys",
-        "bit-source-2", "callable-gate", "callable-source"])
+        "bit-source-2", "callable-gate", "callable-source", "stacked-measurement"])
 def test_malformed_round_fails_at_compile_time(build):
     # a round checks itself when it is built, before any strategy or run holds it
     with pytest.raises(MalformedStrategy):
@@ -377,6 +379,40 @@ def test_record_key_that_is_unset_or_not_a_bit_is_malformed():
     four = MeasureRecord(("dep", "c0"), qmath.OrthogonalMeasurement.computational(2), "m")
     with pytest.raises(MalformedStrategy, match="not a bit"):
         run_coinflip(honest_alice_coinflip(), _bob_choosing(four, SetBits({"bp": "m"})))
+
+
+def test_a_run_records_more_keys_than_its_first_table_holds():
+    # forty record keys outgrow a run's first record table; the run must still
+    # match the receiver that measures his ancilla once
+    comp = qmath.OrthogonalMeasurement.computational(1)
+    u = qmath.random_unitary(4, np.random.default_rng(3))
+
+    def receiver(names):
+        measures = tuple(MeasureRecord(("c0",), comp, name) for name in names)
+        return StrategySpec("bob", 1, {"choose": (Apply(("dep", "c0"), u),) + measures
+                                       + (SetBits({"bp": names[-1]}),)})
+
+    many = run_coinflip(honest_alice_coinflip(), receiver([f"m{i}" for i in range(40)]))
+    once = run_coinflip(honest_alice_coinflip(), receiver(["m"]))
+    leaves = [[(b.alice_verdict, b.bob_verdict, b.transcript) for b in d.branches]
+              for d in (many, once)]
+    assert leaves[0] == leaves[1]
+    assert max(abs(a.probability - b.probability)
+               for a, b in zip(many.branches, once.branches)) <= 1e-12
+
+
+@pytest.mark.parametrize("source, message", [
+    ("coin", "not a bit"),
+    ("never_set", "before it is set"),
+], ids=["verdict", "unset"])
+def test_weak_commitment_reads_only_bits_as_bits(source, message):
+    # an honest depositor's record holds her coin result under "coin", a
+    # verdict and not a bit, so revealing x from it is malformed, as is
+    # revealing it from a key that nothing sets
+    programs = dict(honest_alice_weak().programs, reveal_x=(SetBits({"rx": source}),))
+    alice = StrategySpec("alice", 0, programs, honest=True)
+    with pytest.raises(MalformedStrategy, match=message):
+        run_weak_commitment(alice, honest_bob_weak(), 0)
 
 
 _HONEST_ALICE_WITHOUT_B = StrategySpec(

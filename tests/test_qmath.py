@@ -525,8 +525,8 @@ def test_measure_matches_projector_formula(seed, n, sparse, rows, per_row):
     on = tuple(wires[a] for a in on_axes)
     amps = np.array([_random_amplitudes(n, sparse, rng) for _ in range(rows)])
     bases = [_random_basis(k, sparse, rng) for _ in range(rows if per_row else 1)]
-    meas = [OrthogonalMeasurement(b) for b in bases]
-    got = measure(qmath.StateStack(wires, amps), meas if per_row else meas[0], on)
+    meas = OrthogonalMeasurement(np.stack(bases) if per_row else bases[0])
+    got = measure(qmath.StateStack(wires, amps), meas, on)
     want = [(r, i, w) for r in range(rows)
             for i, w in enumerate(projector_branches(amps[r], n, on_axes, bases[r % len(bases)]))
             if w]
@@ -569,7 +569,8 @@ def test_kernels_pass_an_empty_stack():
     assert apply_unitary(empty, X, ("a",)).amplitudes.shape == (0, 4)
     rows, outcomes, probs, post = measure(empty, OrthogonalMeasurement.computational(1), ("a",))
     assert rows.size == outcomes.size == probs.size == 0 and post.amplitudes.shape == (0, 4)
-    assert measure(empty, [], ("b",))[3].amplitudes.shape == (0, 4)
+    per_row = OrthogonalMeasurement(np.eye(2)[None]).take([])
+    assert measure(empty, per_row, ("b",))[3].amplitudes.shape == (0, 4)
     assert partial_trace(empty, ("b",)).shape == (0, 2, 2)
 
 
@@ -628,6 +629,17 @@ def test_stacked_gates_are_checked_in_one_call():
     assert qmath.is_unitary(np.array([X, np.eye(2)]))
     assert not qmath.is_unitary(np.array([X, 2 * np.eye(2)]))
     assert qmath.is_unitary(np.zeros((0, 2, 2)))
+
+
+def test_stacked_bases_are_checked_once_and_taken_per_row():
+    with pytest.raises(qmath.QMathError):
+        OrthogonalMeasurement(np.array([np.eye(2), [[1, 1], [0, 1]]], dtype=complex))
+    table = OrthogonalMeasurement(np.array([np.eye(2), X], dtype=complex))
+    stack = qmath.StateStack(("q",), np.array([ket(0), ket(0), ket(1)]))
+    _, outcomes, _, _ = measure(stack, table.take([0, 1, 1]), ("q",))
+    assert outcomes.tolist() == [0, 1, 0]   # in the basis X, |0> is outcome 1
+    with pytest.raises(WireMismatch):
+        measure(stack, table.take([0, 1]), ("q",))
 
 
 @pytest.mark.parametrize("kernel", ["apply_unitary", "measure"])
