@@ -353,17 +353,18 @@ ALICE_SEED_POINT = (math.pi / 4, 0.0, 0.0, 0.0, 0.0, 0.0,
 def random_binding_pair(rng: np.random.Generator) -> tuple[StrategySpec, StrategySpec]:
     """Two depositor strategies sharing one deposit but opening differently.
 
-    The shared deposit is a Haar-random pure state on (a0, a1, dep); each
-    side of the pair rotates the private registers by its own random unitary
-    before reading the claim bits off them.
+    The shared deposit is a Haar-random pure state on (a0, a1, dep), one
+    round that both sides hold; each side of the pair rotates the private
+    registers by its own random unitary before reading the claim bits off them.
     """
-    prep = state_preparation_unitary(qmath.random_state(("a0", "a1", "dep"), rng).amplitudes)
+    deposit = (Apply(("a0", "a1", "dep"), state_preparation_unitary(
+        qmath.random_state(("a0", "a1", "dep"), rng).amplitudes)),)
 
     def one_side(u4: np.ndarray) -> StrategySpec:
         return StrategySpec(
             party="alice", ancilla_count=2, label="alice-random-opening",
             programs={
-                "deposit": (Apply(("a0", "a1", "dep"), prep),),
+                "deposit": deposit,
                 "reveal": (
                     Apply(("a0", "a1"), u4),
                     MeasureRecord(("a0",), _COMP1, "mb"),

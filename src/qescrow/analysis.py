@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .protocols import (
     OutcomeDistribution,
     StrategySpec,
     Verdict,
-    deposit_reduced_state,
+    deposit_reduced_state_batch,
     honest_alice_coinflip,
     honest_alice_escrow,
     honest_bob_coinflip,
@@ -47,8 +48,9 @@ from .protocols import (
     phi_vec,
     bx_angle,
     run_coinflip,
-    run_escrow,
-    run_escrow_reveal_then_return,
+    run_coinflip_batch,
+    run_escrow_batch,
+    run_escrow_reveal_then_return_batch,
 )
 
 BOUND_TOL = 1e-9
@@ -114,15 +116,15 @@ def binding_metrics(alice0: StrategySpec, alice1: StrategySpec,
 
     The two strategies must share a deposit: equality is checked on the
     reduced density matrix of the deposit wire, since nothing the depositor
-    does afterwards can change it.
+    does afterwards can change it.  Both deposits run in one pass, then both
+    openings.
     """
-    dep0 = deposit_reduced_state(alice0)
-    dep1 = deposit_reduced_state(alice1)
+    dep0, dep1 = deposit_reduced_state_batch([alice0, alice1])
     if np.max(np.abs(dep0.matrix - dep1.matrix)) > 1e-9:
         raise DepositMismatch("the two strategies deposit different reduced states")
     bob = honest_bob_escrow()
-    d0 = run_escrow(alice0, bob, Challenge.REVEAL_TO_BOB, params=params)
-    d1 = run_escrow(alice1, bob, Challenge.REVEAL_TO_BOB, params=params)
+    d0, d1 = run_escrow_batch([alice0, alice1], [bob, bob], Challenge.REVEAL_TO_BOB,
+                              [None, None], params)
     p0, p1, perr = _claim_probabilities(d0)
     q0, q1, qerr = _claim_probabilities(d1)
     return BindingReport(params.theta, p0, p1, perr, q0, q1, qerr)
@@ -226,12 +228,12 @@ def check_sealing_bound(report: SealingReport) -> bool:
 
 def enumerated_return_error(bob: StrategySpec, params: EscrowParams = EscrowParams()
                             ) -> float:
-    """Return-challenge error mass by exact protocol enumeration (uniform bit)."""
+    """Return-challenge error mass by exact protocol enumeration (uniform bit, both in one pass)."""
     alice = honest_alice_escrow(params)
     return 0.5 * sum(
-        run_escrow(alice, bob, Challenge.RETURN_TO_ALICE, claimed_bit=b, params=params
-                   ).verdict_probability("alice", Verdict.ERR)
-        for b in (0, 1))
+        dist.verdict_probability("alice", Verdict.ERR)
+        for dist in run_escrow_batch([alice, alice], [bob, bob], Challenge.RETURN_TO_ALICE,
+                                     [0, 1], params))
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +267,21 @@ def coinflip_bias(honest: HonestParty, adversary: StrategySpec) -> BiasReport:
         dist = run_coinflip(honest_alice_coinflip(), adversary)
     else:
         dist = run_coinflip(adversary, honest_bob_coinflip())
+    return _bias_report(honest, dist)
+
+
+def coinflip_bias_batch(honest: HonestParty, adversaries: Sequence[StrategySpec]
+                        ) -> list[BiasReport]:
+    """``coinflip_bias`` against each adversary, in order; those of one shape run as one stack."""
+    adversaries = list(adversaries)
+    if honest is HonestParty.ALICE_HONEST:
+        dists = run_coinflip_batch([honest_alice_coinflip()] * len(adversaries), adversaries)
+    else:
+        dists = run_coinflip_batch(adversaries, [honest_bob_coinflip()] * len(adversaries))
+    return [_bias_report(honest, dist) for dist in dists]
+
+
+def _bias_report(honest: HonestParty, dist: OutcomeDistribution) -> BiasReport:
     party = honest.value
     return BiasReport(
         dist.verdict_probability(party, Verdict.ZERO),
@@ -287,11 +304,6 @@ class ModifiedSealingReport:
     passed: bool
 
 
-def _conditional_detection(u: np.ndarray, theta: float, b: int) -> float:
-    dec = w_decomposition(u, theta)
-    return 0.5 * sum(float(np.linalg.norm(dec[(b, x)][1]) ** 2) for x in (0, 1))
-
-
 def modified_sealing_check(bob_pair: tuple[StrategySpec, StrategySpec],
                            params: EscrowParams = EscrowParams()
                            ) -> ModifiedSealingReport:
@@ -301,15 +313,16 @@ def modified_sealing_check(bob_pair: tuple[StrategySpec, StrategySpec],
     convention the first entry is what he does on 0).  The check passes iff
     both conditional actions, taken as unconditional attacks, sit inside the
     sealing frontier and the conditional game's total detection matches the
-    decomposition identity.
+    decomposition identity.  The detection on bit b is read off the sealing
+    report of the action on b, and the game runs both bits in one pass.
     """
     theta = params.theta
     u0, n0 = extract_attack_unitary(bob_pair[0])
     u1, n1 = extract_attack_unitary(bob_pair[1])
     if n0 != n1:
         raise NotUnitaryAttack("conditional actions must use the same ancilla register")
-    d0 = _conditional_detection(u0, theta, 0)
-    d1 = _conditional_detection(u1, theta, 1)
+    reports = (sealing_metrics(bob_pair[0], params), sealing_metrics(bob_pair[1], params))
+    d0, d1 = (0.5 * (r.w_norms[2 * b] + r.w_norms[2 * b + 1]) for b, r in enumerate(reports))
     total = 0.5 * (d0 + d1)
 
     conditional_bob = StrategySpec(
@@ -319,11 +332,9 @@ def modified_sealing_check(bob_pair: tuple[StrategySpec, StrategySpec],
     )
     alice = honest_alice_escrow(params)
     enumerated = 0.5 * sum(
-        run_escrow_reveal_then_return(alice, conditional_bob, claimed_bit=b, params=params
-                                      ).verdict_probability("alice", Verdict.ERR)
-        for b in (0, 1))
-
-    reports = (sealing_metrics(bob_pair[0], params), sealing_metrics(bob_pair[1], params))
+        dist.verdict_probability("alice", Verdict.ERR)
+        for dist in run_escrow_reveal_then_return_batch(
+            [alice, alice], [conditional_bob, conditional_bob], [0, 1], params))
     passed = (all(check_sealing_bound(r) for r in reports)
               and abs(enumerated - total) <= BOUND_TOL)
     return ModifiedSealingReport(theta, d0, d1, total, enumerated, passed)

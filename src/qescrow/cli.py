@@ -45,6 +45,7 @@ from .protocols import (
     honest_bob_weak,
     run_coinflip,
     run_escrow,
+    run_escrow_reveal_then_return,
     run_weak_commitment,
 )
 
@@ -159,8 +160,7 @@ COINFLIP_COLUMNS = ("strategy", "win_prob_0", "win_prob_1", "err_prob",
                     "delta_observed", "cap", "within_cap")
 
 
-def _bias_row(label: str, honest: ana.HonestParty, adversary, cap: float) -> dict:
-    report = ana.coinflip_bias(honest, adversary)
+def _bias_row(label: str, report: ana.BiasReport, cap: float) -> dict:
     return {
         "strategy": label,
         "win_prob_0": report.win_prob_0,
@@ -173,25 +173,29 @@ def _bias_row(label: str, honest: ana.HonestParty, adversary, cap: float) -> dic
 
 
 def _best_row(label: str, honest: ana.HonestParty, cap: float, n: int, draw) -> dict:
-    """The row of the most biased of ``n`` adversaries ``draw()`` returns (the first on ties)."""
-    return max((_bias_row(f"{label}-best-of-{n}", honest, draw(), cap) for _ in range(n)),
+    """The row of the most biased of ``n`` adversaries ``draw()`` returns (the first on ties).
+
+    All ``n`` are drawn first and then run as one batch.
+    """
+    reports = ana.coinflip_bias_batch(honest, [draw() for _ in range(n)])
+    return max((_bias_row(f"{label}-best-of-{n}", report, cap) for report in reports),
                key=lambda row: row["delta_observed"])
 
 
 def _optimized_row(label: str, honest: ana.HonestParty, space: adv.ParameterSpace, cap: float,
                    config: adv.OptimizerConfig, evaluator, extra_seeds=()) -> dict:
     best = adv.optimize(space, config, evaluator, extra_seeds=extra_seeds).best_params
-    return _bias_row(label, honest, space.build(np.array(best)), cap)
+    return _bias_row(label, ana.coinflip_bias(honest, space.build(np.array(best))), cap)
 
 
 def cmd_coinflip(cfg: RunConfig) -> RunSummary:
     rng = np.random.default_rng(cfg.seed)
     n = max(cfg.samples // 2, 1)
     rows = [
-        _bias_row("honest-honest", ALICE_HONEST, honest_bob_coinflip(), 0.5),
-        _bias_row("bob-constant-0", ALICE_HONEST, adv.constant_bob(0), 0.5),
-        _bias_row("bob-full-measurement", ALICE_HONEST, adv.full_measurement_bob(),
-                  ana.BOB_WIN_CAP),
+        _bias_row("honest-honest", ana.coinflip_bias(ALICE_HONEST, honest_bob_coinflip()), 0.5),
+        _bias_row("bob-constant-0", ana.coinflip_bias(ALICE_HONEST, adv.constant_bob(0)), 0.5),
+        _bias_row("bob-full-measurement",
+                  ana.coinflip_bias(ALICE_HONEST, adv.full_measurement_bob()), ana.BOB_WIN_CAP),
         _best_row("bob-random-basis", ALICE_HONEST, ana.BOB_WIN_CAP, n,
                   lambda: adv.bob_measure_coinflip(
                       adv.unitary_from_angles(2, rng.uniform(0, math.pi, 3)))),
@@ -201,7 +205,8 @@ def cmd_coinflip(cfg: RunConfig) -> RunSummary:
                        adv.OptimizerConfig(honest_party="alice", grid_resolution=5,
                                            simplex_iterations=120, seed=cfg.seed),
                        lambda s: run_coinflip(honest_alice_coinflip(), s)),
-        _bias_row("alice-delayed-choice", BOB_HONEST, adv.protocol_quadratic_pair(0.0)[1],
+        _bias_row("alice-delayed-choice",
+                  ana.coinflip_bias(BOB_HONEST, adv.protocol_quadratic_pair(0.0)[1]),
                   ana.ALICE_WIN_CAP),
         _best_row("alice-random", BOB_HONEST, ana.ALICE_WIN_CAP, n,
                   lambda: adv.alice_coinflip_from_angles(rng.uniform(0, math.pi, 12))),
@@ -401,6 +406,11 @@ def _selftest_checks(cfg: RunConfig):
                                    claimed_bit=b, params=pp)
                     if d.verdict_probability("bob", Verdict.ERR) != 0.0:
                         return False, f"escrow err at theta={th}"
+            for b in (0, 1):
+                d = run_escrow_reveal_then_return(honest_alice_escrow(pp), honest_bob_escrow(),
+                                                  claimed_bit=b, params=pp)
+                if d.verdict_probability("alice", Verdict.ERR) != 0.0:
+                    return False, f"reveal-first return err at theta={th}"
             dw = run_weak_commitment(honest_alice_weak(pp), honest_bob_weak(), 0, pp)
             if dw.verdict_probability("bob", Verdict.ERR) != 0.0:
                 return False, f"composed err at theta={th}"
@@ -421,7 +431,8 @@ def _selftest_checks(cfg: RunConfig):
 
     def check_coinflip_caps():
         rng = child_rng()
-        full = _bias_row("bob-full-measurement", ALICE_HONEST, adv.full_measurement_bob(),
+        full = _bias_row("bob-full-measurement",
+                         ana.coinflip_bias(ALICE_HONEST, adv.full_measurement_bob()),
                          ana.BOB_WIN_CAP)
         if abs(max(full["win_prob_0"], full["win_prob_1"]) - ana.BOB_WIN_CAP) > 1e-9:
             return False, "full measurement does not attain the receiver cap"

@@ -11,27 +11,38 @@ Four games are enumerated exactly, branch by branch:
 * ``run_weak_commitment`` -- deposit, reveal the bit, play the embedded coin
                          flip, then challenge the loser.
 
-Every game runs on one executor: ``_start`` checks both strategies against
-the game's phase map and lays out the wires, ``_run_program`` runs a party's
-phase, ``_read_bit`` receives a classical message, ``_check_deposit`` projects
-a deposit on its claimed encoding (the escrow checks and the coin check alike),
-``_own_result`` sets an honest party's own result, and ``_assemble`` merges
-the leaves.  ``deposit_reduced_state`` runs the deposit phase on the same steps.
+Every game runs on one executor, and each game body plays a batch: N runs,
+each a (depositor, receiver, seeded bit) triple, whose strategies have one
+shape (``StrategySpec.shape``: all but the gate and basis matrices) go
+through one stack.  ``_batch`` groups runs by shape and checks each group's
+strategies against the game's phase map; a runner is the batch of one run
+(``_one``).  ``_start`` lays out the wires and builds one root row per run,
+``_run_program`` runs a party's phase, ``_read_bit`` receives a classical
+message, ``_check_deposit`` projects a deposit on its claimed encoding (the
+escrow checks and the coin check alike), ``_own_result`` sets an honest
+party's own result, and ``_assemble`` merges the leaves into one
+distribution per run.  The ``*_batch`` entry points take equal-length
+sequences and return results in input order; ``deposit_reduced_state`` runs
+the deposit phase on the same steps.
 
-The branches of a run are rows (``_Rows``): one ``qmath.StateStack`` holds
+The branches of a batch are rows (``_Rows``): one ``qmath.StateStack`` holds
 every branch's amplitudes on the run's quantum wires, next to one probability
 array and one small-integer table.  The table has a column per wire of the
-layout (its classical bit), per (party, key) of the records and per
-transcript entry; a record value is a bit, an outcome index or a verdict
-code, and a run's one key-to-column map and transcript header name the
-columns.  Each round is one kernel call for all rows: a draw repeats rows, a
-gate is one (per-row stacked, for a record-dependent gate) ``apply_unitary``,
-a measurement or deposit check is one ``qmath.measure`` whose surviving
-outcomes follow their parent row in outcome order, and its record is one
-column of the children's table.  Rows stay in branch order, so ``_assemble``
-sums each leaf's rows in the same order as branch-by-branch enumeration, and
-builds the leaf objects only for distinct rows of verdict and transcript
-codes.
+layout (its classical bit), one for the row's run index, one per (party,
+key) of the records and one per transcript entry; a record value is a bit,
+an outcome index or a verdict code, and a batch's one key-to-column map and
+transcript header name the columns.  A run's seeded bit is its rows' value in
+Alice's ``b`` column.  Each round is one kernel call for all rows: a draw
+repeats rows, a gate is one ``apply_unitary``, a measurement or deposit check
+is one ``qmath.measure`` whose surviving outcomes follow their parent row in
+outcome order, and its record is one column of the children's table.  A
+gate, table or basis that every run of the batch holds is applied as one; one
+that differs between runs becomes a stack of the runs' matrices, each row
+taking its run's entry.  Rows stay in branch order, so each run's rows stay
+together and in the order that run alone would give them: ``_assemble`` sums
+each leaf of each run over the same rows in the same order as
+branch-by-branch enumeration of that run, and builds the leaf objects only
+for distinct rows of verdict and transcript codes.
 
 Classical messages are carried on qubit wires that an honest recipient
 measures in the computational basis on receipt; a dishonest sender is free to
@@ -60,12 +71,13 @@ indexed by record bits, on held wires; orthogonal measurements; fair-coin
 draws; message bits that are constants or record keys).  Each round checks
 itself once, when it is built: distinct wires, unitaries of the right shape,
 a measurement of the right dimension, bit sources that are 0, 1 or a key.  A
-run checks only what the game adds: every phase is known and every round
-touches only wires the party holds in it.  Every violation raises
+batch checks, once per shape group and from the spec's cached shape, only
+what the game adds: every phase is known and every round touches only wires
+the party holds in it.  Every violation raises
 ``MalformedStrategy`` before any branch runs, except a record key that is
-unset or not a bit, which raises it when read.  Runners are pure functions
-from strategies to outcome distributions; concurrent runs share nothing
-mutable.
+unset or not a bit, which raises it when read (for the whole batch).
+Runners are pure functions from strategies to outcome distributions;
+concurrent runs share nothing mutable.
 """
 
 from __future__ import annotations
@@ -74,7 +86,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -276,6 +288,12 @@ class StrategySpec:
     ``honest`` marks parties that follow the protocol's classical conventions
     (incoming message wires are measured on receipt, verdicts computed by the
     honest rules).  Phase names are documented per runner.
+
+    ``shape``, computed once when the spec is built, is all of the spec but
+    its gate and basis matrices, so specs of one shape run as one stack: the
+    party, the ancilla count, the honest flag and, per phase in program
+    order, each round's signature (its type, the wires it touches, and its
+    keys, record name or bit sources).
     """
 
     party: str
@@ -283,6 +301,7 @@ class StrategySpec:
     programs: Mapping[str, tuple[Round, ...]]
     honest: bool = False
     label: str = ""
+    shape: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.party not in ("alice", "bob"):
@@ -290,11 +309,10 @@ class StrategySpec:
         if not 0 <= self.ancilla_count <= 4:
             raise MalformedStrategy("ancilla count must be between 0 and 4")
         programs = {k: tuple(v) for k, v in dict(self.programs).items()}
-        for rounds in programs.values():
-            for rnd in rounds:
-                if not isinstance(rnd, Round):
-                    raise MalformedStrategy(f"unknown round type {type(rnd).__name__}")
         object.__setattr__(self, "programs", programs)
+        object.__setattr__(self, "shape", (
+            self.party, self.ancilla_count, self.honest,
+            tuple((phase, tuple(map(_signature, rounds))) for phase, rounds in programs.items())))
 
     @functools.cached_property
     def ancillas(self) -> tuple[str, ...]:
@@ -302,24 +320,35 @@ class StrategySpec:
         return tuple(f"{prefix}{i}" for i in range(self.ancilla_count))
 
 
+def _signature(rnd: Round) -> tuple:
+    """A round's (type, wires it touches, keys or record name or bit sources)."""
+    if isinstance(rnd, Draw):
+        return Draw, (), rnd.name
+    if isinstance(rnd, Apply):
+        return Apply, rnd.wires, rnd.keys
+    if isinstance(rnd, MeasureRecord):
+        return MeasureRecord, rnd.wires, rnd.name
+    if isinstance(rnd, SetBits):
+        return SetBits, tuple(rnd.assignments), tuple(rnd.assignments.values())
+    raise MalformedStrategy(f"unknown round type {type(rnd).__name__}")
+
+
 def validate_strategy(spec: StrategySpec, phase_wires: Mapping[str, tuple[str, ...]]) -> None:
-    """Check a strategy against a game's phase map, before any branch runs.
+    """Check a strategy's shape against a game's phase map, before any branch runs.
 
     Raises ``MalformedStrategy`` unless every phase is one of the game's and
     every round touches only the party's ancillas and the phase's wires.
     The rounds checked everything else when they were built.
     """
-    for phase, rounds in spec.programs.items():
+    *_, phases = spec.shape
+    for phase, rounds in phases:
         if phase not in phase_wires:
             raise MalformedStrategy(f"{spec.party} has a program for unknown phase {phase!r}")
         allowed = set(spec.ancillas) | set(phase_wires[phase])
-        for rnd in rounds:
-            if isinstance(rnd, Draw):
-                continue
-            touched = set(rnd.assignments if isinstance(rnd, SetBits) else rnd.wires)
-            if not touched <= allowed:
+        for _, wires, _ in rounds:
+            if not allowed.issuperset(wires):
                 raise MalformedStrategy(
-                    f"{spec.party} touches {touched - allowed} in phase {phase!r}")
+                    f"{spec.party} touches {set(wires) - allowed} in phase {phase!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -327,28 +356,31 @@ def validate_strategy(spec: StrategySpec, phase_wires: Mapping[str, tuple[str, .
 
 # Every classical value of a row is a small integer.  A bit or an outcome
 # index is itself; these codes mark a key that was never set and the three
-# verdicts.
-_CODE = np.int16
+# verdicts.  A run index is an integer too, so the code type holds any batch.
+_CODE = np.int32
 _UNSET, _ZERO, _ONE, _ERR = -1, -2, -3, -4   # the verdict of bit b is _ZERO - b
+_RUN = ("", "run")   # the column of each row's run index: no party is named ""
 _VERDICTS = {_ZERO: Verdict.ZERO, _ONE: Verdict.ONE, _ERR: Verdict.ERR}
 _SAID = {_ZERO: 0, _ONE: 1, _ERR: Verdict.ERR.value}   # a verdict in a transcript
 
 
 @dataclass(slots=True)
 class _Rows:
-    """A run's branches, one row each: probability, state, and a row of small integers.
+    """The branches of a batch of runs, one row each: probability, state, and small integers.
 
     The state of a row is its amplitudes on the quantum wires (``states``,
     a subsequence of ``layout``) times one definite bit on each classical
     message wire.  Every classical value of a row sits in ``table``: column
     i holds the bit of the layout's wire i (unused while the wire is
-    quantum), and the run's ``columns`` map, shared by every ``_Rows`` of
-    the run, places the others: one column per (party, key) of the records
-    and one per transcript position.  A record value is a bit, an outcome
-    index or a verdict code, and ``_UNSET`` marks a key the row never set.
-    ``entries`` names the (sender, key) of each transcript position; it is
-    the same for every row.  Rows are branch-major: a row's children follow
-    it in outcome order.
+    quantum), and the batch's ``columns`` map, shared by every ``_Rows`` of
+    the batch, places the others: the row's run index (``_RUN``), one column
+    per (party, key) of the records and one per transcript position.  A
+    record value is a bit, an outcome index or a verdict code, and
+    ``_UNSET`` marks a key the row never set.  ``entries`` names the
+    (sender, key) of each transcript position; it is the same for every row.
+    Rows are branch-major: a row's children follow it in outcome order, so
+    each run's rows stay together, in run order, and in the order that run
+    alone would give them.
     """
 
     probs: np.ndarray
@@ -357,6 +389,11 @@ class _Rows:
     table: np.ndarray
     columns: dict[tuple[str, str] | int, int]
     entries: tuple[tuple[str, str], ...] = ()
+
+    @property
+    def runs(self) -> np.ndarray:
+        """Each row's run index, in the batch's input order."""
+        return self.table[:, self.columns[_RUN]]
 
     def take(self, rows: np.ndarray) -> "_Rows":
         """The given rows (indices), each at most once."""
@@ -436,19 +473,30 @@ def _record_bits(rows: _Rows, party: str, keys: tuple[str, ...]) -> np.ndarray:
     return values
 
 
-def _run_program(rows: _Rows, spec: StrategySpec, phase: str) -> _Rows:
-    party = spec.party
-    for rnd in spec.programs.get(phase, ()):
+def _run_program(rows: _Rows, specs: Sequence[StrategySpec], phase: str) -> _Rows:
+    """Play one phase of each run's spec, all of one shape: each round is one call for all rows.
+
+    A gate or basis that every run's round holds (the same object) stays one;
+    otherwise each row uses its own run's, from one stack of them.
+    """
+    party = specs[0].party
+    for position, rnd in enumerate(specs[0].programs.get(phase, ())):
         if isinstance(rnd, Draw):
             children = np.arange(2 * len(rows.probs))
             parents = children >> 1
             rows = rows.split(parents, 0.5, rows.states.take(parents), party, rnd.name,
                               children & 1)
         elif isinstance(rnd, Apply):
-            gate = rnd.unitary
+            gate, index = rnd.unitary, None
             if rnd.keys:  # a row's table index: its bits under the keys, the first most significant
                 weights = 1 << np.arange(len(rnd.keys))[::-1]
-                gate = gate.take(_record_bits(rows, party, rnd.keys) @ weights)
+                index = _record_bits(rows, party, rnd.keys) @ weights
+            gates = [spec.programs[phase][position].unitary for spec in specs]
+            if any(g is not gate for g in gates):   # the runs' tables, run after run
+                gate = Unitary.stack(gates)
+                index = (rows.runs << len(rnd.keys)) + (0 if index is None else index)
+            if index is not None:
+                gate = gate.take(index)
             rows = rows.quantum(rnd.wires)
             try:
                 states = apply_unitary(rows.states, gate, rnd.wires)
@@ -456,9 +504,12 @@ def _run_program(rows: _Rows, spec: StrategySpec, phase: str) -> _Rows:
                 raise MalformedStrategy(f"bad gate in phase {phase!r}: {exc!r}") from exc
             rows = rows.with_states(states)
         elif isinstance(rnd, MeasureRecord):
+            measurement = rnd.measurement
+            bases = [spec.programs[phase][position].measurement for spec in specs]
+            if any(m is not measurement for m in bases):
+                measurement = OrthogonalMeasurement.stack(bases).take(rows.runs)
             rows = rows.quantum(rnd.wires)
-            parents, outcomes, probs, states = qmath.measure(rows.states, rnd.measurement,
-                                                             rnd.wires)
+            parents, outcomes, probs, states = qmath.measure(rows.states, measurement, rnd.wires)
             rows = rows.split(parents, probs, states, party, rnd.name, outcomes)
         else:  # SetBits: a StrategySpec admits no other round type
             states, table = rows.states, rows.table.copy()
@@ -528,34 +579,76 @@ def _own_result(rows: _Rows, spec: StrategySpec, result: str, *bit_keys: str) ->
     return rows
 
 
-def _start(alice: StrategySpec, bob: StrategySpec,
-           phases: Mapping[str, Mapping[str, tuple[str, ...]]], game_wires: tuple[str, ...],
-           alice_bit: int | None = None) -> _Rows:
-    """Check both strategies against the game's phase map and build the root row.
-
-    The layout is Alice's ancillas, then ``game_wires``, then Bob's ancillas,
-    within the ``MAX_TOTAL_WIRES`` budget, all in |0>.  The message wires
-    start classical, and the root's stack holds the others.  Alice's record
-    is seeded with ``b = alice_bit`` when a bit is given.
-    """
+def _check(alice: StrategySpec, bob: StrategySpec,
+           phases: Mapping[str, Mapping[str, tuple[str, ...]]], game_wires: tuple[str, ...]
+           ) -> None:
+    """Check both strategies against the game's phase map and the ``MAX_TOTAL_WIRES`` budget."""
     validate_strategy(alice, phases["alice"])
     validate_strategy(bob, phases["bob"])
-    wires = alice.ancillas + game_wires + bob.ancillas
-    if len(wires) > MAX_TOTAL_WIRES:
-        raise MalformedStrategy(
-            f"{len(wires)} wires exceed the {MAX_TOTAL_WIRES}-qubit budget")
+    n = len(alice.ancillas + game_wires + bob.ancillas)
+    if n > MAX_TOTAL_WIRES:
+        raise MalformedStrategy(f"{n} wires exceed the {MAX_TOTAL_WIRES}-qubit budget")
+
+
+def _start(alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec],
+           game_wires: tuple[str, ...], bits: Sequence[int | None]) -> _Rows:
+    """The root rows of a shape group: one row per run, in input order.
+
+    The layout is Alice's ancillas, then ``game_wires``, then Bob's ancillas,
+    all in |0>.  The message wires start classical, and the root's stack
+    holds the others.  Row r holds its run index r, and Alice's record is
+    seeded with ``b = bits[r]`` where that is not None.
+    """
+    wires = alices[0].ancillas + game_wires + bobs[0].ancillas
     quantum = tuple(w for w in wires if w not in _MESSAGES)
     amps = np.zeros(2 ** len(quantum), dtype=complex)
     amps[0] = 1.0
     # Built through a validated StateVector: the benchmark's tracer counts this construction.
-    root = StateStack.of(StateVector(quantum, amps))
-    table = np.full((1, 32), _UNSET, dtype=_CODE)   # room for a run's records and transcript
-    table[:, :len(wires)] = 0
-    rows = _Rows(np.ones(1), root, wires, table, {})
-    if alice_bit is not None:
-        b = int(alice_bit)
-        rows.record(("alice", "b"), b if b in (0, 1) else 2)   # any other seed is not a bit
-    return rows
+    n, at = len(bits), len(wires)
+    root = StateStack.of(StateVector(quantum, amps)).take(np.zeros(n, dtype=np.intp))
+    table = np.full((n, 32), _UNSET, dtype=_CODE)   # room for the records and transcript
+    table[:, :at] = 0
+    table[:, at] = np.arange(n)
+    table[:, at + 1] = [_UNSET if b is None else int(b) if int(b) in (0, 1) else 2
+                        for b in bits]   # any other seed is not a bit
+    return _Rows(np.ones(n), root, wires, table, {_RUN: at, ("alice", "b"): at + 1})
+
+
+def _batch(game, phases: Mapping[str, Mapping[str, tuple[str, ...]]],
+           game_wires: tuple[str, ...], alices: Sequence[StrategySpec],
+           bobs: Sequence[StrategySpec], bits: Sequence[int | None], *args) -> list:
+    """``game`` on every run (alices[i], bobs[i], bits[i]), with one stack per shape group.
+
+    The runs whose two specs have the same ``shape`` form a group.  The first
+    pair of every group is checked against the game's phase map and the wire
+    budget before any branch runs; the other members share what it checks.
+    ``game(rows, alices, bobs, *args)`` plays a group from its root rows and
+    returns one result per run.  The results come back in input order; a
+    run that raises raises for the whole batch.
+    """
+    if not len(alices) == len(bobs) == len(bits):
+        raise ProtocolError(f"{len(alices)} depositors, {len(bobs)} receivers and "
+                            f"{len(bits)} seeded bits do not pair up")
+    groups: dict[tuple, list[int]] = {}
+    for i, (alice, bob) in enumerate(zip(alices, bobs)):
+        groups.setdefault((alice.shape, bob.shape), []).append(i)
+    for members in groups.values():
+        _check(alices[members[0]], bobs[members[0]], phases, game_wires)
+    results = [None] * len(bits)
+    for members in groups.values():
+        group_alices, group_bobs = [alices[i] for i in members], [bobs[i] for i in members]
+        rows = _start(group_alices, group_bobs, game_wires, [bits[i] for i in members])
+        for i, result in zip(members, game(rows, group_alices, group_bobs, *args)):
+            results[i] = result
+    return results
+
+
+def _one(game, phases: Mapping[str, Mapping[str, tuple[str, ...]]],
+         game_wires: tuple[str, ...], alice: StrategySpec, bob: StrategySpec, bit: int | None,
+         *args):
+    """``game``'s result for the one run (alice, bob, bit): a batch of one, its own group."""
+    _check(alice, bob, phases, game_wires)
+    return game(_start([alice], [bob], game_wires, [bit]), [alice], [bob], *args)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -634,15 +727,18 @@ def _leaf(entries: tuple[tuple[str, str], ...], codes: bytes, alice_honest: bool
     return repr(leaf), leaf
 
 
-def _assemble(parts: list[_Rows], alice_honest: bool, bob_honest: bool
-              ) -> OutcomeDistribution:
-    """One leaf per distinct (verdicts, transcript), in the order of the leaves' ``repr``.
+def _assemble(parts: list[_Rows], alices: Sequence[StrategySpec],
+              bobs: Sequence[StrategySpec]) -> list[OutcomeDistribution]:
+    """Each run's distribution: a leaf per distinct (verdicts, transcript), in ``repr`` order.
 
     Each part reads its rows' verdict and transcript codes as one matrix, and
     a dict keyed by each row's bytes keeps every distinct row once, so only
-    distinct rows become leaves.  One ``np.bincount`` sums the probabilities
-    over every row in part and row order, as a branch-by-branch merge would.
+    distinct rows become leaves.  One ``np.bincount`` over (run, leaf) sums
+    the probabilities over every row in part and row order, so each run's
+    sums add its rows in the order that run alone would, as a
+    branch-by-branch merge would.  A run holds the leaves its rows reach.
     """
+    alice_honest, bob_honest = alices[0].honest, bobs[0].honest
     leaves: dict[str, tuple[int, tuple]] = {}   # repr -> (index, leaf)
     ids: list[int] = []
     for rows in parts:
@@ -653,14 +749,22 @@ def _assemble(parts: list[_Rows], alice_honest: bool, bob_honest: bool
             text, leaf = _leaf(rows.entries, key, alice_honest, bob_honest)
             distinct[key] = leaves.setdefault(text, (len(leaves), leaf))[0]
         ids += map(distinct.__getitem__, keys)
-    sums = np.bincount(ids, np.concatenate([rows.probs for rows in parts]),
-                       minlength=len(leaves)).tolist()
-    return OutcomeDistribution(tuple(OutcomeBranch(sums[i], *leaf)
-                                     for _, (i, leaf) in sorted(leaves.items())))
+    width = len(leaves)
+    runs = [run for rows in parts for run in rows.runs.tolist()]
+    bins = [run * width + i for run, i in zip(runs, ids)]   # (run, leaf)
+    sums = np.bincount(bins, np.concatenate([rows.probs for rows in parts]),
+                       len(alices) * width).tolist()
+    reached = set(bins)
+    order = sorted(leaves.items())
+    return [OutcomeDistribution(tuple(OutcomeBranch(sums[run + i], *leaf)
+                                      for _, (i, leaf) in order if run + i in reached))
+            for run in range(0, len(sums), width)]
 
 
 # ---------------------------------------------------------------------------
-# Honest parties
+# Honest parties: each factory is cached, like ``_encoder``, since a spec is
+# immutable (no caller changes its programs in place); every caller of one
+# shares one spec, so its shape and ancillas are computed once.
 
 
 @functools.lru_cache(maxsize=256)
@@ -673,6 +777,7 @@ def _encoder(wire: str, theta: float, b_key: str, x_key: str) -> Apply:
     return Apply((wire,), np.stack(table), keys=(b_key, x_key))
 
 
+@functools.lru_cache(maxsize=256)
 def honest_alice_escrow(params: EscrowParams = EscrowParams()) -> StrategySpec:
     """Deposit phi_{b,x} for the instructed bit b (record-seeded) and random x."""
     return StrategySpec(
@@ -685,11 +790,13 @@ def honest_alice_escrow(params: EscrowParams = EscrowParams()) -> StrategySpec:
     )
 
 
+@functools.lru_cache(maxsize=256)
 def honest_bob_escrow() -> StrategySpec:
     return StrategySpec(party="bob", ancilla_count=0, honest=True,
                         label="honest-bob-escrow", programs={})
 
 
+@functools.lru_cache(maxsize=256)
 def honest_alice_coinflip() -> StrategySpec:
     return StrategySpec(
         party="alice", ancilla_count=0, honest=True, label="honest-alice-coinflip",
@@ -700,6 +807,7 @@ def honest_alice_coinflip() -> StrategySpec:
     )
 
 
+@functools.lru_cache(maxsize=256)
 def honest_bob_coinflip() -> StrategySpec:
     return StrategySpec(
         party="bob", ancilla_count=0, honest=True, label="honest-bob-coinflip",
@@ -707,6 +815,7 @@ def honest_bob_coinflip() -> StrategySpec:
     )
 
 
+@functools.lru_cache(maxsize=256)
 def honest_alice_weak(params: EscrowParams = EscrowParams()) -> StrategySpec:
     return StrategySpec(
         party="alice", ancilla_count=0, honest=True, label="honest-alice-weak",
@@ -720,6 +829,7 @@ def honest_alice_weak(params: EscrowParams = EscrowParams()) -> StrategySpec:
     )
 
 
+@functools.lru_cache(maxsize=256)
 def honest_bob_weak() -> StrategySpec:
     return StrategySpec(
         party="bob", ancilla_count=0, honest=True, label="honest-bob-weak",
@@ -746,9 +856,14 @@ _WEAK_PHASES = {
     "bob": {"receive": ("dep",), "coin_choose": ("dep2", "bp"), "return": ("dep",)},
 }
 
+# The game wires of each runner, in layout order.
+_ESCROW_WIRES = {Challenge.REVEAL_TO_BOB: ("dep", "rb", "rx"), Challenge.RETURN_TO_ALICE: ("dep",)}
+_REVEAL_FIRST_WIRES = ("dep", "rb")
+_COINFLIP_WIRES = ("dep", "bp", "rb", "rx")
 
-def _coin(rows: _Rows, alice: StrategySpec, bob: StrategySpec, phase_prefix: str,
-          wire_suffix: str, result: str) -> _Rows:
+
+def _coin(rows: _Rows, alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec],
+          phase_prefix: str, wire_suffix: str, result: str) -> _Rows:
     """The coin flip on the deposit wire ``"dep" + wire_suffix``.
 
     Alice runs ``phase_prefix + "deposit"``, Bob ``phase_prefix + "choose"``
@@ -756,16 +871,16 @@ def _coin(rows: _Rows, alice: StrategySpec, bob: StrategySpec, phase_prefix: str
     (b, x) on the ``rb``/``rx`` wires with the same suffix).  Bob's deposit check
     and an honest Alice's b xor b' land under ``result`` in their records.
     """
-    rows = _run_program(rows, alice, phase_prefix + "deposit")
-    rows = _run_program(rows, bob, phase_prefix + "choose")
-    if alice.honest:
+    rows = _run_program(rows, alices, phase_prefix + "deposit")
+    rows = _run_program(rows, bobs, phase_prefix + "choose")
+    if alices[0].honest:
         rows = _read_bit(rows, "bp", "alice", "bob", "bprime")
-    rows = _run_program(rows, alice, phase_prefix + "reveal")
+    rows = _run_program(rows, alices, phase_prefix + "reveal")
     rows = _read_bit(rows, "rb" + wire_suffix, "bob", "alice", "b_coin")
     rows = _read_bit(rows, "rx" + wire_suffix, "bob", "alice", "x_coin")
     rows = _check_deposit(rows, "dep" + wire_suffix, COIN_THETA, "bob",
                           "b_coin", "x_coin", result, xor_key="bprime")
-    return _own_result(rows, alice, result, "b" + wire_suffix, "bprime")
+    return _own_result(rows, alices[0], result, "b" + wire_suffix, "bprime")
 
 
 def run_escrow(alice: StrategySpec, bob: StrategySpec, challenge: Challenge,
@@ -781,21 +896,32 @@ def run_escrow(alice: StrategySpec, bob: StrategySpec, challenge: Challenge,
     must contain ``b`` and ``x`` (honest strategies record them) or the run
     fails with ``MalformedStrategy``.
     """
-    reveal = challenge is Challenge.REVEAL_TO_BOB
-    rows = _start(alice, bob, _ESCROW_PHASES, ("dep", "rb", "rx") if reveal else ("dep",),
-                  claimed_bit)
-    rows = _run_program(rows, alice, "deposit")
-    rows = _run_program(rows, bob, "receive")
-    if reveal:
-        rows = _run_program(rows, alice, "reveal")
+    return _one(_escrow, _ESCROW_PHASES, _ESCROW_WIRES[challenge], alice, bob, claimed_bit,
+                challenge, params.theta)
+
+
+def run_escrow_batch(alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec],
+                     challenge: Challenge, claimed_bits: Sequence[int | None],
+                     params: EscrowParams) -> list[OutcomeDistribution]:
+    """``run_escrow`` of each (alices[i], bobs[i], claimed_bits[i]), in input order (``_batch``)."""
+    return _batch(_escrow, _ESCROW_PHASES, _ESCROW_WIRES[challenge], alices, bobs,
+                  claimed_bits, challenge, params.theta)
+
+
+def _escrow(rows: _Rows, alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec],
+            challenge: Challenge, theta: float) -> list[OutcomeDistribution]:
+    rows = _run_program(rows, alices, "deposit")
+    rows = _run_program(rows, bobs, "receive")
+    if challenge is Challenge.REVEAL_TO_BOB:
+        rows = _run_program(rows, alices, "reveal")
         rows = _read_bit(rows, "rb", "bob", "alice", "b")
         rows = _read_bit(rows, "rx", "bob", "alice", "x")
-        rows = _check_deposit(rows, "dep", params.theta, "bob", "b", "x")
-        rows = _own_result(rows, alice, "verdict", "b")  # the bit she announced
+        rows = _check_deposit(rows, "dep", theta, "bob", "b", "x")
+        rows = _own_result(rows, alices[0], "verdict", "b")  # the bit she announced
     else:
-        rows = _run_program(rows, bob, "return")
-        rows = _check_deposit(rows, "dep", params.theta, "alice", "b", "x")
-    return _assemble([rows], alice.honest, bob.honest)
+        rows = _run_program(rows, bobs, "return")
+        rows = _check_deposit(rows, "dep", theta, "alice", "b", "x")
+    return _assemble([rows], alices, bobs)
 
 
 def run_escrow_reveal_then_return(alice: StrategySpec, bob: StrategySpec,
@@ -807,14 +933,29 @@ def run_escrow_reveal_then_return(alice: StrategySpec, bob: StrategySpec,
     Bob may condition the unitary in his ``return`` program on the revealed
     bit, which lands in his record under ``b_claim``.
     """
-    rows = _start(alice, bob, _ESCROW_PHASES, ("dep", "rb"), claimed_bit)
-    rows = _run_program(rows, alice, "deposit")
-    rows = _run_program(rows, bob, "receive")
-    rows = _run_program(rows, alice, "reveal_bit")
+    return _one(_reveal_then_return, _ESCROW_PHASES, _REVEAL_FIRST_WIRES, alice, bob,
+                claimed_bit, params.theta)
+
+
+def run_escrow_reveal_then_return_batch(alices: Sequence[StrategySpec],
+                                        bobs: Sequence[StrategySpec],
+                                        claimed_bits: Sequence[int | None],
+                                        params: EscrowParams) -> list[OutcomeDistribution]:
+    """``run_escrow_reveal_then_return`` of each run, in input order (``_batch``)."""
+    return _batch(_reveal_then_return, _ESCROW_PHASES, _REVEAL_FIRST_WIRES, alices, bobs,
+                  claimed_bits, params.theta)
+
+
+def _reveal_then_return(rows: _Rows, alices: Sequence[StrategySpec],
+                        bobs: Sequence[StrategySpec], theta: float
+                        ) -> list[OutcomeDistribution]:
+    rows = _run_program(rows, alices, "deposit")
+    rows = _run_program(rows, bobs, "receive")
+    rows = _run_program(rows, alices, "reveal_bit")
     rows = _read_bit(rows, "rb", "bob", "alice", "b_claim")
-    rows = _run_program(rows, bob, "return")
-    rows = _check_deposit(rows, "dep", params.theta, "alice", "b", "x")
-    return _assemble([rows], alice.honest, bob.honest)
+    rows = _run_program(rows, bobs, "return")
+    rows = _check_deposit(rows, "dep", theta, "alice", "b", "x")
+    return _assemble([rows], alices, bobs)
 
 
 def run_coinflip(alice: StrategySpec, bob: StrategySpec) -> OutcomeDistribution:
@@ -825,11 +966,22 @@ def run_coinflip(alice: StrategySpec, bob: StrategySpec) -> OutcomeDistribution:
     err if the check catches the revealer and b xor b' otherwise; an honest
     revealer is never caught, so her result is always b xor b'.
     """
-    rows = _start(alice, bob, _COINFLIP_PHASES, ("dep", "bp", "rb", "rx"))
-    if not (alice.honest or bob.honest):
+    return _one(_coinflip, _COINFLIP_PHASES, _COINFLIP_WIRES, alice, bob, None)
+
+
+def run_coinflip_batch(alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec]
+                       ) -> list[OutcomeDistribution]:
+    """``run_coinflip`` of each (alices[i], bobs[i]), in input order (``_batch``)."""
+    return _batch(_coinflip, _COINFLIP_PHASES, _COINFLIP_WIRES, alices, bobs,
+                  [None] * len(alices))
+
+
+def _coinflip(rows: _Rows, alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec]
+              ) -> list[OutcomeDistribution]:
+    if not (alices[0].honest or bobs[0].honest):
         raise MalformedStrategy("at least one party must be honest")
-    rows = _coin(rows, alice, bob, phase_prefix="", wire_suffix="", result="verdict")
-    return _assemble([rows], alice.honest, bob.honest)
+    rows = _coin(rows, alices, bobs, phase_prefix="", wire_suffix="", result="verdict")
+    return _assemble([rows], alices, bobs)
 
 
 def run_weak_commitment(alice: StrategySpec, bob: StrategySpec, deposited_bit: int,
@@ -842,15 +994,21 @@ def run_weak_commitment(alice: StrategySpec, bob: StrategySpec, deposited_bit: i
     provides the mechanics of the composition only; no security property is
     claimed for it.
     """
-    rows = _start(alice, bob, _WEAK_PHASES, ("dep", "rb", "rx", "dep2", "bp", "rb2", "rx2"),
-                  deposited_bit)
+    return _one(_weak_commitment, _WEAK_PHASES, ("dep", "rb", "rx", "dep2", "bp", "rb2", "rx2"),
+                alice, bob, deposited_bit, params.theta)
+
+
+def _weak_commitment(rows: _Rows, alices: Sequence[StrategySpec],
+                     bobs: Sequence[StrategySpec], theta: float
+                     ) -> list[OutcomeDistribution]:
+    alice, bob = alices[0], bobs[0]
     if not (alice.honest or bob.honest):
         raise MalformedStrategy("at least one party must be honest")
-    rows = _run_program(rows, alice, "deposit")
-    rows = _run_program(rows, bob, "receive")
-    rows = _run_program(rows, alice, "reveal_bit")
+    rows = _run_program(rows, alices, "deposit")
+    rows = _run_program(rows, bobs, "receive")
+    rows = _run_program(rows, alices, "reveal_bit")
     rows = _read_bit(rows, "rb", "bob", "alice", "b_claim")
-    rows = _coin(rows, alice, bob, phase_prefix="coin_", wire_suffix="2", result="coin")
+    rows = _coin(rows, alices, bobs, phase_prefix="coin_", wire_suffix="2", result="coin")
 
     judge = "alice" if alice.honest else "bob"
     coin = rows.read((judge, "coin"))[:, 0]
@@ -862,14 +1020,14 @@ def run_weak_commitment(alice: StrategySpec, bob: StrategySpec, deposited_bit: i
         done.record((party, "verdict"), _ERR)
     alice_challenged, bob_challenged = np.flatnonzero(coin == _ONE), np.flatnonzero(coin == _ZERO)
 
-    part = _run_program(rows.take(alice_challenged), alice, "reveal_x")
+    part = _run_program(rows.take(alice_challenged), alices, "reveal_x")
     part = _read_bit(part, "rx", "bob", "alice", "x_claim")
-    part = _check_deposit(part, "dep", params.theta, "bob", "b_claim", "x_claim")
+    part = _check_deposit(part, "dep", theta, "bob", "b_claim", "x_claim")
     checked_alice = _own_result(part, alice, "verdict", "b")
-    part = _run_program(rows.take(bob_challenged), bob, "return")
-    part = _check_deposit(part, "dep", params.theta, "alice", "b", "x")
+    part = _run_program(rows.take(bob_challenged), bobs, "return")
+    part = _check_deposit(part, "dep", theta, "alice", "b", "x")
     checked_bob = _own_result(part, bob, "verdict", "b_claim")
-    return _assemble([done, checked_alice, checked_bob], alice.honest, bob.honest)
+    return _assemble([done, checked_alice, checked_bob], alices, bobs)
 
 
 def deposit_reduced_state(alice: StrategySpec) -> DensityMatrix:
@@ -880,9 +1038,25 @@ def deposit_reduced_state(alice: StrategySpec) -> DensityMatrix:
     The strategy is checked against the escrow game's phases; only its
     deposit program runs, with no bit seeded in the depositor's record.
     """
-    rows = _start(alice, honest_bob_escrow(), _ESCROW_PHASES, ("dep",))
-    rows = _run_program(rows, alice, "deposit")
+    return _one(_deposit, _ESCROW_PHASES, ("dep",), alice, honest_bob_escrow(), None)
+
+
+def deposit_reduced_state_batch(alices: Sequence[StrategySpec]) -> list[DensityMatrix]:
+    """``deposit_reduced_state`` of each strategy, in input order (``_batch``)."""
+    bobs = [honest_bob_escrow()] * len(alices)
+    return _batch(_deposit, _ESCROW_PHASES, ("dep",), alices, bobs, [None] * len(alices))
+
+
+def _deposit(rows: _Rows, alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec]
+             ) -> list[DensityMatrix]:
+    rows = _run_program(rows, alices, "deposit")
     probs = rows.probs.tolist()
-    total = sum(probs)
-    m = sum(p / total * r for p, r in zip(probs, partial_trace(rows.states, ("dep",))))
-    return DensityMatrix(("dep",), m)
+    reduced = partial_trace(rows.states, ("dep",))
+    ends = np.searchsorted(rows.runs, np.arange(1, len(alices) + 1)).tolist()
+    out, start = [], 0
+    for end in ends:   # each run's rows, summed in that run's own order
+        total = sum(probs[start:end])
+        m = sum(p / total * r for p, r in zip(probs[start:end], reduced[start:end]))
+        out.append(DensityMatrix(("dep",), m))
+        start = end
+    return out

@@ -103,7 +103,7 @@ class StateVector:
             raise WireMismatch(
                 f"{len(self.wires)} wires need {2 ** len(self.wires)} amplitudes, got {amps.shape}"
             )
-        if not np.all(np.isfinite(amps.view(float))):
+        if not np.isfinite(amps.view(float)).all():
             raise QMathError("non-finite amplitude")
         _check_norms(amps[None])
 
@@ -151,7 +151,7 @@ class StateStack:
             raise WireMismatch(
                 f"{len(self.wires)} wires need rows of {2 ** len(self.wires)} amplitudes, "
                 f"got {amps.shape}")
-        if not np.all(np.isfinite(amps.view(float))):
+        if not np.isfinite(amps.view(float)).all():
             raise QMathError("non-finite amplitude")
         _check_norms(amps)
 
@@ -312,6 +312,20 @@ class OrthogonalMeasurement:
         return out
 
     @classmethod
+    def stack(cls, parts: Sequence["OrthogonalMeasurement"]) -> "OrthogonalMeasurement":
+        """The bases of checked measurements, each one basis or a stack, as one stack in order.
+
+        Every part was checked when it was built, so the stack is not checked again.
+        """
+        d = parts[0].dim
+        out = object.__new__(cls)
+        for name in ("basis", "adjoint"):
+            m = np.concatenate([getattr(part, name).reshape(-1, d, d) for part in parts])
+            m.setflags(write=False)
+            object.__setattr__(out, name, m)
+        return out
+
+    @classmethod
     def from_basis(cls, vectors: Sequence[np.ndarray]) -> "OrthogonalMeasurement":
         return cls(np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors]))
 
@@ -347,6 +361,19 @@ class Unitary:
         m = self.matrix[np.asarray(rows, dtype=np.intp)]
         m.setflags(write=False)
         out = object.__new__(Unitary)
+        object.__setattr__(out, "matrix", m)
+        return out
+
+    @classmethod
+    def stack(cls, parts: Sequence["Unitary"]) -> "Unitary":
+        """The matrices of checked unitaries, each one matrix or a table, as one table in order.
+
+        Every part was checked when it was built, so the table is not checked again.
+        """
+        d = parts[0].dim
+        m = np.concatenate([part.matrix.reshape(-1, d, d) for part in parts])
+        m.setflags(write=False)
+        out = object.__new__(cls)
         object.__setattr__(out, "matrix", m)
         return out
 
@@ -588,9 +615,21 @@ def complete_basis(columns: np.ndarray, dim: int) -> np.ndarray:
 
 
 def state_preparation_unitary(vec: np.ndarray) -> np.ndarray:
-    """A unitary whose first column is the given unit vector (deterministic completion)."""
-    v = np.asarray(vec, dtype=complex).reshape(-1, 1)
-    return complete_basis(v / np.linalg.norm(v), v.shape[0])
+    """A unitary whose first column is the given vector, normalized (deterministic completion).
+
+    The other columns are those of the Householder reflection that takes |0>
+    to the vector times the phase that makes its first entry -|u_0| (so the
+    reflection's normal has first entry 1 + |u_0| and nothing cancels): they
+    are orthonormal and orthogonal to the vector.
+    """
+    u = np.asarray(vec, dtype=complex).reshape(-1)
+    u = u / np.linalg.norm(u)
+    size = abs(u[0])
+    normal = u * (u[0].conjugate() / size if size else 1.0)   # |0> - normal is the target
+    normal[0] += 1.0
+    out = np.eye(len(u), dtype=complex) - np.outer(normal, normal.conj()) / (1.0 + size)
+    out[:, 0] = u
+    return out
 
 
 def local_purification_transform(

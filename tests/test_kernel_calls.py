@@ -4,7 +4,8 @@ A profiler or tracer that wraps ``qmath.measure`` and ``qmath.apply_unitary``
 (and the ``protocols`` aliases of ``apply_unitary`` and ``partial_trace``)
 must see every run's kernel calls, and must not change any outcome.  The
 same kind of wrapper on ``qmath.is_unitary`` shows that a run does not check a
-gate, or a record-dependent table of gates, again once its round is built.
+gate, or a record-dependent table of gates, again once its round is built, nor
+a batch the stack of its runs' gates and bases.
 """
 
 import numpy as np
@@ -15,9 +16,10 @@ from qescrow.protocols import (
     COIN_THETA,
     Apply,
     Challenge,
+    EscrowParams,
+    MeasureRecord,
     SetBits,
     StrategySpec,
-    escrow_basis,
     honest_alice_coinflip,
     honest_alice_escrow,
     honest_alice_weak,
@@ -121,15 +123,32 @@ def _conditional_receiver():
     return lambda: protocols.run_escrow_reveal_then_return(alice, bob, 1)
 
 
+def _batched_receivers():
+    # each receiver's gate, basis and keyed table differ, so the batch stacks them per run
+    rng = np.random.default_rng(7)
+
+    def receiver():
+        table = np.stack([qmath.random_unitary(2, rng) for _ in range(2)])
+        return StrategySpec("bob", 1, {
+            "receive": (Apply(("dep", "c0"), qmath.random_unitary(4, rng)),),
+            "return": (MeasureRecord(("c0",), qmath.random_basis_measurement(2, rng), "g"),
+                       Apply(("dep",), table, keys=("g",)))})
+
+    bobs = [receiver() for _ in range(3)]
+    alice = honest_alice_escrow()
+    return lambda: protocols.run_escrow_batch([alice] * 3, bobs, Challenge.RETURN_TO_ALICE,
+                                              [0, 1, 1], EscrowParams())
+
+
 @pytest.mark.parametrize("build", [_fixed_gate_coinflip, _honest_coinflip,
-                                   _conditional_receiver],
-                         ids=["fixed-gate", "honest-coinflip", "conditional-receiver"])
+                                   _conditional_receiver, _batched_receivers],
+                         ids=["fixed-gate", "honest-coinflip", "conditional-receiver",
+                              "batched-receivers"])
 def test_a_built_gate_is_not_checked_again_by_its_runs(build, monkeypatch):
     # every gate and table is checked when its round is built, before the
     # wrapper is in place, so any unitarity check during the runs would re-check one
     run = build()
-    for x in (0, 1):
-        escrow_basis(x, COIN_THETA)   # the check bases are cached on first use: build them now
+    protocols._check_bases(COIN_THETA)   # the check bases are cached on first use: build them now
     checks = []
 
     def counting(m):

@@ -734,10 +734,12 @@ def test_mixture_density():
 
 def test_state_preparation_unitary():
     rng = np.random.default_rng(59)
-    v = random_state(("a", "b"), rng).amplitudes
-    u = state_preparation_unitary(v)
-    assert qmath.is_unitary(u)
-    assert np.max(np.abs(u[:, 0] - v)) < 1e-12
+    for wires in (("a",), ("a", "b"), ("a", "b", "c")):   # dims 2, 4 and 8
+        for v in (random_state(wires, rng).amplitudes, 3 * ket(*[1] * len(wires))):
+            u = state_preparation_unitary(v)
+            assert qmath.is_unitary(u)
+            assert np.abs(u.conj().T @ u - np.eye(len(v))).max() < 1e-14
+            assert np.array_equal(u[:, 0], v / np.linalg.norm(v))   # exactly the normalized input
 
 
 def test_random_unitary_is_unitary():
