@@ -295,11 +295,10 @@ def constant_bob(bit: int) -> StrategySpec:
 
 def bob_measure_coinflip(u2: np.ndarray) -> StrategySpec:
     """Coin-flip receiver measuring the deposit in the basis given by u2's columns."""
-    meas = OrthogonalMeasurement.from_basis([u2[:, 0], u2[:, 1]])
     return StrategySpec(
         party="bob", ancilla_count=0, label="bob-basis-measurement",
         programs={"choose": (
-            MeasureRecord(("dep",), meas, "guess"),
+            MeasureRecord(("dep",), OrthogonalMeasurement(u2), "guess"),
             SetBits({"bp": "guess"}),
         )},
     )

@@ -15,15 +15,16 @@ Every game runs on one executor, and each game body plays a batch: N runs,
 each a (depositor, receiver, seeded bit) triple, whose strategies have one
 shape (``StrategySpec.shape``: all but the gate and basis matrices) go
 through one stack.  ``_batch`` groups runs by shape and checks each group's
-strategies against the game's phase map; a runner is the batch of one run
-(``_one``).  ``_start`` lays out the wires and builds one root row per run,
-``_run_program`` runs a party's phase, ``_read_bit`` receives a classical
-message, ``_check_deposit`` projects a deposit on its claimed encoding (the
-escrow checks and the coin check alike), ``_own_result`` sets an honest
-party's own result, and ``_assemble`` merges the leaves into one
-distribution per run.  The ``*_batch`` entry points take equal-length
-sequences and return results in input order; ``deposit_reduced_state`` runs
-the deposit phase on the same steps.
+strategies against the game's phase map, once per pair of shapes; a runner
+is the batch of one run (``_one``).  ``_start`` lays out the wires and
+builds one root row per run, ``_run_program`` runs a party's phase,
+``_read_bit`` receives a classical message, ``_check_deposit`` projects a
+deposit on its claimed encoding (the escrow checks and the coin check
+alike), ``_own_result`` sets an honest party's own result, and
+``_assemble`` merges the leaves into one distribution per run.  The
+``*_batch`` entry points take equal-length sequences and return results in
+input order; ``deposit_reduced_state`` runs the deposit phase on the same
+steps.
 
 The branches of a batch are rows (``_Rows``): one ``qmath.StateStack`` holds
 every branch's amplitudes on the run's quantum wires, next to one probability
@@ -52,11 +53,18 @@ parties' ancillas and the deposits from the start, and a message wire
 when ``StateStack.insert`` enters it in |bit> from its column; the stack
 keeps the layout's wire order.  Until then a message wire is a classical bit
 per row: a classical write XORs its column (on a quantum wire it swaps
-amplitude halves), and reading it has one outcome, the row's bit, whose
-probability and post-state ``qmath.renormalize`` gives without a ``measure``
-call.  In honest play no message wire enters the stack.  Honest randomness
-is expanded into explicit branch weights, never sampled, so honest/honest
-runs have *exactly* zero error branches.
+amplitude halves), and reading it has one outcome, the row's bit.  Rounding
+is divided out where a measurement would divide it out: every ``measure``
+post-state is divided by the square root of its probability, and the first
+read after a gate takes its probability and post-state from
+``qmath.renormalize``.  A draw, a bit flip, an inserted wire and a row
+selection only move amplitudes, so rows stay normalized until the next gate
+(``_Rows.normalized``), and a read of normalized rows is a table write: the
+bit goes to the reader's record column and the transcript.  A branch's
+closing deposit check builds no post-states.  In honest play no message wire
+enters the stack.  Honest randomness is expanded into explicit branch
+weights, never sampled, so honest/honest runs have *exactly* zero error
+branches.
 
 Wire layout (a run holds Alice's ancillas, then the game's wires, then Bob's
 ancillas, at most ``MAX_TOTAL_WIRES`` = 9 in all):
@@ -77,7 +85,7 @@ the party holds in it.  Every violation raises
 ``MalformedStrategy`` before any branch runs, except a record key that is
 unset or not a bit, which raises it when read (for the whole batch).
 Runners are pure functions from strategies to outcome distributions;
-concurrent runs share nothing mutable.
+concurrent runs share only caches of checked or derived values.
 """
 
 from __future__ import annotations
@@ -381,13 +389,21 @@ class _Rows:
     Rows are branch-major: a row's children follow it in outcome order, so
     each run's rows stay together, in run order, and in the order that run
     alone would give them.
+
+    ``normalized`` says that every row has been divided by its own norm
+    since the last gate: the exact root, a measurement's post-states and a
+    renormalizing read set it, copies and moves of amplitudes (a draw, a
+    flip, an inserted wire, a ``take``) keep it, and a gate clears it.
+    After a closing check, which nothing reads the state of, ``states`` is
+    None.
     """
 
     probs: np.ndarray
-    states: StateStack
+    states: StateStack | None
     layout: tuple[str, ...]
     table: np.ndarray
     columns: dict[tuple[str, str] | int, int]
+    normalized: bool
     entries: tuple[tuple[str, str], ...] = ()
 
     @property
@@ -398,7 +414,7 @@ class _Rows:
     def take(self, rows: np.ndarray) -> "_Rows":
         """The given rows (indices), each at most once."""
         return _Rows(self.probs[rows], self.states.take(rows), self.layout, self.table[rows],
-                     self.columns, self.entries)
+                     self.columns, self.normalized, self.entries)
 
     def quantum(self, wires: tuple[str, ...]) -> "_Rows":
         """The rows with each of ``wires`` in the stack; a classical one enters in |bit>.
@@ -412,21 +428,22 @@ class _Rows:
                 col = self.layout.index(wire)
                 at = sum(self.layout.index(w) < col for w in states.wires)
                 states = states.insert(at, wire, self.table[:, col])
-        return self if states is self.states else self.with_states(states)
+        return self if states is self.states else self.with_states(states, self.normalized)
 
-    def with_states(self, states: StateStack, table: np.ndarray | None = None) -> "_Rows":
+    def with_states(self, states: StateStack, normalized: bool,
+                    table: np.ndarray | None = None) -> "_Rows":
         """The same rows with new states (and table, when given)."""
         return _Rows(self.probs, states, self.layout, self.table if table is None else table,
-                     self.columns, self.entries)
+                     self.columns, normalized, self.entries)
 
-    def split(self, rows: np.ndarray, probs: np.ndarray, states: StateStack, party: str,
-              key: str, values: np.ndarray) -> "_Rows":
+    def split(self, rows: np.ndarray, probs: np.ndarray, states: StateStack | None,
+              normalized: bool, party: str, key: str, values: np.ndarray) -> "_Rows":
         """Children of ``rows`` (parent indices, in order) with their probabilities and states.
 
         Each child's ``party`` record gets ``key`` set to the matching entry of ``values``.
         """
         out = _Rows(self.probs[rows] * probs, states, self.layout, self.table[rows],
-                    self.columns, self.entries)
+                    self.columns, normalized, self.entries)
         out.record((party, key), values)
         return out
 
@@ -484,8 +501,8 @@ def _run_program(rows: _Rows, specs: Sequence[StrategySpec], phase: str) -> _Row
         if isinstance(rnd, Draw):
             children = np.arange(2 * len(rows.probs))
             parents = children >> 1
-            rows = rows.split(parents, 0.5, rows.states.take(parents), party, rnd.name,
-                              children & 1)
+            rows = rows.split(parents, 0.5, rows.states.take(parents), rows.normalized, party,
+                              rnd.name, children & 1)
         elif isinstance(rnd, Apply):
             gate, index = rnd.unitary, None
             if rnd.keys:  # a row's table index: its bits under the keys, the first most significant
@@ -502,7 +519,7 @@ def _run_program(rows: _Rows, specs: Sequence[StrategySpec], phase: str) -> _Row
                 states = apply_unitary(rows.states, gate, rnd.wires)
             except qmath.QMathError as exc:
                 raise MalformedStrategy(f"bad gate in phase {phase!r}: {exc!r}") from exc
-            rows = rows.with_states(states)
+            rows = rows.with_states(states, False)
         elif isinstance(rnd, MeasureRecord):
             measurement = rnd.measurement
             bases = [spec.programs[phase][position].measurement for spec in specs]
@@ -510,7 +527,7 @@ def _run_program(rows: _Rows, specs: Sequence[StrategySpec], phase: str) -> _Row
                 measurement = OrthogonalMeasurement.stack(bases).take(rows.runs)
             rows = rows.quantum(rnd.wires)
             parents, outcomes, probs, states = qmath.measure(rows.states, measurement, rnd.wires)
-            rows = rows.split(parents, probs, states, party, rnd.name, outcomes)
+            rows = rows.split(parents, probs, states, True, party, rnd.name, outcomes)
         else:  # SetBits: a StrategySpec admits no other round type
             states, table = rows.states, rows.table.copy()
             keys = tuple(src for src in rnd.assignments.values() if isinstance(src, str))
@@ -521,7 +538,7 @@ def _run_program(rows: _Rows, specs: Sequence[StrategySpec], phase: str) -> _Row
                     table[:, rows.layout.index(wire)] ^= flips
                 elif flips.any():
                     states = states.flip(wire, flips)
-            rows = rows.with_states(states, table)
+            rows = rows.with_states(states, rows.normalized, table)
     return rows
 
 
@@ -529,31 +546,39 @@ def _read_bit(rows: _Rows, wire: str, reader: str, sender: str, key: str) -> _Ro
     """Measure a classical-convention wire into the reader's record + transcript.
 
     A wire outside the stack holds one bit per row, so its measurement has
-    one outcome, that bit, and ``qmath.renormalize`` gives its probability
-    and post-state without a ``measure`` call.
+    one outcome, that bit.  Rows a gate has acted on since they were last
+    normalized get its probability and post-state from
+    ``qmath.renormalize``, which divides the gate's rounding out; normalized
+    rows keep their probabilities and states, so the read only writes the
+    reader's record column and the transcript.
     """
     if wire in rows.states.wires:
         # in the computational basis the outcome index is the bit
         parents, bits, probs, states = qmath.measure(rows.states, _COMP1, (wire,))
+        rows = rows.split(parents, probs, states, True, reader, key, bits)
     else:
-        parents = np.arange(len(rows.probs))
-        probs, states = qmath.renormalize(rows.states)
         bits = rows.table[:, rows.layout.index(wire)]
-    out = rows.split(parents, probs, states, reader, key, bits)
-    out.tell(sender, key, bits)
-    return out
+        if not rows.normalized:
+            probs, states = qmath.renormalize(rows.states)
+            rows = _Rows(rows.probs * probs, states, rows.layout, rows.table, rows.columns,
+                         True, rows.entries)
+        rows.record((reader, key), bits)
+    rows.tell(sender, key, bits)
+    return rows
 
 
 def _check_deposit(rows: _Rows, dep_wire: str, theta: float, checker: str,
                    b_key: str, x_key: str, result: str = "verdict",
-                   xor_key: str | None = None) -> _Rows:
+                   xor_key: str | None = None, closing: bool = True) -> _Rows:
     """Project the deposit on the encoding (b, x) that the checker's record claims.
 
     A failed projection sets the checker's ``result`` to ERR.  A passing one sets
     it to the claimed bit, XOR the record's ``xor_key`` when one is named (the
     coin check, where the passing result is b xor b'); a checker that never
     recorded that key gets no result.  Each row is measured in the basis of its
-    own claimed x, all rows in one call.
+    own claimed x, all rows in one call.  A ``closing`` check is the branch's
+    last quantum step, so it computes only the outcomes' probabilities and
+    the rows it returns hold no states.
     """
     has_xor = xor_key is not None and _UNSET not in rows.read((checker, xor_key)).ravel().tolist()
     claims = _record_bits(rows, checker, (b_key, x_key, xor_key) if has_xor else (b_key, x_key))
@@ -563,9 +588,9 @@ def _check_deposit(rows: _Rows, dep_wire: str, theta: float, checker: str,
     else:
         passed = np.full(len(b), _UNSET)
     parents, outcomes, probs, states = qmath.measure(
-        rows.states, _check_bases(theta).take(claims[:, 1]), (dep_wire,))
+        rows.states, _check_bases(theta).take(claims[:, 1]), (dep_wire,), post=not closing)
     verdicts = np.where(outcomes == b[parents], passed[parents], _ERR)  # the outcome index is b
-    return rows.split(parents, probs, states, checker, result, verdicts)
+    return rows.split(parents, probs, states, True, checker, result, verdicts)
 
 
 def _own_result(rows: _Rows, spec: StrategySpec, result: str, *bit_keys: str) -> _Rows:
@@ -579,15 +604,34 @@ def _own_result(rows: _Rows, spec: StrategySpec, result: str, *bit_keys: str) ->
     return rows
 
 
+# The (Alice shape, Bob shape, phase map, game wires) that ``_check`` has passed,
+# forgotten all at once when it reaches ``_CHECKED_MAX``.  A key is added only
+# after its check passed, so concurrent runs at worst check a pair twice.
+_CHECKED: set[tuple] = set()
+_CHECKED_MAX = 4096
+
+
 def _check(alice: StrategySpec, bob: StrategySpec,
            phases: Mapping[str, Mapping[str, tuple[str, ...]]], game_wires: tuple[str, ...]
            ) -> None:
-    """Check both strategies against the game's phase map and the ``MAX_TOTAL_WIRES`` budget."""
+    """Check both strategies against the game's phase map and the ``MAX_TOTAL_WIRES`` budget.
+
+    The check reads only the two shapes, the phase map and the wires, so a
+    pair that passed is remembered by them and not checked again.  The
+    phase maps are module constants, named by their identity.  A failing
+    pair raises every time.
+    """
+    key = (alice.shape, bob.shape, id(phases), game_wires)
+    if key in _CHECKED:
+        return
     validate_strategy(alice, phases["alice"])
     validate_strategy(bob, phases["bob"])
     n = len(alice.ancillas + game_wires + bob.ancillas)
     if n > MAX_TOTAL_WIRES:
         raise MalformedStrategy(f"{n} wires exceed the {MAX_TOTAL_WIRES}-qubit budget")
+    if len(_CHECKED) >= _CHECKED_MAX:
+        _CHECKED.clear()
+    _CHECKED.add(key)
 
 
 def _start(alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec],
@@ -611,7 +655,7 @@ def _start(alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec],
     table[:, at] = np.arange(n)
     table[:, at + 1] = [_UNSET if b is None else int(b) if int(b) in (0, 1) else 2
                         for b in bits]   # any other seed is not a bit
-    return _Rows(np.ones(n), root, wires, table, {_RUN: at, ("alice", "b"): at + 1})
+    return _Rows(np.ones(n), root, wires, table, {_RUN: at, ("alice", "b"): at + 1}, True)
 
 
 def _batch(game, phases: Mapping[str, Mapping[str, tuple[str, ...]]],
@@ -711,14 +755,11 @@ def _final_verdicts(av: int, bv: int, alice_honest: bool, bob_honest: bool) -> t
     return av, bv
 
 
-@functools.lru_cache(maxsize=4096)
 def _leaf(entries: tuple[tuple[str, str], ...], codes: bytes, alice_honest: bool,
           bob_honest: bool) -> tuple[str, tuple]:
     """The leaf that a row's verdict and transcript codes spell, and its ``repr``.
 
-    The leaf is (Alice's verdict, Bob's verdict, transcript).  Cached: the
-    runners fix every (sender, key), and each value is a bit or a verdict, so
-    a game has few distinct leaves.
+    The leaf is (Alice's verdict, Bob's verdict, transcript).
     """
     av, bv, *said = np.frombuffer(codes, dtype=_CODE).tolist()
     av, bv = _final_verdicts(av, bv, alice_honest, bob_honest)
@@ -727,16 +768,28 @@ def _leaf(entries: tuple[tuple[str, str], ...], codes: bytes, alice_honest: bool
     return repr(leaf), leaf
 
 
+@functools.lru_cache(maxsize=256)
+def _leaves(entries: tuple[tuple[str, str], ...], alice_honest: bool, bob_honest: bool
+            ) -> dict[bytes, tuple[str, tuple]]:
+    """The ``_leaf`` of each row codes met so far under one transcript header and honest flags.
+
+    Cached, and filled by ``_assemble``: the runners fix every (sender, key),
+    and each value is a bit or a verdict, so a game has few distinct leaves.
+    """
+    return {}
+
+
 def _assemble(parts: list[_Rows], alices: Sequence[StrategySpec],
               bobs: Sequence[StrategySpec]) -> list[OutcomeDistribution]:
     """Each run's distribution: a leaf per distinct (verdicts, transcript), in ``repr`` order.
 
     Each part reads its rows' verdict and transcript codes as one matrix, and
     a dict keyed by each row's bytes keeps every distinct row once, so only
-    distinct rows become leaves.  One ``np.bincount`` over (run, leaf) sums
-    the probabilities over every row in part and row order, so each run's
-    sums add its rows in the order that run alone would, as a
-    branch-by-branch merge would.  A run holds the leaves its rows reach.
+    distinct rows are looked up in the part's ``_leaves``.  One
+    ``np.bincount`` over (run, leaf) sums the probabilities over every row in
+    part and row order, so each run's sums add its rows in the order that run
+    alone would, as a branch-by-branch merge would.  A run holds the leaves
+    its rows reach.
     """
     alice_honest, bob_honest = alices[0].honest, bobs[0].honest
     leaves: dict[str, tuple[int, tuple]] = {}   # repr -> (index, leaf)
@@ -744,20 +797,25 @@ def _assemble(parts: list[_Rows], alices: Sequence[StrategySpec],
     for rows in parts:
         codes = rows.read(("alice", "verdict"), ("bob", "verdict"), *range(len(rows.entries)))
         keys = codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1]))).ravel().tolist()
+        known = _leaves(rows.entries, alice_honest, bob_honest)
         distinct = dict.fromkeys(keys)   # in the order of first rows
         for key in distinct:
-            text, leaf = _leaf(rows.entries, key, alice_honest, bob_honest)
+            if key not in known:
+                known[key] = _leaf(rows.entries, key, alice_honest, bob_honest)
+            text, leaf = known[key]
             distinct[key] = leaves.setdefault(text, (len(leaves), leaf))[0]
         ids += map(distinct.__getitem__, keys)
     width = len(leaves)
-    runs = [run for rows in parts for run in rows.runs.tolist()]
-    bins = [run * width + i for run, i in zip(runs, ids)]   # (run, leaf)
+    runs = np.concatenate([rows.runs for rows in parts], dtype=np.intp)
+    bins = runs * width + np.array(ids, dtype=np.intp)   # (run, leaf)
     sums = np.bincount(bins, np.concatenate([rows.probs for rows in parts]),
-                       len(alices) * width).tolist()
-    reached = set(bins)
-    order = sorted(leaves.items())
+                       len(alices) * width)
+    reached = np.zeros(len(sums), dtype=bool)
+    reached[bins] = True
+    sums, reached = sums.tolist(), reached.tolist()
+    order = [entry for _, entry in sorted(leaves.items())]
     return [OutcomeDistribution(tuple(OutcomeBranch(sums[run + i], *leaf)
-                                      for _, (i, leaf) in order if run + i in reached))
+                                      for i, leaf in order if reached[run + i]))
             for run in range(0, len(sums), width)]
 
 
@@ -863,13 +921,14 @@ _COINFLIP_WIRES = ("dep", "bp", "rb", "rx")
 
 
 def _coin(rows: _Rows, alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec],
-          phase_prefix: str, wire_suffix: str, result: str) -> _Rows:
+          phase_prefix: str, wire_suffix: str, result: str, closing: bool) -> _Rows:
     """The coin flip on the deposit wire ``"dep" + wire_suffix``.
 
     Alice runs ``phase_prefix + "deposit"``, Bob ``phase_prefix + "choose"``
     (announcing b' on ``bp``), Alice ``phase_prefix + "reveal"`` (claiming
     (b, x) on the ``rb``/``rx`` wires with the same suffix).  Bob's deposit check
     and an honest Alice's b xor b' land under ``result`` in their records.
+    The check is ``closing`` when the game ends with the coin.
     """
     rows = _run_program(rows, alices, phase_prefix + "deposit")
     rows = _run_program(rows, bobs, phase_prefix + "choose")
@@ -879,7 +938,7 @@ def _coin(rows: _Rows, alices: Sequence[StrategySpec], bobs: Sequence[StrategySp
     rows = _read_bit(rows, "rb" + wire_suffix, "bob", "alice", "b_coin")
     rows = _read_bit(rows, "rx" + wire_suffix, "bob", "alice", "x_coin")
     rows = _check_deposit(rows, "dep" + wire_suffix, COIN_THETA, "bob",
-                          "b_coin", "x_coin", result, xor_key="bprime")
+                          "b_coin", "x_coin", result, xor_key="bprime", closing=closing)
     return _own_result(rows, alices[0], result, "b" + wire_suffix, "bprime")
 
 
@@ -980,7 +1039,8 @@ def _coinflip(rows: _Rows, alices: Sequence[StrategySpec], bobs: Sequence[Strate
               ) -> list[OutcomeDistribution]:
     if not (alices[0].honest or bobs[0].honest):
         raise MalformedStrategy("at least one party must be honest")
-    rows = _coin(rows, alices, bobs, phase_prefix="", wire_suffix="", result="verdict")
+    rows = _coin(rows, alices, bobs, phase_prefix="", wire_suffix="", result="verdict",
+                 closing=True)
     return _assemble([rows], alices, bobs)
 
 
@@ -1008,7 +1068,8 @@ def _weak_commitment(rows: _Rows, alices: Sequence[StrategySpec],
     rows = _run_program(rows, bobs, "receive")
     rows = _run_program(rows, alices, "reveal_bit")
     rows = _read_bit(rows, "rb", "bob", "alice", "b_claim")
-    rows = _coin(rows, alices, bobs, phase_prefix="coin_", wire_suffix="2", result="coin")
+    rows = _coin(rows, alices, bobs, phase_prefix="coin_", wire_suffix="2", result="coin",
+                 closing=False)
 
     judge = "alice" if alice.honest else "bob"
     coin = rows.read((judge, "coin"))[:, 0]

@@ -525,20 +525,25 @@ def apply_unitary(states: StateVector | StateStack, u: Unitary | np.ndarray,
     return _derived_state(states.wires, out.reshape(states.amplitudes.shape))
 
 
-def measure(states: StateStack, m: OrthogonalMeasurement, on: Sequence[str]
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, StateStack]:
+def measure(states: StateStack, m: OrthogonalMeasurement, on: Sequence[str], post: bool = True
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, StateStack | None]:
     """Enumerate measurement branches of every row.
 
     ``m`` holds one basis for all rows or a stack with one basis per row.
     Branches below the 1e-14 pruning threshold are omitted and each surviving
-    post-state is renormalized.  With V the measurement basis, every outcome's
-    amplitude comes from one V^dag @ block product: outcome i leaves
-    v_i (x) (V^dag block)_i on the measured wires.
+    post-state is divided by the square root of its probability, so it has
+    norm 1 up to rounding and a later reading of a definite bit need not
+    renormalize it.  With V the measurement basis, every outcome's amplitude
+    comes from one V^dag @ block product: outcome i leaves v_i (x) (V^dag
+    block)_i on the measured wires.
 
     The result is ``(rows, outcomes, probs, post)``: for every surviving
     branch, row by row and each row's outcomes in index order, the row index,
     the outcome's index (its basis column), its probability, and its
-    post-state as the matching row of the stack ``post``.
+    post-state as the matching row of the stack ``post``.  With ``post``
+    false no post-state is built and the last entry is None, for a
+    measurement after which nothing reads the state; the first three
+    entries are the same, and a row that is not finite still raises.
     """
     on = tuple(on)
     d = 2 ** len(on)
@@ -553,6 +558,10 @@ def measure(states: StateStack, m: OrthogonalMeasurement, on: Sequence[str]
     keep = ~(probs < BRANCH_PRUNE)  # a NaN row is kept, and fails the norm check below
     rows, outcomes = keep.nonzero()
     p = probs[keep]
+    if not post:
+        if not math.isfinite(p.sum()):   # the post-states' norm check would fail
+            raise QMathError("outcome probability is not finite")
+        return rows, outcomes, p, None
     kept = coeffs[keep] / np.sqrt(p)[:, None]
     vecs = vectors[outcomes] if vectors.ndim == 2 else vectors[keep]
     post = _derived_state(states.wires,
@@ -567,6 +576,9 @@ def renormalize(states: StateStack) -> tuple[np.ndarray, StateStack]:
     one outcome's probability, computed as ``measure`` computes it, and its
     post-state.  The norms are 1 up to rounding, and dividing the rounding
     out keeps a run's later probabilities what that measurement would give.
+    Only a gate leaves rounding to divide out: rows that a ``measure`` or a
+    ``renormalize`` has just divided by their norm, and copies of such rows,
+    are already normalized, and a caller that knows it may skip this call.
     """
     amps = states.amplitudes[:, None]
     probs = np.einsum("rij,rij->ri", amps.conj(), amps).real[:, 0]

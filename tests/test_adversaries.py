@@ -170,6 +170,15 @@ def test_full_measurement_bob_attains_cap():
     assert abs(rep.win_prob_0 - math.cos(math.pi / 8) ** 2) < 1e-12
 
 
+def test_basis_receiver_measures_in_its_matrix_columns():
+    # the matrix is taken whole: the same basis, bit for bit, as stacking its two columns
+    u2 = adv.unitary_from_angles(2, (0.3, 1.1, 2.7))
+    measurement = adv.bob_measure_coinflip(u2).programs["choose"][0].measurement
+    columns = qmath.OrthogonalMeasurement.from_basis([u2[:, 0], u2[:, 1]])
+    assert measurement.basis.tobytes() == columns.basis.tobytes()
+    assert measurement.adjoint.tobytes() == columns.adjoint.tobytes()
+
+
 def test_delayed_alice_binding_baseline():
     zero, one = adv.protocol_quadratic_pair(0.0)
     rep = ana.binding_metrics(one, one)

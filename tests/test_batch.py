@@ -205,16 +205,19 @@ def test_specs_that_differ_only_in_matrices_share_a_shape():
     assert honest.shape != dishonest.shape
 
 
-def test_a_large_batch_reuses_the_leaves_of_one_run():
+def test_a_large_batch_reuses_the_leaves_of_one_run(monkeypatch):
     rng = np.random.default_rng(10)
     bobs = [_basis_bob(rng) for _ in range(10 ** 4)]
     alice = honest_alice_coinflip()
-    protocols._leaf.cache_clear()
+    built = []
+    leaf = protocols._leaf
+    monkeypatch.setattr(protocols, "_leaf", lambda *args: built.append(args) or leaf(*args))
+    protocols._leaves.cache_clear()
     run_coinflip(alice, bobs[0])
-    one = protocols._leaf.cache_info().misses
-    protocols._leaf.cache_clear()
+    one = len(built)
+    protocols._leaves.cache_clear()
     batch = run_coinflip_batch([alice] * len(bobs), bobs)
-    assert protocols._leaf.cache_info().misses == one
+    assert 0 < one == len(built) - one
     assert len(batch) == len(bobs)
     assert exact(batch[-1]) == exact(run_coinflip(alice, bobs[-1]))
 

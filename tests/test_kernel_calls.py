@@ -5,7 +5,9 @@ A profiler or tracer that wraps ``qmath.measure`` and ``qmath.apply_unitary``
 must see every run's kernel calls, and must not change any outcome.  The
 same kind of wrapper on ``qmath.is_unitary`` shows that a run does not check a
 gate, or a record-dependent table of gates, again once its round is built, nor
-a batch the stack of its runs' gates and bases.
+a batch the stack of its runs' gates and bases.  On ``qmath.renormalize`` it
+shows that only a read after a gate renormalizes, and on
+``protocols.validate_strategy`` that a pair of shapes is checked once.
 """
 
 import numpy as np
@@ -160,3 +162,52 @@ def test_a_built_gate_is_not_checked_again_by_its_runs(build, monkeypatch):
     for _ in range(2):
         run()
     assert checks == []
+
+
+def _counting(calls: list, kernel):
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+    return wrapper
+
+
+def _receiver(*rounds):
+    # measures the deposit, then plays the given rounds before announcing its guess
+    return StrategySpec("bob", 0, {"choose": (
+        MeasureRecord(("dep",), qmath.OrthogonalMeasurement(rotation(0.4)), "guess"),
+        *rounds, SetBits({"bp": "guess"}))})
+
+
+@pytest.mark.parametrize("run, renormalized", [
+    (lambda: protocols.run_coinflip(honest_alice_coinflip(), _receiver()), 0),
+    (lambda: protocols.run_coinflip(honest_alice_coinflip(), _receiver(
+        Apply(("dep",), rotation(0.2)))), 1),
+    (lambda: protocols.run_weak_commitment(honest_alice_weak(), honest_bob_weak(), 0), 2),
+    (lambda: protocols.run_weak_commitment(honest_alice_weak(), honest_bob_weak(), 1), 2),
+], ids=["basis-receiver", "gate-after-measurement", "composed-0", "composed-1"])
+def test_only_a_read_after_a_gate_renormalizes(run, renormalized, monkeypatch):
+    # a measurement leaves its rows normalized, so reading a classical bit
+    # from them writes a column; a gate since the last normalization makes
+    # the next read divide its rounding out, and that read normalizes the rows again
+    unwrapped = run()
+    calls = []
+    monkeypatch.setattr(qmath, "renormalize", _counting(calls, qmath.renormalize))
+    assert run() == unwrapped
+    assert len(calls) == renormalized
+
+
+def test_a_shape_pair_is_checked_once(monkeypatch):
+    rng = np.random.default_rng(11)
+    bobs = [_receiver(Apply(("dep",), qmath.random_unitary(2, rng))) for _ in range(100)]
+    calls = []
+    monkeypatch.setattr(protocols, "validate_strategy",
+                        _counting(calls, protocols.validate_strategy))
+    protocols._CHECKED.clear()
+    for bob in bobs:
+        protocols.run_coinflip(honest_alice_coinflip(), bob)
+    assert len(calls) == 2
+    bad = StrategySpec("bob", 0, {"choose": (SetBits({"rb": 1}),)})   # rb is not Bob's wire
+    for _ in range(2):   # a failing check is not remembered
+        with pytest.raises(protocols.MalformedStrategy, match="touches"):
+            protocols.run_coinflip(honest_alice_coinflip(), bad)
+    assert len(calls) == 6

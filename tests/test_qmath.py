@@ -511,22 +511,30 @@ def _random_basis(k, sparse, rng):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10 ** 6), st.integers(1, 6), st.booleans(), st.integers(1, 5),
+@given(st.integers(0, 10 ** 6), st.integers(1, 6), st.booleans(), st.integers(0, 5),
        st.booleans())
 def test_measure_matches_projector_formula(seed, n, sparse, rows, per_row):
     # Sparse states in a permuted computational basis make some branches
     # exactly empty, so the pruning decisions are compared too.  A stack of
     # `rows` states is measured in one call, in one shared basis or in one
-    # basis per row.
+    # basis per row (taken from a stack, as the executor takes them, so a
+    # stack of no rows has a per-row basis too).  Without post-states the
+    # call gives the same rows, outcomes and probabilities, bit for bit.
     rng = np.random.default_rng(seed)
     wires = tuple(f"w{i}" for i in range(n))
     k = int(rng.integers(1, n + 1))
     on_axes = [int(a) for a in rng.permutation(n)[:k]]
     on = tuple(wires[a] for a in on_axes)
     amps = np.array([_random_amplitudes(n, sparse, rng) for _ in range(rows)])
-    bases = [_random_basis(k, sparse, rng) for _ in range(rows if per_row else 1)]
-    meas = OrthogonalMeasurement(np.stack(bases) if per_row else bases[0])
-    got = measure(qmath.StateStack(wires, amps), meas, on)
+    amps = amps.reshape(rows, 2 ** n)
+    bases = [_random_basis(k, sparse, rng) for _ in range(max(rows, 1) if per_row else 1)]
+    meas = (OrthogonalMeasurement(np.stack(bases)).take(range(rows)) if per_row
+            else OrthogonalMeasurement(bases[0]))
+    stack = qmath.StateStack(wires, amps)
+    got = measure(stack, meas, on)
+    *bare, none = measure(stack, meas, on, post=False)
+    assert none is None
+    assert all(a.tobytes() == b.tobytes() and a.dtype == b.dtype for a, b in zip(got[:3], bare))
     want = [(r, i, w) for r in range(rows)
             for i, w in enumerate(projector_branches(amps[r], n, on_axes, bases[r % len(bases)]))
             if w]
@@ -701,10 +709,16 @@ def test_state_vector_rejects_bad_norm():
 @pytest.mark.parametrize("amps", [np.array([np.nan, 1.0], dtype=complex),
                                   np.array([1.0 + 1e-8, 0.0], dtype=complex),
                                   np.array([[1.0, 0.0], [np.nan, 1.0]], dtype=complex),
-                                  np.array([[0.0, 1.0], [1.0 + 1e-8, 0.0]], dtype=complex)])
+                                  np.array([[0.0, 1.0], [1.0 + 1e-8, 0.0]], dtype=complex),
+                                  np.array([[np.inf, 0.0], [1.0, 0.0]], dtype=complex)])
 def test_derived_state_keeps_the_norm_check(amps):
     with pytest.raises(qmath.QMathError):
         qmath._derived_state(("q",), amps)
+    if amps.ndim == 2 and not np.isfinite(amps).all():
+        # a measurement that builds no post-states still rejects a row that is not finite
+        rows = qmath._trusted(qmath.StateStack, ("q",), amps)
+        with pytest.raises(qmath.QMathError, match="not finite"), np.errstate(invalid="ignore"):
+            measure(rows, OrthogonalMeasurement.computational(1), ("q",), post=False)
 
 
 @pytest.mark.parametrize("rows, norm", [([[1.0, 0.0], [np.nan, 1.0], [2.0, 0.0]], "nan"),
