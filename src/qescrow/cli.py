@@ -82,7 +82,6 @@ class RunConfig:
     out: str | None = None
     format: str = "csv"
     config_echo: dict = field(default_factory=dict)
-    inject_failure: bool = False
 
     def echo(self) -> dict:
         d = {"command": self.command}
@@ -382,8 +381,8 @@ def _selftest_checks(cfg: RunConfig):
         worst = 0.0
         for _ in range(20):
             rho = qmath.random_density(("q",), rng)
-            back = qmath.partial_trace(qmath.purify(rho), ("q",))
-            worst = max(worst, float(np.max(np.abs(back.matrix - rho.matrix))))
+            back = qmath.partial_trace(qmath.StateStack.of(qmath.purify(rho)), ("q",))[0]
+            worst = max(worst, float(np.max(np.abs(back - rho.matrix))))
         return worst < 1e-9, f"max deviation {worst:.2e}"
 
     def check_measurement_dominance():
@@ -455,7 +454,7 @@ def _selftest_checks(cfg: RunConfig):
                 return False, f"conditional pair {i} failed"
         return True, "20 conditional pairs pass the reveal-first variant"
 
-    checks = [
+    return [
         ("pure-state-distance-law", check_pure_distance_law),
         ("trace-norm-tensor-multiplicativity", check_tensor_multiplicativity),
         ("purify-round-trip", check_purify_round_trip),
@@ -477,9 +476,6 @@ def _selftest_checks(cfg: RunConfig):
         ("coinflip-caps", check_coinflip_caps),
         ("modified-return-variant", check_modified_sealing),
     ]
-    if cfg.inject_failure:
-        checks.append(("injected-failure", lambda: (False, "deliberate test-mode failure")))
-    return checks
 
 
 SELFTEST_COLUMNS = ("check", "passed", "detail")
@@ -544,8 +540,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                      or not os.path.isdir(os.path.dirname(os.path.abspath(args.out)))):
         raise ConfigError(f"--out {args.out!r} is a directory or its directory does not exist")
     echo = _read_config_file(args.config) if args.config else {}
-    kwargs = {"command": args.command, "config_echo": echo,
-              "out": args.out, "inject_failure": bool(getattr(args, "inject_failure", False))}
+    kwargs = {"command": args.command, "config_echo": echo, "out": args.out}
     for key, (parse, valid, description) in SETTINGS.items():
         raw = getattr(args, key)
         if raw is None:
@@ -574,9 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--" + key.replace("_", "-"), default=None, help=description)
         p.add_argument("--out", default=None)
         p.add_argument("--config", default=None, help="optional key=value config file")
-        if name == "selftest":
-            p.add_argument("--inject-failure", action="store_true",
-                           help=argparse.SUPPRESS)  # test mode: force one failing check
     return parser
 
 

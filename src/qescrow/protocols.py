@@ -195,8 +195,8 @@ def escrow_basis(x: int, theta: float) -> OrthogonalMeasurement:
 
 @functools.lru_cache(maxsize=256)
 def _check_bases(theta: float) -> OrthogonalMeasurement:
-    """Both check bases as one stack indexed by x, checked once and cached per theta."""
-    return OrthogonalMeasurement(np.stack([escrow_basis(x, theta).basis for x in (0, 1)]))
+    """Both check bases as one stack indexed by x, cached per theta; each was checked when built."""
+    return OrthogonalMeasurement.stack([escrow_basis(x, theta) for x in (0, 1)])
 
 
 def escrow_bit_mixture(b: int, theta: float) -> Mixture:
@@ -265,7 +265,7 @@ class MeasureRecord:
         _check_distinct(self.wires)
         dim = 2 ** len(self.wires)
         m = self.measurement
-        if not isinstance(m, OrthogonalMeasurement) or m.basis.shape != (dim, dim):
+        if not isinstance(m, OrthogonalMeasurement) or m.matrix.shape != (dim, dim):
             raise MalformedStrategy(f"{self.wires} need one OrthogonalMeasurement of dim {dim}")
 
 
@@ -490,11 +490,21 @@ def _record_bits(rows: _Rows, party: str, keys: tuple[str, ...]) -> np.ndarray:
     return values
 
 
+def _row_operator(rows: _Rows, party: str, ops: list[Unitary], keys: tuple[str, ...]) -> Unitary:
+    """A row's operator: the runs' shared one or its own run's, at its bits under ``keys``."""
+    op, index = ops[0], None
+    if keys:  # a row's table index: its bits under the keys, the first most significant
+        index = _record_bits(rows, party, keys) @ (1 << np.arange(len(keys))[::-1])
+    if any(o is not op for o in ops):   # the runs' operators, stacked run after run
+        op, index = type(op).stack(ops), (rows.runs << len(keys)) + (0 if index is None else index)
+    return op if index is None else op.take(index)
+
+
 def _run_program(rows: _Rows, specs: Sequence[StrategySpec], phase: str) -> _Rows:
     """Play one phase of each run's spec, all of one shape: each round is one call for all rows.
 
-    A gate or basis that every run's round holds (the same object) stays one;
-    otherwise each row uses its own run's, from one stack of them.
+    A gate or a measurement enters its kernel as a checked ``Unitary`` that
+    ``_row_operator`` picks, on the rows' ``StateStack``; no round checks it again.
     """
     party = specs[0].party
     for position, rnd in enumerate(specs[0].programs.get(phase, ())):
@@ -504,16 +514,8 @@ def _run_program(rows: _Rows, specs: Sequence[StrategySpec], phase: str) -> _Row
             rows = rows.split(parents, 0.5, rows.states.take(parents), rows.normalized, party,
                               rnd.name, children & 1)
         elif isinstance(rnd, Apply):
-            gate, index = rnd.unitary, None
-            if rnd.keys:  # a row's table index: its bits under the keys, the first most significant
-                weights = 1 << np.arange(len(rnd.keys))[::-1]
-                index = _record_bits(rows, party, rnd.keys) @ weights
-            gates = [spec.programs[phase][position].unitary for spec in specs]
-            if any(g is not gate for g in gates):   # the runs' tables, run after run
-                gate = Unitary.stack(gates)
-                index = (rows.runs << len(rnd.keys)) + (0 if index is None else index)
-            if index is not None:
-                gate = gate.take(index)
+            gate = _row_operator(
+                rows, party, [spec.programs[phase][position].unitary for spec in specs], rnd.keys)
             rows = rows.quantum(rnd.wires)
             try:
                 states = apply_unitary(rows.states, gate, rnd.wires)
@@ -521,10 +523,8 @@ def _run_program(rows: _Rows, specs: Sequence[StrategySpec], phase: str) -> _Row
                 raise MalformedStrategy(f"bad gate in phase {phase!r}: {exc!r}") from exc
             rows = rows.with_states(states, False)
         elif isinstance(rnd, MeasureRecord):
-            measurement = rnd.measurement
-            bases = [spec.programs[phase][position].measurement for spec in specs]
-            if any(m is not measurement for m in bases):
-                measurement = OrthogonalMeasurement.stack(bases).take(rows.runs)
+            measurement = _row_operator(
+                rows, party, [spec.programs[phase][position].measurement for spec in specs], ())
             rows = rows.quantum(rnd.wires)
             parents, outcomes, probs, states = qmath.measure(rows.states, measurement, rnd.wires)
             rows = rows.split(parents, probs, states, True, party, rnd.name, outcomes)

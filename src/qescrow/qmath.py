@@ -6,13 +6,15 @@ application, orthogonal measurement with branch enumeration, partial trace,
 trace norm, fidelity, purification, and the eigenbasis measurement that
 achieves the trace-norm distinguishing bound.
 
-The kernels (``apply_unitary``, ``measure``, ``partial_trace``) work on a
-``StateStack``: rows of states on one wire tuple, amplitudes of shape
-(rows, 2^wires), processed in one numpy call per operation;
-``apply_unitary`` and ``partial_trace`` also take a single ``StateVector``.
-A stack gains a wire in a computational basis state per row with
-``StateStack.insert``, and ``renormalize`` is the measurement of a wire that
-holds a definite bit.
+The kernels (``apply_unitary``, ``measure``, ``renormalize``,
+``partial_trace``) take one input form each: a ``StateStack``, rows of
+states on one wire tuple with amplitudes of shape (rows, 2^wires), processed
+in one numpy call per operation.  A single ``StateVector`` enters a kernel
+as the one-row ``StateStack.of(state)``.  An operator is a ``Unitary``,
+checked once when it is built; an ``OrthogonalMeasurement`` is the
+``Unitary`` whose columns are its outcome basis.  A stack gains a wire in a
+computational basis state per row with ``StateStack.insert``, and
+``renormalize`` is the measurement of a wire that holds a definite bit.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no synchronization.  Randomness is always
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -86,6 +88,26 @@ def _check_norms(amps: np.ndarray) -> None:
             raise QMathError(f"state norm {math.sqrt(squared)} != 1")
 
 
+def _check_state(state: StateVector | StateStack, ndim: int) -> None:
+    """Freeze a state's or a stack's fields and check them once.
+
+    The wires are distinct, the amplitudes have ``ndim`` axes and 2^wires
+    entries on the last, every amplitude is finite, and every row has norm 1
+    within 1e-10.
+    """
+    object.__setattr__(state, "wires", tuple(state.wires))
+    amps = _frozen(state.amplitudes)
+    object.__setattr__(state, "amplitudes", amps)
+    if len(set(state.wires)) != len(state.wires):
+        raise WireMismatch(f"duplicate wire labels: {state.wires}")
+    if amps.ndim != ndim or amps.shape[-1] != 2 ** len(state.wires):
+        raise WireMismatch(f"{len(state.wires)} wires need {ndim}-D amplitudes of "
+                           f"{2 ** len(state.wires)} per row, got {amps.shape}")
+    if not np.isfinite(amps.view(float)).all():
+        raise QMathError("non-finite amplitude")
+    _check_norms(amps.reshape(-1, amps.shape[-1]))
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Unit-norm pure state on an ordered tuple of named qubit wires."""
@@ -94,18 +116,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "wires", tuple(self.wires))
-        amps = _frozen(self.amplitudes)
-        object.__setattr__(self, "amplitudes", amps)
-        if len(set(self.wires)) != len(self.wires):
-            raise WireMismatch(f"duplicate wire labels: {self.wires}")
-        if amps.shape != (2 ** len(self.wires),):
-            raise WireMismatch(
-                f"{len(self.wires)} wires need {2 ** len(self.wires)} amplitudes, got {amps.shape}"
-            )
-        if not np.isfinite(amps.view(float)).all():
-            raise QMathError("non-finite amplitude")
-        _check_norms(amps[None])
+        _check_state(self, 1)
 
     @property
     def n_wires(self) -> int:
@@ -142,29 +153,18 @@ class StateStack:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "wires", tuple(self.wires))
-        amps = _frozen(self.amplitudes)
-        object.__setattr__(self, "amplitudes", amps)
-        if len(set(self.wires)) != len(self.wires):
-            raise WireMismatch(f"duplicate wire labels: {self.wires}")
-        if amps.ndim != 2 or amps.shape[1] != 2 ** len(self.wires):
-            raise WireMismatch(
-                f"{len(self.wires)} wires need rows of {2 ** len(self.wires)} amplitudes, "
-                f"got {amps.shape}")
-        if not np.isfinite(amps.view(float)).all():
-            raise QMathError("non-finite amplitude")
-        _check_norms(amps)
+        _check_state(self, 2)
 
     @classmethod
     def of(cls, state: StateVector) -> "StateStack":
-        """The one-row stack holding a validated state."""
-        return _trusted(cls, state.wires, state.amplitudes[None])
+        """The one-row stack holding a validated state: how a single state enters a kernel."""
+        return _trusted(state.wires, state.amplitudes[None])
 
     def take(self, rows: Sequence[int]) -> "StateStack":
         """The stack of the given rows, in the given order (a row may repeat)."""
         amps = self.amplitudes[np.asarray(rows, dtype=np.intp)]
         amps.setflags(write=False)
-        return _trusted(StateStack, self.wires, amps)
+        return _trusted(self.wires, amps)
 
     def flip(self, wire: str, rows: np.ndarray) -> "StateStack":
         """X on ``wire`` in the rows where the boolean mask ``rows`` is set.
@@ -176,7 +176,7 @@ class StateStack:
         amps[rows] = amps[rows][:, :, ::-1]
         amps = amps.reshape(n, -1)
         amps.setflags(write=False)
-        return _trusted(StateStack, self.wires, amps)
+        return _trusted(self.wires, amps)
 
     def insert(self, at: int, wire: str, bits: np.ndarray) -> "StateStack":
         """The stack with ``wire`` placed before position ``at``, in |bits[r]> in row r.
@@ -195,28 +195,28 @@ class StateStack:
         amps[np.arange(n), :, bits] = self.amplitudes.reshape(n, before, after)
         amps = amps.reshape(n, 2 * before * after)
         amps.setflags(write=False)
-        return _trusted(StateStack, self.wires[:at] + (wire,) + self.wires[at:], amps)
+        return _trusted(self.wires[:at] + (wire,) + self.wires[at:], amps)
 
 
-def _trusted(cls: type, wires: tuple[str, ...], amps: np.ndarray) -> StateVector | StateStack:
-    """A state or stack built without validation from amplitudes already checked."""
-    obj = object.__new__(cls)
+def _trusted(wires: tuple[str, ...], amps: np.ndarray) -> StateStack:
+    """A stack built without validation from amplitudes already checked."""
+    obj = object.__new__(StateStack)
     object.__setattr__(obj, "wires", wires)
     object.__setattr__(obj, "amplitudes", amps)
     return obj
 
 
-def _derived_state(wires: tuple[str, ...], amps: np.ndarray) -> StateVector | StateStack:
-    """A state (1-D amplitudes) or a stack (2-D) a kernel computed from validated ones.
+def _derived_state(wires: tuple[str, ...], amps: np.ndarray) -> StateStack:
+    """A stack a kernel computed from validated ones, from (rows, 2^wires) amplitudes.
 
     The wires, the shape and the finiteness carry over from the input, so
     only the norm of each row is checked; a NaN amplitude makes its row's
     norm NaN and fails.  ``amps`` must be a fresh array that nothing else
     writes.
     """
-    _check_norms(amps.reshape(-1, amps.shape[-1]))
+    _check_norms(amps)
     amps.setflags(write=False)
-    return _trusted(StateStack if amps.ndim == 2 else StateVector, wires, amps)
+    return _trusted(wires, amps)
 
 
 @dataclass(frozen=True)
@@ -276,54 +276,63 @@ class Mixture:
 
 
 @dataclass(frozen=True)
-class OrthogonalMeasurement:
-    """Measurement in an orthonormal basis: outcome i projects onto column i.
+class Unitary:
+    """A nonempty square matrix, or a stack of them, that passed the 1e-9
+    unitarity check when it was constructed.
 
-    ``basis`` is one matrix, or a stack of them: one per row of a
-    ``StateStack``, or a table that ``take`` indexes into such a per-row
-    stack.  Every basis is checked once, by V^dag V = I within 1e-9, when
-    the measurement is constructed.
+    A stack is either one matrix per row of a ``StateStack`` or a table that
+    ``take`` indexes into such a per-row stack.  This is the one operator
+    form the kernels take, so none of them checks an operator again.
     """
 
-    basis: np.ndarray
-    adjoint: np.ndarray = field(init=False, repr=False, compare=False)  # V^dag, for measure
+    matrix: np.ndarray
 
     def __post_init__(self):
-        basis = _frozen(self.basis)
-        object.__setattr__(self, "basis", basis)
-        if basis.ndim not in (2, 3) or basis.shape[-1] != basis.shape[-2] or not basis.size:
-            raise QMathError(f"a basis needs nonempty square matrices, got {basis.shape}")
-        if not is_unitary(basis):
-            raise QMathError("basis vectors are not orthonormal")
-        object.__setattr__(self, "adjoint", basis.conj().swapaxes(-1, -2))
+        m = _frozen(self.matrix)
+        object.__setattr__(self, "matrix", m)
+        if m.ndim not in (2, 3) or not m.size or not is_unitary(m):
+            raise NotUnitary(f"operator of shape {m.shape} fails the 1e-9 unitarity check")
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[-1]
+        return self.matrix.shape[-1]
 
-    def take(self, rows: Sequence[int]) -> "OrthogonalMeasurement":
-        """The given bases of a stack, in order (one may repeat); not checked again."""
-        rows = np.asarray(rows, dtype=np.intp)
-        out = object.__new__(OrthogonalMeasurement)
-        for name in ("basis", "adjoint"):
-            m = getattr(self, name)[rows]
-            m.setflags(write=False)
-            object.__setattr__(out, name, m)
-        return out
+    def take(self, rows: Sequence[int]) -> "Unitary":
+        """The given matrices of a stack, in order (one may repeat), as this class; unchecked."""
+        return _unchecked(type(self), self.matrix[np.asarray(rows, dtype=np.intp)])
 
     @classmethod
-    def stack(cls, parts: Sequence["OrthogonalMeasurement"]) -> "OrthogonalMeasurement":
-        """The bases of checked measurements, each one basis or a stack, as one stack in order.
+    def stack(cls, parts: Sequence["Unitary"]) -> "Unitary":
+        """The matrices of checked operators, each one matrix or a table, as one table in order.
 
-        Every part was checked when it was built, so the stack is not checked again.
+        The table has the class that ``stack`` is called on.  Every part was
+        checked when it was built, so the table is not checked again.
         """
         d = parts[0].dim
-        out = object.__new__(cls)
-        for name in ("basis", "adjoint"):
-            m = np.concatenate([getattr(part, name).reshape(-1, d, d) for part in parts])
-            m.setflags(write=False)
-            object.__setattr__(out, name, m)
-        return out
+        return _unchecked(cls, np.concatenate([part.matrix.reshape(-1, d, d) for part in parts]))
+
+
+def _unchecked(cls: type, matrix: np.ndarray) -> Unitary:
+    """An operator of class ``cls`` built without the check from matrices already checked."""
+    matrix.setflags(write=False)
+    out = object.__new__(cls)
+    object.__setattr__(out, "matrix", matrix)
+    return out
+
+
+class OrthogonalMeasurement(Unitary):
+    """Measurement in an orthonormal basis: outcome i projects onto column i of ``matrix``.
+
+    A measurement is the ``Unitary`` whose columns are its outcome basis, so
+    one basis or a stack of them is checked once, by V^dag V = I within
+    1e-9, when it is constructed, and ``take`` and ``stack`` work as they do
+    for any operator.
+    """
+
+    @functools.cached_property
+    def adjoint(self) -> np.ndarray:
+        """V^dag, for ``measure``."""
+        return self.matrix.conj().swapaxes(-1, -2)
 
     @classmethod
     def from_basis(cls, vectors: Sequence[np.ndarray]) -> "OrthogonalMeasurement":
@@ -332,50 +341,6 @@ class OrthogonalMeasurement:
     @classmethod
     def computational(cls, n_wires: int) -> "OrthogonalMeasurement":
         return cls(np.eye(2 ** n_wires))
-
-
-@dataclass(frozen=True)
-class Unitary:
-    """A square matrix, or a stack of them, that passed the 1e-9 unitarity
-    check when it was constructed.
-
-    A stack is either one matrix per row of a ``StateStack`` or a table that
-    ``take`` indexes into such a per-row stack.  ``apply_unitary`` applies it
-    without checking it again.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _frozen(self.matrix)
-        object.__setattr__(self, "matrix", m)
-        if m.ndim not in (2, 3) or not is_unitary(m):
-            raise NotUnitary("operator fails the 1e-9 unitarity check")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[-1]
-
-    def take(self, rows: Sequence[int]) -> "Unitary":
-        """The given matrices of a stack, in order (one may repeat); not checked again."""
-        m = self.matrix[np.asarray(rows, dtype=np.intp)]
-        m.setflags(write=False)
-        out = object.__new__(Unitary)
-        object.__setattr__(out, "matrix", m)
-        return out
-
-    @classmethod
-    def stack(cls, parts: Sequence["Unitary"]) -> "Unitary":
-        """The matrices of checked unitaries, each one matrix or a table, as one table in order.
-
-        Every part was checked when it was built, so the table is not checked again.
-        """
-        d = parts[0].dim
-        m = np.concatenate([part.matrix.reshape(-1, d, d) for part in parts])
-        m.setflags(write=False)
-        out = object.__new__(cls)
-        object.__setattr__(out, "matrix", m)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -488,14 +453,12 @@ def _wire_plan(wires: tuple[str, ...], front: tuple[str, ...]
             (0,) + tuple(p + 1 for p in inv))
 
 
-def _blocks(states: StateVector | StateStack, front: tuple[str, ...]
-            ) -> tuple[np.ndarray, tuple[int, ...]]:
+def _blocks(states: StateStack, front: tuple[str, ...]) -> tuple[np.ndarray, tuple[int, ...]]:
     """Rows as (rows, 2^len(front), rest) blocks with ``front`` leading; and the inverse plan."""
     shape, perm, inv = _wire_plan(states.wires, front)
     amps = states.amplitudes
-    n = amps.size // amps.shape[-1]
-    d = 2 ** len(front)
-    block = amps.reshape((n,) + shape).transpose(perm).reshape(n, d, amps.shape[-1] // d)
+    n, d = len(amps), 2 ** len(front)
+    block = amps.reshape((n,) + shape).transpose(perm).reshape(n, d, amps.shape[1] // d)
     return block, inv
 
 
@@ -504,25 +467,19 @@ def _unblock(block: np.ndarray, wires: tuple[str, ...], inv: tuple[int, ...]) ->
     return block.reshape((n,) + (2,) * len(wires)).transpose(inv).reshape(n, 2 ** len(wires))
 
 
-def apply_unitary(states: StateVector | StateStack, u: Unitary | np.ndarray,
-                  on: Sequence[str]) -> StateVector | StateStack:
+def apply_unitary(states: StateStack, u: Unitary, on: Sequence[str]) -> StateStack:
     """Apply a unitary to a subset of wires of every row; the wire order is unchanged.
 
-    ``u`` is one matrix for all rows or a stack with one matrix per row.  A
-    plain matrix or stack is checked for unitarity on every call, in one
-    check; a ``Unitary`` was checked when it was constructed.  The result has
-    the input's type: a ``StateVector`` is the one-row case.
+    ``u`` holds one matrix for all rows or a stack with one matrix per row.
+    It was checked when it was constructed, so it is not checked here.
     """
     on = tuple(on)
-    if not isinstance(u, Unitary):
-        u = Unitary(u)
     if u.dim != 2 ** len(on):
         raise WireMismatch(f"unitary shape {u.matrix.shape} does not act on {len(on)} wires")
     block, inv = _blocks(states, on)
     if u.matrix.ndim == 3 and u.matrix.shape[0] != block.shape[0]:
         raise WireMismatch(f"{u.matrix.shape[0]} gates for {block.shape[0]} rows")
-    out = _unblock(u.matrix @ block, states.wires, inv)
-    return _derived_state(states.wires, out.reshape(states.amplitudes.shape))
+    return _derived_state(states.wires, _unblock(u.matrix @ block, states.wires, inv))
 
 
 def measure(states: StateStack, m: OrthogonalMeasurement, on: Sequence[str], post: bool = True
@@ -550,10 +507,10 @@ def measure(states: StateStack, m: OrthogonalMeasurement, on: Sequence[str], pos
     block, inv = _blocks(states, on)
     if m.dim != d:
         raise WireMismatch(f"measurement dim {m.dim} does not act on {len(on)} wires")
-    if m.basis.ndim == 3 and len(m.basis) != block.shape[0]:
-        raise WireMismatch(f"{len(m.basis)} measurements for {block.shape[0]} rows")
+    if m.matrix.ndim == 3 and len(m.matrix) != block.shape[0]:
+        raise WireMismatch(f"{len(m.matrix)} measurements for {block.shape[0]} rows")
     coeffs = m.adjoint @ block
-    vectors = m.basis.swapaxes(-1, -2)  # row i (of each row's matrix) is v_i
+    vectors = m.matrix.swapaxes(-1, -2)  # row i (of each row's matrix) is v_i
     probs = np.einsum("rij,rij->ri", coeffs.conj(), coeffs).real
     keep = ~(probs < BRANCH_PRUNE)  # a NaN row is kept, and fails the norm check below
     rows, outcomes = keep.nonzero()
@@ -585,22 +542,17 @@ def renormalize(states: StateStack) -> tuple[np.ndarray, StateStack]:
     return probs, _derived_state(states.wires, states.amplitudes / np.sqrt(probs)[:, None])
 
 
-def partial_trace(obj: StateVector | StateStack, keep: Sequence[str]
-                  ) -> DensityMatrix | np.ndarray:
-    """Reduce onto `keep` (in the source wire order), tracing out the rest.
+def partial_trace(states: StateStack, keep: Sequence[str]) -> np.ndarray:
+    """Reduce every row onto `keep` (in the source wire order), tracing out the rest.
 
-    A ``StateStack`` reduces row by row to a (rows, 2^k, 2^k) array of reduced
-    matrices; a ``StateVector`` is its one-row case and returns a
-    ``DensityMatrix``.
+    The result is the (rows, 2^k, 2^k) array of the rows' reduced matrices.
     """
     keep = tuple(keep)
     for w in keep:
-        if w not in obj.wires:
+        if w not in states.wires:
             raise UnknownWire(w)
-    kept = tuple(w for w in obj.wires if w in set(keep))
-    block, _ = _blocks(obj, kept)
-    reduced = block @ block.conj().transpose(0, 2, 1)
-    return reduced if isinstance(obj, StateStack) else DensityMatrix(kept, reduced[0])
+    block, _ = _blocks(states, tuple(w for w in states.wires if w in set(keep)))
+    return block @ block.conj().transpose(0, 2, 1)
 
 
 def overlap(a: StateVector, b: StateVector) -> complex:
@@ -662,8 +614,8 @@ def local_purification_transform(
     rest = tuple(w for w in psi.wires if w not in set(local))
     if len(rest) + len(local) != len(psi.wires):
         raise UnknownWire(f"{local} is not a subset of {psi.wires}")
-    red_a = partial_trace(psi, rest).matrix
-    red_b = partial_trace(target.reorder(psi.wires), rest).matrix
+    red_a = partial_trace(StateStack.of(psi), rest)[0]
+    red_b = partial_trace(StateStack.of(target.reorder(psi.wires)), rest)[0]
     if np.max(np.abs(red_a - red_b)) > 1e-8:
         raise ReducedMismatch("reduced states on the non-local wires differ")
 
@@ -703,7 +655,7 @@ def measurement_l1_distance(r0: DensityMatrix, r1: DensityMatrix,
     With basis vectors v_i this is sum_i |<v_i| r0 - r1 |v_i>|.
     """
     delta = r0.matrix - r1.matrix
-    diffs = np.einsum("ji,jk,ki->i", m.basis.conj(), delta, m.basis).real
+    diffs = np.einsum("ji,jk,ki->i", m.matrix.conj(), delta, m.matrix).real
     return float(np.sum(np.abs(diffs)))
 
 

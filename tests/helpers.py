@@ -3,7 +3,7 @@
 import numpy as np
 
 from qescrow.protocols import MeasureRecord, StrategySpec, honest_alice_escrow
-from qescrow.qmath import OrthogonalMeasurement
+from qescrow.qmath import OrthogonalMeasurement, StateStack, StateVector, Unitary, apply_unitary
 
 
 def fixed_bit_alice(bit: int) -> StrategySpec:
@@ -23,3 +23,9 @@ def fixed_bit_alice(bit: int) -> StrategySpec:
             "reveal": base.programs["reveal"],
         },
     )
+
+
+def apply_to_state(psi: StateVector, matrix: np.ndarray, on) -> StateVector:
+    """The matrix on the wires ``on`` of one state, applied through its one-row stack."""
+    out = apply_unitary(StateStack.of(psi), Unitary(matrix), on)
+    return StateVector(psi.wires, out.amplitudes[0])

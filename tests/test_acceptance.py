@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from helpers import apply_to_state
 from qescrow import adversaries as adv
 from qescrow import analysis as ana
 from qescrow import qmath
@@ -193,8 +194,8 @@ def test_criterion_8_qmath_oracle_suite():
     # purification round trip at 1e-9
     for _ in range(50):
         rho = qmath.random_density(("q", "r"), rng)
-        back = qmath.partial_trace(qmath.purify(rho), ("q", "r"))
-        ok &= float(np.max(np.abs(back.matrix - rho.matrix))) <= 1e-9
+        back = qmath.partial_trace(qmath.StateStack.of(qmath.purify(rho)), ("q", "r"))[0]
+        ok &= float(np.max(np.abs(back - rho.matrix))) <= 1e-9
     # eigenbasis measurement dominates 100 random measurements per instance
     for _ in range(10):
         r0, r1 = qmath.random_density(("q",), rng), qmath.random_density(("q",), rng)
@@ -205,9 +206,9 @@ def test_criterion_8_qmath_oracle_suite():
     # local transform maps source to target up to phase at 1e-8
     for _ in range(50):
         psi = qmath.random_state(("a", "b"), rng)
-        target = qmath.apply_unitary(psi, qmath.random_unitary(2, rng), ("a",))
+        target = apply_to_state(psi, qmath.random_unitary(2, rng), ("a",))
         u = qmath.local_purification_transform(psi, target, ("a",))
-        out = qmath.apply_unitary(psi, u, ("a",))
+        out = apply_to_state(psi, u, ("a",))
         ok &= abs(abs(qmath.overlap(out, target)) - 1.0) <= 1e-8
     report(8, ok, "distance law, tensor multiplicativity, pure fidelity rule, "
                   "purification round trip, measurement dominance, local transform")

@@ -175,7 +175,7 @@ def test_basis_receiver_measures_in_its_matrix_columns():
     u2 = adv.unitary_from_angles(2, (0.3, 1.1, 2.7))
     measurement = adv.bob_measure_coinflip(u2).programs["choose"][0].measurement
     columns = qmath.OrthogonalMeasurement.from_basis([u2[:, 0], u2[:, 1]])
-    assert measurement.basis.tobytes() == columns.basis.tobytes()
+    assert measurement.matrix.tobytes() == columns.matrix.tobytes()
     assert measurement.adjoint.tobytes() == columns.adjoint.tobytes()
 
 

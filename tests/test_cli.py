@@ -100,14 +100,18 @@ def test_emitted_probabilities_stay_in_range(tmp_path):
                 assert -1e-12 <= float(row[col]) <= 1.0 + 1e-12, (argv[0], col, row)
 
 
-def test_selftest_passes_and_injection_fails(tmp_path, capsys):
+def test_selftest_passes_and_injection_fails(tmp_path, capsys, monkeypatch):
     code = run_main(["selftest", "--seed", "4", "--samples", "5",
                      "--out", str(tmp_path / "st.csv")])
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("PASS") >= 12 and "FAIL" not in out
-    code = run_main(["selftest", "--seed", "4", "--inject-failure"])
+    checks = cli._selftest_checks
+    monkeypatch.setattr(cli, "_selftest_checks", lambda cfg: checks(cfg) + [
+        ("injected-failure", lambda: (False, "deliberate failure"))])
+    code = run_main(["selftest", "--seed", "4"])
     assert code == 3
+    assert "FAIL  injected-failure: deliberate failure" in capsys.readouterr().out
 
 
 def test_identical_config_gives_byte_identical_artifacts(tmp_path):

@@ -578,7 +578,7 @@ def _message_wire_case(case, rng):
         reveal = (MeasureRecord(("rb",), m, "m"), SetBits({"rx": "m"}))
         branches = []
         for k in (0, 1):
-            v = m.basis[:, k]
+            v = m.matrix[:, k]
             branch = _dense_op(psi, layout, np.outer(v, v.conj()), ("rb",))
             branches.append((_dense_op(branch, layout, X2, ("rx",)) if k else branch, 0))
     else:  # "set-after-gate": a gate makes rb quantum, then the classical write flips it

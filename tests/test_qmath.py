@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from helpers import apply_to_state
 from qescrow import qmath
 from qescrow.qmath import (
     DensityMatrix,
@@ -16,7 +17,9 @@ from qescrow.qmath import (
     NotUnitary,
     OrthogonalMeasurement,
     ReducedMismatch,
+    StateStack,
     StateVector,
+    Unitary,
     UnknownWire,
     WireMismatch,
     apply_unitary,
@@ -244,7 +247,8 @@ def test_purify_pure_state_needs_no_entanglement():
     psi = purify(pure_dm(ket(0), ("q",)))
     coeffs = schmidt_coefficients(psi, 1)
     assert abs(coeffs[0] - 1.0) < 1e-12 and abs(coeffs[1]) < 1e-12
-    assert np.max(np.abs(partial_trace(psi, ("q",)).matrix - np.diag([1.0, 0.0]))) < 1e-12
+    reduced = partial_trace(StateStack.of(psi), ("q",))[0]
+    assert np.max(np.abs(reduced - np.diag([1.0, 0.0]))) < 1e-12
 
 
 def test_purify_maximally_mixed():
@@ -265,8 +269,8 @@ def test_purify_round_trip_random():
     for _ in range(30):
         rho = random_density(("q",), rng)
         psi = purify(rho)
-        back = partial_trace(psi, ("q",))
-        assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-9
+        back = partial_trace(StateStack.of(psi), ("q",))[0]
+        assert np.max(np.abs(back - rho.matrix)) < 1e-9
 
 
 def test_mpp_identical_pure():
@@ -284,8 +288,8 @@ def test_mpp_overlap_achieves_fidelity():
     ov = overlap(a, b)
     assert abs(ov.imag) < 1e-10 and ov.real >= -1e-12
     assert abs(abs(ov) ** 2 - fidelity(r0, r1)) < 1e-8
-    assert np.max(np.abs(partial_trace(a, ("dep",)).matrix - r0.matrix)) < 1e-9
-    assert np.max(np.abs(partial_trace(b, ("dep",)).matrix - r1.matrix)) < 1e-9
+    assert np.max(np.abs(partial_trace(StateStack.of(a), ("dep",))[0] - r0.matrix)) < 1e-9
+    assert np.max(np.abs(partial_trace(StateStack.of(b), ("dep",))[0] - r1.matrix)) < 1e-9
 
 
 def test_mpp_pure_vs_mixed():
@@ -318,7 +322,7 @@ def bell(wires):
 def test_local_transform_identity_case():
     psi = bell(("a", "b"))
     u = local_purification_transform(psi, psi, ("a",))
-    out = apply_unitary(psi, u, ("a",))
+    out = apply_to_state(psi, u, ("a",))
     assert abs(abs(overlap(out, psi)) - 1.0) < 1e-8
 
 
@@ -326,7 +330,7 @@ def test_local_transform_realization_swap():
     psi = bell(("a", "b"))
     target = StateVector(("a", "b"), np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2))
     u = local_purification_transform(psi, target, ("a",))
-    out = apply_unitary(psi, u, ("a",))
+    out = apply_to_state(psi, u, ("a",))
     assert abs(abs(overlap(out, target)) - 1.0) < 1e-8
 
 
@@ -335,9 +339,9 @@ def test_local_transform_hadamard_representation():
     # +/- basis; the holder of "a" can undo it locally.
     h = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     psi = bell(("a", "b"))
-    target = apply_unitary(psi, h, ("a",))
+    target = apply_to_state(psi, h, ("a",))
     u = local_purification_transform(psi, target, ("a",))
-    out = apply_unitary(psi, u, ("a",))
+    out = apply_to_state(psi, u, ("a",))
     assert abs(abs(overlap(out, target)) - 1.0) < 1e-8
     assert np.max(np.abs(u - h)) < 1e-8  # unique on a full-rank reduced state
 
@@ -347,9 +351,9 @@ def test_local_transform_random_rank2():
     for _ in range(25):
         psi = random_state(("a", "b"), rng)
         u_local = random_unitary(2, rng)
-        target = apply_unitary(psi, u_local, ("a",))
+        target = apply_to_state(psi, u_local, ("a",))
         u = local_purification_transform(psi, target, ("a",))
-        out = apply_unitary(psi, u, ("a",))
+        out = apply_to_state(psi, u, ("a",))
         assert abs(abs(overlap(out, target)) - 1.0) < 1e-8
         assert qmath.is_unitary(u)
 
@@ -357,9 +361,9 @@ def test_local_transform_random_rank2():
 def test_local_transform_multiwire_local_side():
     rng = np.random.default_rng(37)
     psi = random_state(("a0", "a1", "b"), rng)
-    target = apply_unitary(psi, random_unitary(4, rng), ("a0", "a1"))
+    target = apply_to_state(psi, random_unitary(4, rng), ("a0", "a1"))
     u = local_purification_transform(psi, target, ("a0", "a1"))
-    out = apply_unitary(psi, u, ("a0", "a1"))
+    out = apply_to_state(psi, u, ("a0", "a1"))
     assert abs(abs(overlap(out, target)) - 1.0) < 1e-8
 
 
@@ -376,43 +380,43 @@ def test_local_transform_rejects_mismatched_reduction():
 
 def test_partial_trace_product():
     psi = StateVector(("a", "b"), ket(0, 1))
-    assert np.max(np.abs(partial_trace(psi, ("a",)).matrix - np.diag([1.0, 0.0]))) < 1e-12
+    reduced = partial_trace(StateStack.of(psi), ("a",))[0]
+    assert np.max(np.abs(reduced - np.diag([1.0, 0.0]))) < 1e-12
 
 
 def test_partial_trace_bell_keep_second():
-    rho = partial_trace(bell(("a", "b")), ("b",))
-    assert np.max(np.abs(rho.matrix - np.eye(2) / 2)) < 1e-12
+    rho = partial_trace(StateStack.of(bell(("a", "b"))), ("b",))[0]
+    assert np.max(np.abs(rho - np.eye(2) / 2)) < 1e-12
 
 
 def test_partial_trace_density_matrix_input():
     rng = np.random.default_rng(41)
     psi = random_state(("a", "b", "c"), rng)
-    from_state = partial_trace(psi, ("a", "c"))
+    from_state = partial_trace(StateStack.of(psi), ("c", "a"))[0]   # kept in the source order
     # plain numpy: trace b out of |psi><psi| as a (a, b, c, a', b', c') tensor
     rho = psi.density().matrix.reshape((2,) * 6)
     from_dm = np.einsum("abcdbf->acdf", rho).reshape(4, 4)
-    assert np.max(np.abs(from_state.matrix - from_dm)) < 1e-10
-    assert from_state.wires == ("a", "c")
+    assert np.max(np.abs(from_state - from_dm)) < 1e-10
 
 
 def test_partial_trace_unknown_wire():
     with pytest.raises(UnknownWire):
-        partial_trace(bell(("a", "b")), ("z",))
+        partial_trace(StateStack.of(bell(("a", "b"))), ("z",))
 
 
 def test_apply_unitary_identity_and_x():
     psi = StateVector(("a", "b"), ket(0, 0))
-    assert abs(abs(overlap(apply_unitary(psi, np.eye(4), ("a", "b")), psi)) - 1) < 1e-12
-    flipped = apply_unitary(psi, X, ("a",))
+    assert abs(abs(overlap(apply_to_state(psi, np.eye(4), ("a", "b")), psi)) - 1) < 1e-12
+    flipped = apply_to_state(psi, X, ("a",))
     assert np.allclose(flipped.amplitudes, ket(1, 0))
 
 
 def test_apply_unitary_rejects_bad_operator():
-    psi = StateVector(("a",), ket(0))
+    psi = StateStack.of(StateVector(("a",), ket(0)))
     with pytest.raises(NotUnitary):
-        apply_unitary(psi, np.array([[1, 1], [0, 1]], dtype=complex), ("a",))
+        Unitary(np.array([[1, 1], [0, 1]], dtype=complex))
     with pytest.raises(WireMismatch):
-        apply_unitary(psi, np.eye(4), ("a",))
+        apply_unitary(psi, Unitary(np.eye(4)), ("a",))
 
 
 @settings(max_examples=25, deadline=None)
@@ -420,7 +424,7 @@ def test_apply_unitary_rejects_bad_operator():
 def test_apply_unitary_preserves_norm(seed):
     rng = np.random.default_rng(seed)
     psi = random_state(("a", "b", "c"), rng)
-    out = apply_unitary(psi, random_unitary(4, rng), ("b", "a"))
+    out = apply_to_state(psi, random_unitary(4, rng), ("b", "a"))
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
 
 
@@ -469,12 +473,12 @@ def test_locality_average_post_measurement_state():
     for _ in range(10):
         psi = random_state(("a", "b", "c"), rng)
         meas = random_basis_measurement(2, rng)
-        rho_b = partial_trace(psi, ("b", "c"))
+        rho_b = partial_trace(StateStack.of(psi), ("b", "c"))[0]
         avg = np.zeros((4, 4), dtype=complex)
         _, _, probs, post = measure(qmath.StateStack.of(psi), meas, ("a",))
         for p, reduced in zip(probs, partial_trace(post, ("b", "c"))):
             avg += p * reduced
-        assert np.max(np.abs(avg - rho_b.matrix)) < 1e-9
+        assert np.max(np.abs(avg - rho_b)) < 1e-9
 
 
 def projector_branches(amps, n, on_axes, basis):
@@ -552,15 +556,17 @@ def test_measure_matches_projector_formula(seed, n, sparse, rows, per_row):
 def test_apply_unitary_matches_kron_operator(seed, n, rows, per_row):
     # Reference: the full operator U (x) I on the wires in `on` + rest order,
     # conjugated back to the state's order, built with np.kron for each row.
+    # Per-row gates are taken from a table, as the executor takes them, so a
+    # stack of no rows has per-row gates too.
     rng = np.random.default_rng(seed)
     wires = tuple(f"w{i}" for i in range(n))
     k = int(rng.integers(1, n + 1))
     on_axes = [int(a) for a in rng.permutation(n)[:k]]
     rest = [a for a in range(n) if a not in on_axes]
     amps = np.array([_random_amplitudes(n, False, rng) for _ in range(rows)]).reshape(rows, 2 ** n)
-    gates = np.array([random_unitary(2 ** k, rng) for _ in range(rows if per_row else 1)]
-                     ).reshape(-1, 2 ** k, 2 ** k)
-    got = apply_unitary(qmath.StateStack(wires, amps), gates if per_row else gates[0],
+    gates = np.array([random_unitary(2 ** k, rng) for _ in range(max(rows, 1) if per_row else 1)])
+    got = apply_unitary(qmath.StateStack(wires, amps),
+                        Unitary(gates).take(range(rows)) if per_row else Unitary(gates[0]),
                         tuple(wires[a] for a in on_axes))
     assert got.wires == wires and got.amplitudes.shape == (rows, 2 ** n)
     order = on_axes + rest
@@ -573,13 +579,15 @@ def test_apply_unitary_matches_kron_operator(seed, n, rows, per_row):
 
 def test_kernels_pass_an_empty_stack():
     empty = qmath.StateStack(("a", "b"), np.zeros((0, 4), dtype=complex))
-    assert apply_unitary(empty, np.zeros((0, 2, 2)), ("b",)).amplitudes.shape == (0, 4)
-    assert apply_unitary(empty, X, ("a",)).amplitudes.shape == (0, 4)
+    assert apply_unitary(empty, Unitary(X[None]).take([]), ("b",)).amplitudes.shape == (0, 4)
+    assert apply_unitary(empty, Unitary(X), ("a",)).amplitudes.shape == (0, 4)
     rows, outcomes, probs, post = measure(empty, OrthogonalMeasurement.computational(1), ("a",))
     assert rows.size == outcomes.size == probs.size == 0 and post.amplitudes.shape == (0, 4)
     per_row = OrthogonalMeasurement(np.eye(2)[None]).take([])
     assert measure(empty, per_row, ("b",))[3].amplitudes.shape == (0, 4)
     assert partial_trace(empty, ("b",)).shape == (0, 2, 2)
+    probs, post = qmath.renormalize(empty)
+    assert probs.shape == (0,) and post.amplitudes.shape == (0, 4)
 
 
 @pytest.mark.parametrize("rows", [0, 3])
@@ -631,9 +639,9 @@ def test_renormalize_is_the_measurement_of_a_definite_bit(rows):
 def test_stacked_gates_are_checked_in_one_call():
     stack = qmath.StateStack(("q",), np.array([ket(0), ket(1)]))
     with pytest.raises(NotUnitary):
-        apply_unitary(stack, np.array([X, [[1, 1], [0, 1]]], dtype=complex), ("q",))
+        Unitary(np.array([X, [[1, 1], [0, 1]]], dtype=complex))
     with pytest.raises(WireMismatch):
-        apply_unitary(stack, np.array([X]), ("q",))
+        apply_unitary(stack, Unitary(np.array([X])), ("q",))
     assert qmath.is_unitary(np.array([X, np.eye(2)]))
     assert not qmath.is_unitary(np.array([X, 2 * np.eye(2)]))
     assert qmath.is_unitary(np.zeros((0, 2, 2)))
@@ -650,15 +658,37 @@ def test_stacked_bases_are_checked_once_and_taken_per_row():
         measure(stack, table.take([0, 1]), ("q",))
 
 
+def test_a_measurement_is_a_unitary_whose_take_and_stack_check_nothing(monkeypatch):
+    assert issubclass(OrthogonalMeasurement, Unitary)
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return unitary(m)
+
+    unitary = qmath.is_unitary
+    monkeypatch.setattr(qmath, "is_unitary", counting)
+    for cls in (Unitary, OrthogonalMeasurement):
+        table = cls(np.array([np.eye(2), X], dtype=complex))
+        assert len(calls) == 1   # the construction is checked, in one call
+        taken = table.take([1, 0, 1])
+        stacked = cls.stack([table, cls(X)])
+        assert type(taken) is cls and type(stacked) is cls
+        assert np.array_equal(taken.matrix, [X, np.eye(2), X])
+        assert np.array_equal(stacked.matrix, [np.eye(2), X, X])
+        assert len(calls) == 2   # one more construction, and no check in take or stack
+        calls.clear()
+    assert np.array_equal(taken.adjoint, taken.matrix.conj().swapaxes(-1, -2))
+
+
 @pytest.mark.parametrize("kernel", ["apply_unitary", "measure"])
 def test_kernels_reject_repeated_wires(kernel):
-    psi = StateVector(("a", "b"), ket(0, 0))
+    psi = StateStack.of(StateVector(("a", "b"), ket(0, 0)))
     with pytest.raises(WireMismatch):
         if kernel == "apply_unitary":
-            apply_unitary(psi, np.eye(4), ("a", "a"))
+            apply_unitary(psi, Unitary(np.eye(4)), ("a", "a"))
         else:
-            measure(qmath.StateStack.of(psi), OrthogonalMeasurement.computational(2),
-                    ("b", "b"))
+            measure(psi, OrthogonalMeasurement.computational(2), ("b", "b"))
 
 
 # ---------------------------------------------------------------------------
@@ -706,17 +736,17 @@ def test_state_vector_rejects_bad_norm():
         StateVector(("q",), np.array([1.0, 1.0]))
 
 
-@pytest.mark.parametrize("amps", [np.array([np.nan, 1.0], dtype=complex),
-                                  np.array([1.0 + 1e-8, 0.0], dtype=complex),
+@pytest.mark.parametrize("amps", [np.array([[np.nan, 1.0]], dtype=complex),
+                                  np.array([[1.0 + 1e-8, 0.0]], dtype=complex),
                                   np.array([[1.0, 0.0], [np.nan, 1.0]], dtype=complex),
                                   np.array([[0.0, 1.0], [1.0 + 1e-8, 0.0]], dtype=complex),
                                   np.array([[np.inf, 0.0], [1.0, 0.0]], dtype=complex)])
 def test_derived_state_keeps_the_norm_check(amps):
     with pytest.raises(qmath.QMathError):
         qmath._derived_state(("q",), amps)
-    if amps.ndim == 2 and not np.isfinite(amps).all():
+    if not np.isfinite(amps).all():
         # a measurement that builds no post-states still rejects a row that is not finite
-        rows = qmath._trusted(qmath.StateStack, ("q",), amps)
+        rows = qmath._trusted(("q",), amps)
         with pytest.raises(qmath.QMathError, match="not finite"), np.errstate(invalid="ignore"):
             measure(rows, OrthogonalMeasurement.computational(1), ("q",), post=False)
 
