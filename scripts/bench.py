@@ -19,9 +19,10 @@ quartiles over ``CLI_RUNS`` runs.  Each run is timed by a fresh wrapper
 process, because ``RUSAGE_CHILDREN`` reports the largest peak of all the
 children a process has waited for.
 
-Last, it runs the checkout's tier-1 test command once with a JUnit XML
-report and records its exit code, wall seconds, passed and failed counts,
-and the call seconds of each ``tests/test_acceptance.py`` test.
+Last, it runs the checkout's tier-1 test command ``TIER1_RUNS`` times, each
+with a JUnit XML report, and records the exit codes and the passed and
+failed counts as sorted sets, and the wall seconds and the call seconds of
+each ``tests/test_acceptance.py`` test as median and quartiles over the runs.
 
 The numbers are a record, not a gate: the script exits 0 whatever they are,
 and nonzero only if a run crashes or prints no result.
@@ -46,6 +47,7 @@ SEEDS = (1, 2, 3)
 CLI_COMMANDS = ("coinflip", "escrow-binding", "escrow-sealing", "selftest")
 CLI_ARGS = ("--seed", "7", "--samples", "20")
 CLI_RUNS = 3
+TIER1_RUNS = 3
 # Runs the command in argv[1:] and prints its exit code, wall seconds and peak RSS.
 CLI_WRAPPER = """
 import json, resource, subprocess, sys, time
@@ -108,8 +110,8 @@ def summarize_cli(commands: list[str], runs: int, runner: CliRunner) -> dict:
     return out
 
 
-def summarize_tier1(runner: Tier1Runner) -> dict:
-    code, seconds, report = runner()
+def _tier1_run(code: int, seconds: float, report: str) -> dict:
+    """One tier-1 run's exit code, wall seconds, counts and acceptance call seconds."""
     suite = ET.fromstring(report)
     if suite.tag != "testsuite":
         suite = suite.find("testsuite")
@@ -120,6 +122,17 @@ def summarize_tier1(runner: Tier1Runner) -> dict:
             "acceptance_call_s": {case.get("name"): float(case.get("time"))
                                   for case in suite.iter("testcase")
                                   if case.get("classname") == ACCEPTANCE}}
+
+
+def summarize_tier1(runs: int, runner: Tier1Runner) -> dict:
+    results = [_tier1_run(*runner()) for _ in range(runs)]
+    calls = {}
+    for r in results:
+        for name, seconds in r["acceptance_call_s"].items():
+            calls.setdefault(name, []).append(seconds)
+    return {**{key: sorted({r[key] for r in results}) for key in ("exit", "passed", "failed")},
+            "seconds": spread([r["seconds"] for r in results]),
+            "acceptance_call_s": {name: spread(values) for name, values in calls.items()}}
 
 
 def subprocess_runner(repo: pathlib.Path, seconds: float) -> Runner:
@@ -189,7 +202,7 @@ def main(argv=None) -> int:
            "cli": {"args": list(CLI_ARGS),
                    "commands": summarize_cli(list(CLI_COMMANDS), CLI_RUNS,
                                              cli_subprocess_runner(repo))},
-           "tier1": summarize_tier1(tier1_subprocess_runner(repo))}
+           "tier1": summarize_tier1(TIER1_RUNS, tier1_subprocess_runner(repo))}
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}", file=sys.stderr)

@@ -11,20 +11,19 @@ Four games are enumerated exactly, branch by branch:
 * ``run_weak_commitment`` -- deposit, reveal the bit, play the embedded coin
                          flip, then challenge the loser.
 
-Every game runs on one executor, and each game body plays a batch: N runs,
-each a (depositor, receiver, seeded bit) triple, whose strategies have one
-shape (``StrategySpec.shape``: all but the gate and basis matrices) go
-through one stack.  ``_batch`` groups runs by shape and checks each group's
-strategies against the game's phase map, once per pair of shapes; a runner
-is the batch of one run (``_one``).  ``_start`` lays out the wires and
-builds one root row per run, ``_run_program`` runs a party's phase,
-``_read_bit`` receives a classical message, ``_check_deposit`` projects a
-deposit on its claimed encoding (the escrow checks and the coin check
-alike), ``_own_result`` sets an honest party's own result, and
-``_assemble`` merges the leaves into one distribution per run.  The
-``*_batch`` entry points take equal-length sequences and return results in
-input order; ``deposit_reduced_state`` runs the deposit phase on the same
-steps.
+Each game is a ``_Game`` value: its wires, its phase map, a tuple of steps
+(play a phase, read a message, check a deposit, set an honest party's own
+result, reject, branch on a challenge) and how its leaves become results.
+One driver, ``_batch``, plays a game on N runs, each a (depositor,
+receiver, seeded bit) triple, and a runner is its batch of one.  Runs whose
+strategies have one shape (``StrategySpec.shape``: all but the gate and
+basis matrices) go through one stack; ``_check`` checks each shape pair
+against the game once, before any branch runs.  ``_start`` builds one root
+row per run, and ``_play`` runs the steps: ``_run_program`` a party's
+phase, ``_read_bit`` a classical message, ``_check_deposit`` a deposit
+projected on its claimed encoding.  ``_assemble`` merges the leaves into
+one distribution per run.  The ``*_batch`` entry points return results in
+input order; ``deposit_reduced_state`` is the game of the deposit alone.
 
 The branches of a batch are rows (``_Rows``): one ``qmath.StateStack`` holds
 every branch's amplitudes on the run's quantum wires, next to one probability
@@ -80,12 +79,13 @@ draws; message bits that are constants or record keys).  Each round checks
 itself once, when it is built: distinct wires, unitaries of the right shape,
 a measurement of the right dimension, bit sources that are 0, 1 or a key.  A
 batch checks, once per shape group and from the spec's cached shape, only
-what the game adds: every phase is known and every round touches only wires
-the party holds in it.  Every violation raises
-``MalformedStrategy`` before any branch runs, except a record key that is
-unset or not a bit, which raises it when read (for the whole batch).
-Runners are pure functions from strategies to outcome distributions;
-concurrent runs share only caches of checked or derived values.
+what the game adds: every phase is known, every round touches only wires
+the party holds in it, and in the coin flip and the composed game one party
+is honest.  Every violation raises ``MalformedStrategy`` before any branch
+runs, except a record key that is unset or not a bit, which raises it when
+read (for the whole batch).  Runners are pure functions from strategies to
+outcome distributions; concurrent runs share only caches of checked or
+derived values.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -542,8 +542,8 @@ def _run_program(rows: _Rows, specs: Sequence[StrategySpec], phase: str) -> _Row
     return rows
 
 
-def _read_bit(rows: _Rows, wire: str, reader: str, sender: str, key: str) -> _Rows:
-    """Measure a classical-convention wire into the reader's record + transcript.
+def _read_bit(rows: _Rows, wire: str, reader: str, key: str) -> _Rows:
+    """Measure the other party's message wire into the reader's record + transcript.
 
     A wire outside the stack holds one bit per row, so its measurement has
     one outcome, that bit.  Rows a gate has acted on since they were last
@@ -563,13 +563,12 @@ def _read_bit(rows: _Rows, wire: str, reader: str, sender: str, key: str) -> _Ro
             rows = _Rows(rows.probs * probs, states, rows.layout, rows.table, rows.columns,
                          True, rows.entries)
         rows.record((reader, key), bits)
-    rows.tell(sender, key, bits)
+    rows.tell("alice" if reader == "bob" else "bob", key, bits)
     return rows
 
 
-def _check_deposit(rows: _Rows, dep_wire: str, theta: float, checker: str,
-                   b_key: str, x_key: str, result: str = "verdict",
-                   xor_key: str | None = None, closing: bool = True) -> _Rows:
+def _check_deposit(rows: _Rows, dep_wire: str, theta: float, checker: str, b_key: str,
+                   x_key: str, result: str, xor_key: str | None, closing: bool) -> _Rows:
     """Project the deposit on the encoding (b, x) that the checker's record claims.
 
     A failed projection sets the checker's ``result`` to ERR.  A passing one sets
@@ -593,42 +592,100 @@ def _check_deposit(rows: _Rows, dep_wire: str, theta: float, checker: str,
     return rows.split(parents, probs, states, True, checker, result, verdicts)
 
 
-def _own_result(rows: _Rows, spec: StrategySpec, result: str, *bit_keys: str) -> _Rows:
-    """An honest party's own result: the XOR of the bits its record holds under ``bit_keys``.
+@dataclass(frozen=True)
+class _Game:
+    """A game as data: its wires, its phase map, its steps and how its leaves become results.
 
-    A dishonest party has no result of its own, so nothing is set for it.
+    ``wires`` is the game's part of the layout; it fixes the amplitude order,
+    so it is stated rather than derived from the steps.  ``steps`` is what
+    ``_play`` runs; ``finish(parts, alices, bobs)`` turns the rows each
+    branch ends on into one result per run.  ``one_honest``: at least one
+    party must be honest.
     """
-    if spec.honest:
-        bits = _record_bits(rows, spec.party, bit_keys)
-        rows.record((spec.party, result), _ZERO - np.bitwise_xor.reduce(bits, axis=1))
-    return rows
+
+    wires: tuple[str, ...]
+    phases: Mapping[str, Mapping[str, tuple[str, ...]]]
+    steps: tuple[tuple, ...]
+    finish: Callable[[list[_Rows], Sequence[StrategySpec], Sequence[StrategySpec]], list]
+    one_honest: bool
 
 
-# The (Alice shape, Bob shape, phase map, game wires) that ``_check`` has passed,
-# forgotten all at once when it reaches ``_CHECKED_MAX``.  A key is added only
-# after its check passed, so concurrent runs at worst check a pair twice.
+def _play(rows: _Rows, specs: Mapping[str, Sequence[StrategySpec]], steps: tuple[tuple, ...],
+          theta: float) -> list[_Rows]:
+    """Run ``steps`` on one shape group's rows; the rows each branch ends on, in order.
+
+    ``specs`` holds each party's specs, one per run.  The steps:
+
+    * ``("play", party, phase)``: the party's program for the phase;
+    * ``("read", wire, reader, key)``: the reader measures the other party's
+      message into its record and the transcript; ``"receive"`` reads only
+      for an honest reader;
+    * ``("check", wire, checker, b_key, x_key, result, xor_key, closing, coin)``:
+      ``_check_deposit`` at ``COIN_THETA`` if ``coin``, else at ``theta``;
+    * ``("own", party, result, *bit_keys)``: an honest party's own result,
+      the XOR of its bits under ``bit_keys``;
+    * ``("reject",)``: both verdicts are ERR;
+    * ``("challenge", key, branches)``, last: the honest judge's (Alice when
+      she is honest) result under ``key`` goes to the transcript, and each
+      (code, steps) of ``branches`` plays on the rows with that result.
+    """
+    for op, *args in steps:
+        if op == "play":
+            party, phase = args
+            rows = _run_program(rows, specs[party], phase)
+        elif op == "read" or op == "receive":
+            wire, reader, key = args
+            if op == "read" or specs[reader][0].honest:
+                rows = _read_bit(rows, wire, reader, key)
+        elif op == "check":
+            wire, checker, b_key, x_key, result, xor_key, closing, coin = args
+            rows = _check_deposit(rows, wire, COIN_THETA if coin else theta, checker, b_key,
+                                  x_key, result, xor_key, closing)
+        elif op == "own":
+            party, result, *bit_keys = args
+            if specs[party][0].honest:
+                bits = _record_bits(rows, party, tuple(bit_keys))
+                rows.record((party, result), _ZERO - np.bitwise_xor.reduce(bits, axis=1))
+        elif op == "reject":
+            for party in specs:
+                rows.record((party, "verdict"), _ERR)
+        else:  # "challenge"
+            key, branches = args
+            judge = "alice" if specs["alice"][0].honest else "bob"
+            codes = rows.read((judge, key))[:, 0]
+            if _UNSET in codes.tolist():
+                raise MalformedStrategy(f"{judge} has no {key} result to choose the challenge")
+            rows.tell(key, "result", codes)
+            return [part for code, branch in branches
+                    for part in _play(rows.take(np.flatnonzero(codes == code)), specs, branch,
+                                      theta)]
+    return [rows]
+
+
+# The (Alice shape, Bob shape, game) that ``_check`` has passed, forgotten all
+# at once when it reaches ``_CHECKED_MAX``.  A key is added only after its
+# check passed, so concurrent runs at worst check a pair twice.
 _CHECKED: set[tuple] = set()
 _CHECKED_MAX = 4096
 
 
-def _check(alice: StrategySpec, bob: StrategySpec,
-           phases: Mapping[str, Mapping[str, tuple[str, ...]]], game_wires: tuple[str, ...]
-           ) -> None:
-    """Check both strategies against the game's phase map and the ``MAX_TOTAL_WIRES`` budget.
+def _check(alice: StrategySpec, bob: StrategySpec, game: _Game) -> None:
+    """Check both strategies against the game: its phase map, the wire budget, the honest rule.
 
-    The check reads only the two shapes, the phase map and the wires, so a
-    pair that passed is remembered by them and not checked again.  The
-    phase maps are module constants, named by their identity.  A failing
-    pair raises every time.
+    The check reads only the two shapes and the game, so a pair that passed
+    is remembered by them and not checked again.  The games are module
+    constants, named by their identity.  A failing pair raises every time.
     """
-    key = (alice.shape, bob.shape, id(phases), game_wires)
+    key = (alice.shape, bob.shape, id(game))
     if key in _CHECKED:
         return
-    validate_strategy(alice, phases["alice"])
-    validate_strategy(bob, phases["bob"])
-    n = len(alice.ancillas + game_wires + bob.ancillas)
+    validate_strategy(alice, game.phases["alice"])
+    validate_strategy(bob, game.phases["bob"])
+    n = len(alice.ancillas + game.wires + bob.ancillas)
     if n > MAX_TOTAL_WIRES:
         raise MalformedStrategy(f"{n} wires exceed the {MAX_TOTAL_WIRES}-qubit budget")
+    if game.one_honest and not (alice.honest or bob.honest):
+        raise MalformedStrategy("at least one party must be honest")
     if len(_CHECKED) >= _CHECKED_MAX:
         _CHECKED.clear()
     _CHECKED.add(key)
@@ -658,17 +715,16 @@ def _start(alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec],
     return _Rows(np.ones(n), root, wires, table, {_RUN: at, ("alice", "b"): at + 1}, True)
 
 
-def _batch(game, phases: Mapping[str, Mapping[str, tuple[str, ...]]],
-           game_wires: tuple[str, ...], alices: Sequence[StrategySpec],
-           bobs: Sequence[StrategySpec], bits: Sequence[int | None], *args) -> list:
+def _batch(game: _Game, alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec],
+           bits: Sequence[int | None], theta: float) -> list:
     """``game`` on every run (alices[i], bobs[i], bits[i]), with one stack per shape group.
 
     The runs whose two specs have the same ``shape`` form a group.  The first
-    pair of every group is checked against the game's phase map and the wire
-    budget before any branch runs; the other members share what it checks.
-    ``game(rows, alices, bobs, *args)`` plays a group from its root rows and
-    returns one result per run.  The results come back in input order; a
-    run that raises raises for the whole batch.
+    pair of every group is checked against the game before any branch of any
+    group runs; the other members share what it checks.  Each group plays
+    the game's steps from its root rows, and ``game.finish`` gives one result
+    per run.  The results come back in input order; a run that raises raises
+    for the whole batch.  Every runner is its batch of one.
     """
     if not len(alices) == len(bobs) == len(bits):
         raise ProtocolError(f"{len(alices)} depositors, {len(bobs)} receivers and "
@@ -677,22 +733,15 @@ def _batch(game, phases: Mapping[str, Mapping[str, tuple[str, ...]]],
     for i, (alice, bob) in enumerate(zip(alices, bobs)):
         groups.setdefault((alice.shape, bob.shape), []).append(i)
     for members in groups.values():
-        _check(alices[members[0]], bobs[members[0]], phases, game_wires)
+        _check(alices[members[0]], bobs[members[0]], game)
     results = [None] * len(bits)
     for members in groups.values():
         group_alices, group_bobs = [alices[i] for i in members], [bobs[i] for i in members]
-        rows = _start(group_alices, group_bobs, game_wires, [bits[i] for i in members])
-        for i, result in zip(members, game(rows, group_alices, group_bobs, *args)):
+        rows = _start(group_alices, group_bobs, game.wires, [bits[i] for i in members])
+        parts = _play(rows, {"alice": group_alices, "bob": group_bobs}, game.steps, theta)
+        for i, result in zip(members, game.finish(parts, group_alices, group_bobs)):
             results[i] = result
     return results
-
-
-def _one(game, phases: Mapping[str, Mapping[str, tuple[str, ...]]],
-         game_wires: tuple[str, ...], alice: StrategySpec, bob: StrategySpec, bit: int | None,
-         *args):
-    """``game``'s result for the one run (alice, bob, bit): a batch of one, its own group."""
-    _check(alice, bob, phases, game_wires)
-    return game(_start([alice], [bob], game_wires, [bit]), [alice], [bob], *args)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -914,32 +963,69 @@ _WEAK_PHASES = {
     "bob": {"receive": ("dep",), "coin_choose": ("dep2", "bp"), "return": ("dep",)},
 }
 
-# The game wires of each runner, in layout order.
-_ESCROW_WIRES = {Challenge.REVEAL_TO_BOB: ("dep", "rb", "rx"), Challenge.RETURN_TO_ALICE: ("dep",)}
-_REVEAL_FIRST_WIRES = ("dep", "rb")
-_COINFLIP_WIRES = ("dep", "bp", "rb", "rx")
 
+def _coin(prefix: str, suffix: str, result: str, closing: bool) -> tuple[tuple, ...]:
+    """The coin flip's steps on ``"dep" + suffix``; its phases are ``prefix`` + the coin's.
 
-def _coin(rows: _Rows, alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec],
-          phase_prefix: str, wire_suffix: str, result: str, closing: bool) -> _Rows:
-    """The coin flip on the deposit wire ``"dep" + wire_suffix``.
-
-    Alice runs ``phase_prefix + "deposit"``, Bob ``phase_prefix + "choose"``
-    (announcing b' on ``bp``), Alice ``phase_prefix + "reveal"`` (claiming
-    (b, x) on the ``rb``/``rx`` wires with the same suffix).  Bob's deposit check
-    and an honest Alice's b xor b' land under ``result`` in their records.
-    The check is ``closing`` when the game ends with the coin.
+    Alice deposits, Bob announces b' on ``bp``, Alice claims (b, x) on the
+    ``rb``/``rx`` wires with the same suffix.  Bob's deposit check and an
+    honest Alice's b xor b' land under ``result``; the check is ``closing``
+    when the game ends with the coin.
     """
-    rows = _run_program(rows, alices, phase_prefix + "deposit")
-    rows = _run_program(rows, bobs, phase_prefix + "choose")
-    if alices[0].honest:
-        rows = _read_bit(rows, "bp", "alice", "bob", "bprime")
-    rows = _run_program(rows, alices, phase_prefix + "reveal")
-    rows = _read_bit(rows, "rb" + wire_suffix, "bob", "alice", "b_coin")
-    rows = _read_bit(rows, "rx" + wire_suffix, "bob", "alice", "x_coin")
-    rows = _check_deposit(rows, "dep" + wire_suffix, COIN_THETA, "bob",
-                          "b_coin", "x_coin", result, xor_key="bprime", closing=closing)
-    return _own_result(rows, alices[0], result, "b" + wire_suffix, "bprime")
+    return (("play", "alice", prefix + "deposit"), ("play", "bob", prefix + "choose"),
+            ("receive", "bp", "alice", "bprime"), ("play", "alice", prefix + "reveal"),
+            ("read", "rb" + suffix, "bob", "b_coin"), ("read", "rx" + suffix, "bob", "x_coin"),
+            ("check", "dep" + suffix, "bob", "b_coin", "x_coin", result, "bprime", closing, True),
+            ("own", "alice", result, "b" + suffix, "bprime"))
+
+
+def _reduced_deposits(parts: list[_Rows], alices: Sequence[StrategySpec],
+                      bobs: Sequence[StrategySpec]) -> list[DensityMatrix]:
+    """Each run's reduced state on ``dep``: its rows' states, summed in that run's own order."""
+    (rows,) = parts
+    probs = rows.probs.tolist()
+    reduced = partial_trace(rows.states, ("dep",))
+    ends = np.searchsorted(rows.runs, np.arange(1, len(alices) + 1)).tolist()
+    out, start = [], 0
+    for end in ends:
+        total = sum(probs[start:end])
+        m = sum(p / total * r for p, r in zip(probs[start:end], reduced[start:end]))
+        out.append(DensityMatrix(("dep",), m))
+        start = end
+    return out
+
+
+_ESCROW_START = (("play", "alice", "deposit"), ("play", "bob", "receive"))
+# Alice checks the qubit Bob returned against her own record.
+_ALICE_CHECK = ("check", "dep", "alice", "b", "x", "verdict", None, True, False)
+
+_ESCROW = {
+    Challenge.REVEAL_TO_BOB: _Game(("dep", "rb", "rx"), _ESCROW_PHASES, (
+        *_ESCROW_START, ("play", "alice", "reveal"), ("read", "rb", "bob", "b"),
+        ("read", "rx", "bob", "x"), ("check", "dep", "bob", "b", "x", "verdict", None, True, False),
+        ("own", "alice", "verdict", "b")), _assemble, False),
+    Challenge.RETURN_TO_ALICE: _Game(("dep",), _ESCROW_PHASES, (
+        *_ESCROW_START, ("play", "bob", "return"), _ALICE_CHECK), _assemble, False),
+}
+_REVEAL_FIRST = _Game(("dep", "rb"), _ESCROW_PHASES, (
+    *_ESCROW_START, ("play", "alice", "reveal_bit"), ("read", "rb", "bob", "b_claim"),
+    ("play", "bob", "return"), _ALICE_CHECK), _assemble, False)
+_COINFLIP = _Game(("dep", "bp", "rb", "rx"), _COINFLIP_PHASES, _coin("", "", "verdict", True),
+                  _assemble, True)
+# Coin result 1 challenges Alice to reveal x, 0 challenges Bob to return the
+# qubit, and err rejects; the parts in the order err, 1, 0 fix each leaf's sum order.
+_WEAK = _Game(("dep", "rb", "rx", "dep2", "bp", "rb2", "rx2"), _WEAK_PHASES, (
+    *_ESCROW_START, ("play", "alice", "reveal_bit"), ("read", "rb", "bob", "b_claim"),
+    *_coin("coin_", "2", "coin", False),
+    ("challenge", "coin", (
+        (_ERR, (("reject",),)),
+        (_ONE, (("play", "alice", "reveal_x"), ("read", "rx", "bob", "x_claim"),
+                ("check", "dep", "bob", "b_claim", "x_claim", "verdict", None, True, False),
+                ("own", "alice", "verdict", "b"))),
+        (_ZERO, (("play", "bob", "return"), _ALICE_CHECK,
+                 ("own", "bob", "verdict", "b_claim")))))), _assemble, True)
+_DEPOSIT = _Game(("dep",), _ESCROW_PHASES, (("play", "alice", "deposit"),), _reduced_deposits,
+                 False)
 
 
 def run_escrow(alice: StrategySpec, bob: StrategySpec, challenge: Challenge,
@@ -955,32 +1041,14 @@ def run_escrow(alice: StrategySpec, bob: StrategySpec, challenge: Challenge,
     must contain ``b`` and ``x`` (honest strategies record them) or the run
     fails with ``MalformedStrategy``.
     """
-    return _one(_escrow, _ESCROW_PHASES, _ESCROW_WIRES[challenge], alice, bob, claimed_bit,
-                challenge, params.theta)
+    return _batch(_ESCROW[challenge], [alice], [bob], [claimed_bit], params.theta)[0]
 
 
 def run_escrow_batch(alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec],
                      challenge: Challenge, claimed_bits: Sequence[int | None],
                      params: EscrowParams) -> list[OutcomeDistribution]:
     """``run_escrow`` of each (alices[i], bobs[i], claimed_bits[i]), in input order (``_batch``)."""
-    return _batch(_escrow, _ESCROW_PHASES, _ESCROW_WIRES[challenge], alices, bobs,
-                  claimed_bits, challenge, params.theta)
-
-
-def _escrow(rows: _Rows, alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec],
-            challenge: Challenge, theta: float) -> list[OutcomeDistribution]:
-    rows = _run_program(rows, alices, "deposit")
-    rows = _run_program(rows, bobs, "receive")
-    if challenge is Challenge.REVEAL_TO_BOB:
-        rows = _run_program(rows, alices, "reveal")
-        rows = _read_bit(rows, "rb", "bob", "alice", "b")
-        rows = _read_bit(rows, "rx", "bob", "alice", "x")
-        rows = _check_deposit(rows, "dep", theta, "bob", "b", "x")
-        rows = _own_result(rows, alices[0], "verdict", "b")  # the bit she announced
-    else:
-        rows = _run_program(rows, bobs, "return")
-        rows = _check_deposit(rows, "dep", theta, "alice", "b", "x")
-    return _assemble([rows], alices, bobs)
+    return _batch(_ESCROW[challenge], alices, bobs, claimed_bits, params.theta)
 
 
 def run_escrow_reveal_then_return(alice: StrategySpec, bob: StrategySpec,
@@ -992,8 +1060,7 @@ def run_escrow_reveal_then_return(alice: StrategySpec, bob: StrategySpec,
     Bob may condition the unitary in his ``return`` program on the revealed
     bit, which lands in his record under ``b_claim``.
     """
-    return _one(_reveal_then_return, _ESCROW_PHASES, _REVEAL_FIRST_WIRES, alice, bob,
-                claimed_bit, params.theta)
+    return _batch(_REVEAL_FIRST, [alice], [bob], [claimed_bit], params.theta)[0]
 
 
 def run_escrow_reveal_then_return_batch(alices: Sequence[StrategySpec],
@@ -1001,20 +1068,7 @@ def run_escrow_reveal_then_return_batch(alices: Sequence[StrategySpec],
                                         claimed_bits: Sequence[int | None],
                                         params: EscrowParams) -> list[OutcomeDistribution]:
     """``run_escrow_reveal_then_return`` of each run, in input order (``_batch``)."""
-    return _batch(_reveal_then_return, _ESCROW_PHASES, _REVEAL_FIRST_WIRES, alices, bobs,
-                  claimed_bits, params.theta)
-
-
-def _reveal_then_return(rows: _Rows, alices: Sequence[StrategySpec],
-                        bobs: Sequence[StrategySpec], theta: float
-                        ) -> list[OutcomeDistribution]:
-    rows = _run_program(rows, alices, "deposit")
-    rows = _run_program(rows, bobs, "receive")
-    rows = _run_program(rows, alices, "reveal_bit")
-    rows = _read_bit(rows, "rb", "bob", "alice", "b_claim")
-    rows = _run_program(rows, bobs, "return")
-    rows = _check_deposit(rows, "dep", theta, "alice", "b", "x")
-    return _assemble([rows], alices, bobs)
+    return _batch(_REVEAL_FIRST, alices, bobs, claimed_bits, params.theta)
 
 
 def run_coinflip(alice: StrategySpec, bob: StrategySpec) -> OutcomeDistribution:
@@ -1025,23 +1079,13 @@ def run_coinflip(alice: StrategySpec, bob: StrategySpec) -> OutcomeDistribution:
     err if the check catches the revealer and b xor b' otherwise; an honest
     revealer is never caught, so her result is always b xor b'.
     """
-    return _one(_coinflip, _COINFLIP_PHASES, _COINFLIP_WIRES, alice, bob, None)
+    return _batch(_COINFLIP, [alice], [bob], [None], COIN_THETA)[0]
 
 
 def run_coinflip_batch(alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec]
                        ) -> list[OutcomeDistribution]:
     """``run_coinflip`` of each (alices[i], bobs[i]), in input order (``_batch``)."""
-    return _batch(_coinflip, _COINFLIP_PHASES, _COINFLIP_WIRES, alices, bobs,
-                  [None] * len(alices))
-
-
-def _coinflip(rows: _Rows, alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec]
-              ) -> list[OutcomeDistribution]:
-    if not (alices[0].honest or bobs[0].honest):
-        raise MalformedStrategy("at least one party must be honest")
-    rows = _coin(rows, alices, bobs, phase_prefix="", wire_suffix="", result="verdict",
-                 closing=True)
-    return _assemble([rows], alices, bobs)
+    return _batch(_COINFLIP, alices, bobs, [None] * len(alices), COIN_THETA)
 
 
 def run_weak_commitment(alice: StrategySpec, bob: StrategySpec, deposited_bit: int,
@@ -1054,41 +1098,7 @@ def run_weak_commitment(alice: StrategySpec, bob: StrategySpec, deposited_bit: i
     provides the mechanics of the composition only; no security property is
     claimed for it.
     """
-    return _one(_weak_commitment, _WEAK_PHASES, ("dep", "rb", "rx", "dep2", "bp", "rb2", "rx2"),
-                alice, bob, deposited_bit, params.theta)
-
-
-def _weak_commitment(rows: _Rows, alices: Sequence[StrategySpec],
-                     bobs: Sequence[StrategySpec], theta: float
-                     ) -> list[OutcomeDistribution]:
-    alice, bob = alices[0], bobs[0]
-    if not (alice.honest or bob.honest):
-        raise MalformedStrategy("at least one party must be honest")
-    rows = _run_program(rows, alices, "deposit")
-    rows = _run_program(rows, bobs, "receive")
-    rows = _run_program(rows, alices, "reveal_bit")
-    rows = _read_bit(rows, "rb", "bob", "alice", "b_claim")
-    rows = _coin(rows, alices, bobs, phase_prefix="coin_", wire_suffix="2", result="coin",
-                 closing=False)
-
-    judge = "alice" if alice.honest else "bob"
-    coin = rows.read((judge, "coin"))[:, 0]
-    if _UNSET in coin.tolist():
-        raise MalformedStrategy(f"{judge} has no coin result to choose the challenge")
-    rows.tell("coin", "result", coin)
-    done = rows.take(np.flatnonzero(coin == _ERR))
-    for party in ("alice", "bob"):
-        done.record((party, "verdict"), _ERR)
-    alice_challenged, bob_challenged = np.flatnonzero(coin == _ONE), np.flatnonzero(coin == _ZERO)
-
-    part = _run_program(rows.take(alice_challenged), alices, "reveal_x")
-    part = _read_bit(part, "rx", "bob", "alice", "x_claim")
-    part = _check_deposit(part, "dep", theta, "bob", "b_claim", "x_claim")
-    checked_alice = _own_result(part, alice, "verdict", "b")
-    part = _run_program(rows.take(bob_challenged), bobs, "return")
-    part = _check_deposit(part, "dep", theta, "alice", "b", "x")
-    checked_bob = _own_result(part, bob, "verdict", "b_claim")
-    return _assemble([done, checked_alice, checked_bob], alices, bobs)
+    return _batch(_WEAK, [alice], [bob], [deposited_bit], params.theta)[0]
 
 
 def deposit_reduced_state(alice: StrategySpec) -> DensityMatrix:
@@ -1099,25 +1109,10 @@ def deposit_reduced_state(alice: StrategySpec) -> DensityMatrix:
     The strategy is checked against the escrow game's phases; only its
     deposit program runs, with no bit seeded in the depositor's record.
     """
-    return _one(_deposit, _ESCROW_PHASES, ("dep",), alice, honest_bob_escrow(), None)
+    return _batch(_DEPOSIT, [alice], [honest_bob_escrow()], [None], THETA_DEFAULT)[0]
 
 
 def deposit_reduced_state_batch(alices: Sequence[StrategySpec]) -> list[DensityMatrix]:
     """``deposit_reduced_state`` of each strategy, in input order (``_batch``)."""
     bobs = [honest_bob_escrow()] * len(alices)
-    return _batch(_deposit, _ESCROW_PHASES, ("dep",), alices, bobs, [None] * len(alices))
-
-
-def _deposit(rows: _Rows, alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec]
-             ) -> list[DensityMatrix]:
-    rows = _run_program(rows, alices, "deposit")
-    probs = rows.probs.tolist()
-    reduced = partial_trace(rows.states, ("dep",))
-    ends = np.searchsorted(rows.runs, np.arange(1, len(alices) + 1)).tolist()
-    out, start = [], 0
-    for end in ends:   # each run's rows, summed in that run's own order
-        total = sum(probs[start:end])
-        m = sum(p / total * r for p, r in zip(probs[start:end], reduced[start:end]))
-        out.append(DensityMatrix(("dep",), m))
-        start = end
-    return out
+    return _batch(_DEPOSIT, alices, bobs, [None] * len(alices), THETA_DEFAULT)

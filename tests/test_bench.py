@@ -67,14 +67,25 @@ def test_summarize_cli_runs_each_command_and_takes_the_median():
     assert out["selftest"]["seconds"]["median"] == 5.0
 
 
-def test_summarize_tier1_counts_tests_and_times_each_criterion():
-    report = """<?xml version="1.0" encoding="utf-8"?><testsuites><testsuite name="pytest"
-        errors="1" failures="2" skipped="1" tests="10" time="30.0">
-      <testcase classname="tests.test_acceptance" name="test_criterion_1" time="0.5"/>
+def _tier1_report(failures: int, criterion_1_s: float) -> str:
+    return f"""<?xml version="1.0" encoding="utf-8"?><testsuites><testsuite name="pytest"
+        errors="1" failures="{failures}" skipped="1" tests="10" time="30.0">
+      <testcase classname="tests.test_acceptance" name="test_criterion_1" time="{criterion_1_s}"/>
       <testcase classname="tests.test_acceptance" name="test_criterion_4_x" time="1.25">
         <failure message="red"/></testcase>
       <testcase classname="tests.test_cli" name="test_criterion_1" time="7.0"/>
     </testsuite></testsuites>"""
-    out = bench.summarize_tier1(lambda: (1, 31.5, report))
-    assert out == {"exit": 1, "seconds": 31.5, "passed": 6, "failed": 3,
-                   "acceptance_call_s": {"test_criterion_1": 0.5, "test_criterion_4_x": 1.25}}
+
+
+def test_summarize_tier1_counts_tests_and_times_each_criterion():
+    runs = iter([(1, 31.5, _tier1_report(2, 0.5)), (1, 29.0, _tier1_report(2, 0.75)),
+                 (0, 30.0, _tier1_report(0, 0.25))])
+    out = bench.summarize_tier1(3, lambda: next(runs))
+    assert out == {"exit": [0, 1], "passed": [6, 8], "failed": [1, 3],
+                   "seconds": {"median": 30.0, "q1": 29.5, "q3": 30.75,
+                               "values": [31.5, 29.0, 30.0]},
+                   "acceptance_call_s": {
+                       "test_criterion_1": {"median": 0.5, "q1": 0.375, "q3": 0.625,
+                                            "values": [0.5, 0.75, 0.25]},
+                       "test_criterion_4_x": {"median": 1.25, "q1": 1.25, "q3": 1.25,
+                                              "values": [1.25, 1.25, 1.25]}}}

@@ -6,8 +6,10 @@ must see every run's kernel calls, and must not change any outcome.  The
 same kind of wrapper on ``qmath.is_unitary`` shows that a run does not check a
 gate, or a record-dependent table of gates, again once its round is built, nor
 a batch the stack of its runs' gates and bases.  On ``qmath.renormalize`` it
-shows that only a read after a gate renormalizes, and on
-``protocols.validate_strategy`` that a pair of shapes is checked once.
+shows that only a read after a gate renormalizes, on
+``protocols.validate_strategy`` that a pair of shapes is checked once, and
+on ``qmath.measure`` that a batch's strategies are all checked before any
+branch runs.
 """
 
 import numpy as np
@@ -169,6 +171,27 @@ def _counting(calls: list, kernel):
         calls.append(args)
         return kernel(*args, **kwargs)
     return wrapper
+
+
+def _unflagged(spec: StrategySpec) -> StrategySpec:
+    """The same programs, flagged dishonest."""
+    return StrategySpec(spec.party, spec.ancilla_count, spec.programs)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: protocols.run_coinflip_batch(
+        [honest_alice_coinflip(), _unflagged(honest_alice_coinflip())],
+        [honest_bob_coinflip(), _unflagged(honest_bob_coinflip())]),
+    lambda: protocols.run_weak_commitment(_unflagged(honest_alice_weak()),
+                                          _unflagged(honest_bob_weak()), 1),
+], ids=["coinflip-batch", "weak-commitment"])
+def test_the_honest_party_rule_fires_before_any_branch_runs(run, monkeypatch):
+    # the batch's honest group comes first, yet the dishonest pair stops it before a kernel runs
+    calls = []
+    monkeypatch.setattr(qmath, "measure", _counting(calls, qmath.measure))
+    with pytest.raises(protocols.MalformedStrategy, match="at least one party must be honest"):
+        run()
+    assert calls == []
 
 
 def _receiver(*rounds):

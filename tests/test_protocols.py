@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import fixed_bit_alice
-from qescrow import qmath
+from qescrow import protocols, qmath
 from qescrow.protocols import (
     Apply,
     Challenge,
@@ -463,6 +463,53 @@ def test_ancilla_budget_enforced():
 def test_deposit_reduced_state_compiles_the_deposit(deposit):
     with pytest.raises(MalformedStrategy):
         deposit_reduced_state(StrategySpec("alice", 0, {"deposit": (deposit,)}))
+
+
+# Each game's layout; the order of its wires fixes the amplitude order.
+_LAYOUTS = {
+    "escrow-reveal": ("dep", "rb", "rx"),
+    "escrow-return": ("dep",),
+    "reveal-first": ("dep", "rb"),
+    "coinflip": ("dep", "bp", "rb", "rx"),
+    "weak-commitment": ("dep", "rb", "rx", "dep2", "bp", "rb2", "rx2"),
+    "deposit": ("dep",),
+}
+_GAMES = {
+    "escrow-reveal": protocols._ESCROW[Challenge.REVEAL_TO_BOB],
+    "escrow-return": protocols._ESCROW[Challenge.RETURN_TO_ALICE],
+    "reveal-first": protocols._REVEAL_FIRST,
+    "coinflip": protocols._COINFLIP,
+    "weak-commitment": protocols._WEAK,
+    "deposit": protocols._DEPOSIT,
+}
+
+
+def _all_steps(steps):
+    """Every step of a table, and of each branch of its challenge."""
+    for step in steps:
+        yield step
+        if step[0] == "challenge":
+            for _, branch in step[2]:
+                yield from _all_steps(branch)
+
+
+def test_every_game_is_tabled():
+    games = [v for v in vars(protocols).values() if isinstance(v, protocols._Game)]
+    games += [v for v in protocols._ESCROW.values()]
+    assert {id(g) for g in games} == {id(g) for g in _GAMES.values()}
+
+
+@pytest.mark.parametrize("name", sorted(_LAYOUTS))
+def test_a_game_table_names_only_its_own_phases_and_wires(name):
+    game = _GAMES[name]
+    assert game.wires == _LAYOUTS[name]
+    for op, *args in _all_steps(game.steps):
+        assert op in {"play", "read", "receive", "check", "own", "reject", "challenge"}
+        if op == "play":
+            party, phase = args
+            assert phase in game.phases[party]
+        elif op in ("read", "receive", "check"):
+            assert args[0] in game.wires
 
 
 def test_distribution_requires_unit_mass():
