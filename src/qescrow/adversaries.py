@@ -56,6 +56,14 @@ from .protocols import (
 )
 
 _COMP1 = OrthogonalMeasurement.computational(1)
+# The sweep builders' fixed rounds, each built and checked once and shared by
+# every strategy that plays it: a batch applies one shared gate, not N copies.
+_CNOT_BP_RB = Apply(("bp", "rb"), np.eye(4)[[0, 1, 3, 2]].astype(complex))   # rb ^= bp
+_CLAIM_X = (MeasureRecord(("a0",), _COMP1, "mx"), SetBits({"rx": "mx"}))
+_ANNOUNCE_GUESS = SetBits({"bp": "guess"})
+_GUESS_FROM_C0 = MeasureRecord(("c0",), _COMP1, "guess")
+_CLAIM_BX = (MeasureRecord(("a0",), _COMP1, "mb"), MeasureRecord(("a1",), _COMP1, "mx"),
+             SetBits({"rb": "mb", "rx": "mx"}))
 
 
 class AdversaryError(Exception):
@@ -227,10 +235,7 @@ def full_measurement_bob() -> StrategySpec:
     meas = OrthogonalMeasurement.from_basis([vecs[:, i] for i in order])
     return StrategySpec(
         party="bob", ancilla_count=0, label="bob-full-measurement",
-        programs={"choose": (
-            MeasureRecord(("dep",), meas, "guess"),
-            SetBits({"bp": "guess"}),
-        )},
+        programs={"choose": (MeasureRecord(("dep",), meas, "guess"), _ANNOUNCE_GUESS)},
     )
 
 
@@ -289,7 +294,7 @@ def constant_bob(bit: int) -> StrategySpec:
     """Coin-flip receiver who always announces the same bit."""
     return StrategySpec(
         party="bob", ancilla_count=0, label=f"bob-constant-{bit}",
-        programs={"choose": (SetBits({"bp": int(bit)}),)},
+        programs={"choose": (SetBits({"bp": bit}),)},
     )
 
 
@@ -297,10 +302,8 @@ def bob_measure_coinflip(u2: np.ndarray) -> StrategySpec:
     """Coin-flip receiver measuring the deposit in the basis given by u2's columns."""
     return StrategySpec(
         party="bob", ancilla_count=0, label="bob-basis-measurement",
-        programs={"choose": (
-            MeasureRecord(("dep",), OrthogonalMeasurement(u2), "guess"),
-            SetBits({"bp": "guess"}),
-        )},
+        programs={"choose": (MeasureRecord(("dep",), OrthogonalMeasurement(u2), "guess"),
+                             _ANNOUNCE_GUESS)},
     )
 
 
@@ -308,11 +311,7 @@ def bob_entangling_coinflip(u8: np.ndarray) -> StrategySpec:
     """Coin-flip receiver coupling the deposit to two ancillas, guessing from c0."""
     return StrategySpec(
         party="bob", ancilla_count=2, label="bob-entangling",
-        programs={"choose": (
-            Apply(("dep", "c0", "c1"), u8),
-            MeasureRecord(("c0",), _COMP1, "guess"),
-            SetBits({"bp": "guess"}),
-        )},
+        programs={"choose": (Apply(("dep", "c0", "c1"), u8), _GUESS_FROM_C0, _ANNOUNCE_GUESS)},
     )
 
 
@@ -329,17 +328,11 @@ def alice_coinflip_from_angles(angles: Sequence[float]) -> StrategySpec:
     ctrl_basis = np.zeros((4, 4), dtype=complex)
     ctrl_basis[:2, :2] = v0.conj().T
     ctrl_basis[2:, 2:] = v1.conj().T
-    cnot = np.eye(4)[[0, 1, 3, 2]].astype(complex)  # (bp, rb): rb ^= bp
     return StrategySpec(
         party="alice", ancilla_count=1, label="alice-angles",
         programs={
             "deposit": (Apply(("a0", "dep"), prep),),
-            "reveal": (
-                Apply(("bp", "rb"), cnot),
-                Apply(("bp", "a0"), ctrl_basis),
-                MeasureRecord(("a0",), _COMP1, "mx"),
-                SetBits({"rx": "mx"}),
-            ),
+            "reveal": (_CNOT_BP_RB, Apply(("bp", "a0"), ctrl_basis), *_CLAIM_X),
         },
     )
 
@@ -364,12 +357,7 @@ def random_binding_pair(rng: np.random.Generator) -> tuple[StrategySpec, Strateg
             party="alice", ancilla_count=2, label="alice-random-opening",
             programs={
                 "deposit": deposit,
-                "reveal": (
-                    Apply(("a0", "a1"), u4),
-                    MeasureRecord(("a0",), _COMP1, "mb"),
-                    MeasureRecord(("a1",), _COMP1, "mx"),
-                    SetBits({"rb": "mb", "rx": "mx"}),
-                ),
+                "reveal": (Apply(("a0", "a1"), u4), *_CLAIM_BX),
             },
         )
 

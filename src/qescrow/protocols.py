@@ -17,12 +17,12 @@ result, reject, branch on a challenge) and how its leaves become results.
 One driver, ``_batch``, plays a game on N runs, each a (depositor,
 receiver, seeded bit) triple, and a runner is its batch of one.  Runs whose
 strategies have one shape (``StrategySpec.shape``: all but the gate and
-basis matrices) go through one stack; ``_check`` checks each shape pair
-against the game once, before any branch runs.  ``_start`` builds one root
-row per run, and ``_play`` runs the steps: ``_run_program`` a party's
-phase, ``_read_bit`` a classical message, ``_check_deposit`` a deposit
-projected on its claimed encoding.  ``_assemble`` merges the leaves into
-one distribution per run.  The ``*_batch`` entry points return results in
+basis matrices) go through one stack; ``_batch`` checks each shape pair
+against the game once per batch, before any branch runs.  ``_start``
+builds one root row per run, and ``_play`` runs the steps: ``_run_program``
+a party's phase, ``_read_bit`` a classical message, ``_check_deposit`` a
+deposit projected on its claimed encoding.  ``_assemble`` merges the leaves
+into one distribution per run.  The ``*_batch`` entry points return results in
 input order; ``deposit_reduced_state`` is the game of the deposit alone.
 
 The branches of a batch are rows (``_Rows``): one ``qmath.StateStack`` holds
@@ -78,14 +78,14 @@ indexed by record bits, on held wires; orthogonal measurements; fair-coin
 draws; message bits that are constants or record keys).  Each round checks
 itself once, when it is built: distinct wires, unitaries of the right shape,
 a measurement of the right dimension, bit sources that are 0, 1 or a key.  A
-batch checks, once per shape group and from the spec's cached shape, only
-what the game adds: every phase is known, every round touches only wires
-the party holds in it, and in the coin flip and the composed game one party
-is honest.  Every violation raises ``MalformedStrategy`` before any branch
-runs, except a record key that is unset or not a bit, which raises it when
-read (for the whole batch).  Runners are pure functions from strategies to
-outcome distributions; concurrent runs share only caches of checked or
-derived values.
+batch checks that every seeded bit is 0, 1 or None and, once per shape group
+and from the spec's cached shape, what the game adds: every phase is known,
+every round touches only wires the party holds in it, and in the coin flip
+and the composed game one party is honest.  Every violation raises
+``MalformedStrategy`` before any branch runs, except a record key that is
+unset or not a bit, which raises it when read (for the whole batch).
+Runners are pure functions from strategies to outcome distributions;
+concurrent runs share only caches of checked or derived values.
 """
 
 from __future__ import annotations
@@ -183,19 +183,15 @@ def phi_bx(b: int, x: int, theta: float, wire: str = "q") -> StateVector:
     return phi(bx_angle(b, x, theta), wire)
 
 
-@functools.lru_cache(maxsize=256)
 def escrow_basis(x: int, theta: float) -> OrthogonalMeasurement:
-    """The check basis {phi_{0,x}, phi_{1,x}}; the outcome index is the bit b.
-
-    Cached per (x, theta): a measurement is immutable, so every check shares one.
-    """
+    """The check basis {phi_{0,x}, phi_{1,x}}; the outcome index is the bit b."""
     return OrthogonalMeasurement.from_basis(
         [phi_vec(bx_angle(0, x, theta)), phi_vec(bx_angle(1, x, theta))])
 
 
 @functools.lru_cache(maxsize=256)
 def _check_bases(theta: float) -> OrthogonalMeasurement:
-    """Both check bases as one stack indexed by x, cached per theta; each was checked when built."""
+    """Both check bases as one stack indexed by x, cached per theta: every check shares it."""
     return OrthogonalMeasurement.stack([escrow_basis(x, theta) for x in (0, 1)])
 
 
@@ -217,6 +213,11 @@ class Draw:
     """A fair coin: branch on record[name] = 0 and 1, each with weight 1/2."""
 
     name: str
+
+
+def _is_bit(value) -> bool:
+    """A bit is an int 0 or 1 (a numpy integer too); a float or a string is not."""
+    return isinstance(value, (int, np.integer)) and value in (0, 1)
 
 
 def _check_distinct(wires: tuple[str, ...]) -> None:
@@ -282,7 +283,7 @@ class SetBits:
 
     def __post_init__(self):
         for wire, src in self.assignments.items():
-            if not (isinstance(src, str) or (isinstance(src, (int, np.integer)) and src in (0, 1))):
+            if not (isinstance(src, str) or _is_bit(src)):
                 raise MalformedStrategy(f"bit source {src!r} for {wire!r} is not 0, 1 or a key")
 
 
@@ -314,8 +315,9 @@ class StrategySpec:
     def __post_init__(self):
         if self.party not in ("alice", "bob"):
             raise MalformedStrategy(f"unknown party {self.party!r}")
-        if not 0 <= self.ancilla_count <= 4:
-            raise MalformedStrategy("ancilla count must be between 0 and 4")
+        count = self.ancilla_count
+        if not (isinstance(count, (int, np.integer)) and 0 <= count <= 4):
+            raise MalformedStrategy(f"ancilla count {count!r} is not an integer in [0, 4]")
         programs = {k: tuple(v) for k, v in dict(self.programs).items()}
         object.__setattr__(self, "programs", programs)
         object.__setattr__(self, "shape", (
@@ -662,35 +664,6 @@ def _play(rows: _Rows, specs: Mapping[str, Sequence[StrategySpec]], steps: tuple
     return [rows]
 
 
-# The (Alice shape, Bob shape, game) that ``_check`` has passed, forgotten all
-# at once when it reaches ``_CHECKED_MAX``.  A key is added only after its
-# check passed, so concurrent runs at worst check a pair twice.
-_CHECKED: set[tuple] = set()
-_CHECKED_MAX = 4096
-
-
-def _check(alice: StrategySpec, bob: StrategySpec, game: _Game) -> None:
-    """Check both strategies against the game: its phase map, the wire budget, the honest rule.
-
-    The check reads only the two shapes and the game, so a pair that passed
-    is remembered by them and not checked again.  The games are module
-    constants, named by their identity.  A failing pair raises every time.
-    """
-    key = (alice.shape, bob.shape, id(game))
-    if key in _CHECKED:
-        return
-    validate_strategy(alice, game.phases["alice"])
-    validate_strategy(bob, game.phases["bob"])
-    n = len(alice.ancillas + game.wires + bob.ancillas)
-    if n > MAX_TOTAL_WIRES:
-        raise MalformedStrategy(f"{n} wires exceed the {MAX_TOTAL_WIRES}-qubit budget")
-    if game.one_honest and not (alice.honest or bob.honest):
-        raise MalformedStrategy("at least one party must be honest")
-    if len(_CHECKED) >= _CHECKED_MAX:
-        _CHECKED.clear()
-    _CHECKED.add(key)
-
-
 def _start(alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec],
            game_wires: tuple[str, ...], bits: Sequence[int | None]) -> _Rows:
     """The root rows of a shape group: one row per run, in input order.
@@ -710,8 +683,7 @@ def _start(alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec],
     table = np.full((n, 32), _UNSET, dtype=_CODE)   # room for the records and transcript
     table[:, :at] = 0
     table[:, at] = np.arange(n)
-    table[:, at + 1] = [_UNSET if b is None else int(b) if int(b) in (0, 1) else 2
-                        for b in bits]   # any other seed is not a bit
+    table[:, at + 1] = [_UNSET if b is None else b for b in bits]
     return _Rows(np.ones(n), root, wires, table, {_RUN: at, ("alice", "b"): at + 1}, True)
 
 
@@ -719,21 +691,33 @@ def _batch(game: _Game, alices: Sequence[StrategySpec], bobs: Sequence[StrategyS
            bits: Sequence[int | None], theta: float) -> list:
     """``game`` on every run (alices[i], bobs[i], bits[i]), with one stack per shape group.
 
-    The runs whose two specs have the same ``shape`` form a group.  The first
-    pair of every group is checked against the game before any branch of any
-    group runs; the other members share what it checks.  Each group plays
-    the game's steps from its root rows, and ``game.finish`` gives one result
-    per run.  The results come back in input order; a run that raises raises
-    for the whole batch.  Every runner is its batch of one.
+    The runs whose two specs have the same ``shape`` form a group.  Before any
+    branch of any group runs, every seed must be 0, 1 or None, and the first
+    pair of every group is checked against the game: its phase map, the wire
+    budget and the honest-party rule.  That check reads only the two shapes,
+    so the other members share it.  Each group plays the game's steps from its
+    root rows, and ``game.finish`` gives one result per run.  The results come
+    back in input order; a run that raises raises for the whole batch.  Every
+    runner is its batch of one.
     """
     if not len(alices) == len(bobs) == len(bits):
         raise ProtocolError(f"{len(alices)} depositors, {len(bobs)} receivers and "
                             f"{len(bits)} seeded bits do not pair up")
+    for b in bits:
+        if not (b is None or _is_bit(b)):
+            raise MalformedStrategy(f"seed {b!r} is not a bit (0 or 1) or None")
     groups: dict[tuple, list[int]] = {}
     for i, (alice, bob) in enumerate(zip(alices, bobs)):
         groups.setdefault((alice.shape, bob.shape), []).append(i)
     for members in groups.values():
-        _check(alices[members[0]], bobs[members[0]], game)
+        alice, bob = alices[members[0]], bobs[members[0]]
+        validate_strategy(alice, game.phases["alice"])
+        validate_strategy(bob, game.phases["bob"])
+        n = len(alice.ancillas + game.wires + bob.ancillas)
+        if n > MAX_TOTAL_WIRES:
+            raise MalformedStrategy(f"{n} wires exceed the {MAX_TOTAL_WIRES}-qubit budget")
+        if game.one_honest and not (alice.honest or bob.honest):
+            raise MalformedStrategy("at least one party must be honest")
     results = [None] * len(bits)
     for members in groups.values():
         group_alices, group_bobs = [alices[i] for i in members], [bobs[i] for i in members]
@@ -817,15 +801,10 @@ def _leaf(entries: tuple[tuple[str, str], ...], codes: bytes, alice_honest: bool
     return repr(leaf), leaf
 
 
-@functools.lru_cache(maxsize=256)
-def _leaves(entries: tuple[tuple[str, str], ...], alice_honest: bool, bob_honest: bool
-            ) -> dict[bytes, tuple[str, tuple]]:
-    """The ``_leaf`` of each row codes met so far under one transcript header and honest flags.
-
-    Cached, and filled by ``_assemble``: the runners fix every (sender, key),
-    and each value is a bit or a verdict, so a game has few distinct leaves.
-    """
-    return {}
+# The ``_leaf`` of each row codes met so far, per (transcript header, Alice
+# honest, Bob honest), filled by ``_assemble``.  The games fix every header,
+# and each value is a bit or a verdict, so the games have few distinct leaves.
+_LEAVES: dict[tuple, dict[bytes, tuple[str, tuple]]] = {}
 
 
 def _assemble(parts: list[_Rows], alices: Sequence[StrategySpec],
@@ -834,7 +813,7 @@ def _assemble(parts: list[_Rows], alices: Sequence[StrategySpec],
 
     Each part reads its rows' verdict and transcript codes as one matrix, and
     a dict keyed by each row's bytes keeps every distinct row once, so only
-    distinct rows are looked up in the part's ``_leaves``.  One
+    distinct rows are looked up in the part's ``_LEAVES`` entry.  One
     ``np.bincount`` over (run, leaf) sums the probabilities over every row in
     part and row order, so each run's sums add its rows in the order that run
     alone would, as a branch-by-branch merge would.  A run holds the leaves
@@ -846,7 +825,7 @@ def _assemble(parts: list[_Rows], alices: Sequence[StrategySpec],
     for rows in parts:
         codes = rows.read(("alice", "verdict"), ("bob", "verdict"), *range(len(rows.entries)))
         keys = codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1]))).ravel().tolist()
-        known = _leaves(rows.entries, alice_honest, bob_honest)
+        known = _LEAVES.setdefault((rows.entries, alice_honest, bob_honest), {})
         distinct = dict.fromkeys(keys)   # in the order of first rows
         for key in distinct:
             if key not in known:
@@ -869,17 +848,13 @@ def _assemble(parts: list[_Rows], alices: Sequence[StrategySpec],
 
 
 # ---------------------------------------------------------------------------
-# Honest parties: each factory is cached, like ``_encoder``, since a spec is
-# immutable (no caller changes its programs in place); every caller of one
-# shares one spec, so its shape and ancillas are computed once.
+# Honest parties: each factory is cached, since a spec is immutable (no
+# caller changes its programs in place); every caller of one shares one spec,
+# so its rounds are built and checked, and its shape and ancillas computed, once.
 
 
-@functools.lru_cache(maxsize=256)
 def _encoder(wire: str, theta: float, b_key: str, x_key: str) -> Apply:
-    """The table of four rotations, keyed on (b, x), taking |0> on ``wire`` to phi_{b,x}.
-
-    Cached like ``escrow_basis``: a round is immutable, so every honest party shares one.
-    """
+    """The table of four rotations, keyed on (b, x), taking |0> on ``wire`` to phi_{b,x}."""
     table = [rotation(bx_angle(b, x, theta)) for b in (0, 1) for x in (0, 1)]
     return Apply((wire,), np.stack(table), keys=(b_key, x_key))
 
@@ -1106,8 +1081,10 @@ def deposit_reduced_state(alice: StrategySpec) -> DensityMatrix:
 
     Whatever the depositor later does cannot change this state, so it is the
     object that binds her; strategy pairs must agree on it to be comparable.
-    The strategy is checked against the escrow game's phases; only its
-    deposit program runs, with no bit seeded in the depositor's record.
+    The strategy is checked against the escrow game's phases, and only its
+    deposit program runs, with no bit seeded: a deposit that reads ``b``, as
+    ``honest_alice_escrow``'s does, raises ``MalformedStrategy``, and
+    ``escrow_bit_density`` is the honest deposit's state.
     """
     return _batch(_DEPOSIT, [alice], [honest_bob_escrow()], [None], THETA_DEFAULT)[0]
 

@@ -16,6 +16,7 @@ from qescrow import analysis as ana
 from qescrow import qmath
 from qescrow.protocols import (
     Challenge,
+    MalformedStrategy,
     Verdict,
     escrow_bit_density,
     escrow_bit_mixture,
@@ -223,6 +224,22 @@ def test_alice_seed_point_wins_at_product_cheat_value():
     rep = ana.coinflip_bias(ana.HonestParty.BOB_HONEST,
                             adv.alice_coinflip_from_angles(adv.ALICE_SEED_POINT))
     assert abs(max(rep.win_prob_0, rep.win_prob_1) - math.cos(math.pi / 8) ** 2) < 1e-12
+
+
+def test_depositor_builds_share_their_fixed_rounds():
+    # the CNOT, the readout of a0 and the claim of x are built and checked once
+    rng = np.random.default_rng(4)
+    one, two = (adv.alice_coinflip_from_angles(rng.uniform(0, math.pi, 12)) for _ in range(2))
+    (cnot, basis, *fixed), (cnot2, basis2, *fixed2) = (s.programs["reveal"] for s in (one, two))
+    assert cnot is cnot2 and basis is not basis2
+    assert len(fixed) == 2 and all(a is b for a, b in zip(fixed, fixed2))
+
+
+@pytest.mark.parametrize("bit", [0.7, "1"])
+def test_a_constant_receiver_announces_a_bit_or_fails(bit):
+    # 0.7 is no bit source; "1" is a record key that the receiver never sets
+    with pytest.raises(MalformedStrategy):
+        run_coinflip(honest_alice_coinflip(), adv.constant_bob(bit))
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def test_escrow_reveal_batch_equals_its_runs():
     rng = np.random.default_rng(1)
     alices = [_depositor(rng) for _ in range(5)]
     bobs = [honest_bob_escrow()] * 5
-    bits = [0, 1, 2, None, 1]   # the depositor never reads b here, so 2 is carried, unread
+    bits = [0, 1, 0, None, 1]   # the depositor never reads b here
     batch = run_escrow_batch(alices, bobs, Challenge.REVEAL_TO_BOB, bits, PARAMS)
     assert [exact(d) for d in batch] == [
         exact(run_escrow(a, b, Challenge.REVEAL_TO_BOB, bit, PARAMS))
@@ -212,10 +212,10 @@ def test_a_large_batch_reuses_the_leaves_of_one_run(monkeypatch):
     built = []
     leaf = protocols._leaf
     monkeypatch.setattr(protocols, "_leaf", lambda *args: built.append(args) or leaf(*args))
-    protocols._leaves.cache_clear()
+    protocols._LEAVES.clear()
     run_coinflip(alice, bobs[0])
     one = len(built)
-    protocols._leaves.cache_clear()
+    protocols._LEAVES.clear()
     batch = run_coinflip_batch([alice] * len(bobs), bobs)
     assert 0 < one == len(built) - one
     assert len(batch) == len(bobs)

@@ -7,9 +7,9 @@ same kind of wrapper on ``qmath.is_unitary`` shows that a run does not check a
 gate, or a record-dependent table of gates, again once its round is built, nor
 a batch the stack of its runs' gates and bases.  On ``qmath.renormalize`` it
 shows that only a read after a gate renormalizes, on
-``protocols.validate_strategy`` that a pair of shapes is checked once, and
-on ``qmath.measure`` that a batch's strategies are all checked before any
-branch runs.
+``protocols.validate_strategy`` that a pair of shapes is checked once per
+batch, and on ``qmath.measure`` that a batch's strategies and seeds are all
+checked before any branch runs.
 """
 
 import numpy as np
@@ -219,18 +219,39 @@ def test_only_a_read_after_a_gate_renormalizes(run, renormalized, monkeypatch):
     assert len(calls) == renormalized
 
 
-def test_a_shape_pair_is_checked_once(monkeypatch):
+def test_a_shape_pair_is_checked_once_per_batch(monkeypatch):
     rng = np.random.default_rng(11)
     bobs = [_receiver(Apply(("dep",), qmath.random_unitary(2, rng))) for _ in range(100)]
+    alices = [honest_alice_coinflip()] * len(bobs)
     calls = []
     monkeypatch.setattr(protocols, "validate_strategy",
                         _counting(calls, protocols.validate_strategy))
-    protocols._CHECKED.clear()
-    for bob in bobs:
-        protocols.run_coinflip(honest_alice_coinflip(), bob)
+    protocols.run_coinflip_batch(alices, bobs)   # one shape group: its first pair is checked
     assert len(calls) == 2
+    for alice, bob in zip(alices, bobs):   # each run is a batch of its own
+        protocols.run_coinflip(alice, bob)
+    assert len(calls) == 2 + 200
     bad = StrategySpec("bob", 0, {"choose": (SetBits({"rb": 1}),)})   # rb is not Bob's wire
-    for _ in range(2):   # a failing check is not remembered
+    for _ in range(2):
         with pytest.raises(protocols.MalformedStrategy, match="touches"):
             protocols.run_coinflip(honest_alice_coinflip(), bad)
-    assert len(calls) == 6
+    assert len(calls) == 202 + 4
+
+
+@pytest.mark.parametrize("seed", [0.5, 1.9, -0.3, "1", 2])
+@pytest.mark.parametrize("run", [
+    lambda b: protocols.run_escrow(honest_alice_escrow(), honest_bob_escrow(),
+                                   Challenge.REVEAL_TO_BOB, b),
+    lambda b: protocols.run_escrow_reveal_then_return(honest_alice_escrow(),
+                                                      honest_bob_escrow(), b),
+    lambda b: protocols.run_weak_commitment(honest_alice_weak(), honest_bob_weak(), b),
+    lambda b: protocols.run_escrow_batch([honest_alice_escrow()] * 2, [honest_bob_escrow()] * 2,
+                                         Challenge.RETURN_TO_ALICE, [0, b], EscrowParams()),
+], ids=["escrow", "reveal-then-return", "weak-commitment", "escrow-batch"])
+def test_a_seed_that_is_not_a_bit_fails_before_any_branch_runs(run, seed, monkeypatch):
+    # a seed is 0, 1 or None, by SetBits' rule; nothing truncates 0.5 to 0 or "1" to 1
+    calls = []
+    monkeypatch.setattr(qmath, "measure", _counting(calls, qmath.measure))
+    with pytest.raises(protocols.MalformedStrategy, match="not a bit"):
+        run(seed)
+    assert calls == []

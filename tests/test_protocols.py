@@ -430,9 +430,24 @@ def test_honest_party_without_its_result_bits_is_malformed(run):
         run(_HONEST_ALICE_WITHOUT_B)
 
 
-def test_escrow_basis_is_cached():
-    assert escrow_basis(1, THETA) is escrow_basis(1, THETA)
-    assert escrow_basis(0, THETA) is not escrow_basis(1, THETA)
+def test_checks_share_one_stacked_basis():
+    bases = protocols._check_bases(THETA)
+    assert bases is protocols._check_bases(THETA)
+    assert bases.matrix.shape == (2, 2, 2)
+    for x in (0, 1):
+        assert np.array_equal(bases.matrix[x], escrow_basis(x, THETA).matrix)
+
+
+@pytest.mark.parametrize("count", [1.5, "1", None, -1, 5])
+def test_ancilla_count_must_be_an_integer_from_0_to_4(count):
+    with pytest.raises(MalformedStrategy, match="ancilla count"):
+        StrategySpec("bob", count, {"receive": (Apply(("dep",), np.eye(2)),)})
+
+
+def test_a_deposit_that_reads_its_seeded_bit_has_no_reduced_state():
+    # the deposit game seeds no bit, and the honest encoder is keyed on (b, x)
+    with pytest.raises(MalformedStrategy, match="reads key 'b' before it is set"):
+        deposit_reduced_state(honest_alice_escrow())
 
 
 def test_strategy_rejects_unknown_phase():
