@@ -45,11 +45,13 @@ from .protocols import (
     COIN_THETA,
     Apply,
     EscrowParams,
+    MalformedStrategy,
     MeasureRecord,
     OutcomeDistribution,
     SetBits,
     StrategySpec,
     Verdict,
+    _is_bit,
     escrow_bit_density,
     escrow_bit_mixture,
     rotation,
@@ -291,7 +293,9 @@ def state_from_angles(dim: int, angles: Sequence[float]) -> np.ndarray:
 
 
 def constant_bob(bit: int) -> StrategySpec:
-    """Coin-flip receiver who always announces the same bit."""
+    """Coin-flip receiver who always announces the same bit: 0 or 1, by the seed rule."""
+    if not _is_bit(bit):
+        raise MalformedStrategy(f"a constant receiver announces 0 or 1, not {bit!r}")
     return StrategySpec(
         party="bob", ancilla_count=0, label=f"bob-constant-{bit}",
         programs={"choose": (SetBits({"bp": bit}),)},

@@ -25,6 +25,7 @@ Conventions pinned here once:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -54,6 +55,7 @@ from .protocols import (
 )
 
 BOUND_TOL = 1e-9
+_BX = ((0, 0), (0, 1), (1, 0), (1, 1))   # the four encodings (b, x), in report order
 
 # Coin-flip caps at the protocol angle pi/8: the receiver cannot push the
 # honest side's result past cos^2(pi/8), the depositor not past (sqrt(8)-1)/2.
@@ -168,6 +170,23 @@ def extract_attack_unitary(bob: StrategySpec) -> tuple[np.ndarray, int]:
     return rnd.unitary.matrix, bob.ancilla_count
 
 
+@functools.lru_cache(maxsize=64)
+def _encodings(theta: float, anc_dim: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per (b, x) of ``_BX``: phi_{b,x} (x) |0..0>, conj phi_{b,x} and conj phi_{not b,x}.
+
+    Read-only, and cached per (theta, ancilla dimension) as the check bases are.
+    """
+    out = []
+    for b, x in _BX:
+        phi = phi_vec(bx_angle(b, x, theta))
+        start = np.zeros(2 * anc_dim, dtype=complex)
+        start[::anc_dim] = phi  # phi_{b,x} (x) |0..0>
+        out.append((start, phi.conj(), phi_vec(bx_angle(1 - b, x, theta)).conj()))
+        for a in out[-1]:
+            a.setflags(write=False)
+    return tuple(out)
+
+
 def w_decomposition(u: np.ndarray, theta: float) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
     """Per (b, x): kept-register components along the claimed and opposite encodings.
 
@@ -176,15 +195,9 @@ def w_decomposition(u: np.ndarray, theta: float) -> dict[tuple[int, int], tuple[
     """
     anc_dim = u.shape[0] // 2
     out = {}
-    for b in (0, 1):
-        for x in (0, 1):
-            phi = phi_vec(bx_angle(b, x, theta))
-            start = np.zeros(2 * anc_dim, dtype=complex)
-            start[::anc_dim] = phi  # phi_{b,x} (x) |0..0>
-            attacked = (u @ start).reshape(2, anc_dim)
-            w = phi.conj() @ attacked
-            w_bad = phi_vec(bx_angle(1 - b, x, theta)).conj() @ attacked
-            out[(b, x)] = (w, w_bad)
+    for bx, (start, claimed, opposite) in zip(_BX, _encodings(theta, anc_dim)):
+        attacked = (u @ start).reshape(2, anc_dim)
+        out[bx] = (claimed @ attacked, opposite @ attacked)
     return out
 
 
@@ -206,17 +219,12 @@ def sealing_metrics(bob: StrategySpec, params: EscrowParams = EscrowParams()
     theta = params.theta
     u, n_anc = extract_attack_unitary(bob)
     dec = w_decomposition(u, theta)
-    w_norms = tuple(float(np.linalg.norm(dec[(b, x)][1]) ** 2)
-                    for b in (0, 1) for x in (0, 1))
+    w_norms = tuple(float(np.linalg.norm(dec[bx][1]) ** 2) for bx in _BX)
     detection = 0.25 * sum(w_norms)
-    anc_dim = 2 ** max(n_anc, 0)
-    kept = []
-    for b in (0, 1):
-        rho = np.zeros((anc_dim, anc_dim), dtype=complex)
-        for x in (0, 1):
-            w, w_bad = dec[(b, x)]
-            rho += 0.5 * (np.outer(w, w.conj()) + np.outer(w_bad, w_bad.conj()))
-        kept.append(rho)
+    vecs = np.array([dec[bx] for bx in _BX]).reshape(2, 2, 2, 2 ** n_anc)   # b, x, w or w', entry
+    outer = vecs[..., :, None] * vecs.conj()[..., None, :]
+    half = 0.5 * (outer[:, :, 0] + outer[:, :, 1])
+    kept = 0.0 + half[:, 0] + half[:, 1]   # per b, summed from zero over x as the loop summed it
     distance = trace_norm(kept[0] - kept[1])
     return SealingReport(theta, distance / 4.0, detection, w_norms,
                          sealing_bound_rhs(theta, detection), distance)

@@ -13,7 +13,8 @@ Four games are enumerated exactly, branch by branch:
 
 Each game is a ``_Game`` value: its wires, its phase map, a tuple of steps
 (play a phase, read a message, check a deposit, set an honest party's own
-result, reject, branch on a challenge) and how its leaves become results.
+result, reject, branch on a challenge; a challenge branch that no row
+reaches is not played) and how its leaves become results.
 One driver, ``_batch``, plays a game on N runs, each a (depositor,
 receiver, seeded bit) triple, and a runner is its batch of one.  Runs whose
 strategies have one shape (``StrategySpec.shape``: all but the gate and
@@ -629,7 +630,7 @@ def _play(rows: _Rows, specs: Mapping[str, Sequence[StrategySpec]], steps: tuple
     * ``("reject",)``: both verdicts are ERR;
     * ``("challenge", key, branches)``, last: the honest judge's (Alice when
       she is honest) result under ``key`` goes to the transcript, and each
-      (code, steps) of ``branches`` plays on the rows with that result.
+      (code, steps) of ``branches`` plays on the rows with that result, if any.
     """
     for op, *args in steps:
         if op == "play":
@@ -658,9 +659,9 @@ def _play(rows: _Rows, specs: Mapping[str, Sequence[StrategySpec]], steps: tuple
             if _UNSET in codes.tolist():
                 raise MalformedStrategy(f"{judge} has no {key} result to choose the challenge")
             rows.tell(key, "result", codes)
-            return [part for code, branch in branches
-                    for part in _play(rows.take(np.flatnonzero(codes == code)), specs, branch,
-                                      theta)]
+            chosen = [(np.flatnonzero(codes == code), branch) for code, branch in branches]
+            return [part for members, branch in chosen if len(members)
+                    for part in _play(rows.take(members), specs, branch, theta)]
     return [rows]
 
 
@@ -965,7 +966,7 @@ def _reduced_deposits(parts: list[_Rows], alices: Sequence[StrategySpec],
     for end in ends:
         total = sum(probs[start:end])
         m = sum(p / total * r for p, r in zip(probs[start:end], reduced[start:end]))
-        out.append(DensityMatrix(("dep",), m))
+        out.append(qmath._derived_density(("dep",), m))
         start = end
     return out
 

@@ -16,6 +16,11 @@ checked once when it is built; an ``OrthogonalMeasurement`` is the
 computational basis state per row with ``StateStack.insert``, and
 ``renormalize`` is the measurement of a wire that holds a definite bit.
 
+A value derived from checked ones is checked only for what its derivation
+can break: rows that a gate, a measurement or ``renormalize`` makes for
+their norms, and a reduced density matrix (Hermitian and PSD by
+construction) for a finite trace of 1.
+
 All values are immutable after construction and every operation is a pure
 function, so concurrent use needs no synchronization.  Randomness is always
 drawn from an explicitly passed ``numpy.random.Generator``.
@@ -162,9 +167,7 @@ class StateStack:
 
     def take(self, rows: Sequence[int]) -> "StateStack":
         """The stack of the given rows, in the given order (a row may repeat)."""
-        amps = self.amplitudes[np.asarray(rows, dtype=np.intp)]
-        amps.setflags(write=False)
-        return _trusted(self.wires, amps)
+        return _trusted(self.wires, self.amplitudes[np.asarray(rows, dtype=np.intp)])
 
     def flip(self, wire: str, rows: np.ndarray) -> "StateStack":
         """X on ``wire`` in the rows where the boolean mask ``rows`` is set.
@@ -174,9 +177,7 @@ class StateStack:
         n = len(self.amplitudes)
         amps = self.amplitudes.reshape(n, 2 ** self.wires.index(wire), 2, -1).copy()
         amps[rows] = amps[rows][:, :, ::-1]
-        amps = amps.reshape(n, -1)
-        amps.setflags(write=False)
-        return _trusted(self.wires, amps)
+        return _trusted(self.wires, amps.reshape(n, -1))
 
     def insert(self, at: int, wire: str, bits: np.ndarray) -> "StateStack":
         """The stack with ``wire`` placed before position ``at``, in |bits[r]> in row r.
@@ -193,13 +194,13 @@ class StateStack:
         before, after = 2 ** at, 2 ** (len(self.wires) - at)
         amps = np.zeros((n, before, 2, after), dtype=complex)
         amps[np.arange(n), :, bits] = self.amplitudes.reshape(n, before, after)
-        amps = amps.reshape(n, 2 * before * after)
-        amps.setflags(write=False)
-        return _trusted(self.wires[:at] + (wire,) + self.wires[at:], amps)
+        return _trusted(self.wires[:at] + (wire,) + self.wires[at:],
+                        amps.reshape(n, 2 * before * after))
 
 
 def _trusted(wires: tuple[str, ...], amps: np.ndarray) -> StateStack:
-    """A stack built without validation from amplitudes already checked."""
+    """A stack built without validation from amplitudes already checked, which it freezes."""
+    amps.setflags(write=False)
     obj = object.__new__(StateStack)
     object.__setattr__(obj, "wires", wires)
     object.__setattr__(obj, "amplitudes", amps)
@@ -215,7 +216,6 @@ def _derived_state(wires: tuple[str, ...], amps: np.ndarray) -> StateStack:
     writes.
     """
     _check_norms(amps)
-    amps.setflags(write=False)
     return _trusted(wires, amps)
 
 
@@ -243,6 +243,17 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _derived_density(wires: tuple[str, ...], m: np.ndarray) -> DensityMatrix:
+    """A fresh matrix reduced from checked rows, so Hermitian and PSD: checks a finite trace 1."""
+    if not abs(np.trace(m).real - 1.0) <= ATOL_STATE * len(m):  # written so that NaN fails too
+        raise QMathError(f"trace {np.trace(m)} != 1")
+    m.setflags(write=False)
+    out = object.__new__(DensityMatrix)
+    object.__setattr__(out, "wires", wires)
+    object.__setattr__(out, "matrix", m)
+    return out
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,16 @@
 
 import numpy as np
 
-from qescrow.protocols import MeasureRecord, StrategySpec, honest_alice_escrow
+from qescrow.protocols import (
+    Apply,
+    Draw,
+    EscrowParams,
+    MeasureRecord,
+    SetBits,
+    StrategySpec,
+    honest_alice_escrow,
+    honest_alice_weak,
+)
 from qescrow.qmath import OrthogonalMeasurement, StateStack, StateVector, Unitary, apply_unitary
 
 
@@ -23,6 +32,18 @@ def fixed_bit_alice(bit: int) -> StrategySpec:
             "reveal": base.programs["reveal"],
         },
     )
+
+
+def weak_alice_every_coin_err(theta: float) -> StrategySpec:
+    """A depositor who always reveals the wrong coin bit, so every coin result is err."""
+    programs = dict(honest_alice_weak(EscrowParams(theta)).programs)
+    not_b2 = np.stack((np.array([[0, 1], [1, 0]]), np.eye(2)))
+    programs["deposit"] = (Draw("b2"), Apply(("a0",), not_b2, keys=("b2",)),
+                           MeasureRecord(("a0",), OrthogonalMeasurement.computational(1), "not_b2")
+                           ) + programs["deposit"]
+    programs["coin_deposit"] = programs["coin_deposit"][1:]
+    programs["coin_reveal"] = (SetBits({"rb2": "not_b2", "rx2": "x2"}),)
+    return StrategySpec("alice", 1, programs)
 
 
 def apply_to_state(psi: StateVector, matrix: np.ndarray, on) -> StateVector:

@@ -242,6 +242,19 @@ def test_a_constant_receiver_announces_a_bit_or_fails(bit):
         run_coinflip(honest_alice_coinflip(), adv.constant_bob(bit))
 
 
+@pytest.mark.parametrize("bit", ["1", 0.7, 2, None])
+def test_a_constant_receiver_of_a_non_bit_is_not_built(bit):
+    # the label would name an announcement that the built receiver never makes
+    with pytest.raises(MalformedStrategy, match="announces 0 or 1"):
+        adv.constant_bob(bit)
+
+
+@pytest.mark.parametrize("bit", [1, np.int64(0)])
+def test_a_constant_receiver_of_a_bit_announces_it(bit):
+    dist = run_coinflip(honest_alice_coinflip(), adv.constant_bob(bit))
+    assert dist.transcript_probability(("bob", "bprime", int(bit))) == pytest.approx(1.0)
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 

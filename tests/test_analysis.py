@@ -28,10 +28,13 @@ from qescrow.analysis import (
 )
 from qescrow.protocols import (
     Apply,
+    EscrowParams,
     MeasureRecord,
     StrategySpec,
+    bx_angle,
     escrow_bit_density,
     honest_bob_coinflip,
+    phi_vec,
 )
 
 THETA = math.pi / 8
@@ -162,6 +165,59 @@ def test_sealing_detection_identity_and_frontier_random():
         rep = sealing_metrics(bob)
         assert abs(enumerated_return_error(bob) - rep.detection_p) < 1e-9
         assert check_sealing_bound(rep)
+
+
+def _loop_w_decomposition(u, theta):
+    """The decomposition as a plain loop over (b, x), each encoding built where it is used."""
+    anc_dim = u.shape[0] // 2
+    out = {}
+    for b in (0, 1):
+        for x in (0, 1):
+            phi = phi_vec(bx_angle(b, x, theta))
+            start = np.zeros(2 * anc_dim, dtype=complex)
+            start[::anc_dim] = phi
+            attacked = (u @ start).reshape(2, anc_dim)
+            out[(b, x)] = (phi.conj() @ attacked,
+                           phi_vec(bx_angle(1 - b, x, theta)).conj() @ attacked)
+    return out
+
+
+def _loop_sealing(u, theta):
+    """(advantage, detection, w' masses, kept trace distance), each kept state summed in a loop."""
+    dec = _loop_w_decomposition(u, theta)
+    w_norms = tuple(float(np.linalg.norm(dec[(b, x)][1]) ** 2) for b in (0, 1) for x in (0, 1))
+    anc_dim = u.shape[0] // 2
+    kept = []
+    for b in (0, 1):
+        rho = np.zeros((anc_dim, anc_dim), dtype=complex)
+        for x in (0, 1):
+            w, w_bad = dec[(b, x)]
+            rho += 0.5 * (np.outer(w, w.conj()) + np.outer(w_bad, w_bad.conj()))
+        kept.append(rho)
+    distance = qmath.trace_norm(kept[0] - kept[1])
+    return distance / 4.0, 0.25 * sum(w_norms), w_norms, distance
+
+
+def _hex(values) -> list[str]:
+    return [v.hex() for v in np.asarray(values, dtype=complex).view(float).ravel().tolist()]
+
+
+@pytest.mark.parametrize("theta", [math.pi / 16, math.pi / 12, math.pi / 8])
+@pytest.mark.parametrize("ancillas", [0, 1, 2])
+def test_sealing_metrics_are_the_plain_loops_to_the_bit(ancillas, theta):
+    # the encodings are cached per (theta, ancilla dimension), and the kept
+    # states are one broadcast product: neither may move a float
+    rng = np.random.default_rng(100 + ancillas)
+    for _ in range(20):
+        bob = adv.random_return_attack(rng, ancillas)
+        u, _ = ana.extract_attack_unitary(bob)
+        dec, want = w_decomposition(u, theta), _loop_w_decomposition(u, theta)
+        assert list(dec) == list(want)
+        assert all(_hex(dec[k][i]) == _hex(want[k][i]) for k in want for i in (0, 1))
+        rep = sealing_metrics(bob, EscrowParams(theta))
+        advantage, detection, w_norms, distance = _loop_sealing(u, theta)
+        assert _hex([rep.advantage_eps, rep.detection_p, *rep.w_norms, rep.kept_trace_distance]) \
+            == _hex([advantage, detection, *w_norms, distance])
 
 
 def test_sealing_bound_rhs_shape():

@@ -15,13 +15,12 @@ import pathlib
 import numpy as np
 import pytest
 
-from helpers import fixed_bit_alice
+from helpers import fixed_bit_alice, weak_alice_every_coin_err
 from qescrow import adversaries as adv
 from qescrow import qmath
 from qescrow.protocols import (
     Apply,
     Challenge,
-    Draw,
     EscrowParams,
     MeasureRecord,
     SetBits,
@@ -64,17 +63,6 @@ def _weak_cross_component_receiver(seed: int) -> StrategySpec:
     return StrategySpec("bob", 1, {
         "receive": (Apply(("dep", "c0"), u),),
         "coin_choose": (MeasureRecord(("c0",), COMP1, "guess"), SetBits({"bp": "guess"}))})
-
-
-def _weak_alice_every_coin_err(theta: float) -> StrategySpec:
-    """A depositor who always reveals the wrong coin bit, so every coin result is err."""
-    programs = dict(honest_alice_weak(EscrowParams(theta)).programs)
-    not_b2 = np.stack((np.array([[0, 1], [1, 0]]), np.eye(2)))
-    programs["deposit"] = (Draw("b2"), Apply(("a0",), not_b2, keys=("b2",)),
-                           MeasureRecord(("a0",), COMP1, "not_b2")) + programs["deposit"]
-    programs["coin_deposit"] = programs["coin_deposit"][1:]
-    programs["coin_reveal"] = (SetBits({"rb2": "not_b2", "rx2": "x2"}),)
-    return StrategySpec("alice", 1, programs)
 
 
 def _dishonest(spec: StrategySpec) -> StrategySpec:
@@ -123,7 +111,7 @@ def _cases() -> dict:
         "weak-cross-component-receiver-b0": lambda: run_weak_commitment(
             honest_alice_weak(), _weak_cross_component_receiver(10), 0),
         "weak-every-coin-err-b1": lambda: run_weak_commitment(
-            _weak_alice_every_coin_err(math.pi / 8), honest_bob_weak(), 1),
+            weak_alice_every_coin_err(math.pi / 8), honest_bob_weak(), 1),
         "deposit-fixed-bit-0": lambda: deposit_reduced_state(fixed_bit_alice(0)),
         "deposit-random-opening": lambda: deposit_reduced_state(
             adv.random_binding_pair(rng(4))[0]),

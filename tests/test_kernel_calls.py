@@ -9,12 +9,14 @@ a batch the stack of its runs' gates and bases.  On ``qmath.renormalize`` it
 shows that only a read after a gate renormalizes, on
 ``protocols.validate_strategy`` that a pair of shapes is checked once per
 batch, and on ``qmath.measure`` that a batch's strategies and seeds are all
-checked before any branch runs.
+checked before any branch runs.  The kernel calls of the composed game show
+that a challenge branch that no row reaches is not played.
 """
 
 import numpy as np
 import pytest
 
+from helpers import weak_alice_every_coin_err
 from qescrow import protocols, qmath
 from qescrow.protocols import (
     COIN_THETA,
@@ -236,6 +238,44 @@ def test_a_shape_pair_is_checked_once_per_batch(monkeypatch):
         with pytest.raises(protocols.MalformedStrategy, match="touches"):
             protocols.run_coinflip(honest_alice_coinflip(), bad)
     assert len(calls) == 202 + 4
+
+
+def _record_kernel_calls(monkeypatch) -> list:
+    """(kernel, wires it acts on, rows) of every kernel call, in call order."""
+    seen = []
+
+    def recording(name, kernel):
+        def wrapper(states, *args, **kwargs):
+            seen.append((name, tuple(args[-1]) if args else (), len(states.amplitudes)))
+            return kernel(states, *args, **kwargs)
+        return wrapper
+
+    for name in ("apply_unitary", "measure", "renormalize", "partial_trace"):
+        wrapper = recording(name, getattr(qmath, name))
+        monkeypatch.setattr(qmath, name, wrapper)
+        if hasattr(protocols, name):
+            monkeypatch.setattr(protocols, name, wrapper)
+    return seen
+
+
+@pytest.mark.parametrize("alice, calls", [
+    # an honest coin is never err: both checks run, on the 8 rows of each coin result
+    (honest_alice_weak, [
+        ("apply_unitary", ("dep",), 2), ("renormalize", (), 2),
+        ("apply_unitary", ("dep2",), 8), ("renormalize", (), 16), ("measure", ("dep2",), 16),
+        ("measure", ("dep",), 8), ("measure", ("dep",), 8)]),
+    # every coin is err (the golden weak-every-coin-err-b1 case): no check runs on no rows
+    (lambda: weak_alice_every_coin_err(COIN_THETA), [
+        ("apply_unitary", ("a0",), 2), ("measure", ("a0",), 2),
+        ("apply_unitary", ("dep",), 4), ("renormalize", (), 4),
+        ("apply_unitary", ("dep2",), 8), ("renormalize", (), 16), ("measure", ("dep2",), 16)]),
+], ids=["honest", "every-coin-err"])
+def test_a_challenge_branch_that_no_row_reaches_is_not_played(alice, calls, monkeypatch):
+    alice = alice()
+    unwrapped = protocols.run_weak_commitment(alice, honest_bob_weak(), 1)
+    seen = _record_kernel_calls(monkeypatch)
+    assert protocols.run_weak_commitment(alice, honest_bob_weak(), 1) == unwrapped
+    assert seen == calls
 
 
 @pytest.mark.parametrize("seed", [0.5, 1.9, -0.3, "1", 2])

@@ -450,6 +450,30 @@ def test_a_deposit_that_reads_its_seeded_bit_has_no_reduced_state():
         deposit_reduced_state(honest_alice_escrow())
 
 
+def _random_depositor(rng: np.random.Generator, ancillas: int) -> StrategySpec:
+    """A deposit that entangles ``dep`` with the ancillas, then may measure the first of them."""
+    wires = tuple(f"a{i}" for i in range(ancillas)) + ("dep",)
+    rounds = (Apply(wires, qmath.random_unitary(2 ** len(wires), rng)),)
+    if ancillas:
+        rounds += (MeasureRecord(("a0",), qmath.random_basis_measurement(2, rng), "m"),)
+    return StrategySpec("alice", ancillas, {"deposit": rounds})
+
+
+@pytest.mark.parametrize("ancillas", [0, 1, 2])
+def test_a_reduced_deposit_passes_the_full_density_matrix_check(ancillas):
+    # a reduced deposit is checked only for its trace; the rest holds by construction
+    from qescrow.adversaries import random_binding_pair
+    rng = np.random.default_rng(30 + ancillas)
+    alices = [_random_depositor(rng, ancillas) for _ in range(20)]
+    alices += [alice for _ in range(5) for alice in random_binding_pair(rng)]
+    deposits = protocols.deposit_reduced_state_batch(alices)
+    deposits += [deposit_reduced_state(alice) for alice in alices[::4]]
+    for d in deposits:
+        full = qmath.DensityMatrix(d.wires, d.matrix)   # Hermitian, trace 1 and PSD
+        assert d.wires == ("dep",) and np.array_equal(full.matrix, d.matrix)
+        assert not d.matrix.flags.writeable
+
+
 def test_strategy_rejects_unknown_phase():
     alice = StrategySpec("alice", 0, {"banana": (Draw("b"),)})
     with pytest.raises(MalformedStrategy):

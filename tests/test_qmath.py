@@ -758,6 +758,36 @@ def test_norm_check_names_the_first_failing_row(rows, norm):
         qmath._derived_state(("q",), np.array(rows, dtype=complex))
 
 
+@pytest.mark.parametrize("bad, norm", [(np.nan, "nan"), (3.0, "3.0")])
+def test_norm_check_names_the_first_failing_row_of_a_long_stack(bad, norm):
+    # a faster check of long stacks must still fail NaN and name the first bad row
+    rows = 1000
+    amps = np.zeros((rows, 2), dtype=complex)
+    amps[:, 0] = 1.0
+    qmath._derived_state(("q",), amps.copy())
+    amps[rows // 2, 0] = bad
+    amps[rows - 1, 0] = 2.0
+    with pytest.raises(qmath.QMathError, match=f"state norm {norm} != 1"):
+        qmath._derived_state(("q",), amps)
+
+
+@pytest.mark.parametrize("bad", [np.nan, 0.0])
+def test_renormalize_rejects_a_row_whose_norm_is_nan_or_zero(bad):
+    amps = np.array([[0.6, 0.8], [bad, 0.0], [1.0, 0.0]], dtype=complex)
+    with pytest.raises(qmath.QMathError, match="state norm nan != 1"), np.errstate(invalid="ignore"):
+        qmath.renormalize(qmath._trusted(("q",), amps))
+
+
+def test_a_derived_density_matrix_checks_its_trace():
+    rho = np.diag([0.25, 0.75]).astype(complex)
+    d = qmath._derived_density(("q",), rho)
+    assert type(d) is DensityMatrix and d.wires == ("q",) and d.matrix is rho
+    assert not d.matrix.flags.writeable
+    for trace in (0.5, np.nan, np.inf):
+        with pytest.raises(qmath.QMathError, match="trace"):
+            qmath._derived_density(("q",), np.diag([0.25, trace - 0.25]).astype(complex))
+
+
 @pytest.mark.parametrize("basis", [np.array([[1.0, 1.0], [0.0, 1.0]]),
                                    np.array([[1.0, 0.0], [0.0, 1.0 + 1e-6]]),
                                    np.eye(2)[:, :1]])
