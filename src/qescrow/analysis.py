@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qmath import trace_norm
+from .qmath import DensityMatrix, trace_norm
 from .protocols import (
     Apply,
     Challenge,
@@ -41,7 +41,6 @@ from .protocols import (
     OutcomeDistribution,
     StrategySpec,
     Verdict,
-    deposit_reduced_state_batch,
     honest_alice_coinflip,
     honest_alice_escrow,
     honest_bob_coinflip,
@@ -118,18 +117,23 @@ def binding_metrics(alice0: StrategySpec, alice1: StrategySpec,
 
     The two strategies must share a deposit: equality is checked on the
     reduced density matrix of the deposit wire, since nothing the depositor
-    does afterwards can change it.  Both deposits run in one pass, then both
-    openings.
+    does afterwards can change it.  Both runs play the reveal game in one
+    pass, and the deposits are compared on its rows right after the deposit
+    phase, before either opening plays: a mismatch raises ``DepositMismatch``
+    even where an opening would fail too.
     """
-    dep0, dep1 = deposit_reduced_state_batch([alice0, alice1])
-    if np.max(np.abs(dep0.matrix - dep1.matrix)) > 1e-9:
-        raise DepositMismatch("the two strategies deposit different reduced states")
     bob = honest_bob_escrow()
     d0, d1 = run_escrow_batch([alice0, alice1], [bob, bob], Challenge.REVEAL_TO_BOB,
-                              [None, None], params)
+                              [None, None], params, deposited=_same_deposit)
     p0, p1, perr = _claim_probabilities(d0)
     q0, q1, qerr = _claim_probabilities(d1)
     return BindingReport(params.theta, p0, p1, perr, q0, q1, qerr)
+
+
+def _same_deposit(deposits: list[DensityMatrix]) -> None:
+    dep0, dep1 = deposits
+    if np.max(np.abs(dep0.matrix - dep1.matrix)) > 1e-9:
+        raise DepositMismatch("the two strategies deposit different reduced states")
 
 
 def check_binding_bound(report: BindingReport) -> bool:
@@ -187,18 +191,24 @@ def _encodings(theta: float, anc_dim: int) -> tuple[tuple[np.ndarray, ...], ...]
     return tuple(out)
 
 
+def _decompose(us: np.ndarray, theta: float) -> list[np.ndarray]:
+    """w, then w', per (b, x) of ``_BX``: each an (attack, entry) array over the stack ``us``."""
+    anc_dim = us.shape[-1] // 2
+    parts = []
+    for start, claimed, opposite in _encodings(theta, anc_dim):
+        attacked = (us @ start).reshape(-1, 2, anc_dim)   # one product for every attack
+        parts += (claimed @ attacked, opposite @ attacked)
+    return parts
+
+
 def w_decomposition(u: np.ndarray, theta: float) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
     """Per (b, x): kept-register components along the claimed and opposite encodings.
 
     U (phi_{b,x} (x) |0..0>) = phi_{b,x} (x) w_{b,x} + phi_{not b,x} (x) w'_{b,x};
     the w' masses are exactly the per-case check-failure probabilities.
     """
-    anc_dim = u.shape[0] // 2
-    out = {}
-    for bx, (start, claimed, opposite) in zip(_BX, _encodings(theta, anc_dim)):
-        attacked = (u @ start).reshape(2, anc_dim)
-        out[bx] = (claimed @ attacked, opposite @ attacked)
-    return out
+    parts = _decompose(u[None], theta)
+    return {bx: (parts[2 * i][0], parts[2 * i + 1][0]) for i, bx in enumerate(_BX)}
 
 
 def sealing_bound_rhs(theta: float, detection_p: float) -> float:
@@ -216,18 +226,28 @@ def sealing_metrics(bob: StrategySpec, params: EscrowParams = EscrowParams()
     the four encodings); advantage is the optimal-guess edge over the kept
     ancilla states, a quarter of their trace distance.
     """
-    theta = params.theta
-    u, n_anc = extract_attack_unitary(bob)
-    dec = w_decomposition(u, theta)
-    w_norms = tuple(float(np.linalg.norm(dec[bx][1]) ** 2) for bx in _BX)
-    detection = 0.25 * sum(w_norms)
-    vecs = np.array([dec[bx] for bx in _BX]).reshape(2, 2, 2, 2 ** n_anc)   # b, x, w or w', entry
+    u, _ = extract_attack_unitary(bob)
+    return _sealing_reports(u[None], params.theta)[0]
+
+
+def _sealing_reports(us: np.ndarray, theta: float) -> list[SealingReport]:
+    """``sealing_metrics`` of each attack of the stack ``us``, from one decomposition.
+
+    Each w' mass is ``np.linalg.norm(w') ** 2`` by numpy's own arithmetic.
+    """
+    vecs = np.array(_decompose(us, theta)).reshape(2, 2, 2, len(us), -1)   # b, x, w/w', attack
     outer = vecs[..., :, None] * vecs.conj()[..., None, :]
     half = 0.5 * (outer[:, :, 0] + outer[:, :, 1])
-    kept = 0.0 + half[:, 0] + half[:, 1]   # per b, summed from zero over x as the loop summed it
-    distance = trace_norm(kept[0] - kept[1])
-    return SealingReport(theta, distance / 4.0, detection, w_norms,
-                         sealing_bound_rhs(theta, detection), distance)
+    kept = 0.0 + half[:, 0] + half[:, 1]   # per b, summed from zero over x as a loop sums it
+    reports = []
+    for j in range(len(us)):
+        w_norms = tuple(math.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag)) ** 2
+                        for w in vecs[:, :, 1, j].reshape(4, -1))
+        detection = 0.25 * sum(w_norms)
+        distance = trace_norm(kept[0, j] - kept[1, j])
+        reports.append(SealingReport(theta, distance / 4.0, detection, w_norms,
+                                     sealing_bound_rhs(theta, detection), distance))
+    return reports
 
 
 def check_sealing_bound(report: SealingReport) -> bool:
@@ -321,21 +341,24 @@ def modified_sealing_check(bob_pair: tuple[StrategySpec, StrategySpec],
     convention the first entry is what he does on 0).  The check passes iff
     both conditional actions, taken as unconditional attacks, sit inside the
     sealing frontier and the conditional game's total detection matches the
-    decomposition identity.  The detection on bit b is read off the sealing
-    report of the action on b, and the game runs both bits in one pass.
+    decomposition identity.  The two actions' unitaries, as one stack, are
+    the conditional game's table and give both ``sealing_metrics`` reports
+    from one decomposition.  The detection on bit b is read off the report
+    of the action on b, and the game runs both bits in one pass.
     """
     theta = params.theta
     u0, n0 = extract_attack_unitary(bob_pair[0])
     u1, n1 = extract_attack_unitary(bob_pair[1])
     if n0 != n1:
         raise NotUnitaryAttack("conditional actions must use the same ancilla register")
-    reports = (sealing_metrics(bob_pair[0], params), sealing_metrics(bob_pair[1], params))
+    actions = np.stack((u0, u1))
+    reports = _sealing_reports(actions, theta)
     d0, d1 = (0.5 * (r.w_norms[2 * b] + r.w_norms[2 * b + 1]) for b, r in enumerate(reports))
     total = 0.5 * (d0 + d1)
 
     conditional_bob = StrategySpec(
         party="bob", ancilla_count=n0, label="bob-conditional-return",
-        programs={"return": (Apply(("dep",) + bob_pair[0].ancillas, np.stack((u0, u1)),
+        programs={"return": (Apply(("dep",) + bob_pair[0].ancillas, actions,
                                    keys=("b_claim",)),)},
     )
     alice = honest_alice_escrow(params)

@@ -24,7 +24,9 @@ builds one root row per run, and ``_play`` runs the steps: ``_run_program``
 a party's phase, ``_read_bit`` a classical message, ``_check_deposit`` a
 deposit projected on its claimed encoding.  ``_assemble`` merges the leaves
 into one distribution per run.  The ``*_batch`` entry points return results in
-input order; ``deposit_reduced_state`` is the game of the deposit alone.
+input order.  ``deposit_reduced_state`` is the game of the deposit alone;
+``run_escrow_batch`` hands each run's reduced deposit, taken off its rows
+right after the deposit phase, to a caller's check before the rest plays.
 
 The branches of a batch are rows (``_Rows``): one ``qmath.StateStack`` holds
 every branch's amplitudes on the run's quantum wires, next to one probability
@@ -93,6 +95,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, Sequence
@@ -151,8 +154,8 @@ class EscrowParams:
     theta: float = THETA_DEFAULT
 
     def __post_init__(self):
-        if not 0.0 < self.theta <= math.pi / 8 + 1e-12:
-            raise ProtocolError(f"theta {self.theta} outside (0, pi/8]")
+        if not (isinstance(self.theta, numbers.Real) and 0.0 < self.theta <= math.pi / 8 + 1e-12):
+            raise ProtocolError(f"theta {self.theta!r} outside (0, pi/8]")
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +286,8 @@ class SetBits:
     assignments: Mapping[str, int | str]
 
     def __post_init__(self):
+        if not isinstance(self.assignments, Mapping):
+            raise MalformedStrategy(f"bit sources {self.assignments!r} are not a map from wires")
         for wire, src in self.assignments.items():
             if not (isinstance(src, str) or _is_bit(src)):
                 raise MalformedStrategy(f"bit source {src!r} for {wire!r} is not 0, 1 or a key")
@@ -319,7 +324,11 @@ class StrategySpec:
         count = self.ancilla_count
         if not (isinstance(count, (int, np.integer)) and 0 <= count <= 4):
             raise MalformedStrategy(f"ancilla count {count!r} is not an integer in [0, 4]")
-        programs = {k: tuple(v) for k, v in dict(self.programs).items()}
+        try:
+            programs = {k: tuple(v) for k, v in dict(self.programs).items()}
+        except (TypeError, ValueError):
+            raise MalformedStrategy(
+                f"programs {self.programs!r} are not a map from phases to rounds") from None
         object.__setattr__(self, "programs", programs)
         object.__setattr__(self, "shape", (
             self.party, self.ancilla_count, self.honest,
@@ -689,7 +698,8 @@ def _start(alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec],
 
 
 def _batch(game: _Game, alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec],
-           bits: Sequence[int | None], theta: float) -> list:
+           bits: Sequence[int | None], theta: float,
+           deposited: Callable[[list[DensityMatrix]], None] | None = None) -> list:
     """``game`` on every run (alices[i], bobs[i], bits[i]), with one stack per shape group.
 
     The runs whose two specs have the same ``shape`` form a group.  Before any
@@ -700,6 +710,10 @@ def _batch(game: _Game, alices: Sequence[StrategySpec], bobs: Sequence[StrategyS
     root rows, and ``game.finish`` gives one result per run.  The results come
     back in input order; a run that raises raises for the whole batch.  Every
     runner is its batch of one.
+
+    With ``deposited``, every group first plays up to the deposit phase,
+    and ``deposited`` gets each run's reduced state on ``dep`` there, in
+    input order, before any group plays on; it may raise.
     """
     if not len(alices) == len(bobs) == len(bits):
         raise ProtocolError(f"{len(alices)} depositors, {len(bobs)} receivers and "
@@ -719,12 +733,20 @@ def _batch(game: _Game, alices: Sequence[StrategySpec], bobs: Sequence[StrategyS
             raise MalformedStrategy(f"{n} wires exceed the {MAX_TOTAL_WIRES}-qubit budget")
         if game.one_honest and not (alice.honest or bob.honest):
             raise MalformedStrategy("at least one party must be honest")
-    results = [None] * len(bits)
+    at = game.steps.index(_DEPOSIT_STEP) + 1 if deposited else 0
+    heads, deposits, results = [], {}, [None] * len(bits)
     for members in groups.values():
-        group_alices, group_bobs = [alices[i] for i in members], [bobs[i] for i in members]
-        rows = _start(group_alices, group_bobs, game.wires, [bits[i] for i in members])
-        parts = _play(rows, {"alice": group_alices, "bob": group_bobs}, game.steps, theta)
-        for i, result in zip(members, game.finish(parts, group_alices, group_bobs)):
+        specs = {"alice": [alices[i] for i in members], "bob": [bobs[i] for i in members]}
+        rows = _start(specs["alice"], specs["bob"], game.wires, [bits[i] for i in members])
+        if deposited:
+            (rows,) = _play(rows, specs, game.steps[:at], theta)
+            deposits.update(zip(members, _reduced_deposits([rows], *specs.values())))
+        heads.append((members, specs, rows))
+    if deposited:
+        deposited([deposits[i] for i in range(len(bits))])
+    for members, specs, rows in heads:
+        parts = _play(rows, specs, game.steps[at:], theta)
+        for i, result in zip(members, game.finish(parts, specs["alice"], specs["bob"])):
             results[i] = result
     return results
 
@@ -971,7 +993,8 @@ def _reduced_deposits(parts: list[_Rows], alices: Sequence[StrategySpec],
     return out
 
 
-_ESCROW_START = (("play", "alice", "deposit"), ("play", "bob", "receive"))
+_DEPOSIT_STEP = ("play", "alice", "deposit")
+_ESCROW_START = (_DEPOSIT_STEP, ("play", "bob", "receive"))
 # Alice checks the qubit Bob returned against her own record.
 _ALICE_CHECK = ("check", "dep", "alice", "b", "x", "verdict", None, True, False)
 
@@ -1000,8 +1023,7 @@ _WEAK = _Game(("dep", "rb", "rx", "dep2", "bp", "rb2", "rx2"), _WEAK_PHASES, (
                 ("own", "alice", "verdict", "b"))),
         (_ZERO, (("play", "bob", "return"), _ALICE_CHECK,
                  ("own", "bob", "verdict", "b_claim")))))), _assemble, True)
-_DEPOSIT = _Game(("dep",), _ESCROW_PHASES, (("play", "alice", "deposit"),), _reduced_deposits,
-                 False)
+_DEPOSIT = _Game(("dep",), _ESCROW_PHASES, (_DEPOSIT_STEP,), _reduced_deposits, False)
 
 
 def run_escrow(alice: StrategySpec, bob: StrategySpec, challenge: Challenge,
@@ -1022,9 +1044,15 @@ def run_escrow(alice: StrategySpec, bob: StrategySpec, challenge: Challenge,
 
 def run_escrow_batch(alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec],
                      challenge: Challenge, claimed_bits: Sequence[int | None],
-                     params: EscrowParams) -> list[OutcomeDistribution]:
-    """``run_escrow`` of each (alices[i], bobs[i], claimed_bits[i]), in input order (``_batch``)."""
-    return _batch(_ESCROW[challenge], alices, bobs, claimed_bits, params.theta)
+                     params: EscrowParams,
+                     deposited: Callable[[list[DensityMatrix]], None] | None = None
+                     ) -> list[OutcomeDistribution]:
+    """``run_escrow`` of each (alices[i], bobs[i], claimed_bits[i]), in input order (``_batch``).
+
+    ``deposited`` gets each run's reduced deposit as ``_batch`` says: for an
+    unseeded run against the honest receiver, its ``deposit_reduced_state``.
+    """
+    return _batch(_ESCROW[challenge], alices, bobs, claimed_bits, params.theta, deposited)
 
 
 def run_escrow_reveal_then_return(alice: StrategySpec, bob: StrategySpec,
@@ -1088,9 +1116,3 @@ def deposit_reduced_state(alice: StrategySpec) -> DensityMatrix:
     ``escrow_bit_density`` is the honest deposit's state.
     """
     return _batch(_DEPOSIT, [alice], [honest_bob_escrow()], [None], THETA_DEFAULT)[0]
-
-
-def deposit_reduced_state_batch(alices: Sequence[StrategySpec]) -> list[DensityMatrix]:
-    """``deposit_reduced_state`` of each strategy, in input order (``_batch``)."""
-    bobs = [honest_bob_escrow()] * len(alices)
-    return _batch(_DEPOSIT, alices, bobs, [None] * len(alices), THETA_DEFAULT)

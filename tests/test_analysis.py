@@ -29,12 +29,16 @@ from qescrow.analysis import (
 from qescrow.protocols import (
     Apply,
     EscrowParams,
+    MalformedStrategy,
     MeasureRecord,
+    SetBits,
     StrategySpec,
     bx_angle,
+    deposit_reduced_state,
     escrow_bit_density,
     honest_bob_coinflip,
     phi_vec,
+    rotation,
 )
 
 THETA = math.pi / 8
@@ -84,6 +88,51 @@ def test_binding_report_validates_probabilities():
         BindingReport(THETA, 1.5, 0.0, 0.0, 0.5, 0.5, 0.0)
     with pytest.raises(ana.AnalysisError):
         BindingReport(THETA, 0.8, 0.8, 0.0, 0.5, 0.5, 0.0)
+
+
+def _pair_with_deposits(rng, ancillas, epsilon, reveal=None):
+    """Two depositors whose deposit gates differ by a rotation of ``epsilon`` on ``dep``."""
+    wires = tuple(f"a{i}" for i in range(ancillas)) + ("dep",)
+    u = qmath.random_unitary(2 ** len(wires), rng)
+    nudged = np.kron(np.eye(2 ** ancillas), rotation(epsilon)) @ u
+    claim = reveal or (SetBits({"rb": 0, "rx": 1}),)
+    return tuple(StrategySpec("alice", ancillas, {"deposit": (Apply(wires, gate),),
+                                                  "reveal": claim})
+                 for gate in (u, nudged))
+
+
+def test_binding_mismatch_is_exactly_a_deposit_gap_above_1e_9():
+    # the deposits read off the reveal game's rows are compared as the
+    # separate deposit states would be: DepositMismatch iff they differ by > 1e-9
+    rng = np.random.default_rng(61)
+    raised = []
+    for epsilon in (0.0, 1e-12, 1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 1e-4, 0.3):
+        for ancillas in (0, 1, 2):
+            for _ in range(4):
+                pair = _pair_with_deposits(rng, ancillas, epsilon)
+                d0, d1 = (deposit_reduced_state(alice).matrix for alice in pair)
+                gap = np.max(np.abs(d0 - d1)) > 1e-9
+                try:
+                    binding_metrics(*pair)
+                    raised.append((gap, False))
+                except DepositMismatch:
+                    raised.append((gap, True))
+    assert all(gap == mismatch for gap, mismatch in raised)
+    assert {True, False} == {gap for gap, _ in raised}   # the corpus has both sides
+
+
+def test_a_deposit_mismatch_precedes_an_opening_that_reads_an_unset_key():
+    # one pass compares the deposits before either opening plays
+    rng = np.random.default_rng(62)
+    unset = (SetBits({"rb": "nokey", "rx": 0}),)
+    with pytest.raises(DepositMismatch):
+        binding_metrics(*_pair_with_deposits(rng, 1, 0.3, unset))
+    with pytest.raises(MalformedStrategy, match="'nokey' before it is set"):
+        binding_metrics(*_pair_with_deposits(rng, 1, 0.0, unset))
+    reads_b = StrategySpec("alice", 0, {"deposit": (
+        Apply(("dep",), np.stack((np.eye(2), rotation(0.4))), keys=("b",)),)})
+    with pytest.raises(MalformedStrategy, match="'b' before it is set"):
+        binding_metrics(reads_b, fixed_bit_alice(1))   # the deposit itself fails first
 
 
 def test_binding_frontier_on_random_pairs():
@@ -205,8 +254,9 @@ def _hex(values) -> list[str]:
 @pytest.mark.parametrize("theta", [math.pi / 16, math.pi / 12, math.pi / 8])
 @pytest.mark.parametrize("ancillas", [0, 1, 2])
 def test_sealing_metrics_are_the_plain_loops_to_the_bit(ancillas, theta):
-    # the encodings are cached per (theta, ancilla dimension), and the kept
-    # states are one broadcast product: neither may move a float
+    # the encodings are cached per (theta, ancilla dimension), the kept
+    # states are one broadcast product, and each w' mass is np.linalg.norm's
+    # arithmetic without its dispatch: none may move a float
     rng = np.random.default_rng(100 + ancillas)
     for _ in range(20):
         bob = adv.random_return_attack(rng, ancillas)
@@ -218,6 +268,26 @@ def test_sealing_metrics_are_the_plain_loops_to_the_bit(ancillas, theta):
         advantage, detection, w_norms, distance = _loop_sealing(u, theta)
         assert _hex([rep.advantage_eps, rep.detection_p, *rep.w_norms, rep.kept_trace_distance]) \
             == _hex([advantage, detection, *w_norms, distance])
+
+
+@pytest.mark.parametrize("theta", [math.pi / 16, math.pi / 12, math.pi / 8])
+@pytest.mark.parametrize("ancillas", [0, 1, 2])
+def test_a_conditional_pair_reports_each_action_as_sealing_metrics(ancillas, theta):
+    # the pair's two reports come from one stacked decomposition, bit for bit
+    rng = np.random.default_rng(300 + ancillas)
+    params = EscrowParams(theta)
+    def floats(r):
+        return _hex([r.advantage_eps, r.detection_p, *r.w_norms, r.bound_rhs,
+                     r.kept_trace_distance])
+
+    for _ in range(10):
+        pair = (adv.random_return_attack(rng, ancillas), adv.random_return_attack(rng, ancillas))
+        single = [sealing_metrics(bob, params) for bob in pair]
+        stack = np.stack([ana.extract_attack_unitary(bob)[0] for bob in pair])
+        assert [floats(r) for r in ana._sealing_reports(stack, theta)] == list(map(floats, single))
+        rep = modified_sealing_check(pair, params)
+        assert _hex([rep.detection_b0, rep.detection_b1]) == _hex(
+            [0.5 * (r.w_norms[2 * b] + r.w_norms[2 * b + 1]) for b, r in enumerate(single)])
 
 
 def test_sealing_bound_rhs_shape():

@@ -27,7 +27,6 @@ from qescrow.protocols import (
     SetBits,
     StrategySpec,
     deposit_reduced_state,
-    deposit_reduced_state_batch,
     honest_alice_coinflip,
     honest_alice_escrow,
     honest_bob_coinflip,
@@ -142,9 +141,17 @@ def test_coinflip_bias_batch_equals_its_reports(honest):
 
 
 def test_deposit_batch_equals_its_runs():
+    # the reduced deposits a reveal batch hands over are each run's own deposit
+    # state, and reading them leaves the batch's outcomes as they were
     rng = np.random.default_rng(6)
     alices = [_depositor(rng) for _ in range(3)] + list(adv.random_binding_pair(rng))
-    batch = deposit_reduced_state_batch(alices)
+    bobs, seeds = [honest_bob_escrow()] * len(alices), [None] * len(alices)
+    batch = []
+    dists = run_escrow_batch(alices, bobs, Challenge.REVEAL_TO_BOB, seeds, PARAMS,
+                             deposited=batch.extend)
+    assert [exact(d) for d in dists] == [
+        exact(d) for d in run_escrow_batch(alices, bobs, Challenge.REVEAL_TO_BOB, seeds, PARAMS)]
+    assert len(batch) == len(alices)
     for got, alice in zip(batch, alices):
         want = deposit_reduced_state(alice)
         assert got.wires == want.wires

@@ -10,14 +10,15 @@ shows that only a read after a gate renormalizes, on
 ``protocols.validate_strategy`` that a pair of shapes is checked once per
 batch, and on ``qmath.measure`` that a batch's strategies and seeds are all
 checked before any branch runs.  The kernel calls of the composed game show
-that a challenge branch that no row reaches is not played.
+that a challenge branch that no row reaches is not played, and those of a
+binding pair that its deposit is played once.
 """
 
 import numpy as np
 import pytest
 
 from helpers import weak_alice_every_coin_err
-from qescrow import protocols, qmath
+from qescrow import adversaries, analysis, protocols, qmath
 from qescrow.protocols import (
     COIN_THETA,
     Apply,
@@ -276,6 +277,22 @@ def test_a_challenge_branch_that_no_row_reaches_is_not_played(alice, calls, monk
     seen = _record_kernel_calls(monkeypatch)
     assert protocols.run_weak_commitment(alice, honest_bob_weak(), 1) == unwrapped
     assert seen == calls
+
+
+def test_a_binding_pair_plays_its_deposit_once(monkeypatch):
+    # the reveal game's rows right after the deposit give both reduced deposits,
+    # so the pair's one shape group applies the deposit gate once, to both runs
+    pair = adversaries.random_binding_pair(np.random.default_rng(12))
+    unwrapped = analysis.binding_metrics(*pair)
+    seen = _record_kernel_calls(monkeypatch)
+    checks = []
+    monkeypatch.setattr(protocols, "validate_strategy",
+                        _counting(checks, protocols.validate_strategy))
+    assert analysis.binding_metrics(*pair) == unwrapped
+    assert [call for call in seen if call[1] == ("a0", "a1", "dep")] == [
+        ("apply_unitary", ("a0", "a1", "dep"), 2)]
+    assert [call[0] for call in seen].count("partial_trace") == 1
+    assert len(checks) == 2   # one shape pair, checked once
 
 
 @pytest.mark.parametrize("seed", [0.5, 1.9, -0.3, "1", 2])

@@ -90,6 +90,19 @@ def test_escrow_params_range():
         EscrowParams(math.pi / 4)
 
 
+@pytest.mark.parametrize("build, error, named", [
+    (lambda: StrategySpec("bob", 0, None), MalformedStrategy, "None"),
+    (lambda: StrategySpec("bob", 0, [1, 2]), MalformedStrategy, "[1, 2]"),
+    (lambda: StrategySpec("bob", 0, {"receive": 3}), MalformedStrategy, "{'receive': 3}"),
+    (lambda: SetBits(None), MalformedStrategy, "None"),
+    (lambda: EscrowParams("a"), ProtocolError, "'a'"),
+], ids=["programs-none", "programs-list", "phase-not-rounds", "bit-sources-none", "theta-str"])
+def test_a_malformed_spec_raises_a_typed_error_naming_the_value(build, error, named):
+    with pytest.raises(error) as caught:
+        build()
+    assert named in str(caught.value)
+
+
 def test_escrow_bit_density():
     r0 = escrow_bit_density(0, THETA)
     c2, s2 = math.cos(THETA) ** 2, math.sin(THETA) ** 2
@@ -466,7 +479,10 @@ def test_a_reduced_deposit_passes_the_full_density_matrix_check(ancillas):
     rng = np.random.default_rng(30 + ancillas)
     alices = [_random_depositor(rng, ancillas) for _ in range(20)]
     alices += [alice for _ in range(5) for alice in random_binding_pair(rng)]
-    deposits = protocols.deposit_reduced_state_batch(alices)
+    deposits = []   # batched, as a binding pair's reveal runs read them, and single
+    protocols.run_escrow_batch(alices, [honest_bob_escrow()] * len(alices),
+                               Challenge.REVEAL_TO_BOB, [None] * len(alices), EscrowParams(),
+                               deposited=deposits.extend)
     deposits += [deposit_reduced_state(alice) for alice in alices[::4]]
     for d in deposits:
         full = qmath.DensityMatrix(d.wires, d.matrix)   # Hermitian, trace 1 and PSD

@@ -647,6 +647,20 @@ def test_stacked_gates_are_checked_in_one_call():
     assert qmath.is_unitary(np.zeros((0, 2, 2)))
 
 
+def test_is_unitary_keeps_its_verdict_on_edge_inputs():
+    # M^H M must be within 1e-9 of I in every entry: an error of 1e-10
+    # passes, one of 1e-8 or a NaN fails, in a single matrix or a stack
+    u = qmath.random_unitary(4, np.random.default_rng(8))
+    nan = u.copy()
+    nan[1, 2] = np.nan
+    cases = [(u, True), (np.stack([u, u.conj().T, np.eye(4)]), True),
+             (u * (1 + 1e-8), False), (u * (1 + 1e-10), True), (nan, False),
+             (np.ones((2, 3)), False), (np.zeros((0, 4, 4)), True), (np.eye(3)[0], False)]
+    for m, want in cases:
+        assert qmath.is_unitary(m) is want
+    assert not qmath.is_unitary(np.stack([u, u * (1 + 1e-8)]))
+
+
 def test_stacked_bases_are_checked_once_and_taken_per_row():
     with pytest.raises(qmath.QMathError):
         OrthogonalMeasurement(np.array([np.eye(2), [[1, 1], [0, 1]]], dtype=complex))
