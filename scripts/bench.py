@@ -23,10 +23,6 @@ Last, it runs the checkout's tier-1 test command ``TIER1_RUNS`` times, each
 with a JUnit XML report, and records the exit codes and the passed and
 failed counts as sorted sets, and the wall seconds and the call seconds of
 each ``tests/test_acceptance.py`` test as median and quartiles over the runs.
-The wall seconds are also recorded calibrated (``seconds_calibrated``), as
-the benchmark calibrates its set-up: scaled by the mean of
-``benchmark/calibration.py``'s ``setup_scale()`` taken right before and
-right after each tier-1 run.
 
 The numbers are a record, not a gate: the script exits 0 whatever they are,
 and nonzero only if a run crashes or prints no result.
@@ -35,7 +31,6 @@ and nonzero only if a run crashes or prints no result.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
 import pathlib
@@ -67,16 +62,13 @@ print(json.dumps({"exit": code, "seconds": seconds, "peak_rss_mb": peak_kb / 102
 TIER1_ARGS = ("-m", "pytest", "-q", "--continue-on-collection-errors",
               "-o", "junit_duration_report=call")
 ACCEPTANCE = "tests.test_acceptance"
-_SPEC = importlib.util.spec_from_file_location("calibration", ROOT / "benchmark" / "calibration.py")
-calibration = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(calibration)
 
 # runner(workload, seed, trace) -> (environment-and-details line, result line)
 Runner = Callable[[str, int, int], tuple[dict, dict]]
 # cli_runner(command) -> {"exit": code, "seconds": wall, "peak_rss_mb": peak}
 CliRunner = Callable[[str], dict]
-# tier1_runner() -> (exit code, wall seconds, JUnit XML text, calibration scale)
-Tier1Runner = Callable[[], tuple[int, float, str, float]]
+# tier1_runner() -> (exit code, wall seconds, JUnit XML text)
+Tier1Runner = Callable[[], tuple[int, float, str]]
 
 
 def spread(values: list[float]) -> dict:
@@ -118,14 +110,13 @@ def summarize_cli(commands: list[str], runs: int, runner: CliRunner) -> dict:
     return out
 
 
-def _tier1_run(code: int, seconds: float, report: str, scale: float) -> dict:
-    """One tier-1 run: exit code, raw and calibrated wall seconds, counts, acceptance call seconds."""
+def _tier1_run(code: int, seconds: float, report: str) -> dict:
+    """One tier-1 run: exit code, wall seconds, counts, acceptance call seconds."""
     suite = ET.fromstring(report)
     if suite.tag != "testsuite":
         suite = suite.find("testsuite")
     counts = {k: int(suite.get(k, 0)) for k in ("tests", "failures", "errors", "skipped")}
     return {"exit": code, "seconds": seconds,
-            "seconds_calibrated": seconds * scale,
             "passed": counts["tests"] - counts["failures"] - counts["errors"] - counts["skipped"],
             "failed": counts["failures"] + counts["errors"],
             "acceptance_call_s": {case.get("name"): float(case.get("time"))
@@ -140,7 +131,7 @@ def summarize_tier1(runs: int, runner: Tier1Runner) -> dict:
         for name, seconds in r["acceptance_call_s"].items():
             calls.setdefault(name, []).append(seconds)
     return {**{key: sorted({r[key] for r in results}) for key in ("exit", "passed", "failed")},
-            **{key: spread([r[key] for r in results]) for key in ("seconds", "seconds_calibrated")},
+            "seconds": spread([r["seconds"] for r in results]),
             "acceptance_call_s": {name: spread(values) for name, values in calls.items()}}
 
 
@@ -180,21 +171,19 @@ def tier1_subprocess_runner(repo: pathlib.Path) -> Tier1Runner:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(repo / "src"), os.environ.get("PYTHONPATH")) if p))
 
-    def run() -> tuple[int, float, str, float]:
+    def run() -> tuple[int, float, str]:
         with tempfile.TemporaryDirectory() as tmp:
             report = pathlib.Path(tmp) / "tier1.xml"
-            scale = calibration.setup_scale()
             t0 = time.perf_counter()
             proc = subprocess.run([sys.executable, *TIER1_ARGS, f"--junitxml={report}"],
                                   capture_output=True, text=True, cwd=repo, env=env)
             seconds = time.perf_counter() - t0
-            scale = (scale + calibration.setup_scale()) / 2
             # Exit 1 is a failing test: a result, not a crash.
             if proc.returncode not in (0, 1) or not report.exists():
                 raise SystemExit(f"tier-1 failed (exit {proc.returncode}):\n"
                                  f"{proc.stdout[-2000:]}{proc.stderr}")
             print(f"tier-1: exit {proc.returncode} in {seconds:.1f} s", file=sys.stderr)
-            return proc.returncode, seconds, report.read_text(), scale
+            return proc.returncode, seconds, report.read_text()
     return run
 
 

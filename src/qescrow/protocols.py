@@ -24,9 +24,9 @@ builds one root row per run, and ``_play`` runs the steps: ``_run_program``
 a party's phase, ``_read_bit`` a classical message, ``_check_deposit`` a
 deposit projected on its claimed encoding.  ``_assemble`` merges the leaves
 into one distribution per run.  The ``*_batch`` entry points return results in
-input order.  ``deposit_reduced_state`` is the game of the deposit alone;
-``run_escrow_batch`` hands each run's reduced deposit, taken off its rows
-right after the deposit phase, to a caller's check before the rest plays.
+input order.  ``run_escrow_batch`` hands each run's reduced deposit, off its
+rows right after the deposit phase, to a caller's check before the rest plays;
+``deposit_reduced_state`` is its batch of one, and no game plays only the deposit.
 
 The branches of a batch are rows (``_Rows``): one ``qmath.StateStack`` holds
 every branch's amplitudes on the run's quantum wires, next to one probability
@@ -54,17 +54,17 @@ parties' ancillas and the deposits from the start, and a message wire
 (``_MESSAGES``) from the first gate or ``MeasureRecord`` that acts on it,
 when ``StateStack.insert`` enters it in |bit> from its column; the stack
 keeps the layout's wire order.  Until then a message wire is a classical bit
-per row: a classical write XORs its column (on a quantum wire it swaps
-amplitude halves), and reading it has one outcome, the row's bit.  Rounding
-is divided out where a measurement would divide it out: every ``measure``
-post-state is divided by the square root of its probability, and the first
-read after a gate takes its probability and post-state from
-``qmath.renormalize``.  A draw, a bit flip, an inserted wire and a row
-selection only move amplitudes, so rows stay normalized until the next gate
-(``_Rows.normalized``), and a read of normalized rows is a table write: the
-bit goes to the reader's record column and the transcript.  A branch's
-closing deposit check builds no post-states.  In honest play no message wire
-enters the stack.  Honest randomness is expanded into explicit branch
+per row: a classical write XORs its column (on a quantum wire it is an X
+gate), and reading it has one outcome, the row's bit.  Rounding is divided
+out where a measurement would divide it out: every ``measure`` post-state is
+divided by the square root of its probability, and the first read after a
+gate takes its probability and post-state from ``qmath.renormalize``.  A
+draw, an X, an inserted wire and a row selection only move amplitudes, so
+rows stay normalized until the next other gate (``_Rows.normalized``), and a
+read of normalized rows is a table write: the bit goes to the reader's record
+column and the transcript.  A check that closes its branch (only own results
+and rejections follow it) builds no post-states.  In honest play no message
+wire enters the stack.  Honest randomness is expanded into explicit branch
 weights, never sampled, so honest/honest runs have *exactly* zero error
 branches.
 
@@ -80,9 +80,10 @@ Strategies are data: per-phase lists of rounds (unitaries, or tables of them
 indexed by record bits, on held wires; orthogonal measurements; fair-coin
 draws; message bits that are constants or record keys).  Each round checks
 itself once, when it is built: distinct wires, unitaries of the right shape,
-a measurement of the right dimension, bit sources that are 0, 1 or a key.  A
-batch checks that every seeded bit is 0, 1 or None and, once per shape group
-and from the spec's cached shape, what the game adds: every phase is known,
+a measurement of the right dimension, non-empty ``str`` record keys, bit
+sources that are 0, 1 or a key.  A batch checks that every seeded bit is 0, 1
+or None and, once per shape group and from the spec's cached shape, what the
+game adds: each spec sits in its own party's seat, every phase is known,
 every round touches only wires the party holds in it, and in the coin flip
 and the composed game one party is honest.  Every violation raises
 ``MalformedStrategy`` before any branch runs, except a record key that is
@@ -122,6 +123,7 @@ MAX_TOTAL_WIRES = 9
 _MESSAGES = frozenset({"rb", "rx", "bp", "rb2", "rx2"})
 
 _COMP1 = OrthogonalMeasurement.computational(1)
+_FLIP = Unitary(np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]]]))   # I and X, taken by a flip bit
 
 
 class ProtocolError(Exception):
@@ -171,20 +173,9 @@ def phi_vec(alpha: float) -> np.ndarray:
     return np.array([math.cos(alpha), math.sin(alpha)], dtype=complex)
 
 
-def phi(alpha: float, wire: str = "q") -> StateVector:
-    """phi_alpha = cos(alpha)|0> + sin(alpha)|1> on a single named wire."""
-    if not -math.pi - 1e-12 <= alpha <= math.pi + 1e-12:
-        raise ProtocolError(f"angle {alpha} outside [-pi, pi]")
-    return StateVector((wire,), phi_vec(alpha))
-
-
 def bx_angle(b: int, x: int, theta: float) -> float:
     """Encoding angle for (b, x): -theta, theta, pi/2-theta, pi/2+theta."""
     return (0.0 if b == 0 else math.pi / 2) + (theta if x else -theta)
-
-
-def phi_bx(b: int, x: int, theta: float, wire: str = "q") -> StateVector:
-    return phi(bx_angle(b, x, theta), wire)
 
 
 def escrow_basis(x: int, theta: float) -> OrthogonalMeasurement:
@@ -201,7 +192,8 @@ def _check_bases(theta: float) -> OrthogonalMeasurement:
 
 def escrow_bit_mixture(b: int, theta: float) -> Mixture:
     """Honest depositor's view of bit b on ``dep``: uniform over the two x encodings."""
-    return Mixture((0.5, 0.5), (phi_bx(b, 0, theta, "dep"), phi_bx(b, 1, theta, "dep")))
+    return Mixture((0.5, 0.5), [StateVector(("dep",), phi_vec(bx_angle(b, x, theta)))
+                                for x in (0, 1)])
 
 
 def escrow_bit_density(b: int, theta: float) -> DensityMatrix:
@@ -218,10 +210,18 @@ class Draw:
 
     name: str
 
+    def __post_init__(self):
+        _check_keys((self.name,))
+
 
 def _is_bit(value) -> bool:
     """A bit is an int 0 or 1 (a numpy integer too); a float or a string is not."""
     return isinstance(value, (int, np.integer)) and value in (0, 1)
+
+
+def _check_keys(keys) -> None:
+    if not (isinstance(keys, (tuple, list)) and all(isinstance(k, str) and k for k in keys)):
+        raise MalformedStrategy(f"record keys {keys!r} are not a tuple or list of non-empty str")
 
 
 def _check_distinct(wires: tuple[str, ...]) -> None:
@@ -246,6 +246,7 @@ class Apply:
 
     def __post_init__(self):
         _check_distinct(self.wires)
+        _check_keys(self.keys)
         object.__setattr__(self, "keys", tuple(self.keys))
         dim = 2 ** len(self.wires)
         shape = (2 ** len(self.keys), dim, dim) if self.keys else (dim, dim)
@@ -268,6 +269,7 @@ class MeasureRecord:
 
     def __post_init__(self):
         _check_distinct(self.wires)
+        _check_keys((self.name,))
         dim = 2 ** len(self.wires)
         m = self.measurement
         if not isinstance(m, OrthogonalMeasurement) or m.matrix.shape != (dim, dim):
@@ -276,7 +278,7 @@ class MeasureRecord:
 
 @dataclass(frozen=True)
 class SetBits:
-    """Write classical bits onto message wires (X^bit per wire).
+    """Write classical bits onto wires (X^bit per wire; an X gate on a quantum wire).
 
     Each source, checked when the round is built, is a constant 0 or 1 or a
     record key whose bit is copied: the classical rule mapping measurement
@@ -404,8 +406,9 @@ class _Rows:
 
     ``normalized`` says that every row has been divided by its own norm
     since the last gate: the exact root, a measurement's post-states and a
-    renormalizing read set it, copies and moves of amplitudes (a draw, a
-    flip, an inserted wire, a ``take``) keep it, and a gate clears it.
+    renormalizing read set it, copies and moves of amplitudes (a draw, an
+    inserted wire, a ``take``, and a flip, since X is an exact permutation)
+    keep it, and any other gate clears it.
     After a closing check, which nothing reads the state of, ``states`` is
     None.
     """
@@ -549,7 +552,7 @@ def _run_program(rows: _Rows, specs: Sequence[StrategySpec], phase: str) -> _Row
                 if wire not in states.wires:
                     table[:, rows.layout.index(wire)] ^= flips
                 elif flips.any():
-                    states = states.flip(wire, flips)
+                    states = apply_unitary(states, _FLIP.take(flips), (wire,))
             rows = rows.with_states(states, rows.normalized, table)
     return rows
 
@@ -606,19 +609,16 @@ def _check_deposit(rows: _Rows, dep_wire: str, theta: float, checker: str, b_key
 
 @dataclass(frozen=True)
 class _Game:
-    """A game as data: its wires, its phase map, its steps and how its leaves become results.
+    """A game as data: its wires, its phase map and its steps.
 
     ``wires`` is the game's part of the layout; it fixes the amplitude order,
     so it is stated rather than derived from the steps.  ``steps`` is what
-    ``_play`` runs; ``finish(parts, alices, bobs)`` turns the rows each
-    branch ends on into one result per run.  ``one_honest``: at least one
-    party must be honest.
+    ``_play`` runs.  ``one_honest``: at least one party must be honest.
     """
 
     wires: tuple[str, ...]
     phases: Mapping[str, Mapping[str, tuple[str, ...]]]
     steps: tuple[tuple, ...]
-    finish: Callable[[list[_Rows], Sequence[StrategySpec], Sequence[StrategySpec]], list]
     one_honest: bool
 
 
@@ -632,8 +632,9 @@ def _play(rows: _Rows, specs: Mapping[str, Sequence[StrategySpec]], steps: tuple
     * ``("read", wire, reader, key)``: the reader measures the other party's
       message into its record and the transcript; ``"receive"`` reads only
       for an honest reader;
-    * ``("check", wire, checker, b_key, x_key, result, xor_key, closing, coin)``:
+    * ``("check", wire, checker, b_key, x_key, result, xor_key, coin)``:
       ``_check_deposit`` at ``COIN_THETA`` if ``coin``, else at ``theta``;
+      it closes its branch when every later step is ``own`` or ``reject``;
     * ``("own", party, result, *bit_keys)``: an honest party's own result,
       the XOR of its bits under ``bit_keys``;
     * ``("reject",)``: both verdicts are ERR;
@@ -641,7 +642,7 @@ def _play(rows: _Rows, specs: Mapping[str, Sequence[StrategySpec]], steps: tuple
       she is honest) result under ``key`` goes to the transcript, and each
       (code, steps) of ``branches`` plays on the rows with that result, if any.
     """
-    for op, *args in steps:
+    for i, (op, *args) in enumerate(steps):
         if op == "play":
             party, phase = args
             rows = _run_program(rows, specs[party], phase)
@@ -650,7 +651,8 @@ def _play(rows: _Rows, specs: Mapping[str, Sequence[StrategySpec]], steps: tuple
             if op == "read" or specs[reader][0].honest:
                 rows = _read_bit(rows, wire, reader, key)
         elif op == "check":
-            wire, checker, b_key, x_key, result, xor_key, closing, coin = args
+            wire, checker, b_key, x_key, result, xor_key, coin = args
+            closing = all(later[0] in ("own", "reject") for later in steps[i + 1:])
             rows = _check_deposit(rows, wire, COIN_THETA if coin else theta, checker, b_key,
                                   x_key, result, xor_key, closing)
         elif op == "own":
@@ -704,12 +706,12 @@ def _batch(game: _Game, alices: Sequence[StrategySpec], bobs: Sequence[StrategyS
 
     The runs whose two specs have the same ``shape`` form a group.  Before any
     branch of any group runs, every seed must be 0, 1 or None, and the first
-    pair of every group is checked against the game: its phase map, the wire
-    budget and the honest-party rule.  That check reads only the two shapes,
-    so the other members share it.  Each group plays the game's steps from its
-    root rows, and ``game.finish`` gives one result per run.  The results come
-    back in input order; a run that raises raises for the whole batch.  Every
-    runner is its batch of one.
+    pair of every group is checked against the game: the seats, its phase
+    map, the wire budget and the honest-party rule.  That check reads only
+    the two shapes, so the other members share it.  Each group plays the game's steps from its
+    root rows, and ``_assemble`` gives one distribution per run.  The results
+    come back in input order; a run that raises raises for the whole batch.
+    Every runner is its batch of one.
 
     With ``deposited``, every group first plays up to the deposit phase,
     and ``deposited`` gets each run's reduced state on ``dep`` there, in
@@ -726,8 +728,10 @@ def _batch(game: _Game, alices: Sequence[StrategySpec], bobs: Sequence[StrategyS
         groups.setdefault((alice.shape, bob.shape), []).append(i)
     for members in groups.values():
         alice, bob = alices[members[0]], bobs[members[0]]
-        validate_strategy(alice, game.phases["alice"])
-        validate_strategy(bob, game.phases["bob"])
+        for seat, spec in (("alice", alice), ("bob", bob)):
+            if spec.party != seat:
+                raise MalformedStrategy(f"{seat}'s seat holds a {spec.party!r} strategy")
+            validate_strategy(spec, game.phases[seat])
         n = len(alice.ancillas + game.wires + bob.ancillas)
         if n > MAX_TOTAL_WIRES:
             raise MalformedStrategy(f"{n} wires exceed the {MAX_TOTAL_WIRES}-qubit budget")
@@ -740,13 +744,13 @@ def _batch(game: _Game, alices: Sequence[StrategySpec], bobs: Sequence[StrategyS
         rows = _start(specs["alice"], specs["bob"], game.wires, [bits[i] for i in members])
         if deposited:
             (rows,) = _play(rows, specs, game.steps[:at], theta)
-            deposits.update(zip(members, _reduced_deposits([rows], *specs.values())))
+            deposits.update(zip(members, _reduced_deposits(rows, len(members))))
         heads.append((members, specs, rows))
     if deposited:
         deposited([deposits[i] for i in range(len(bits))])
     for members, specs, rows in heads:
         parts = _play(rows, specs, game.steps[at:], theta)
-        for i, result in zip(members, game.finish(parts, specs["alice"], specs["bob"])):
+        for i, result in zip(members, _assemble(parts, specs["alice"], specs["bob"])):
             results[i] = result
     return results
 
@@ -962,28 +966,25 @@ _WEAK_PHASES = {
 }
 
 
-def _coin(prefix: str, suffix: str, result: str, closing: bool) -> tuple[tuple, ...]:
+def _coin(prefix: str, suffix: str, result: str) -> tuple[tuple, ...]:
     """The coin flip's steps on ``"dep" + suffix``; its phases are ``prefix`` + the coin's.
 
     Alice deposits, Bob announces b' on ``bp``, Alice claims (b, x) on the
     ``rb``/``rx`` wires with the same suffix.  Bob's deposit check and an
-    honest Alice's b xor b' land under ``result``; the check is ``closing``
-    when the game ends with the coin.
+    honest Alice's b xor b' land under ``result``.
     """
     return (("play", "alice", prefix + "deposit"), ("play", "bob", prefix + "choose"),
             ("receive", "bp", "alice", "bprime"), ("play", "alice", prefix + "reveal"),
             ("read", "rb" + suffix, "bob", "b_coin"), ("read", "rx" + suffix, "bob", "x_coin"),
-            ("check", "dep" + suffix, "bob", "b_coin", "x_coin", result, "bprime", closing, True),
+            ("check", "dep" + suffix, "bob", "b_coin", "x_coin", result, "bprime", True),
             ("own", "alice", result, "b" + suffix, "bprime"))
 
 
-def _reduced_deposits(parts: list[_Rows], alices: Sequence[StrategySpec],
-                      bobs: Sequence[StrategySpec]) -> list[DensityMatrix]:
-    """Each run's reduced state on ``dep``: its rows' states, summed in that run's own order."""
-    (rows,) = parts
+def _reduced_deposits(rows: _Rows, n: int) -> list[DensityMatrix]:
+    """Each of ``n`` runs' reduced state on ``dep``: its rows' states, summed in its own order."""
     probs = rows.probs.tolist()
     reduced = partial_trace(rows.states, ("dep",))
-    ends = np.searchsorted(rows.runs, np.arange(1, len(alices) + 1)).tolist()
+    ends = np.searchsorted(rows.runs, np.arange(1, n + 1)).tolist()
     out, start = [], 0
     for end in ends:
         total = sum(probs[start:end])
@@ -996,34 +997,38 @@ def _reduced_deposits(parts: list[_Rows], alices: Sequence[StrategySpec],
 _DEPOSIT_STEP = ("play", "alice", "deposit")
 _ESCROW_START = (_DEPOSIT_STEP, ("play", "bob", "receive"))
 # Alice checks the qubit Bob returned against her own record.
-_ALICE_CHECK = ("check", "dep", "alice", "b", "x", "verdict", None, True, False)
+_ALICE_CHECK = ("check", "dep", "alice", "b", "x", "verdict", None, False)
 
 _ESCROW = {
     Challenge.REVEAL_TO_BOB: _Game(("dep", "rb", "rx"), _ESCROW_PHASES, (
         *_ESCROW_START, ("play", "alice", "reveal"), ("read", "rb", "bob", "b"),
-        ("read", "rx", "bob", "x"), ("check", "dep", "bob", "b", "x", "verdict", None, True, False),
-        ("own", "alice", "verdict", "b")), _assemble, False),
+        ("read", "rx", "bob", "x"), ("check", "dep", "bob", "b", "x", "verdict", None, False),
+        ("own", "alice", "verdict", "b")), False),
     Challenge.RETURN_TO_ALICE: _Game(("dep",), _ESCROW_PHASES, (
-        *_ESCROW_START, ("play", "bob", "return"), _ALICE_CHECK), _assemble, False),
+        *_ESCROW_START, ("play", "bob", "return"), _ALICE_CHECK), False),
 }
 _REVEAL_FIRST = _Game(("dep", "rb"), _ESCROW_PHASES, (
     *_ESCROW_START, ("play", "alice", "reveal_bit"), ("read", "rb", "bob", "b_claim"),
-    ("play", "bob", "return"), _ALICE_CHECK), _assemble, False)
-_COINFLIP = _Game(("dep", "bp", "rb", "rx"), _COINFLIP_PHASES, _coin("", "", "verdict", True),
-                  _assemble, True)
+    ("play", "bob", "return"), _ALICE_CHECK), False)
+_COINFLIP = _Game(("dep", "bp", "rb", "rx"), _COINFLIP_PHASES, _coin("", "", "verdict"), True)
 # Coin result 1 challenges Alice to reveal x, 0 challenges Bob to return the
 # qubit, and err rejects; the parts in the order err, 1, 0 fix each leaf's sum order.
 _WEAK = _Game(("dep", "rb", "rx", "dep2", "bp", "rb2", "rx2"), _WEAK_PHASES, (
     *_ESCROW_START, ("play", "alice", "reveal_bit"), ("read", "rb", "bob", "b_claim"),
-    *_coin("coin_", "2", "coin", False),
+    *_coin("coin_", "2", "coin"),
     ("challenge", "coin", (
         (_ERR, (("reject",),)),
         (_ONE, (("play", "alice", "reveal_x"), ("read", "rx", "bob", "x_claim"),
-                ("check", "dep", "bob", "b_claim", "x_claim", "verdict", None, True, False),
+                ("check", "dep", "bob", "b_claim", "x_claim", "verdict", None, False),
                 ("own", "alice", "verdict", "b"))),
         (_ZERO, (("play", "bob", "return"), _ALICE_CHECK,
-                 ("own", "bob", "verdict", "b_claim")))))), _assemble, True)
-_DEPOSIT = _Game(("dep",), _ESCROW_PHASES, (_DEPOSIT_STEP,), _reduced_deposits, False)
+                 ("own", "bob", "verdict", "b_claim")))))), True)
+
+
+def _escrow_game(challenge: Challenge) -> _Game:
+    if not isinstance(challenge, Challenge):
+        raise ProtocolError(f"challenge {challenge!r} is not a Challenge")
+    return _ESCROW[challenge]
 
 
 def run_escrow(alice: StrategySpec, bob: StrategySpec, challenge: Challenge,
@@ -1039,7 +1044,7 @@ def run_escrow(alice: StrategySpec, bob: StrategySpec, challenge: Challenge,
     must contain ``b`` and ``x`` (honest strategies record them) or the run
     fails with ``MalformedStrategy``.
     """
-    return _batch(_ESCROW[challenge], [alice], [bob], [claimed_bit], params.theta)[0]
+    return _batch(_escrow_game(challenge), [alice], [bob], [claimed_bit], params.theta)[0]
 
 
 def run_escrow_batch(alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec],
@@ -1052,7 +1057,7 @@ def run_escrow_batch(alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec
     ``deposited`` gets each run's reduced deposit as ``_batch`` says: for an
     unseeded run against the honest receiver, its ``deposit_reduced_state``.
     """
-    return _batch(_ESCROW[challenge], alices, bobs, claimed_bits, params.theta, deposited)
+    return _batch(_escrow_game(challenge), alices, bobs, claimed_bits, params.theta, deposited)
 
 
 def run_escrow_reveal_then_return(alice: StrategySpec, bob: StrategySpec,
@@ -1110,9 +1115,12 @@ def deposit_reduced_state(alice: StrategySpec) -> DensityMatrix:
 
     Whatever the depositor later does cannot change this state, so it is the
     object that binds her; strategy pairs must agree on it to be comparable.
-    The strategy is checked against the escrow game's phases, and only its
-    deposit program runs, with no bit seeded: a deposit that reads ``b``, as
-    ``honest_alice_escrow``'s does, raises ``MalformedStrategy``, and
+    It is ``run_escrow_batch``'s hand-over in a batch of one: the reveal game
+    against the honest receiver, no bit seeded.  The opening plays too, so a
+    deposit or opening that raises there raises here, as in ``binding_metrics``.
     ``escrow_bit_density`` is the honest deposit's state.
     """
-    return _batch(_DEPOSIT, [alice], [honest_bob_escrow()], [None], THETA_DEFAULT)[0]
+    out: list[DensityMatrix] = []
+    run_escrow_batch([alice], [honest_bob_escrow()], Challenge.REVEAL_TO_BOB, [None],
+                     EscrowParams(), deposited=out.extend)
+    return out[0]

@@ -171,16 +171,6 @@ class StateStack:
         """The stack of the given rows, in the given order (a row may repeat)."""
         return _trusted(self.wires, self.amplitudes[np.asarray(rows, dtype=np.intp)])
 
-    def flip(self, wire: str, rows: np.ndarray) -> "StateStack":
-        """X on ``wire`` in the rows where the boolean mask ``rows`` is set.
-
-        The two halves of each such row swap, which is exact.
-        """
-        n = len(self.amplitudes)
-        amps = self.amplitudes.reshape(n, 2 ** self.wires.index(wire), 2, -1).copy()
-        amps[rows] = amps[rows][:, :, ::-1]
-        return _trusted(self.wires, amps.reshape(n, -1))
-
     def insert(self, at: int, wire: str, bits: np.ndarray) -> "StateStack":
         """The stack with ``wire`` placed before position ``at``, in |bits[r]> in row r.
 

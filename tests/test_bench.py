@@ -78,13 +78,9 @@ def _tier1_report(failures: int, criterion_1_s: float) -> str:
 
 
 def test_summarize_tier1_counts_tests_and_times_each_criterion():
-    # the machine runs the calibration kernel at half, full and a third of its nominal speed
-    runs = iter([(1, 31.5, _tier1_report(2, 0.5), 0.5), (1, 29.0, _tier1_report(2, 0.75), 1.0),
-                 (0, 30.0, _tier1_report(0, 0.25), 1 / 3)])
+    runs = iter([(1, 31.5, _tier1_report(2, 0.5)), (1, 29.0, _tier1_report(2, 0.75)),
+                 (0, 30.0, _tier1_report(0, 0.25))])
     out = bench.summarize_tier1(3, lambda: next(runs))
-    calibrated = out.pop("seconds_calibrated")
-    assert calibrated["values"] == pytest.approx([15.75, 29.0, 10.0])
-    assert [calibrated[k] for k in ("median", "q1", "q3")] == pytest.approx([15.75, 12.875, 22.375])
     assert out == {"exit": [0, 1], "passed": [6, 8], "failed": [1, 3],
                    "seconds": {"median": 30.0, "q1": 29.5, "q3": 30.75,
                                "values": [31.5, 29.0, 30.0]},

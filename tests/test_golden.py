@@ -65,6 +65,13 @@ def _weak_cross_component_receiver(seed: int) -> StrategySpec:
         "coin_choose": (MeasureRecord(("c0",), COMP1, "guess"), SetBits({"bp": "guess"}))})
 
 
+def _flipping_receiver(seed: int) -> StrategySpec:
+    """A receiver that entangles dep with c0, measures c0 and flips dep on the outcome."""
+    u = qmath.random_unitary(4, np.random.default_rng(seed))
+    return StrategySpec("bob", 1, {"receive": (
+        Apply(("dep", "c0"), u), MeasureRecord(("c0",), COMP1, "g"), SetBits({"dep": "g"}))})
+
+
 def _dishonest(spec: StrategySpec) -> StrategySpec:
     return StrategySpec(spec.party, spec.ancilla_count, spec.programs)
 
@@ -86,6 +93,8 @@ def _cases() -> dict:
             adv.random_binding_pair(rng(4))[1], honest_bob_escrow(), Challenge.REVEAL_TO_BOB),
         "escrow-reveal-fixed-bit-1": lambda: run_escrow(
             fixed_bit_alice(1), honest_bob_escrow(), Challenge.REVEAL_TO_BOB),
+        "escrow-return-flipping-receiver-b1": lambda: run_escrow(
+            honest_alice_escrow(), _flipping_receiver(11), Challenge.RETURN_TO_ALICE, 1),
         "reveal-then-return-keyed-b0": lambda: run_escrow_reveal_then_return(
             honest_alice_escrow(), _keyed_receiver(6), 0),
         "reveal-then-return-keyed-b1": lambda: run_escrow_reveal_then_return(

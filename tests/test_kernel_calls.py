@@ -11,7 +11,9 @@ shows that only a read after a gate renormalizes, on
 batch, and on ``qmath.measure`` that a batch's strategies and seeds are all
 checked before any branch runs.  The kernel calls of the composed game show
 that a challenge branch that no row reaches is not played, and those of a
-binding pair that its deposit is played once.
+binding pair that its deposit is played once.  A classical write on a wire
+in the stack is one ``apply_unitary`` call, and like any move of amplitudes
+it leaves the rows normalized.
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ from qescrow.protocols import (
     COIN_THETA,
     Apply,
     Challenge,
+    Draw,
     EscrowParams,
     MeasureRecord,
     SetBits,
@@ -293,6 +296,18 @@ def test_a_binding_pair_plays_its_deposit_once(monkeypatch):
         ("apply_unitary", ("a0", "a1", "dep"), 2)]
     assert [call[0] for call in seen].count("partial_trace") == 1
     assert len(checks) == 2   # one shape pair, checked once
+
+
+def test_a_write_on_a_quantum_wire_is_one_gate(monkeypatch):
+    # the depositor flips dep on a drawn bit: an X on the rows that drew 1, an I on the
+    # others, and the reads that follow need no renormalization
+    alice = StrategySpec("alice", 0, {"deposit": (Draw("x"), SetBits({"dep": "x"})),
+                                      "reveal": (SetBits({"rb": 0, "rx": "x"}),)})
+    run = lambda: protocols.run_escrow(alice, honest_bob_escrow(), Challenge.REVEAL_TO_BOB)
+    unwrapped = run()
+    seen = _record_kernel_calls(monkeypatch)
+    assert run() == unwrapped
+    assert seen == [("apply_unitary", ("dep",), 2), ("measure", ("dep",), 2)]
 
 
 @pytest.mark.parametrize("seed", [0.5, 1.9, -0.3, "1", 2])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import fixed_bit_alice
+from qescrow.adversaries import random_return_attack
 from qescrow import protocols, qmath
 from qescrow.protocols import (
     Apply,
@@ -26,14 +27,13 @@ from qescrow.protocols import (
     deposit_reduced_state,
     escrow_basis,
     escrow_bit_density,
+    escrow_bit_mixture,
     honest_alice_coinflip,
     honest_alice_escrow,
     honest_alice_weak,
     honest_bob_coinflip,
     honest_bob_escrow,
     honest_bob_weak,
-    phi,
-    phi_bx,
     phi_vec,
     rotation,
     run_coinflip,
@@ -51,18 +51,13 @@ THETA_GRID = (math.pi / 16, math.pi / 12, math.pi / 8)
 
 
 def test_phi_endpoints():
-    assert np.allclose(phi(0.0).amplitudes, [1, 0])
-    assert np.allclose(phi(math.pi / 2).amplitudes, [0, 1])
+    assert np.allclose(phi_vec(0.0), [1, 0])
+    assert np.allclose(phi_vec(math.pi / 2), [0, 1])
 
 
 def test_phi_pi8_amplitudes():
-    assert np.allclose(phi(math.pi / 8).amplitudes,
-                       [0.9238795325112867, 0.3826834323650898], atol=1e-12)
-
-
-def test_phi_rejects_out_of_range():
-    with pytest.raises(ProtocolError):
-        phi(4.0)
+    assert np.allclose(phi_vec(math.pi / 8), [0.9238795325112867, 0.3826834323650898],
+                       atol=1e-12)
 
 
 def test_phi_bx_table():
@@ -70,7 +65,10 @@ def test_phi_bx_table():
     assert bx_angle(0, 1, THETA) == THETA
     assert bx_angle(1, 0, THETA) == math.pi / 2 - THETA
     assert bx_angle(1, 1, THETA) == math.pi / 2 + THETA
-    assert abs(qmath.overlap(phi_bx(0, 0, THETA), phi(-math.pi / 8)) - 1) < 1e-12
+    # the honest mixture of bit 0 holds phi_{0,0} = phi_{-pi/8} first, on the deposit wire
+    state = escrow_bit_mixture(0, THETA).states[0]
+    assert state.wires == ("dep",)
+    assert abs(np.vdot(state.amplitudes, phi_vec(-math.pi / 8)) - 1) < 1e-12
 
 
 @pytest.mark.parametrize("theta", THETA_GRID)
@@ -98,6 +96,31 @@ def test_escrow_params_range():
     (lambda: EscrowParams("a"), ProtocolError, "'a'"),
 ], ids=["programs-none", "programs-list", "phase-not-rounds", "bit-sources-none", "theta-str"])
 def test_a_malformed_spec_raises_a_typed_error_naming_the_value(build, error, named):
+    with pytest.raises(error) as caught:
+        build()
+    assert named in str(caught.value)
+
+
+_COMP = qmath.OrthogonalMeasurement.computational(1)
+_TABLE = np.stack((np.eye(2),) * 2)
+
+
+@pytest.mark.parametrize("build, error, named", [
+    (lambda: run_escrow(honest_alice_escrow(), honest_bob_escrow(), "reveal", 0),
+     ProtocolError, "'reveal'"),
+    (lambda: protocols.run_escrow_batch([honest_alice_escrow()], [honest_bob_escrow()], "return",
+                                        [0], EscrowParams()), ProtocolError, "'return'"),
+    (lambda: Apply(("dep",), np.eye(2), keys=5), MalformedStrategy, "5"),
+    (lambda: Apply(("dep",), _TABLE, keys="b"), MalformedStrategy, "'b'"),
+    (lambda: Apply(("dep",), _TABLE, keys=(1,)), MalformedStrategy, "(1,)"),
+    (lambda: Apply(("dep",), _TABLE, keys=("",)), MalformedStrategy, "('',)"),
+    (lambda: MeasureRecord(("dep",), _COMP, 1), MalformedStrategy, "(1,)"),
+    (lambda: MeasureRecord(("dep",), _COMP, ""), MalformedStrategy, "('',)"),
+    (lambda: Draw(None), MalformedStrategy, "(None,)"),
+], ids=["challenge-str", "batch-challenge-str", "keys-int", "keys-bare-str", "key-int",
+        "key-empty", "record-name-int", "record-name-empty", "draw-name-none"])
+def test_a_malformed_challenge_or_record_key_raises_a_typed_error(build, error, named):
+    # a record name 1 would otherwise be read back by SetBits({"bp": 1}) as the constant 1
     with pytest.raises(error) as caught:
         build()
     assert named in str(caught.value)
@@ -317,6 +340,29 @@ def test_strategy_rejects_foreign_wires():
         run_escrow(alice, honest_bob_escrow(), Challenge.REVEAL_TO_BOB, 0)
 
 
+def _receiver_in_alices_seat():
+    # it writes its outcome into the depositor's x: the revealed x would read 0 w.p. 0.85
+    return StrategySpec("alice", 0, {"receive": (MeasureRecord(("dep",), _COMP, "x"),)})
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: run_escrow(honest_alice_escrow(), _receiver_in_alices_seat(),
+                        Challenge.REVEAL_TO_BOB, 0), "bob's seat holds a 'alice' strategy"),
+    (lambda: run_escrow(StrategySpec("bob", 2, {}), random_return_attack(
+        np.random.default_rng(2), 2), Challenge.REVEAL_TO_BOB, 0),
+     "alice's seat holds a 'bob' strategy"),
+    (lambda: protocols.run_escrow_batch(
+        [honest_alice_escrow()] * 2, [honest_bob_escrow(), _receiver_in_alices_seat()],
+        Challenge.REVEAL_TO_BOB, [0, 1], EscrowParams()), "bob's seat holds a 'alice' strategy"),
+], ids=["receiver-as-alice", "depositor-as-bob", "batch"])
+def test_a_spec_in_the_other_partys_seat_is_malformed(run, message, monkeypatch):
+    calls = []
+    monkeypatch.setattr(qmath, "measure", lambda *a, **k: calls.append(a))
+    with pytest.raises(MalformedStrategy, match=message):
+        run()
+    assert calls == []   # before any branch runs
+
+
 def test_strategy_rejects_non_unitary_gate():
     bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(MalformedStrategy):
@@ -458,7 +504,7 @@ def test_ancilla_count_must_be_an_integer_from_0_to_4(count):
 
 
 def test_a_deposit_that_reads_its_seeded_bit_has_no_reduced_state():
-    # the deposit game seeds no bit, and the honest encoder is keyed on (b, x)
+    # the reduced deposit's run seeds no bit, and the honest encoder is keyed on (b, x)
     with pytest.raises(MalformedStrategy, match="reads key 'b' before it is set"):
         deposit_reduced_state(honest_alice_escrow())
 
@@ -527,7 +573,6 @@ _LAYOUTS = {
     "reveal-first": ("dep", "rb"),
     "coinflip": ("dep", "bp", "rb", "rx"),
     "weak-commitment": ("dep", "rb", "rx", "dep2", "bp", "rb2", "rx2"),
-    "deposit": ("dep",),
 }
 _GAMES = {
     "escrow-reveal": protocols._ESCROW[Challenge.REVEAL_TO_BOB],
@@ -535,8 +580,19 @@ _GAMES = {
     "reveal-first": protocols._REVEAL_FIRST,
     "coinflip": protocols._COINFLIP,
     "weak-commitment": protocols._WEAK,
-    "deposit": protocols._DEPOSIT,
 }
+
+
+def test_an_opening_that_raises_raises_for_the_reduced_deposit_too():
+    # deposit_reduced_state plays the opening, as binding_metrics does for the same depositor
+    from qescrow.analysis import binding_metrics
+    alice = StrategySpec("alice", 0, {"deposit": (Apply(("dep",), rotation(0.3)),),
+                                      "reveal": (SetBits({"rb": "unset"}),)})
+    with pytest.raises(MalformedStrategy) as direct:
+        deposit_reduced_state(alice)
+    with pytest.raises(MalformedStrategy) as paired:
+        binding_metrics(alice, alice)
+    assert str(direct.value) == str(paired.value) == "alice reads key 'unset' before it is set"
 
 
 def _all_steps(steps):
@@ -565,6 +621,49 @@ def test_a_game_table_names_only_its_own_phases_and_wires(name):
             assert phase in game.phases[party]
         elif op in ("read", "receive", "check"):
             assert args[0] in game.wires
+
+
+def _check_posts(steps):
+    """Each check's ``post`` in play order (challenge branches err, 1, 0): False when it closes.
+
+    A check closes its branch when no later step of its tuple plays, reads,
+    checks or branches.
+    """
+    for i, step in enumerate(steps):
+        if step[0] == "check":
+            yield any(later[0] not in ("own", "reject") for later in steps[i + 1:])
+        elif step[0] == "challenge":
+            for _, branch in step[2]:
+                yield from _check_posts(branch)
+
+
+_HONEST_RUNS = {
+    "escrow-reveal": lambda: run_escrow(honest_alice_escrow(), honest_bob_escrow(),
+                                        Challenge.REVEAL_TO_BOB, 0),
+    "escrow-return": lambda: run_escrow(honest_alice_escrow(), honest_bob_escrow(),
+                                        Challenge.RETURN_TO_ALICE, 1),
+    "reveal-first": lambda: run_escrow_reveal_then_return(honest_alice_escrow(),
+                                                          honest_bob_escrow(), 0),
+    "coinflip": lambda: run_coinflip(honest_alice_coinflip(), honest_bob_coinflip()),
+    "weak-commitment": lambda: run_weak_commitment(honest_alice_weak(), honest_bob_weak(), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HONEST_RUNS))
+def test_a_check_builds_post_states_only_when_a_later_step_needs_them(name, monkeypatch):
+    # honest runs reach every check: an honest coin is never err, so both challenges play
+    posts = []
+
+    def measure(*args, **kwargs):
+        if "post" in kwargs:   # only a deposit check passes it
+            posts.append(kwargs["post"])
+        return kernel(*args, **kwargs)
+
+    kernel = qmath.measure
+    monkeypatch.setattr(qmath, "measure", measure)
+    _HONEST_RUNS[name]()
+    assert posts == list(_check_posts(_GAMES[name].steps))
+    assert posts == ([True, False, False] if name == "weak-commitment" else [False])
 
 
 def test_distribution_requires_unit_mass():

@@ -445,13 +445,13 @@ def test_measure_phi_pi8_probabilities():
 
 
 def test_measure_escrow_state_in_own_basis():
-    from qescrow.protocols import escrow_basis, phi_bx
+    from qescrow.protocols import bx_angle, escrow_basis, phi_vec
 
     for b in (0, 1):
         for x in (0, 1):
             basis = escrow_basis(x, THETA)
-            _, outcomes, probs, _ = measure(qmath.StateStack.of(phi_bx(b, x, THETA)), basis,
-                                            ("q",))
+            state = StateVector(("q",), phi_vec(bx_angle(b, x, THETA)))
+            _, outcomes, probs, _ = measure(qmath.StateStack.of(state), basis, ("q",))
             assert len(probs) == 1  # the wrong branch is exactly pruned
             assert abs(probs[0] - 1.0) < 1e-12 and outcomes[0] == b  # the index is the bit
 
