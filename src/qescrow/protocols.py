@@ -11,35 +11,44 @@ Four games are enumerated exactly, branch by branch:
 * ``run_weak_commitment`` -- deposit, reveal the bit, play the embedded coin
                          flip, then challenge the loser.
 
-Each game is a ``_Game`` value: its wires, its phase map, a tuple of steps
-(play a phase, read a message, check a deposit, set an honest party's own
-result, reject, branch on a challenge; a challenge branch that no row
-reaches is not played) and how its leaves become results.
-One driver, ``_batch``, plays a game on N runs, each a (depositor,
-receiver, seeded bit) triple, and a runner is its batch of one.  Runs whose
-strategies have one shape (``StrategySpec.shape``: all but the gate and
-basis matrices) go through one stack; ``_batch`` checks each shape pair
-against the game once per batch, before any branch runs.  ``_start``
-builds one root row per run, and ``_play`` runs the steps: ``_run_program``
-a party's phase, ``_read_bit`` a classical message, ``_check_deposit`` a
-deposit projected on its claimed encoding.  ``_assemble`` merges the leaves
-into one distribution per run.  The ``*_batch`` entry points return results in
-input order.  ``run_escrow_batch`` hands each run's reduced deposit, off its
-rows right after the deposit phase, to a caller's check before the rest plays;
-``deposit_reduced_state`` is its batch of one, and no game plays only the deposit.
+Each game is a ``_Game`` value: its wires, its phase map and a tuple of
+steps (play a phase, read a message, check a deposit, set an honest party's
+own result, reject, branch on a challenge).  One function, ``_batch``, plays a
+game on N runs, each a (depositor, receiver, seeded bit) triple, and a
+runner is its batch of one.  Runs whose strategies have one shape
+(``StrategySpec.shape``: all but the gate and basis matrices) form a group
+that goes through one stack; ``_batch`` checks each shape pair against the
+game once per batch, before any branch runs.  The ``*_batch`` entry points
+return results in input order.  ``run_escrow_batch`` hands each run's
+reduced deposit, off its rows right after the deposit phase, to a caller's
+check before the rest plays; ``deposit_reduced_state`` is its batch of one.
 
-The branches of a batch are rows (``_Rows``): one ``qmath.StateStack`` holds
+A game runs in two stages.  ``_compile`` resolves it, once per (game, Alice
+shape, Bob shape) and kept in a bounded cache, into a program: a tuple of
+(step function, arguments) pairs that ends in ``_end`` or ``_challenge``,
+whose branches are programs too.  Everything the two shapes fix is resolved
+there: the table column of every value, each branch's transcript header,
+where a message wire enters the stack, whether a read is a table write, a
+renormalization and a table write, or a ``measure``, whether a write is an
+XOR of a column or an X gate, whether a check builds post-states, the
+challenge's judge, and the steps that are no-ops for a dishonest party.
+Running a group is then ``_start``, which builds one root row per run, and
+``_play``, which calls the steps in order; what is left for them is what the
+data decides: the kernel calls, the runs' operators (stacked when they
+differ), the record reads that may find an unset key, and the challenge
+split.  ``_assemble`` merges the leaves into one distribution per run.
+
+The branches of a group are rows (``_Rows``): one ``qmath.StateStack`` holds
 every branch's amplitudes on the run's quantum wires, next to one probability
-array and one small-integer table.  The table has a column per wire of the
-layout (its classical bit), one for the row's run index, one per (party,
-key) of the records and one per transcript entry; a record value is a bit,
-an outcome index or a verdict code, and a batch's one key-to-column map and
-transcript header name the columns.  A run's seeded bit is its rows' value in
+array and one small-integer table, whose columns the program placed: the
+row's run index, the bit of each message wire, one column per (party, key)
+of the records and one per transcript entry.  A record value is a bit, an
+outcome index or a verdict code.  A run's seeded bit is its rows' value in
 Alice's ``b`` column.  Each round is one kernel call for all rows: a draw
 repeats rows, a gate is one ``apply_unitary``, a measurement or deposit check
 is one ``qmath.measure`` whose surviving outcomes follow their parent row in
 outcome order, and its record is one column of the children's table.  A
-gate, table or basis that every run of the batch holds is applied as one; one
+gate, table or basis that every run of the group holds is applied as one; one
 that differs between runs becomes a stack of the runs' matrices, each row
 taking its run's entry.  Rows stay in branch order, so each run's rows stay
 together and in the order that run alone would give them: ``_assemble`` sums
@@ -60,13 +69,13 @@ out where a measurement would divide it out: every ``measure`` post-state is
 divided by the square root of its probability, and the first read after a
 gate takes its probability and post-state from ``qmath.renormalize``.  A
 draw, an X, an inserted wire and a row selection only move amplitudes, so
-rows stay normalized until the next other gate (``_Rows.normalized``), and a
-read of normalized rows is a table write: the bit goes to the reader's record
-column and the transcript.  A check that closes its branch (only own results
-and rejections follow it) builds no post-states.  In honest play no message
-wire enters the stack.  Honest randomness is expanded into explicit branch
-weights, never sampled, so honest/honest runs have *exactly* zero error
-branches.
+rows stay normalized until the next other gate, and a read of normalized
+rows is a table write: the bit goes to the reader's record column and the
+transcript.  A check that closes its branch (only own results and
+rejections follow it) builds no post-states.  A challenge branch that no row
+reaches is not played.  In honest play no message wire enters the stack.
+Honest randomness is expanded into explicit branch weights, never sampled,
+so honest/honest runs have *exactly* zero error branches.
 
 Wire layout (a run holds Alice's ancillas, then the game's wires, then Bob's
 ancillas, at most ``MAX_TOTAL_WIRES`` = 9 in all):
@@ -79,15 +88,17 @@ ancillas, at most ``MAX_TOTAL_WIRES`` = 9 in all):
 Strategies are data: per-phase lists of rounds (unitaries, or tables of them
 indexed by record bits, on held wires; orthogonal measurements; fair-coin
 draws; message bits that are constants or record keys).  Each round checks
-itself once, when it is built: distinct wires, unitaries of the right shape,
-a measurement of the right dimension, non-empty ``str`` record keys, bit
-sources that are 0, 1 or a key.  A batch checks that every seeded bit is 0, 1
-or None and, once per shape group and from the spec's cached shape, what the
-game adds: each spec sits in its own party's seat, every phase is known,
-every round touches only wires the party holds in it, and in the coin flip
-and the composed game one party is honest.  Every violation raises
-``MalformedStrategy`` before any branch runs, except a record key that is
-unset or not a bit, which raises it when read (for the whole batch).
+itself once, when it is built: distinct non-empty ``str`` wires, unitaries
+of the right shape, a measurement of the right dimension, non-empty ``str``
+record keys, bit sources that are 0, 1 or a key.  A batch checks that its
+runs pair up (or raises ``ProtocolError``), that every seeded bit is 0, 1
+or None and every seat holds a ``StrategySpec`` and, once per shape group
+and from the spec's cached shape, what the game adds: each spec sits in its
+own party's seat, every phase is known, every round touches only wires the
+party holds in it, and in the coin flip and the composed game one party is
+honest.  Every violation raises ``MalformedStrategy`` before any branch
+runs, except a record key that is unset or not a bit, which raises it when
+the step that reads it plays (for the whole batch).
 Runners are pure functions from strategies to outcome distributions;
 concurrent runs share only caches of checked or derived values.
 """
@@ -224,9 +235,13 @@ def _check_keys(keys) -> None:
         raise MalformedStrategy(f"record keys {keys!r} are not a tuple or list of non-empty str")
 
 
-def _check_distinct(wires: tuple[str, ...]) -> None:
+def _check_wires(wires) -> tuple[str, ...]:
+    """A round's wires as a tuple: a tuple or list of distinct non-empty ``str``."""
+    if not (isinstance(wires, (tuple, list)) and all(isinstance(w, str) and w for w in wires)):
+        raise MalformedStrategy(f"wires {wires!r} are not a tuple or list of non-empty str")
     if len(set(wires)) != len(wires):
         raise MalformedStrategy(f"a wire is named twice in {wires}")
+    return tuple(wires)
 
 
 @dataclass(frozen=True)
@@ -245,7 +260,7 @@ class Apply:
     unitary: Unitary = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_distinct(self.wires)
+        object.__setattr__(self, "wires", _check_wires(self.wires))
         _check_keys(self.keys)
         object.__setattr__(self, "keys", tuple(self.keys))
         dim = 2 ** len(self.wires)
@@ -268,7 +283,7 @@ class MeasureRecord:
     name: str
 
     def __post_init__(self):
-        _check_distinct(self.wires)
+        object.__setattr__(self, "wires", _check_wires(self.wires))
         _check_keys((self.name,))
         dim = 2 ** len(self.wires)
         m = self.measurement
@@ -291,7 +306,7 @@ class SetBits:
         if not isinstance(self.assignments, Mapping):
             raise MalformedStrategy(f"bit sources {self.assignments!r} are not a map from wires")
         for wire, src in self.assignments.items():
-            if not (isinstance(src, str) or _is_bit(src)):
+            if not (isinstance(src, str) and src != "" or _is_bit(src)):
                 raise MalformedStrategy(f"bit source {src!r} for {wire!r} is not 0, 1 or a key")
 
 
@@ -338,8 +353,12 @@ class StrategySpec:
 
     @functools.cached_property
     def ancillas(self) -> tuple[str, ...]:
-        prefix = "a" if self.party == "alice" else "c"
-        return tuple(f"{prefix}{i}" for i in range(self.ancilla_count))
+        return _ancilla_wires(self.party, self.ancilla_count)
+
+
+def _ancilla_wires(party: str, count: int) -> tuple[str, ...]:
+    prefix = "a" if party == "alice" else "c"
+    return tuple(f"{prefix}{i}" for i in range(count))
 
 
 def _signature(rnd: Round) -> tuple:
@@ -377,126 +396,67 @@ def validate_strategy(spec: StrategySpec, phase_wires: Mapping[str, tuple[str, .
 # Branch-tree execution
 
 # Every classical value of a row is a small integer.  A bit or an outcome
-# index is itself; these codes mark a key that was never set and the three
+# index is itself; these codes mark a value no step has set and the three
 # verdicts.  A run index is an integer too, so the code type holds any batch.
 _CODE = np.int32
 _UNSET, _ZERO, _ONE, _ERR = -1, -2, -3, -4   # the verdict of bit b is _ZERO - b
-_RUN = ("", "run")   # the column of each row's run index: no party is named ""
+_RUN, _SEED = 0, 1   # the table columns of each row's run index and of Alice's seeded b
 _VERDICTS = {_ZERO: Verdict.ZERO, _ONE: Verdict.ONE, _ERR: Verdict.ERR}
 _SAID = {_ZERO: 0, _ONE: 1, _ERR: Verdict.ERR.value}   # a verdict in a transcript
 
 
 @dataclass(slots=True)
 class _Rows:
-    """The branches of a batch of runs, one row each: probability, state, and small integers.
+    """The branches of a shape group's runs, one row each: probability, state and small integers.
 
-    The state of a row is its amplitudes on the quantum wires (``states``,
-    a subsequence of ``layout``) times one definite bit on each classical
-    message wire.  Every classical value of a row sits in ``table``: column
-    i holds the bit of the layout's wire i (unused while the wire is
-    quantum), and the batch's ``columns`` map, shared by every ``_Rows`` of
-    the batch, places the others: the row's run index (``_RUN``), one column
-    per (party, key) of the records and one per transcript position.  A
-    record value is a bit, an outcome index or a verdict code, and
-    ``_UNSET`` marks a key the row never set.  ``entries`` names the
-    (sender, key) of each transcript position; it is the same for every row.
-    Rows are branch-major: a row's children follow it in outcome order, so
-    each run's rows stay together, in run order, and in the order that run
-    alone would give them.
-
-    ``normalized`` says that every row has been divided by its own norm
-    since the last gate: the exact root, a measurement's post-states and a
-    renormalizing read set it, copies and moves of amplitudes (a draw, an
-    inserted wire, a ``take``, and a flip, since X is an exact permutation)
-    keep it, and any other gate clears it.
-    After a closing check, which nothing reads the state of, ``states`` is
-    None.
+    The state of a row is its amplitudes on the wires in the stack times one
+    definite bit on each message wire outside it.  Every classical value of
+    a row sits in ``table``, in the columns that the compiled program placed:
+    the row's run index (``_RUN``), Alice's seeded ``b`` (``_SEED``), the
+    bit of each message wire, one column per (party, key) of the records and
+    one per transcript position.  A record value is a bit, an outcome index
+    or a verdict code, and ``_UNSET`` marks a value no step has set.  Rows
+    are branch-major: a row's children follow it in outcome order, so each
+    run's rows stay together, in run order, and in the order that run alone
+    would give them.  No two ``_Rows`` share a table, so a step may update
+    its rows in place.  After a closing check, which nothing reads the state
+    of, ``states`` is None.
     """
 
     probs: np.ndarray
     states: StateStack | None
-    layout: tuple[str, ...]
     table: np.ndarray
-    columns: dict[tuple[str, str] | int, int]
-    normalized: bool
-    entries: tuple[tuple[str, str], ...] = ()
-
-    @property
-    def runs(self) -> np.ndarray:
-        """Each row's run index, in the batch's input order."""
-        return self.table[:, self.columns[_RUN]]
 
     def take(self, rows: np.ndarray) -> "_Rows":
         """The given rows (indices), each at most once."""
-        return _Rows(self.probs[rows], self.states.take(rows), self.layout, self.table[rows],
-                     self.columns, self.normalized, self.entries)
+        return _Rows(self.probs[rows], self.states.take(rows), self.table[rows])
 
-    def quantum(self, wires: tuple[str, ...]) -> "_Rows":
-        """The rows with each of ``wires`` in the stack; a classical one enters in |bit>.
+    def split(self, parents: np.ndarray, probs, states: StateStack | None, column: int,
+              values) -> "_Rows":
+        """Children of ``parents`` (row indices, in order) with their probabilities and states.
 
-        The stack keeps the layout's order, so the same wires always sit in
-        the same positions.
+        Each child's ``column`` is set to the matching entry of ``values``.
         """
-        states = self.states
-        for wire in wires:
-            if wire not in states.wires:
-                col = self.layout.index(wire)
-                at = sum(self.layout.index(w) < col for w in states.wires)
-                states = states.insert(at, wire, self.table[:, col])
-        return self if states is self.states else self.with_states(states, self.normalized)
-
-    def with_states(self, states: StateStack, normalized: bool,
-                    table: np.ndarray | None = None) -> "_Rows":
-        """The same rows with new states (and table, when given)."""
-        return _Rows(self.probs, states, self.layout, self.table if table is None else table,
-                     self.columns, normalized, self.entries)
-
-    def split(self, rows: np.ndarray, probs: np.ndarray, states: StateStack | None,
-              normalized: bool, party: str, key: str, values: np.ndarray) -> "_Rows":
-        """Children of ``rows`` (parent indices, in order) with their probabilities and states.
-
-        Each child's ``party`` record gets ``key`` set to the matching entry of ``values``.
-        """
-        out = _Rows(self.probs[rows] * probs, states, self.layout, self.table[rows],
-                    self.columns, normalized, self.entries)
-        out.record((party, key), values)
-        return out
-
-    def column(self, name: tuple[str, str] | int) -> int:
-        """The table column of a (party, key) or transcript position, placed when new."""
-        col = self.columns.setdefault(name, len(self.layout) + len(self.columns))
-        n, width = self.table.shape
-        if col >= width:  # beyond this table: widen it with unset columns, and room to spare
-            table = np.full((n, max(2 * width, col + 1)), _UNSET, dtype=self.table.dtype)
-            table[:, :width] = self.table
-            self.table = table
-        return col
-
-    def read(self, *names: tuple[str, str] | int) -> np.ndarray:
-        """A (rows, names) copy of the named columns, in C order."""
-        try:
-            return self.table.take([self.columns[name] for name in names], axis=1)
-        except (KeyError, IndexError):  # a name not placed yet, or beyond this table
-            return self.table.take([self.column(name) for name in names], axis=1)
-
-    def record(self, name: tuple[str, str] | int, values) -> None:
-        """Set the named column of every row, in place."""
-        col = self.column(name)   # first: placing a new column may replace the table
-        self.table[:, col] = values
-
-    def tell(self, sender: str, key: str, values) -> None:
-        """Append the entry (sender, key), with one value per row, to the transcript."""
-        self.record(len(self.entries), values)
-        self.entries += ((sender, key),)
+        table = self.table[parents]
+        table[:, column] = values
+        return _Rows(self.probs[parents] * probs, states, table)
 
 
-def _record_bits(rows: _Rows, party: str, keys: tuple[str, ...]) -> np.ndarray:
-    """The bits ``party``'s record holds under ``keys``: a (rows, keys) array of 0/1.
+# The steps of a compiled program.  A step takes the rows, each party's specs
+# (one per run of the group), the runs' escrow angle and the arguments that
+# ``_Compiler`` fixed, and returns the rows it leaves.  It reaches the kernels
+# through ``qmath`` and this module's ``apply_unitary`` alias when it runs, so
+# a wrapper installed after a program was compiled sees every call.
+
+
+def _record_bits(rows: _Rows, party: str, keys: tuple[str, ...], columns: np.ndarray
+                 ) -> np.ndarray:
+    """The bits ``party``'s record holds under ``keys``, at ``columns``: a (rows, keys) array.
 
     This is the one place that reads a record as bits.  A key that is not
     set, or holds something other than 0 or 1, raises ``MalformedStrategy``.
     """
-    values = rows.read(*((party, key) for key in keys))
+    values = rows.table.take(columns, axis=1)
     if not set(values.ravel().tolist()) <= {0, 1}:
         for key, column in zip(keys, values.T.tolist()):
             if _UNSET in column:
@@ -505,115 +465,205 @@ def _record_bits(rows: _Rows, party: str, keys: tuple[str, ...]) -> np.ndarray:
     return values
 
 
-def _row_operator(rows: _Rows, party: str, ops: list[Unitary], keys: tuple[str, ...]) -> Unitary:
+def _row_operator(rows: _Rows, ops: list[Unitary], party: str, keys: tuple[str, ...],
+                  columns: np.ndarray, weights: np.ndarray) -> Unitary:
     """A row's operator: the runs' shared one or its own run's, at its bits under ``keys``."""
     op, index = ops[0], None
     if keys:  # a row's table index: its bits under the keys, the first most significant
-        index = _record_bits(rows, party, keys) @ (1 << np.arange(len(keys))[::-1])
+        index = _record_bits(rows, party, keys, columns) @ weights
     if any(o is not op for o in ops):   # the runs' operators, stacked run after run
-        op, index = type(op).stack(ops), (rows.runs << len(keys)) + (0 if index is None else index)
+        op, index = type(op).stack(ops), (rows.table[:, _RUN] << len(keys)) + (
+            0 if index is None else index)
     return op if index is None else op.take(index)
 
 
-def _run_program(rows: _Rows, specs: Sequence[StrategySpec], phase: str) -> _Rows:
-    """Play one phase of each run's spec, all of one shape: each round is one call for all rows.
+def _entered(rows: _Rows, enters: tuple) -> StateStack:
+    """The rows' stack with each (position, wire, column) of ``enters`` inserted, in |bit>."""
+    states = rows.states
+    for at, wire, column in enters:
+        states = states.insert(at, wire, rows.table[:, column])
+    return states
 
-    A gate or a measurement enters its kernel as a checked ``Unitary`` that
-    ``_row_operator`` picks, on the rows' ``StateStack``; no round checks it again.
-    """
-    party = specs[0].party
-    for position, rnd in enumerate(specs[0].programs.get(phase, ())):
-        if isinstance(rnd, Draw):
-            children = np.arange(2 * len(rows.probs))
-            parents = children >> 1
-            rows = rows.split(parents, 0.5, rows.states.take(parents), rows.normalized, party,
-                              rnd.name, children & 1)
-        elif isinstance(rnd, Apply):
-            gate = _row_operator(
-                rows, party, [spec.programs[phase][position].unitary for spec in specs], rnd.keys)
-            rows = rows.quantum(rnd.wires)
-            try:
-                states = apply_unitary(rows.states, gate, rnd.wires)
-            except qmath.QMathError as exc:
-                raise MalformedStrategy(f"bad gate in phase {phase!r}: {exc!r}") from exc
-            rows = rows.with_states(states, False)
-        elif isinstance(rnd, MeasureRecord):
-            measurement = _row_operator(
-                rows, party, [spec.programs[phase][position].measurement for spec in specs], ())
-            rows = rows.quantum(rnd.wires)
-            parents, outcomes, probs, states = qmath.measure(rows.states, measurement, rnd.wires)
-            rows = rows.split(parents, probs, states, True, party, rnd.name, outcomes)
-        else:  # SetBits: a StrategySpec admits no other round type
-            states, table = rows.states, rows.table.copy()
-            keys = tuple(src for src in rnd.assignments.values() if isinstance(src, str))
-            bits = dict(zip(keys, _record_bits(rows, party, keys).T == 1))
-            for wire, src in rnd.assignments.items():
-                flips = bits[src] if isinstance(src, str) else np.full(len(rows.probs), bool(src))
-                if wire not in states.wires:
-                    table[:, rows.layout.index(wire)] ^= flips
-                elif flips.any():
-                    states = apply_unitary(states, _FLIP.take(flips), (wire,))
-            rows = rows.with_states(states, rows.normalized, table)
+
+def _draw(rows, specs, theta, column):
+    """A ``Draw``: every row splits into children with the bit 0 and 1 in ``column``."""
+    children = np.arange(2 * len(rows.probs))
+    parents = children >> 1
+    return rows.split(parents, 0.5, rows.states.take(parents), column, children & 1)
+
+
+def _gate(rows, specs, theta, party, phase, position, wires, enters, keys, columns, weights):
+    """An ``Apply``: round ``position`` of each run's ``phase`` program, one ``apply_unitary``."""
+    gate = _row_operator(rows, [spec.programs[phase][position].unitary for spec in specs[party]],
+                         party, keys, columns, weights)
+    states = _entered(rows, enters)
+    try:
+        rows.states = apply_unitary(states, gate, wires)
+    except qmath.QMathError as exc:
+        raise MalformedStrategy(f"bad gate in phase {phase!r}: {exc!r}") from exc
     return rows
 
 
-def _read_bit(rows: _Rows, wire: str, reader: str, key: str) -> _Rows:
-    """Measure the other party's message wire into the reader's record + transcript.
+def _measure(rows, specs, theta, party, phase, position, wires, enters, column):
+    """A ``MeasureRecord``: one ``qmath.measure``, whose outcome indices go to ``column``."""
+    measurement = _row_operator(
+        rows, [spec.programs[phase][position].measurement for spec in specs[party]], party,
+        (), (), ())
+    parents, outcomes, probs, states = qmath.measure(_entered(rows, enters), measurement, wires)
+    return rows.split(parents, probs, states, column, outcomes)
 
-    A wire outside the stack holds one bit per row, so its measurement has
-    one outcome, that bit.  Rows a gate has acted on since they were last
-    normalized get its probability and post-state from
-    ``qmath.renormalize``, which divides the gate's rounding out; normalized
-    rows keep their probabilities and states, so the read only writes the
-    reader's record column and the transcript.
+
+def _set_bits(rows, specs, theta, party, keys, columns, writes):
+    """A ``SetBits``: per (source, column, wire) of ``writes``, flip the target where the bit is 1.
+
+    A classical target XORs its ``column``; a target in the stack is an X
+    gate on its ``wire``, one ``apply_unitary`` call, and none when no row
+    flips.  A source is a constant or one of ``keys``.
     """
-    if wire in rows.states.wires:
-        # in the computational basis the outcome index is the bit
-        parents, bits, probs, states = qmath.measure(rows.states, _COMP1, (wire,))
-        rows = rows.split(parents, probs, states, True, reader, key, bits)
-    else:
-        bits = rows.table[:, rows.layout.index(wire)]
-        if not rows.normalized:
-            probs, states = qmath.renormalize(rows.states)
-            rows = _Rows(rows.probs * probs, states, rows.layout, rows.table, rows.columns,
-                         True, rows.entries)
-        rows.record((reader, key), bits)
-    rows.tell("alice" if reader == "bob" else "bob", key, bits)
+    bits = dict(zip(keys, _record_bits(rows, party, keys, columns).T == 1)) if keys else {}
+    for source, column, wire in writes:
+        flips = bits[source] if isinstance(source, str) else np.full(len(rows.probs), bool(source))
+        if wire is None:
+            rows.table[:, column] ^= flips
+        elif flips.any():
+            rows.states = apply_unitary(rows.states, _FLIP.take(flips), (wire,))
     return rows
 
 
-def _check_deposit(rows: _Rows, dep_wire: str, theta: float, checker: str, b_key: str,
-                   x_key: str, result: str, xor_key: str | None, closing: bool) -> _Rows:
-    """Project the deposit on the encoding (b, x) that the checker's record claims.
+def _read_column(rows, specs, theta, wire_column, column, said):
+    """Read a classical message wire of normalized rows: a copy of its bit to two columns.
 
-    A failed projection sets the checker's ``result`` to ERR.  A passing one sets
-    it to the claimed bit, XOR the record's ``xor_key`` when one is named (the
-    coin check, where the passing result is b xor b'); a checker that never
-    recorded that key gets no result.  Each row is measured in the basis of its
-    own claimed x, all rows in one call.  A ``closing`` check is the branch's
-    last quantum step, so it computes only the outcomes' probabilities and
-    the rows it returns hold no states.
+    The bit goes to the reader's record ``column`` and to the transcript
+    position ``said``; the probabilities and states stay as they are.
     """
-    has_xor = xor_key is not None and _UNSET not in rows.read((checker, xor_key)).ravel().tolist()
-    claims = _record_bits(rows, checker, (b_key, x_key, xor_key) if has_xor else (b_key, x_key))
+    bits = rows.table[:, wire_column]
+    rows.table[:, column] = bits
+    rows.table[:, said] = bits
+    return rows
+
+
+def _read_renormalized(rows, specs, theta, wire_column, column, said):
+    """Read a classical message wire after a gate: ``qmath.renormalize`` first.
+
+    The read's one outcome takes its probability and post-state from the
+    rows' norms, which divides the gate's rounding out.
+    """
+    probs, rows.states = qmath.renormalize(rows.states)
+    rows.probs = rows.probs * probs
+    return _read_column(rows, specs, theta, wire_column, column, said)
+
+
+def _read_measured(rows, specs, theta, wire, column, said):
+    """Read a message wire in the stack: measure it in the computational basis."""
+    parents, bits, probs, states = qmath.measure(rows.states, _COMP1, (wire,))  # index = bit
+    rows = rows.split(parents, probs, states, column, bits)
+    rows.table[:, said] = bits
+    return rows
+
+
+def _check(rows, specs, theta, wire, coin, checker, keys, columns, xor, column, post):
+    """Project the deposit on ``wire`` on the encoding (b, x) that the checker's record claims.
+
+    ``keys`` are the checker's b and x keys, then its xor key when ``xor``
+    is True.  A failed projection sets the result ``column`` to ERR.  A
+    passing one sets it to the claimed bit, XOR the xor key's bit when
+    ``xor`` is True (the coin check, where the passing result is b xor b');
+    when ``xor`` is False the checker never recorded its xor key and gets no
+    result.  Each row is measured in the basis of its own claimed x, at
+    ``COIN_THETA`` if ``coin`` and else at ``theta``, all rows in one call.
+    Without ``post`` the check closes its branch: ``measure`` computes only
+    the outcomes' probabilities, and the rows it returns hold no states.
+    """
+    claims = _record_bits(rows, checker, keys, columns)
     b = claims[:, 0]
-    if has_xor or xor_key is None:
-        passed = _ZERO - (b ^ claims[:, 2] if has_xor else b)
+    if xor is None:
+        passed = _ZERO - b
+    elif xor:
+        passed = _ZERO - (b ^ claims[:, 2])
     else:
         passed = np.full(len(b), _UNSET)
-    parents, outcomes, probs, states = qmath.measure(
-        rows.states, _check_bases(theta).take(claims[:, 1]), (dep_wire,), post=not closing)
+    bases = _check_bases(COIN_THETA if coin else theta).take(claims[:, 1])
+    parents, outcomes, probs, states = qmath.measure(rows.states, bases, (wire,), post=post)
     verdicts = np.where(outcomes == b[parents], passed[parents], _ERR)  # the outcome index is b
-    return rows.split(parents, probs, states, True, checker, result, verdicts)
+    return rows.split(parents, probs, states, column, verdicts)
 
 
-@dataclass(frozen=True)
+def _own(rows, specs, theta, party, keys, columns, column):
+    """An honest party's own result: the XOR of its bits under ``keys``, as a verdict code."""
+    bits = _record_bits(rows, party, keys, columns)
+    rows.table[:, column] = _ZERO - np.bitwise_xor.reduce(bits, axis=1)
+    return rows
+
+
+def _reject(rows, specs, theta, columns):
+    """Both verdicts are ERR."""
+    rows.table[:, columns] = _ERR
+    return rows
+
+
+# A program ends in ``_end`` or ``_challenge``, which return the parts its
+# branches end on: each part is (rows, its ``_LEAVES`` key, the columns of its
+# verdicts and transcript).
+
+
+def _end(rows, specs, theta, leaves, columns) -> list[tuple]:
+    return [(rows, leaves, columns)]
+
+
+def _challenge(rows, specs, theta, judge, key, column, said, branches) -> list[tuple]:
+    """The judge's result under ``key`` goes to the transcript and picks each row's branch.
+
+    Each (code, program) of ``branches`` plays on the rows with that
+    result, if there are any; a branch no row reaches is not played.
+    """
+    codes = rows.table[:, column]
+    if _UNSET in codes.tolist():
+        raise MalformedStrategy(f"{judge} has no {key} result to choose the challenge")
+    rows.table[:, said] = codes
+    chosen = [(np.flatnonzero(codes == code), branch) for code, branch in branches]
+    return [part for members, branch in chosen if len(members)
+            for part in _play(rows.take(members), specs, theta, *branch)]
+
+
+def _steps(rows: _Rows, specs: Mapping[str, Sequence[StrategySpec]], theta: float,
+           steps: tuple) -> _Rows:
+    """Run compiled ``steps``, each a (step function, arguments) pair, on ``rows``."""
+    for step, args in steps:
+        rows = step(rows, specs, theta, *args)
+    return rows
+
+
+def _play(rows: _Rows, specs: Mapping[str, Sequence[StrategySpec]], theta: float,
+          steps: tuple, end: tuple) -> list[tuple]:
+    """Run a program, its ``steps`` and then its ``end``: the parts its branches end on, in order."""
+    step, args = end
+    return step(_steps(rows, specs, theta, steps), specs, theta, *args)
+
+
+@dataclass(frozen=True, eq=False)
 class _Game:
     """A game as data: its wires, its phase map and its steps.
 
     ``wires`` is the game's part of the layout; it fixes the amplitude order,
     so it is stated rather than derived from the steps.  ``steps`` is what
-    ``_play`` runs.  ``one_honest``: at least one party must be honest.
+    ``_compile`` resolves for a pair of shapes:
+
+    * ``("play", party, phase)``: the party's program for the phase;
+    * ``("read", wire, reader, key)``: the reader measures the other party's
+      message into its record and the transcript; ``"receive"`` reads only
+      for an honest reader;
+    * ``("check", wire, checker, b_key, x_key, result, xor_key, coin)``:
+      ``_check`` at ``COIN_THETA`` if ``coin``, else at the run's angle; it
+      closes its branch when every later step is ``own`` or ``reject``;
+    * ``("own", party, result, *bit_keys)``: an honest party's own result,
+      the XOR of its bits under ``bit_keys``;
+    * ``("reject",)``: both verdicts are ERR;
+    * ``("challenge", key, branches)``, last: the honest judge's (Alice when
+      she is honest) result under ``key`` goes to the transcript, and each
+      (code, steps) of ``branches`` plays on the rows with that result, if any.
+
+    ``one_honest``: at least one party must be honest.  A game is compared by
+    identity, so it keys the program cache.
     """
 
     wires: tuple[str, ...]
@@ -622,109 +672,244 @@ class _Game:
     one_honest: bool
 
 
-def _play(rows: _Rows, specs: Mapping[str, Sequence[StrategySpec]], steps: tuple[tuple, ...],
-          theta: float) -> list[_Rows]:
-    """Run ``steps`` on one shape group's rows; the rows each branch ends on, in order.
+@dataclass(frozen=True, eq=False)
+class _Program:
+    """A game compiled for one pair of shapes: what ``_batch`` runs on each of its groups.
 
-    ``specs`` holds each party's specs, one per run.  The steps:
-
-    * ``("play", party, phase)``: the party's program for the phase;
-    * ``("read", wire, reader, key)``: the reader measures the other party's
-      message into its record and the transcript; ``"receive"`` reads only
-      for an honest reader;
-    * ``("check", wire, checker, b_key, x_key, result, xor_key, coin)``:
-      ``_check_deposit`` at ``COIN_THETA`` if ``coin``, else at ``theta``;
-      it closes its branch when every later step is ``own`` or ``reject``;
-    * ``("own", party, result, *bit_keys)``: an honest party's own result,
-      the XOR of its bits under ``bit_keys``;
-    * ``("reject",)``: both verdicts are ERR;
-    * ``("challenge", key, branches)``, last: the honest judge's (Alice when
-      she is honest) result under ``key`` goes to the transcript, and each
-      (code, steps) of ``branches`` plays on the rows with that result, if any.
+    ``quantum`` names the root stack's wires, and ``root`` is a root row of
+    the table before its run index and seed are set.  ``steps`` and ``end``
+    are the program; the first ``handover`` steps play up to the end of the
+    deposit phase.
     """
-    for i, (op, *args) in enumerate(steps):
-        if op == "play":
-            party, phase = args
-            rows = _run_program(rows, specs[party], phase)
-        elif op == "read" or op == "receive":
-            wire, reader, key = args
-            if op == "read" or specs[reader][0].honest:
-                rows = _read_bit(rows, wire, reader, key)
-        elif op == "check":
-            wire, checker, b_key, x_key, result, xor_key, coin = args
-            closing = all(later[0] in ("own", "reject") for later in steps[i + 1:])
-            rows = _check_deposit(rows, wire, COIN_THETA if coin else theta, checker, b_key,
-                                  x_key, result, xor_key, closing)
-        elif op == "own":
-            party, result, *bit_keys = args
-            if specs[party][0].honest:
-                bits = _record_bits(rows, party, tuple(bit_keys))
-                rows.record((party, result), _ZERO - np.bitwise_xor.reduce(bits, axis=1))
-        elif op == "reject":
-            for party in specs:
-                rows.record((party, "verdict"), _ERR)
-        else:  # "challenge"
-            key, branches = args
-            judge = "alice" if specs["alice"][0].honest else "bob"
-            codes = rows.read((judge, key))[:, 0]
-            if _UNSET in codes.tolist():
-                raise MalformedStrategy(f"{judge} has no {key} result to choose the challenge")
-            rows.tell(key, "result", codes)
-            chosen = [(np.flatnonzero(codes == code), branch) for code, branch in branches]
-            return [part for members, branch in chosen if len(members)
-                    for part in _play(rows.take(members), specs, branch, theta)]
-    return [rows]
+
+    quantum: tuple[str, ...]
+    root: np.ndarray
+    steps: tuple
+    end: tuple
+    handover: int
 
 
-def _start(alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec],
-           game_wires: tuple[str, ...], bits: Sequence[int | None]) -> _Rows:
+class _Compiler:
+    """Resolves a game's steps, for one (Alice shape, Bob shape) pair, to the step functions.
+
+    It walks the steps as every run of the pair plays them, and tracks what
+    the two shapes fix: the wires in the stack, whether the rows are
+    normalized, the record keys some step has set, and the transcript
+    header.  It places a table column for each value it meets, and it drops
+    the steps that the shapes make no-ops: a dishonest reader's ``receive``
+    and a dishonest party's ``own``.  A key counts as set once a step writes
+    it; no check's xor key is the seeded ``b``.  It checks nothing, so
+    compiling never raises: ``_batch`` validates a pair before it compiles
+    it, and what only the data shows (a record key unset or not a bit) is
+    found by the step that reads it, when it runs.
+    """
+
+    def __init__(self, game: _Game, alice: tuple, bob: tuple):
+        self.shapes = {"alice": alice, "bob": bob}
+        self.layout = _ancilla_wires(*alice[:2]) + game.wires + _ancilla_wires(*bob[:2])
+        self.stack = tuple(w for w in self.layout if w not in _MESSAGES)
+        self.columns: dict = {("", "run"): _RUN, ("alice", "b"): _SEED}   # no party is named ""
+        self.messages = [self.column(w) for w in self.layout if w in _MESSAGES]
+        self.normalized = True
+        self.recorded: frozenset = frozenset()
+        self.entries: tuple[tuple[str, str], ...] = ()
+        self.handover = 0
+
+    def column(self, name) -> int:
+        """The column of a message wire, a (party, key) or a transcript position."""
+        return self.columns.setdefault(name, len(self.columns))
+
+    def reads(self, party: str, keys) -> np.ndarray:
+        """The columns of a step that reads ``party``'s ``keys``."""
+        return np.array([self.column((party, key)) for key in keys], dtype=np.intp)
+
+    def record(self, party: str, key: str) -> int:
+        self.recorded |= {(party, key)}
+        return self.column((party, key))
+
+    def tell(self, sender: str, key: str) -> int:
+        """The column of a new transcript entry (sender, key)."""
+        self.entries += ((sender, key),)
+        return self.column(len(self.entries) - 1)
+
+    def honest(self, party: str) -> bool:
+        return self.shapes[party][2]
+
+    def program(self, steps: tuple[tuple, ...]) -> tuple[tuple, tuple]:
+        """The (steps, end) of a game's step tuple, or of a challenge branch's."""
+        out = []
+        for i, (op, *args) in enumerate(steps):
+            if op == "play":
+                out += self.play(*args)
+                if steps[i] == _DEPOSIT_STEP:
+                    self.handover = len(out)
+            elif op == "read" or op == "receive":
+                wire, reader, key = args
+                if op == "read" or self.honest(reader):
+                    out.append(self.read(wire, reader, key))
+            elif op == "check":
+                closing = all(later[0] in ("own", "reject") for later in steps[i + 1:])
+                out.append(self.check(*args, closing))
+            elif op == "own":
+                party, result, *keys = args
+                if self.honest(party):
+                    out.append((_own, (party, tuple(keys), self.reads(party, keys),
+                                       self.record(party, result))))
+            elif op == "reject":
+                out.append((_reject, (np.array([self.record(party, "verdict")
+                                                for party in ("alice", "bob")]),)))
+            else:  # "challenge", the last step
+                return tuple(out), self.challenge(*args)
+        verdicts = [self.column((party, "verdict")) for party in ("alice", "bob")]
+        said = [self.column(i) for i in range(len(self.entries))]
+        key = (self.entries, self.honest("alice"), self.honest("bob"))
+        return tuple(out), (_end, (key, np.array(verdicts + said, dtype=np.intp)))
+
+    def play(self, party: str, phase: str) -> list:
+        out = []
+        *_, phases = self.shapes[party]
+        for position, (kind, wires, keys) in enumerate(dict(phases).get(phase, ())):
+            if kind is Draw:   # its signature's keys are its name
+                out.append((_draw, (self.record(party, keys),)))
+            elif kind is Apply:
+                weights = 1 << np.arange(len(keys))[::-1]
+                out.append((_gate, (party, phase, position, wires, self.enter(wires), keys,
+                                    self.reads(party, keys), weights)))
+                self.normalized = False
+            elif kind is MeasureRecord:
+                out.append((_measure, (party, phase, position, wires, self.enter(wires),
+                                       self.record(party, keys))))
+                self.normalized = True
+            else:  # SetBits: its signature's wires are the targets, its keys the sources
+                names = tuple(source for source in keys if isinstance(source, str))
+                writes = tuple((source, None, wire) if wire in self.stack
+                               else (source, self.columns[wire], None)
+                               for wire, source in zip(wires, keys))
+                out.append((_set_bits, (party, names, self.reads(party, names), writes)))
+        return out
+
+    def enter(self, wires: tuple[str, ...]) -> tuple:
+        """(position, wire, column) of each of ``wires`` that enters the stack, in order.
+
+        The stack keeps the layout's order, so a wire always enters at the
+        same position.
+        """
+        enters = []
+        for wire in wires:
+            if wire not in self.stack:
+                self.stack = tuple(w for w in self.layout if w in self.stack or w == wire)
+                enters.append((self.stack.index(wire), wire, self.columns[wire]))
+        return tuple(enters)
+
+    def read(self, wire: str, reader: str, key: str) -> tuple:
+        column = self.record(reader, key)
+        said = self.tell("alice" if reader == "bob" else "bob", key)
+        if wire in self.stack:
+            step = _read_measured, (wire, column, said)
+        elif self.normalized:
+            step = _read_column, (self.columns[wire], column, said)
+        else:
+            step = _read_renormalized, (self.columns[wire], column, said)
+        self.normalized = True
+        return step
+
+    def check(self, wire: str, checker: str, b_key: str, x_key: str, result: str,
+              xor_key: str | None, coin: bool, closing: bool) -> tuple:
+        xor = None if xor_key is None else (checker, xor_key) in self.recorded
+        keys = (b_key, x_key, xor_key) if xor else (b_key, x_key)
+        self.normalized = True
+        return _check, (wire, coin, checker, keys, self.reads(checker, keys), xor,
+                        self.record(checker, result), not closing)
+
+    def challenge(self, key: str, branches: tuple) -> tuple:
+        judge = "alice" if self.honest("alice") else "bob"
+        column, said = self.column((judge, key)), self.tell(key, "result")
+        fork = self.stack, self.normalized, self.recorded, self.entries
+        compiled = []
+        for code, steps in branches:
+            self.stack, self.normalized, self.recorded, self.entries = fork
+            compiled.append((code, self.program(steps)))
+        return _challenge, (judge, key, column, said, tuple(compiled))
+
+
+@functools.lru_cache(maxsize=256)
+def _compile(game: _Game, alice: tuple, bob: tuple) -> _Program:
+    """``game`` compiled for Alice's and Bob's strategy ``shape``, once per (game, shape pair)."""
+    compiler = _Compiler(game, alice, bob)
+    quantum = compiler.stack
+    steps, end = compiler.program(game.steps)
+    root = np.full(len(compiler.columns), _UNSET, dtype=_CODE)
+    root[compiler.messages] = 0
+    root.setflags(write=False)
+    return _Program(quantum, root, steps, end, compiler.handover)
+
+
+def _start(program: _Program, bits: Sequence[int | None]) -> _Rows:
     """The root rows of a shape group: one row per run, in input order.
 
-    The layout is Alice's ancillas, then ``game_wires``, then Bob's ancillas,
-    all in |0>.  The message wires start classical, and the root's stack
-    holds the others.  Row r holds its run index r, and Alice's record is
-    seeded with ``b = bits[r]`` where that is not None.
+    Every wire is in |0>: the stack holds the program's quantum wires, and
+    each message wire's column holds bit 0.  Row r holds its run index r,
+    and Alice's record is seeded with ``b = bits[r]`` where that is not None.
     """
-    wires = alices[0].ancillas + game_wires + bobs[0].ancillas
-    quantum = tuple(w for w in wires if w not in _MESSAGES)
-    amps = np.zeros(2 ** len(quantum), dtype=complex)
+    amps = np.zeros(2 ** len(program.quantum), dtype=complex)
     amps[0] = 1.0
+    n = len(bits)
     # Built through a validated StateVector: the benchmark's tracer counts this construction.
-    n, at = len(bits), len(wires)
-    root = StateStack.of(StateVector(quantum, amps)).take(np.zeros(n, dtype=np.intp))
-    table = np.full((n, 32), _UNSET, dtype=_CODE)   # room for the records and transcript
-    table[:, :at] = 0
-    table[:, at] = np.arange(n)
-    table[:, at + 1] = [_UNSET if b is None else b for b in bits]
-    return _Rows(np.ones(n), root, wires, table, {_RUN: at, ("alice", "b"): at + 1}, True)
+    root = StateStack.of(StateVector(program.quantum, amps)).take(np.zeros(n, dtype=np.intp))
+    table = np.repeat(program.root[None], n, axis=0)
+    table[:, _RUN] = np.arange(n)
+    table[:, _SEED] = [_UNSET if b is None else b for b in bits]
+    return _Rows(np.ones(n), root, table)
 
 
-def _batch(game: _Game, alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec],
-           bits: Sequence[int | None], theta: float,
-           deposited: Callable[[list[DensityMatrix]], None] | None = None) -> list:
-    """``game`` on every run (alices[i], bobs[i], bits[i]), with one stack per shape group.
+def _seeds(alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec],
+           bits: Sequence[int | None] | None) -> Sequence[int | None]:
+    """The runs' seeded bits (None for each run when ``bits`` is None), once the runs pair up.
 
-    The runs whose two specs have the same ``shape`` form a group.  Before any
-    branch of any group runs, every seed must be 0, 1 or None, and the first
-    pair of every group is checked against the game: the seats, its phase
-    map, the wire budget and the honest-party rule.  That check reads only
-    the two shapes, so the other members share it.  Each group plays the game's steps from its
-    root rows, and ``_assemble`` gives one distribution per run.  The results
-    come back in input order; a run that raises raises for the whole batch.
-    Every runner is its batch of one.
-
-    With ``deposited``, every group first plays up to the deposit phase,
-    and ``deposited`` gets each run's reduced state on ``dep`` there, in
-    input order, before any group plays on; it may raise.
+    The depositors, receivers and bits must be sequences of one length, or
+    ``ProtocolError`` is raised; each bit must be 0, 1 or None, or
+    ``MalformedStrategy`` is.
     """
+    if bits is None and hasattr(alices, "__len__"):   # the coin flip seeds no run
+        bits = [None] * len(alices)
+    for what, runs in (("depositors", alices), ("receivers", bobs), ("seeded bits", bits)):
+        if not hasattr(runs, "__len__"):
+            raise ProtocolError(f"the {what} are a {type(runs).__name__}, not a sequence of runs")
     if not len(alices) == len(bobs) == len(bits):
         raise ProtocolError(f"{len(alices)} depositors, {len(bobs)} receivers and "
                             f"{len(bits)} seeded bits do not pair up")
     for b in bits:
         if not (b is None or _is_bit(b)):
             raise MalformedStrategy(f"seed {b!r} is not a bit (0 or 1) or None")
+    return bits
+
+
+def _batch(game: _Game, alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec],
+           bits: Sequence[int | None] | None, theta: float,
+           deposited: Callable[[list[DensityMatrix]], None] | None = None) -> list:
+    """``game`` on every run (alices[i], bobs[i], bits[i]), with one stack per shape group.
+
+    The runs whose two specs have the same ``shape`` form a group.  Before any
+    branch of any group runs, the runs must pair up and every seed be 0, 1 or
+    None (``_seeds``), every seat must hold a ``StrategySpec``, and the first
+    pair of every group is checked against the game: the seats, its phase
+    map, the wire budget and the honest-party rule.  That check reads only
+    the two shapes, so the other members share it.  Each group then plays
+    the game compiled for its shape pair (``_compile``) from its root rows,
+    and ``_assemble`` gives one distribution per run.  The results come back
+    in input order; a run that raises raises for the whole batch.  Every
+    runner is its batch of one.
+
+    With ``deposited``, every group first plays up to the end of the deposit
+    phase, and ``deposited`` gets each run's reduced state on ``dep`` there,
+    in input order, before any group plays on; it may raise.
+    """
+    bits = _seeds(alices, bobs, bits)
     groups: dict[tuple, list[int]] = {}
     for i, (alice, bob) in enumerate(zip(alices, bobs)):
+        if not (isinstance(alice, StrategySpec) and isinstance(bob, StrategySpec)):
+            seat, spec = ("bob", bob) if isinstance(alice, StrategySpec) else ("alice", alice)
+            raise MalformedStrategy(f"{seat}'s seat holds {spec!r}, not a StrategySpec")
         groups.setdefault((alice.shape, bob.shape), []).append(i)
     for members in groups.values():
         alice, bob = alices[members[0]], bobs[members[0]]
@@ -737,20 +922,21 @@ def _batch(game: _Game, alices: Sequence[StrategySpec], bobs: Sequence[StrategyS
             raise MalformedStrategy(f"{n} wires exceed the {MAX_TOTAL_WIRES}-qubit budget")
         if game.one_honest and not (alice.honest or bob.honest):
             raise MalformedStrategy("at least one party must be honest")
-    at = game.steps.index(_DEPOSIT_STEP) + 1 if deposited else 0
     heads, deposits, results = [], {}, [None] * len(bits)
-    for members in groups.values():
+    for shapes, members in groups.items():
+        program = _compile(game, *shapes)
         specs = {"alice": [alices[i] for i in members], "bob": [bobs[i] for i in members]}
-        rows = _start(specs["alice"], specs["bob"], game.wires, [bits[i] for i in members])
+        rows = _start(program, [bits[i] for i in members])
+        at = program.handover if deposited else 0
         if deposited:
-            (rows,) = _play(rows, specs, game.steps[:at], theta)
+            rows = _steps(rows, specs, theta, program.steps[:at])
             deposits.update(zip(members, _reduced_deposits(rows, len(members))))
-        heads.append((members, specs, rows))
+        heads.append((members, specs, rows, program.steps[at:], program.end))
     if deposited:
         deposited([deposits[i] for i in range(len(bits))])
-    for members, specs, rows in heads:
-        parts = _play(rows, specs, game.steps[at:], theta)
-        for i, result in zip(members, _assemble(parts, specs["alice"], specs["bob"])):
+    for members, specs, rows, steps, end in heads:
+        parts = _play(rows, specs, theta, steps, end)
+        for i, result in zip(members, _assemble(parts, len(members))):
             results[i] = result
     return results
 
@@ -815,8 +1001,8 @@ def _final_verdicts(av: int, bv: int, alice_honest: bool, bob_honest: bool) -> t
     return av, bv
 
 
-def _leaf(entries: tuple[tuple[str, str], ...], codes: bytes, alice_honest: bool,
-          bob_honest: bool) -> tuple[str, tuple]:
+def _leaf(entries: tuple[tuple[str, str], ...], alice_honest: bool, bob_honest: bool,
+          codes: bytes) -> tuple[str, tuple]:
     """The leaf that a row's verdict and transcript codes spell, and its ``repr``.
 
     The leaf is (Alice's verdict, Bob's verdict, transcript).
@@ -829,16 +1015,17 @@ def _leaf(entries: tuple[tuple[str, str], ...], codes: bytes, alice_honest: bool
 
 
 # The ``_leaf`` of each row codes met so far, per (transcript header, Alice
-# honest, Bob honest), filled by ``_assemble``.  The games fix every header,
-# and each value is a bit or a verdict, so the games have few distinct leaves.
+# honest, Bob honest), filled by ``_assemble``; a compiled program names each
+# branch's key.  The games fix every header, and each value is a bit or a
+# verdict, so the games have few distinct leaves.
 _LEAVES: dict[tuple, dict[bytes, tuple[str, tuple]]] = {}
 
 
-def _assemble(parts: list[_Rows], alices: Sequence[StrategySpec],
-              bobs: Sequence[StrategySpec]) -> list[OutcomeDistribution]:
-    """Each run's distribution: a leaf per distinct (verdicts, transcript), in ``repr`` order.
+def _assemble(parts: list[tuple], runs: int) -> list[OutcomeDistribution]:
+    """Each of ``runs`` runs' distribution: a leaf per distinct (verdicts, transcript), in ``repr`` order.
 
-    Each part reads its rows' verdict and transcript codes as one matrix, and
+    Each part (rows, ``_LEAVES`` key, columns) reads its rows' verdict and
+    transcript codes as one matrix, and
     a dict keyed by each row's bytes keeps every distinct row once, so only
     distinct rows are looked up in the part's ``_LEAVES`` entry.  One
     ``np.bincount`` over (run, leaf) sums the probabilities over every row in
@@ -846,25 +1033,24 @@ def _assemble(parts: list[_Rows], alices: Sequence[StrategySpec],
     alone would, as a branch-by-branch merge would.  A run holds the leaves
     its rows reach.
     """
-    alice_honest, bob_honest = alices[0].honest, bobs[0].honest
     leaves: dict[str, tuple[int, tuple]] = {}   # repr -> (index, leaf)
     ids: list[int] = []
-    for rows in parts:
-        codes = rows.read(("alice", "verdict"), ("bob", "verdict"), *range(len(rows.entries)))
+    for rows, header, columns in parts:
+        codes = rows.table.take(columns, axis=1)
         keys = codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1]))).ravel().tolist()
-        known = _LEAVES.setdefault((rows.entries, alice_honest, bob_honest), {})
+        known = _LEAVES.setdefault(header, {})
         distinct = dict.fromkeys(keys)   # in the order of first rows
         for key in distinct:
             if key not in known:
-                known[key] = _leaf(rows.entries, key, alice_honest, bob_honest)
+                known[key] = _leaf(*header, key)
             text, leaf = known[key]
             distinct[key] = leaves.setdefault(text, (len(leaves), leaf))[0]
         ids += map(distinct.__getitem__, keys)
     width = len(leaves)
-    runs = np.concatenate([rows.runs for rows in parts], dtype=np.intp)
-    bins = runs * width + np.array(ids, dtype=np.intp)   # (run, leaf)
-    sums = np.bincount(bins, np.concatenate([rows.probs for rows in parts]),
-                       len(alices) * width)
+    run = np.concatenate([rows.table[:, _RUN] for rows, _, _ in parts], dtype=np.intp)
+    bins = run * width + np.array(ids, dtype=np.intp)   # (run, leaf)
+    sums = np.bincount(bins, np.concatenate([rows.probs for rows, _, _ in parts]),
+                       runs * width)
     reached = np.zeros(len(sums), dtype=bool)
     reached[bins] = True
     sums, reached = sums.tolist(), reached.tolist()
@@ -984,7 +1170,7 @@ def _reduced_deposits(rows: _Rows, n: int) -> list[DensityMatrix]:
     """Each of ``n`` runs' reduced state on ``dep``: its rows' states, summed in its own order."""
     probs = rows.probs.tolist()
     reduced = partial_trace(rows.states, ("dep",))
-    ends = np.searchsorted(rows.runs, np.arange(1, n + 1)).tolist()
+    ends = np.searchsorted(rows.table[:, _RUN], np.arange(1, n + 1)).tolist()
     out, start = [], 0
     for end in ends:
         total = sum(probs[start:end])
@@ -1088,13 +1274,13 @@ def run_coinflip(alice: StrategySpec, bob: StrategySpec) -> OutcomeDistribution:
     err if the check catches the revealer and b xor b' otherwise; an honest
     revealer is never caught, so her result is always b xor b'.
     """
-    return _batch(_COINFLIP, [alice], [bob], [None], COIN_THETA)[0]
+    return _batch(_COINFLIP, [alice], [bob], None, COIN_THETA)[0]
 
 
 def run_coinflip_batch(alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec]
                        ) -> list[OutcomeDistribution]:
     """``run_coinflip`` of each (alices[i], bobs[i]), in input order (``_batch``)."""
-    return _batch(_COINFLIP, alices, bobs, [None] * len(alices), COIN_THETA)
+    return _batch(_COINFLIP, alices, bobs, None, COIN_THETA)
 
 
 def run_weak_commitment(alice: StrategySpec, bob: StrategySpec, deposited_bit: int,

@@ -13,7 +13,9 @@ checked before any branch runs.  The kernel calls of the composed game show
 that a challenge branch that no row reaches is not played, and those of a
 binding pair that its deposit is played once.  A classical write on a wire
 in the stack is one ``apply_unitary`` call, and like any move of amplitudes
-it leaves the rows normalized.
+it leaves the rows normalized.  A game is compiled once per pair of shapes,
+and its program reaches the kernels through the module attributes, so a
+wrapper installed after the pair was compiled sees every call.
 """
 
 import numpy as np
@@ -72,6 +74,31 @@ def test_wrapped_kernels_see_every_runner(runner, monkeypatch):
     monkeypatch.setattr(protocols, "apply_unitary", apply_unitary)
     assert RUNS[runner]() == unwrapped
     assert calls["measure"] > 0 and calls["apply_unitary"] > 0
+
+
+@pytest.mark.parametrize("runner", sorted(RUNS))
+def test_wrappers_installed_after_a_pair_compiled_see_every_kernel_call(runner, monkeypatch):
+    # a compiled program looks each kernel up when it runs, so it holds none of them
+    protocols._compile.cache_clear()
+    while_compiling = _record_kernel_calls(monkeypatch)
+    unwrapped = RUNS[runner]()   # compiles the pair with the wrappers in place
+    monkeypatch.undo()
+    RUNS[runner]()
+    after = _record_kernel_calls(monkeypatch)
+    assert RUNS[runner]() == unwrapped
+    assert after == while_compiling != []
+
+
+def test_a_shape_pair_compiles_once():
+    protocols._compile.cache_clear()
+    rng = np.random.default_rng(13)
+    for _ in range(100):   # single runs of one shape pair
+        protocols.run_coinflip(honest_alice_coinflip(),
+                               _receiver(Apply(("dep",), qmath.random_unitary(2, rng))))
+    assert protocols._compile.cache_info()[:2] == (99, 1)   # (hits, misses)
+    protocols.run_coinflip(honest_alice_coinflip(), _receiver())   # a second shape
+    assert protocols._compile.cache_info()[:2] == (99, 2)
+    assert protocols._compile.cache_info().maxsize is not None   # the cache is bounded
 
 
 @pytest.mark.parametrize("runner", sorted(RUNS))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fixed_bit_alice
+from helpers import fixed_bit_alice, weak_alice_every_coin_err
 from qescrow.adversaries import random_return_attack
 from qescrow import protocols, qmath
 from qescrow.protocols import (
@@ -124,6 +124,65 @@ def test_a_malformed_challenge_or_record_key_raises_a_typed_error(build, error, 
     with pytest.raises(error) as caught:
         build()
     assert named in str(caught.value)
+
+
+@pytest.mark.parametrize("build, error, named", [
+    (lambda: SetBits({"bp": ""}), MalformedStrategy, "''"),
+    (lambda: run_coinflip(honest_alice_coinflip(), None), MalformedStrategy,
+     "bob's seat holds None"),
+    (lambda: run_escrow(honest_alice_escrow(), "bob", Challenge.REVEAL_TO_BOB, 0),
+     MalformedStrategy, "bob's seat holds 'bob'"),
+    (lambda: protocols.run_escrow_batch([honest_alice_escrow(), 3], [honest_bob_escrow()] * 2,
+                                        Challenge.REVEAL_TO_BOB, [0, 1], EscrowParams()),
+     MalformedStrategy, "alice's seat holds 3"),
+    (lambda: Apply("dep", np.eye(2)), MalformedStrategy, "'dep'"),
+    (lambda: MeasureRecord("dep", _COMP, "m"), MalformedStrategy, "'dep'"),
+    (lambda: Apply(("dep", ""), np.eye(4)), MalformedStrategy, "('dep', '')"),
+    (lambda: protocols.run_coinflip_batch(honest_alice_coinflip(), [honest_bob_coinflip()]),
+     ProtocolError, "depositors are a StrategySpec, not a sequence"),
+    (lambda: protocols.run_coinflip_batch([honest_alice_coinflip()], None),
+     ProtocolError, "receivers are a NoneType, not a sequence"),
+], ids=["bit-source-empty", "seat-none", "seat-str", "batch-seat-int", "apply-wires-str",
+        "measure-wires-str", "wire-empty", "batch-not-a-sequence", "batch-receivers-none"])
+def test_a_malformed_seat_wire_or_batch_raises_a_typed_error(build, error, named):
+    # at the parent these built, raised AttributeError or TypeError, or named no value
+    with pytest.raises(error) as caught:
+        build()
+    assert named in str(caught.value)
+
+
+def _unseeded_weak_alice(coin_err: bool) -> StrategySpec:
+    """A composed-game depositor that reads no ``b`` except in Alice's return check.
+
+    Her deposit is a fixed rotation and she reveals 0.  With ``coin_err``
+    she reveals the wrong coin bit, so every coin is err and only the
+    rejecting branch plays; otherwise both other branches play.
+    """
+    programs = dict(weak_alice_every_coin_err(THETA).programs)
+    programs["deposit"] = programs["deposit"][:4] + (Apply(("dep",), rotation(0.3)),)
+    programs["reveal_bit"] = (SetBits({"rb": 0}),)
+    if not coin_err:
+        programs["coin_reveal"] = (SetBits({"rb2": "b2", "rx2": "x2"}),)
+    return StrategySpec("alice", 1, programs)
+
+
+def test_an_unset_key_in_a_branch_no_row_reaches_raises_nothing():
+    dist = run_weak_commitment(_unseeded_weak_alice(coin_err=True), honest_bob_weak(), None)
+    assert dist.verdict_probability("alice", Verdict.ERR) == 1.0
+
+
+@pytest.mark.parametrize("run", [
+    lambda b: run_weak_commitment(_unseeded_weak_alice(coin_err=False), honest_bob_weak(), b),
+    lambda b: run_escrow(StrategySpec("alice", 0, {"deposit": (
+        Draw("x"), Apply(("dep",), rotation(0.3)))}), honest_bob_escrow(),
+        Challenge.RETURN_TO_ALICE, b),
+], ids=["weak-commitment", "escrow-return"])
+def test_a_none_seed_that_a_check_reads_raises_when_the_check_plays(run):
+    for b in (0, 1):
+        run(b)
+    with pytest.raises(MalformedStrategy) as caught:
+        run(None)
+    assert str(caught.value) == "alice reads key 'b' before it is set"
 
 
 def test_escrow_bit_density():
