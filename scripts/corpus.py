@@ -8,8 +8,9 @@ honest strategies and on seeded random ones, at each escrow angle in
 ``THETAS``, and so are a set of malformed inputs.  Each call writes one line:
 its name, then its result with every float as ``float.hex``, or, when it
 raises, the exception's type and message.  The same checkout always writes the
-same file, so two checkouts that compute the same numbers and raise the same
-errors write identical files: compare them with ``cmp``.
+same file.  ``scripts/corpus_diff.py OLD NEW`` compares two checkouts' files:
+they must raise the same errors and give the same results up to floats that
+differ by at most 1e-12.
 
 The library is imported from ``src/`` next to this directory.
 """

@@ -245,6 +245,17 @@ def full_measurement_bob() -> StrategySpec:
 # Angle parameterizations
 
 
+def _angles(angles: Sequence[float]) -> np.ndarray:
+    """Angles as a float array; a value that is not a real number raises ``AdversaryError``."""
+    try:
+        values = np.asarray(angles)
+        if values.dtype.kind in "iuf":
+            return values.astype(float, copy=False)
+    except ValueError:   # a ragged sequence
+        pass
+    raise AdversaryError(f"angles {angles!r} are not real numbers")
+
+
 def unitary_from_angles(dim: int, angles: Sequence[float]) -> np.ndarray:
     """Euler-style product of two-level rotations; 3 angles per index pair.
 
@@ -252,7 +263,7 @@ def unitary_from_angles(dim: int, angles: Sequence[float]) -> np.ndarray:
     the two row phases given by the other two; all-zero angles give the
     identity and (t, 0, 0) on dim 2 is the plane rotation by t.
     """
-    angles = np.asarray(angles, dtype=float)
+    angles = _angles(angles)
     expected = 3 * dim * (dim - 1) // 2
     if angles.shape != (expected,):
         raise BadParameterCount(f"dim {dim} needs {expected} angles, got {angles.shape}")
@@ -274,7 +285,7 @@ def unitary_from_angles(dim: int, angles: Sequence[float]) -> np.ndarray:
 
 def state_from_angles(dim: int, angles: Sequence[float]) -> np.ndarray:
     """Unit vector from 2(dim-1) hyperspherical angles (component 0 real)."""
-    angles = np.asarray(angles, dtype=float)
+    angles = _angles(angles)
     if angles.shape != (2 * (dim - 1),):
         raise BadParameterCount(f"dim {dim} needs {2 * (dim - 1)} angles")
     thetas, phases = angles[:dim - 1], angles[dim - 1:]
@@ -323,7 +334,7 @@ def alice_coinflip_from_angles(angles: Sequence[float]) -> StrategySpec:
     """12-angle coin-flip depositor: 6 angles prepare the (a0, dep) state, then
     per received coin bit a 3-angle basis measurement of a0 picks the claimed x;
     the claimed bit is the received bit."""
-    angles = np.asarray(angles, dtype=float)
+    angles = _angles(angles)
     if angles.shape != (12,):
         raise BadParameterCount("the coin-flip depositor space has 12 angles")
     prep = state_preparation_unitary(state_from_angles(4, angles[:6]))

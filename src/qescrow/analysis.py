@@ -289,8 +289,14 @@ class BiasReport:
         return max(self.win_prob_0, self.win_prob_1) - 0.5
 
 
+def _check_honest(honest: HonestParty) -> None:
+    if not isinstance(honest, HonestParty):
+        raise AnalysisError(f"honest party {honest!r} is not a HonestParty")
+
+
 def coinflip_bias(honest: HonestParty, adversary: StrategySpec) -> BiasReport:
     """Exact distribution of the honest player's coin verdict against an adversary."""
+    _check_honest(honest)
     if honest is HonestParty.ALICE_HONEST:
         dist = run_coinflip(honest_alice_coinflip(), adversary)
     else:
@@ -301,6 +307,7 @@ def coinflip_bias(honest: HonestParty, adversary: StrategySpec) -> BiasReport:
 def coinflip_bias_batch(honest: HonestParty, adversaries: Sequence[StrategySpec]
                         ) -> list[BiasReport]:
     """``coinflip_bias`` against each adversary, in order; those of one shape run as one stack."""
+    _check_honest(honest)
     adversaries = list(adversaries)
     if honest is HonestParty.ALICE_HONEST:
         dists = run_coinflip_batch([honest_alice_coinflip()] * len(adversaries), adversaries)

@@ -27,8 +27,8 @@ A game runs in two stages.  ``_compile`` resolves it, once per (game, Alice
 shape, Bob shape) and kept in a bounded cache, into a program: a tuple of
 (step function, arguments) pairs that ends in ``_end`` or ``_challenge``,
 whose branches are programs too.  Everything the two shapes fix is resolved
-there: the table column of every value, each branch's transcript header,
-where a message wire enters the stack, whether a read is a table write, a
+there: the wires of the stack, the table column of every value, each
+branch's transcript header, whether a read is a table write, a
 renormalization and a table write, or a ``measure``, whether a write is an
 XOR of a column or an X gate, whether a check builds post-states, the
 challenge's judge, and the steps that are no-ops for a dishonest party.
@@ -58,22 +58,23 @@ for distinct rows of verdict and transcript codes.
 
 Classical messages are carried on qubit wires that an honest recipient
 measures in the computational basis on receipt; a dishonest sender is free to
-put superpositions on them.  The stack holds the quantum wires: the
-parties' ancillas and the deposits from the start, and a message wire
-(``_MESSAGES``) from the first gate or ``MeasureRecord`` that acts on it,
-when ``StateStack.insert`` enters it in |bit> from its column; the stack
-keeps the layout's wire order.  Until then a message wire is a classical bit
-per row: a classical write XORs its column (on a quantum wire it is an X
-gate), and reading it has one outcome, the row's bit.  Rounding is divided
-out where a measurement would divide it out: every ``measure`` post-state is
-divided by the square root of its probability, and the first read after a
-gate takes its probability and post-state from ``qmath.renormalize``.  A
-draw, an X, an inserted wire and a row selection only move amplitudes, so
-rows stay normalized until the next other gate, and a read of normalized
-rows is a table write: the bit goes to the reader's record column and the
-transcript.  A check that closes its branch (only own results and
-rejections follow it) builds no post-states.  A challenge branch that no row
-reaches is not played.  In honest play no message wire enters the stack.
+put superpositions on them.  Each program fixes its stack once, from the two
+shapes, in the layout's wire order: the parties' ancillas, the deposits, and
+each message wire (``_MESSAGES``) that a gate or ``MeasureRecord`` of either
+shape names, in any phase.  Every other message wire is a classical bit per
+row for the whole run, a column of the table.  A write XORs a classical
+wire's column and is an X gate on a quantum one; a read of a quantum wire is
+a ``measure``, and a read of a classical one has one outcome, the row's bit.
+Rounding is divided out where a measurement would divide it out: every
+``measure`` post-state is divided by the square root of its probability, and
+the first read of a classical wire after a gate takes its probability and
+post-state from ``qmath.renormalize``.  A draw, an X and a row selection only
+move amplitudes, so rows stay normalized until the next other gate, and a
+read of a classical wire from normalized rows is a table write: the bit goes
+to the reader's record column and the transcript.  A check that closes its
+branch (only own results and rejections follow it) builds no post-states.  A
+challenge branch that no row reaches is not played.  In honest play no
+message wire is in the stack.
 Honest randomness is expanded into explicit branch weights, never sampled,
 so honest/honest runs have *exactly* zero error branches.
 
@@ -129,8 +130,8 @@ from .qmath import (
 THETA_DEFAULT = math.pi / 8
 COIN_THETA = math.pi / 8
 MAX_TOTAL_WIRES = 9
-# Wires that carry classical messages; they stay classical until a gate or a
-# measurement acts on them.  Every other wire of a run is quantum from the start.
+# Wires that carry classical messages; one is quantum in a program only if a gate
+# or a measurement of either shape acts on it.  Every other wire of a run is quantum.
 _MESSAGES = frozenset({"rb", "rx", "bp", "rb2", "rx2"})
 
 _COMP1 = OrthogonalMeasurement.computational(1)
@@ -236,12 +237,11 @@ def _check_keys(keys) -> None:
 
 
 def _check_wires(wires) -> tuple[str, ...]:
-    """A round's wires as a tuple: a tuple or list of distinct non-empty ``str``."""
-    if not (isinstance(wires, (tuple, list)) and all(isinstance(w, str) and w for w in wires)):
-        raise MalformedStrategy(f"wires {wires!r} are not a tuple or list of non-empty str")
-    if len(set(wires)) != len(wires):
-        raise MalformedStrategy(f"a wire is named twice in {wires}")
-    return tuple(wires)
+    """A round's wires as a tuple: a tuple or list of distinct non-empty ``str``, as qmath says."""
+    try:
+        return qmath._check_wires(wires)
+    except qmath.WireMismatch as exc:
+        raise MalformedStrategy(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -338,6 +338,8 @@ class StrategySpec:
     def __post_init__(self):
         if self.party not in ("alice", "bob"):
             raise MalformedStrategy(f"unknown party {self.party!r}")
+        if not isinstance(self.honest, bool):
+            raise MalformedStrategy(f"honest flag {self.honest!r} is not a bool")
         count = self.ancilla_count
         if not (isinstance(count, (int, np.integer)) and 0 <= count <= 4):
             raise MalformedStrategy(f"ancilla count {count!r} is not an integer in [0, 4]")
@@ -409,18 +411,19 @@ _SAID = {_ZERO: 0, _ONE: 1, _ERR: Verdict.ERR.value}   # a verdict in a transcri
 class _Rows:
     """The branches of a shape group's runs, one row each: probability, state and small integers.
 
-    The state of a row is its amplitudes on the wires in the stack times one
-    definite bit on each message wire outside it.  Every classical value of
-    a row sits in ``table``, in the columns that the compiled program placed:
-    the row's run index (``_RUN``), Alice's seeded ``b`` (``_SEED``), the
-    bit of each message wire, one column per (party, key) of the records and
-    one per transcript position.  A record value is a bit, an outcome index
-    or a verdict code, and ``_UNSET`` marks a value no step has set.  Rows
-    are branch-major: a row's children follow it in outcome order, so each
-    run's rows stay together, in run order, and in the order that run alone
-    would give them.  No two ``_Rows`` share a table, so a step may update
-    its rows in place.  After a closing check, which nothing reads the state
-    of, ``states`` is None.
+    The state of a row is its amplitudes on the wires of the stack, which
+    the compiled program fixes, times one definite bit on each classical
+    message wire.  Every classical value of a row sits in ``table``, in the
+    columns that the program placed: the row's run index (``_RUN``), Alice's
+    seeded ``b`` (``_SEED``), the bit of each classical message wire, one
+    column per (party, key) of the records and one per transcript position.
+    A record value is a bit, an outcome index or a verdict code, and
+    ``_UNSET`` marks a value no step has set.  Rows are branch-major: a
+    row's children follow it in outcome order, so each run's rows stay
+    together, in run order, and in the order that run alone would give them.
+    No two ``_Rows`` share a table, so a step may update its rows in place.
+    After a closing check, which nothing reads the state of, ``states`` is
+    None.
     """
 
     probs: np.ndarray
@@ -477,14 +480,6 @@ def _row_operator(rows: _Rows, ops: list[Unitary], party: str, keys: tuple[str, 
     return op if index is None else op.take(index)
 
 
-def _entered(rows: _Rows, enters: tuple) -> StateStack:
-    """The rows' stack with each (position, wire, column) of ``enters`` inserted, in |bit>."""
-    states = rows.states
-    for at, wire, column in enters:
-        states = states.insert(at, wire, rows.table[:, column])
-    return states
-
-
 def _draw(rows, specs, theta, column):
     """A ``Draw``: every row splits into children with the bit 0 and 1 in ``column``."""
     children = np.arange(2 * len(rows.probs))
@@ -492,24 +487,23 @@ def _draw(rows, specs, theta, column):
     return rows.split(parents, 0.5, rows.states.take(parents), column, children & 1)
 
 
-def _gate(rows, specs, theta, party, phase, position, wires, enters, keys, columns, weights):
+def _gate(rows, specs, theta, party, phase, position, wires, keys, columns, weights):
     """An ``Apply``: round ``position`` of each run's ``phase`` program, one ``apply_unitary``."""
     gate = _row_operator(rows, [spec.programs[phase][position].unitary for spec in specs[party]],
                          party, keys, columns, weights)
-    states = _entered(rows, enters)
     try:
-        rows.states = apply_unitary(states, gate, wires)
+        rows.states = apply_unitary(rows.states, gate, wires)
     except qmath.QMathError as exc:
         raise MalformedStrategy(f"bad gate in phase {phase!r}: {exc!r}") from exc
     return rows
 
 
-def _measure(rows, specs, theta, party, phase, position, wires, enters, column):
+def _measure(rows, specs, theta, party, phase, position, wires, column):
     """A ``MeasureRecord``: one ``qmath.measure``, whose outcome indices go to ``column``."""
     measurement = _row_operator(
         rows, [spec.programs[phase][position].measurement for spec in specs[party]], party,
         (), (), ())
-    parents, outcomes, probs, states = qmath.measure(_entered(rows, enters), measurement, wires)
+    parents, outcomes, probs, states = qmath.measure(rows.states, measurement, wires)
     return rows.split(parents, probs, states, column, outcomes)
 
 
@@ -676,10 +670,10 @@ class _Game:
 class _Program:
     """A game compiled for one pair of shapes: what ``_batch`` runs on each of its groups.
 
-    ``quantum`` names the root stack's wires, and ``root`` is a root row of
-    the table before its run index and seed are set.  ``steps`` and ``end``
-    are the program; the first ``handover`` steps play up to the end of the
-    deposit phase.
+    ``quantum`` names the stack's wires, which no step changes, and ``root``
+    is a root row of the table before its run index and seed are set.
+    ``steps`` and ``end`` are the program; the first ``handover`` steps play
+    up to the end of the deposit phase.
     """
 
     quantum: tuple[str, ...]
@@ -692,10 +686,12 @@ class _Program:
 class _Compiler:
     """Resolves a game's steps, for one (Alice shape, Bob shape) pair, to the step functions.
 
-    It walks the steps as every run of the pair plays them, and tracks what
-    the two shapes fix: the wires in the stack, whether the rows are
-    normalized, the record keys some step has set, and the transcript
-    header.  It places a table column for each value it meets, and it drops
+    It fixes the stack first: every wire of the layout except the message
+    wires that no ``Apply`` or ``MeasureRecord`` of either shape names, and
+    each of those gets a table column.  It then walks the steps as every
+    run of the pair plays them, and tracks what they change: whether the
+    rows are normalized, the record keys some step has set, and the
+    transcript header.  It places a table column for each value it meets, and it drops
     the steps that the shapes make no-ops: a dishonest reader's ``receive``
     and a dishonest party's ``own``.  A key counts as set once a step writes
     it; no check's xor key is the seeded ``b``.  It checks nothing, so
@@ -706,17 +702,20 @@ class _Compiler:
 
     def __init__(self, game: _Game, alice: tuple, bob: tuple):
         self.shapes = {"alice": alice, "bob": bob}
-        self.layout = _ancilla_wires(*alice[:2]) + game.wires + _ancilla_wires(*bob[:2])
-        self.stack = tuple(w for w in self.layout if w not in _MESSAGES)
+        layout = _ancilla_wires(*alice[:2]) + game.wires + _ancilla_wires(*bob[:2])
+        acted = {wire for *_, phases in (alice, bob) for _, rounds in phases
+                 for kind, wires, _ in rounds if kind is Apply or kind is MeasureRecord
+                 for wire in wires}
+        self.stack = tuple(w for w in layout if w not in _MESSAGES or w in acted)
         self.columns: dict = {("", "run"): _RUN, ("alice", "b"): _SEED}   # no party is named ""
-        self.messages = [self.column(w) for w in self.layout if w in _MESSAGES]
+        self.messages = [self.column(w) for w in layout if w not in self.stack]
         self.normalized = True
         self.recorded: frozenset = frozenset()
         self.entries: tuple[tuple[str, str], ...] = ()
         self.handover = 0
 
     def column(self, name) -> int:
-        """The column of a message wire, a (party, key) or a transcript position."""
+        """The column of a classical message wire, a (party, key) or a transcript position."""
         return self.columns.setdefault(name, len(self.columns))
 
     def reads(self, party: str, keys) -> np.ndarray:
@@ -773,11 +772,11 @@ class _Compiler:
                 out.append((_draw, (self.record(party, keys),)))
             elif kind is Apply:
                 weights = 1 << np.arange(len(keys))[::-1]
-                out.append((_gate, (party, phase, position, wires, self.enter(wires), keys,
+                out.append((_gate, (party, phase, position, wires, keys,
                                     self.reads(party, keys), weights)))
                 self.normalized = False
             elif kind is MeasureRecord:
-                out.append((_measure, (party, phase, position, wires, self.enter(wires),
+                out.append((_measure, (party, phase, position, wires,
                                        self.record(party, keys))))
                 self.normalized = True
             else:  # SetBits: its signature's wires are the targets, its keys the sources
@@ -787,19 +786,6 @@ class _Compiler:
                                for wire, source in zip(wires, keys))
                 out.append((_set_bits, (party, names, self.reads(party, names), writes)))
         return out
-
-    def enter(self, wires: tuple[str, ...]) -> tuple:
-        """(position, wire, column) of each of ``wires`` that enters the stack, in order.
-
-        The stack keeps the layout's order, so a wire always enters at the
-        same position.
-        """
-        enters = []
-        for wire in wires:
-            if wire not in self.stack:
-                self.stack = tuple(w for w in self.layout if w in self.stack or w == wire)
-                enters.append((self.stack.index(wire), wire, self.columns[wire]))
-        return tuple(enters)
 
     def read(self, wire: str, reader: str, key: str) -> tuple:
         column = self.record(reader, key)
@@ -824,10 +810,10 @@ class _Compiler:
     def challenge(self, key: str, branches: tuple) -> tuple:
         judge = "alice" if self.honest("alice") else "bob"
         column, said = self.column((judge, key)), self.tell(key, "result")
-        fork = self.stack, self.normalized, self.recorded, self.entries
+        fork = self.normalized, self.recorded, self.entries
         compiled = []
         for code, steps in branches:
-            self.stack, self.normalized, self.recorded, self.entries = fork
+            self.normalized, self.recorded, self.entries = fork
             compiled.append((code, self.program(steps)))
         return _challenge, (judge, key, column, said, tuple(compiled))
 
@@ -848,8 +834,9 @@ def _start(program: _Program, bits: Sequence[int | None]) -> _Rows:
     """The root rows of a shape group: one row per run, in input order.
 
     Every wire is in |0>: the stack holds the program's quantum wires, and
-    each message wire's column holds bit 0.  Row r holds its run index r,
-    and Alice's record is seeded with ``b = bits[r]`` where that is not None.
+    each classical message wire's column holds bit 0.  Row r holds its run
+    index r, and Alice's record is seeded with ``b = bits[r]`` where that is
+    not None.
     """
     amps = np.zeros(2 ** len(program.quantum), dtype=complex)
     amps[0] = 1.0

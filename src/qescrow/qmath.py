@@ -12,9 +12,8 @@ states on one wire tuple with amplitudes of shape (rows, 2^wires), processed
 in one numpy call per operation.  A single ``StateVector`` enters a kernel
 as the one-row ``StateStack.of(state)``.  An operator is a ``Unitary``,
 checked once when it is built; an ``OrthogonalMeasurement`` is the
-``Unitary`` whose columns are its outcome basis.  A stack gains a wire in a
-computational basis state per row with ``StateStack.insert``, and
-``renormalize`` is the measurement of a wire that holds a definite bit.
+``Unitary`` whose columns are its outcome basis.  ``renormalize`` is the
+measurement of a wire that holds a definite bit.
 
 A value derived from checked ones is checked only for what its derivation
 can break: rows that a gate, a measurement or ``renormalize`` makes for
@@ -95,18 +94,28 @@ def _check_norms(amps: np.ndarray) -> None:
             raise QMathError(f"state norm {math.sqrt(squared)} != 1")
 
 
+def _check_wires(wires) -> tuple[str, ...]:
+    """A value's wires as a tuple: a tuple or list of distinct non-empty ``str``.
+
+    A bare ``str`` is not split into one wire per character.
+    """
+    if not (isinstance(wires, (tuple, list)) and all(isinstance(w, str) and w for w in wires)):
+        raise WireMismatch(f"wires {wires!r} are not a tuple or list of non-empty str")
+    if len(set(wires)) != len(wires):
+        raise WireMismatch(f"duplicate wire labels: {wires}")
+    return tuple(wires)
+
+
 def _check_state(state: StateVector | StateStack, ndim: int) -> None:
     """Freeze a state's or a stack's fields and check them once.
 
-    The wires are distinct, the amplitudes have ``ndim`` axes and 2^wires
-    entries on the last, every amplitude is finite, and every row has norm 1
-    within 1e-10.
+    The wires pass ``_check_wires``, the amplitudes have ``ndim`` axes and
+    2^wires entries on the last, every amplitude is finite, and every row
+    has norm 1 within 1e-10.
     """
-    object.__setattr__(state, "wires", tuple(state.wires))
+    object.__setattr__(state, "wires", _check_wires(state.wires))
     amps = _frozen(state.amplitudes)
     object.__setattr__(state, "amplitudes", amps)
-    if len(set(state.wires)) != len(state.wires):
-        raise WireMismatch(f"duplicate wire labels: {state.wires}")
     if amps.ndim != ndim or amps.shape[-1] != 2 ** len(state.wires):
         raise WireMismatch(f"{len(state.wires)} wires need {ndim}-D amplitudes of "
                            f"{2 ** len(state.wires)} per row, got {amps.shape}")
@@ -171,24 +180,6 @@ class StateStack:
         """The stack of the given rows, in the given order (a row may repeat)."""
         return _trusted(self.wires, self.amplitudes[np.asarray(rows, dtype=np.intp)])
 
-    def insert(self, at: int, wire: str, bits: np.ndarray) -> "StateStack":
-        """The stack with ``wire`` placed before position ``at``, in |bits[r]> in row r.
-
-        The new wire is in a product state with the others, so each row's
-        amplitudes are copied into the half its bit selects, which is exact.
-        """
-        if wire in self.wires:
-            raise WireMismatch(f"wire {wire!r} is already in {self.wires}")
-        n = len(self.amplitudes)
-        bits = np.asarray(bits)
-        if bits.shape != (n,):
-            raise WireMismatch(f"bits of shape {bits.shape} for {n} rows")
-        before, after = 2 ** at, 2 ** (len(self.wires) - at)
-        amps = np.zeros((n, before, 2, after), dtype=complex)
-        amps[np.arange(n), :, bits] = self.amplitudes.reshape(n, before, after)
-        return _trusted(self.wires[:at] + (wire,) + self.wires[at:],
-                        amps.reshape(n, 2 * before * after))
-
 
 def _trusted(wires: tuple[str, ...], amps: np.ndarray) -> StateStack:
     """A stack built without validation from amplitudes already checked, which it freezes."""
@@ -219,7 +210,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "wires", tuple(self.wires))
+        object.__setattr__(self, "wires", _check_wires(self.wires))
         m = _frozen(self.matrix)
         object.__setattr__(self, "matrix", m)
         dim = 2 ** len(self.wires)
@@ -674,13 +665,14 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_state(wires: Sequence[str], rng: np.random.Generator) -> StateVector:
-    dim = 2 ** len(tuple(wires))
+    wires = _check_wires(wires)
+    dim = 2 ** len(wires)
     z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return StateVector(tuple(wires), z / np.linalg.norm(z))
+    return StateVector(wires, z / np.linalg.norm(z))
 
 
 def random_density(wires: Sequence[str], rng: np.random.Generator) -> DensityMatrix:
-    wires = tuple(wires)
+    wires = _check_wires(wires)
     dim = 2 ** len(wires)
     weights = rng.dirichlet(np.ones(dim))
     m = np.zeros((dim, dim), dtype=complex)

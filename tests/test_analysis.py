@@ -375,3 +375,29 @@ def test_modified_random_conditional_pairs():
 def test_modified_rejects_mismatched_registers():
     with pytest.raises(NotUnitaryAttack):
         modified_sealing_check((identity_bob(1), identity_bob(2)))
+
+
+_AMPS4 = np.array([1, 0, 0, 0], dtype=complex)
+
+
+@pytest.mark.parametrize("build, error, named", [
+    (lambda: qmath.StateVector("ab", _AMPS4), qmath.WireMismatch, "'ab'"),
+    (lambda: qmath.DensityMatrix("ab", np.eye(4) / 4), qmath.WireMismatch, "'ab'"),
+    (lambda: qmath.random_state("ab", np.random.default_rng(0)), qmath.WireMismatch, "'ab'"),
+    (lambda: qmath.random_density("ab", np.random.default_rng(0)), qmath.WireMismatch, "'ab'"),
+    (lambda: StrategySpec("alice", 0, {}, honest="yes"), MalformedStrategy, "'yes'"),
+    (lambda: adv.unitary_from_angles(2, ("a", "b", "c")), adv.AdversaryError, "'a'"),
+    (lambda: adv.state_from_angles(2, (0.1, "x")), adv.AdversaryError, "'x'"),
+    (lambda: adv.alice_coinflip_from_angles(["t"] * 12), adv.AdversaryError, "'t'"),
+    (lambda: coinflip_bias("bob", adv.constant_bob(0)), ana.AnalysisError, "'bob'"),
+    (lambda: ana.coinflip_bias_batch("alice", [adv.constant_bob(0)]), ana.AnalysisError,
+     "'alice'"),
+], ids=["state-wires-str", "density-wires-str", "random-state-wires-str",
+        "random-density-wires-str", "honest-flag-str", "unitary-angles-str", "state-angles-str",
+        "depositor-angles-str", "bias-party-str", "bias-batch-party-str"])
+def test_a_malformed_state_flag_angle_or_party_raises_a_typed_error(build, error, named):
+    # at the parent a bare str became one wire per character, "yes" ran as honest, a text
+    # angle raised a raw ValueError, and a str party took the depositor branch
+    with pytest.raises(error) as caught:
+        build()
+    assert named in str(caught.value)

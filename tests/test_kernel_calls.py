@@ -13,9 +13,12 @@ checked before any branch runs.  The kernel calls of the composed game show
 that a challenge branch that no row reaches is not played, and those of a
 binding pair that its deposit is played once.  A classical write on a wire
 in the stack is one ``apply_unitary`` call, and like any move of amplitudes
-it leaves the rows normalized.  A game is compiled once per pair of shapes,
-and its program reaches the kernels through the module attributes, so a
-wrapper installed after the pair was compiled sees every call.
+it leaves the rows normalized.  Every kernel call of a run sees one stack,
+which its program fixed: a message wire that a round acts on is in it from
+the root row on, at its layout position.  A game is compiled once per pair
+of shapes, and its program reaches the kernels through the module
+attributes, so a wrapper installed after the pair was compiled sees every
+call.
 """
 
 import numpy as np
@@ -110,15 +113,58 @@ def test_honest_messages_stay_out_of_the_kernels(runner, monkeypatch):
     assert not set().union(*seen) & {"rb", "rx", "bp", "rb2", "rx2"}
 
 
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+def _hadamard_reveal_weak() -> StrategySpec:
+    """The honest composed-game depositor, but its bit reveal is a Hadamard on ``rb``."""
+    return StrategySpec("alice", 0, dict(honest_alice_weak().programs,
+                                         reveal_bit=(Apply(("rb",), _HADAMARD),)))
+
+
 def test_a_message_wire_enters_at_its_layout_position(monkeypatch):
-    # the depositor's gate on rb brings it into the stack between dep and dep2
-    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    programs = dict(honest_alice_weak().programs, reveal_bit=(Apply(("rb",), hadamard),))
+    # the depositor's gate on rb puts it in the root stack between dep and dep2,
+    # so every kernel call of the run, the deposit's first gate too, sees it there
     seen = _record_stack_wires(monkeypatch)
-    protocols.run_weak_commitment(StrategySpec("alice", 0, programs), honest_bob_weak(), 1)
-    layout = ("dep", "rb", "rx", "dep2", "bp", "rb2", "rx2")
-    assert ("dep", "rb", "dep2") in seen
-    assert all(wires == tuple(sorted(wires, key=layout.index)) for wires in seen)
+    protocols.run_weak_commitment(_hadamard_reveal_weak(), honest_bob_weak(), 1)
+    assert seen and all(wires == ("dep", "rb", "dep2") for wires in seen)
+
+
+def _angle_depositor():
+    return adversaries.alice_coinflip_from_angles(np.linspace(0.1, 1.2, 12))
+
+
+# Each run has a dishonest party that acts on a message wire after other
+# kernel calls, and the stack its program fixes.
+_FIXED_STACKS = {
+    "escrow": (lambda: protocols.run_escrow(
+        StrategySpec("alice", 0, dict(honest_alice_escrow().programs, reveal=(
+            SetBits({"rb": "b", "rx": "x"}), Apply(("rx",), _HADAMARD)))),
+        honest_bob_escrow(), Challenge.REVEAL_TO_BOB, 0), ("dep", "rx")),
+    "reveal_then_return": (lambda: protocols.run_escrow_reveal_then_return(
+        StrategySpec("alice", 0, dict(honest_alice_escrow().programs, reveal_bit=(
+            SetBits({"rb": "b"}), MeasureRecord(("rb",), qmath.OrthogonalMeasurement(
+                _HADAMARD), "h")))), honest_bob_escrow(), 1), ("dep", "rb")),
+    "coinflip": (lambda: protocols.run_coinflip(honest_alice_coinflip(), StrategySpec(
+        "bob", 0, {"choose": (Draw("g"), SetBits({"bp": "g"}), Apply(("bp",), _HADAMARD))})),
+        ("dep", "bp")),
+    "weak_commitment": (lambda: protocols.run_weak_commitment(
+        _hadamard_reveal_weak(), honest_bob_weak(), 0), ("dep", "rb", "dep2")),
+    # its reveal gates act on bp and rb; it only writes rx, which stays a table column
+    "angle-depositor": (lambda: protocols.run_coinflip(_angle_depositor(),
+                                                       honest_bob_coinflip()),
+                        ("a0", "dep", "bp", "rb")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FIXED_STACKS))
+def test_every_kernel_call_of_a_run_sees_one_stack(case, monkeypatch):
+    # a message wire that any round acts on is in the stack from the root row on,
+    # so no call of the run sees a stack that a later call's wire is missing from
+    run, stack = _FIXED_STACKS[case]
+    seen = _record_stack_wires(monkeypatch)
+    run()
+    assert len(seen) > 1 and set(seen) == {stack}
 
 
 def _record_stack_wires(monkeypatch) -> list:
@@ -131,10 +177,11 @@ def _record_stack_wires(monkeypatch) -> list:
             return kernel(states, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(qmath, "measure", recording(qmath.measure))
-    apply_unitary = recording(qmath.apply_unitary)
-    monkeypatch.setattr(qmath, "apply_unitary", apply_unitary)
-    monkeypatch.setattr(protocols, "apply_unitary", apply_unitary)
+    for name in ("apply_unitary", "measure", "renormalize", "partial_trace"):
+        wrapper = recording(getattr(qmath, name))
+        monkeypatch.setattr(qmath, name, wrapper)
+        if hasattr(protocols, name):
+            monkeypatch.setattr(protocols, name, wrapper)
     return seen
 
 

@@ -590,31 +590,6 @@ def test_kernels_pass_an_empty_stack():
     assert probs.shape == (0,) and post.amplitudes.shape == (0, 4)
 
 
-@pytest.mark.parametrize("rows", [0, 3])
-@pytest.mark.parametrize("n", [0, 1, 3])
-def test_insert_places_the_wire_as_np_kron_does(n, rows):
-    rng = np.random.default_rng(10 * n + rows)
-    wires = tuple(f"w{i}" for i in range(n))
-    amps = np.array([random_state(wires, rng).amplitudes for _ in range(rows)]
-                    ).reshape(rows, 2 ** n)
-    stack = qmath.StateStack(wires, amps)
-    bits = rng.integers(0, 2, rows)
-    for at in range(n + 1):
-        got = stack.insert(at, "new", bits)
-        assert got.wires == wires[:at] + ("new",) + wires[at:]
-        want = np.zeros((rows, 2 ** (n + 1)), dtype=complex)
-        for r in range(rows):
-            # rows are (before, after) matrices; np.kron puts the bit's axis between them
-            want[r] = np.kron(amps[r].reshape(2 ** at, -1), np.eye(2)[:, bits[r]:bits[r] + 1]
-                              ).reshape(-1)
-        assert np.array_equal(got.amplitudes, want)
-    with pytest.raises(WireMismatch):
-        stack.insert(0, "new", np.zeros(rows + 1, dtype=int))
-    if n:
-        with pytest.raises(WireMismatch):
-            stack.insert(0, "w0", bits)
-
-
 @pytest.mark.parametrize("rows", (0, 1, 4))
 def test_renormalize_is_the_measurement_of_a_definite_bit(rows):
     rng = np.random.default_rng(rows)
@@ -625,8 +600,11 @@ def test_renormalize_is_the_measurement_of_a_definite_bit(rows):
     stack = qmath.StateStack(wires, amps)
     bits = rng.integers(0, 2, rows)
     probs, post = qmath.renormalize(stack)
+    # each row with a wire m in |bits[r]> between a and b: np.kron puts m's axis there
+    with_m = np.array([np.kron(amps[r].reshape(2, 2), np.eye(2)[:, bits[r]:bits[r] + 1])
+                       for r in range(rows)]).reshape(rows, 8)
     parents, outcomes, want_probs, want_post = qmath.measure(
-        stack.insert(1, "m", bits), OrthogonalMeasurement.computational(1), ("m",))
+        qmath.StateStack(("a", "m", "b"), with_m), OrthogonalMeasurement.computational(1), ("m",))
     assert parents.tolist() == list(range(rows)) and outcomes.tolist() == bits.tolist()
     assert post.wires == wires
     assert np.allclose(probs, want_probs, rtol=0, atol=1e-15)
