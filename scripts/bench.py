@@ -24,6 +24,13 @@ with a JUnit XML report, and records the exit codes and the passed and
 failed counts as sorted sets, and the wall seconds and the call seconds of
 each ``tests/test_acceptance.py`` test as median and quartiles over the runs.
 
+Wall seconds follow the host's load, so every CLI and tier-1 run is
+calibrated as the workloads' set-up is: ``setup_scale()`` of the checkout's
+``benchmark/calibration.py`` is read right before and right after the run,
+both readings are kept under ``scales``, and ``seconds_calibrated`` is the
+run's seconds times their mean (median and quartiles over the runs, beside
+the raw ``seconds``).
+
 The numbers are a record, not a gate: the script exits 0 whatever they are,
 and nonzero only if a run crashes or prints no result.
 """
@@ -31,6 +38,7 @@ and nonzero only if a run crashes or prints no result.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import pathlib
@@ -69,6 +77,8 @@ Runner = Callable[[str, int, int], tuple[dict, dict]]
 CliRunner = Callable[[str], dict]
 # tier1_runner() -> (exit code, wall seconds, JUnit XML text)
 Tier1Runner = Callable[[], tuple[int, float, str]]
+# scale() -> the machine's speed now, as NOMINAL_S / the calibration kernel's time
+Scale = Callable[[], float]
 
 
 def spread(values: list[float]) -> dict:
@@ -100,12 +110,25 @@ def summarize(workloads: list[str], seeds: list[int], runner: Runner) -> dict:
     return out
 
 
-def summarize_cli(commands: list[str], runs: int, runner: CliRunner) -> dict:
+def _calibrated(run: Callable[[], dict], scale: Scale) -> dict:
+    """The result of ``run()`` with the two scales read right before and right after it."""
+    before = scale()
+    return {**run(), "scales": [before, scale()]}
+
+
+def _seconds(results: list[dict]) -> dict:
+    """Raw and calibrated (seconds times the mean of the run's two scales) seconds of the runs."""
+    return {"seconds": spread([r["seconds"] for r in results]),
+            "seconds_calibrated": spread([r["seconds"] * statistics.mean(r["scales"])
+                                          for r in results]),
+            "scales": [r["scales"] for r in results]}
+
+
+def summarize_cli(commands: list[str], runs: int, runner: CliRunner, scale: Scale) -> dict:
     out = {}
     for command in commands:
-        results = [runner(command) for _ in range(runs)]
-        out[command] = {"exit": sorted({r["exit"] for r in results}),
-                        "seconds": spread([r["seconds"] for r in results]),
+        results = [_calibrated(lambda: runner(command), scale) for _ in range(runs)]
+        out[command] = {"exit": sorted({r["exit"] for r in results}), **_seconds(results),
                         "peak_rss_mb": spread([r["peak_rss_mb"] for r in results])}
     return out
 
@@ -124,15 +147,24 @@ def _tier1_run(code: int, seconds: float, report: str) -> dict:
                                   if case.get("classname") == ACCEPTANCE}}
 
 
-def summarize_tier1(runs: int, runner: Tier1Runner) -> dict:
-    results = [_tier1_run(*runner()) for _ in range(runs)]
+def summarize_tier1(runs: int, runner: Tier1Runner, scale: Scale) -> dict:
+    results = [_calibrated(lambda: _tier1_run(*runner()), scale) for _ in range(runs)]
     calls = {}
     for r in results:
         for name, seconds in r["acceptance_call_s"].items():
             calls.setdefault(name, []).append(seconds)
     return {**{key: sorted({r[key] for r in results}) for key in ("exit", "passed", "failed")},
-            "seconds": spread([r["seconds"] for r in results]),
+            **_seconds(results),
             "acceptance_call_s": {name: spread(values) for name, values in calls.items()}}
+
+
+def checkout_scale(repo: pathlib.Path) -> Scale:
+    """``setup_scale`` of the checkout's ``benchmark/calibration.py``, loaded by its path."""
+    spec = importlib.util.spec_from_file_location(
+        "calibration", repo / "benchmark" / "calibration.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.setup_scale
 
 
 def subprocess_runner(repo: pathlib.Path, seconds: float) -> Runner:
@@ -197,12 +229,13 @@ def main(argv=None) -> int:
     declared = json.loads((repo / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in declared["workloads"]]
     seconds = declared["run_seconds"]
+    scale = checkout_scale(repo)
     doc = {"pr": args.pr, "seeds": list(SEEDS), "seconds": seconds,
            "workloads": summarize(workloads, list(SEEDS), subprocess_runner(repo, seconds)),
            "cli": {"args": list(CLI_ARGS),
                    "commands": summarize_cli(list(CLI_COMMANDS), CLI_RUNS,
-                                             cli_subprocess_runner(repo))},
-           "tier1": summarize_tier1(TIER1_RUNS, tier1_subprocess_runner(repo))}
+                                             cli_subprocess_runner(repo), scale)},
+           "tier1": summarize_tier1(TIER1_RUNS, tier1_subprocess_runner(repo), scale)}
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}", file=sys.stderr)

@@ -4,7 +4,9 @@ Two closed-form attacks are built here:
 
 * ``alice_quadratic`` -- the depositor delays her choice by escrowing half of
   an entangled superposition of two maximally parallel purifications, then
-  decides the bit by measuring her control qubit in a rotated basis.  With
+  decides the bit by measuring her control qubit in a rotated basis.  It
+  takes one encoding table, ``escrow_encoding(theta)`` or a caller's: the bit
+  densities and the claimed realizations both come from it.  With
   fidelity f between the two bit encodings this buys advantage
   sqrt(f) sin(2a)/2 at detection probability (1-f) sin^2(a), half of which
   sits on each of the two claim branches.
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,7 +36,6 @@ import numpy as np
 from . import qmath
 from .qmath import (
     DensityMatrix,
-    Mixture,
     OrthogonalMeasurement,
     StateVector,
     hermitian_eig,
@@ -52,8 +54,10 @@ from .protocols import (
     StrategySpec,
     Verdict,
     _is_bit,
+    _theta_of,
+    bit_density,
     escrow_bit_density,
-    escrow_bit_mixture,
+    escrow_encoding,
     rotation,
 )
 
@@ -69,10 +73,6 @@ _CLAIM_BX = (MeasureRecord(("a0",), _COMP1, "mb"), MeasureRecord(("a1",), _COMP1
 
 
 class AdversaryError(Exception):
-    pass
-
-
-class RealizationMismatch(AdversaryError):
     pass
 
 
@@ -97,52 +97,40 @@ class AliceQuadraticParams:
     target_bit: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= math.pi / 4 + 1e-12:
-            raise AdversaryError(f"alpha {self.alpha} outside [0, pi/4]")
-        if self.target_bit not in (0, 1):
-            raise AdversaryError("target_bit must be 0 or 1")
+        alpha = self.alpha
+        if not (isinstance(alpha, numbers.Real) and 0.0 <= alpha <= math.pi / 4 + 1e-12):
+            raise AdversaryError(f"alpha {alpha!r} outside [0, pi/4]")
+        if not _is_bit(self.target_bit):
+            raise AdversaryError(f"target_bit {self.target_bit!r} is not 0 or 1")
 
 
-def alice_quadratic(params: AliceQuadraticParams, r0: DensityMatrix, r1: DensityMatrix,
-                    realizations: tuple[Mixture, Mixture]) -> StrategySpec:
-    """Delayed-choice depositor with a rotated control measurement.
+def alice_quadratic(params: AliceQuadraticParams, encoding: np.ndarray) -> StrategySpec:
+    """Delayed-choice depositor with a rotated control measurement, for an encoding table.
 
     Deposits register B of |beta> = (|0>|psi0> + |1>|psi1>)/sqrt(2), where
-    psi0, psi1 are maximally parallel purifications of r0, r1 on (control,
-    work, deposit) wires (a0, a1, dep).  At reveal time the control is
-    measured (rotated basis for the zero strategy), the work register is
-    rotated onto the claimed realization, and the outcome pair is sent as
-    the claim (b, x).  The realizations must actually realize r0 and r1.
+    psi0, psi1 are maximally parallel purifications of r0, r1 (``bit_density``
+    of the table) on (control, work, deposit) wires (a0, a1, dep).  At reveal
+    time the control is measured (rotated basis for the zero strategy), the
+    work register is rotated onto the claimed row of the table, and the
+    outcome pair is sent as the claim (b, x).  The table, checked once, is
+    (2, 2, 2) with finite states of norm 1 within 1e-10, or ``AdversaryError``.
     """
-    if r0.dim != 2 or r1.dim != 2:
-        raise AdversaryError("the escrow game deposits a single qubit")
-    mixes = tuple(realizations)
-    if len(mixes) != 2:
-        raise AdversaryError("need one realization per bit value")
-    for rho, mix in zip((r0, r1), mixes):
-        if len(mix.states) > 2:
-            raise AdversaryError("a realization may have at most 2 components (one claim bit)")
-        if mix.states[0].dim != rho.dim:
-            raise RealizationMismatch("realization lives in the wrong dimension")
-        if np.max(np.abs(mix.density().matrix - rho.matrix)) > 1e-9:
-            raise RealizationMismatch("mixture does not realize the target density matrix")
+    try:
+        table = np.asarray(encoding, dtype=complex)
+        if table.shape != (2, 2, 2):
+            raise AdversaryError(f"an encoding table has shape (2, 2, 2), not {table.shape}")
+        qmath._check_norms(table.reshape(4, 2))   # a NaN or infinite entry fails too
+    except (TypeError, ValueError, qmath.QMathError) as exc:
+        raise AdversaryError(f"bad encoding table: {exc}") from None
+    psi0, psi1 = (StateVector(("a1", "dep"), psi.amplitudes) for psi in
+                  maximally_parallel_purifications(bit_density(table, 0), bit_density(table, 1)))
 
-    dm0 = DensityMatrix(("dep",), r0.matrix)
-    dm1 = DensityMatrix(("dep",), r1.matrix)
-    psi0, psi1 = maximally_parallel_purifications(dm0, dm1)
-    psi0 = StateVector(("a1", "dep"), psi0.amplitudes)
-    psi1 = StateVector(("a1", "dep"), psi1.amplitudes)
-
-    def realization_target(mix: Mixture) -> StateVector:
-        amps = np.zeros(4, dtype=complex)
-        for j, (w, s) in enumerate(zip(mix.weights, mix.states)):
-            amps[2 * j: 2 * j + 2] = math.sqrt(w) * s.amplitudes
+    def realization_target(row: np.ndarray) -> StateVector:
+        amps = math.sqrt(0.5) * row.reshape(-1)   # (x, dep): each state of the row at weight 1/2
         return StateVector(("a1", "dep"), amps / np.linalg.norm(amps))
 
-    u_open = [
-        local_purification_transform(psi, realization_target(mix), ("a1",))
-        for psi, mix in zip((psi0, psi1), mixes)
-    ]
+    u_open = [local_purification_transform(psi, realization_target(row), ("a1",))
+              for psi, row in zip((psi0, psi1), table)]
     beta = (np.kron([1, 0], psi0.amplitudes) + np.kron([0, 1], psi1.amplitudes)) / math.sqrt(2)
     prep = state_preparation_unitary(beta)
 
@@ -171,13 +159,9 @@ def alice_quadratic(params: AliceQuadraticParams, r0: DensityMatrix, r1: Density
 def protocol_quadratic_pair(alpha: float, params: EscrowParams = EscrowParams()
                             ) -> tuple[StrategySpec, StrategySpec]:
     """(zero strategy at alpha, honest delayed one strategy) for the escrow encoding."""
-    theta = params.theta
-    r0, r1 = escrow_bit_density(0, theta), escrow_bit_density(1, theta)
-    mixes = (escrow_bit_mixture(0, theta), escrow_bit_mixture(1, theta))
-    return (
-        alice_quadratic(AliceQuadraticParams(alpha, 0), r0, r1, mixes),
-        alice_quadratic(AliceQuadraticParams(alpha, 1), r0, r1, mixes),
-    )
+    table = escrow_encoding(_theta_of(params))
+    return (alice_quadratic(AliceQuadraticParams(alpha, 0), table),
+            alice_quadratic(AliceQuadraticParams(alpha, 1), table))
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +175,8 @@ class BobWeakParams:
     p: float
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise AdversaryError(f"p {self.p} outside [0, 1]")
+        if not (isinstance(self.p, numbers.Real) and 0.0 <= self.p <= 1.0):
+            raise AdversaryError(f"p {self.p!r} outside [0, 1]")
 
 
 def weak_measurement_unitary(r0: DensityMatrix, r1: DensityMatrix, p: float) -> np.ndarray:
@@ -204,6 +188,7 @@ def weak_measurement_unitary(r0: DensityMatrix, r1: DensityMatrix, p: float) -> 
     """
     if r0.wires != r1.wires:
         raise qmath.WireMismatch("attack targets live on different wires")
+    p = BobWeakParams(p).p   # a strength in [0, 1], or AdversaryError
     vals, vecs = hermitian_eig(r0.matrix - r1.matrix)
     sp, sq = math.sqrt(1.0 - p), math.sqrt(p)
     anc = np.array([[sp, sq], [sq, -sp]], dtype=complex)

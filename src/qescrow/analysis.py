@@ -45,8 +45,8 @@ from .protocols import (
     honest_alice_escrow,
     honest_bob_coinflip,
     honest_bob_escrow,
-    phi_vec,
-    bx_angle,
+    _theta_of,
+    escrow_encoding,
     run_coinflip,
     run_coinflip_batch,
     run_escrow_batch,
@@ -122,12 +122,12 @@ def binding_metrics(alice0: StrategySpec, alice1: StrategySpec,
     phase, before either opening plays: a mismatch raises ``DepositMismatch``
     even where an opening would fail too.
     """
-    bob = honest_bob_escrow()
+    theta, bob = _theta_of(params), honest_bob_escrow()
     d0, d1 = run_escrow_batch([alice0, alice1], [bob, bob], Challenge.REVEAL_TO_BOB,
                               [None, None], params, deposited=_same_deposit)
     p0, p1, perr = _claim_probabilities(d0)
     q0, q1, qerr = _claim_probabilities(d1)
-    return BindingReport(params.theta, p0, p1, perr, q0, q1, qerr)
+    return BindingReport(theta, p0, p1, perr, q0, q1, qerr)
 
 
 def _same_deposit(deposits: list[DensityMatrix]) -> None:
@@ -178,14 +178,15 @@ def extract_attack_unitary(bob: StrategySpec) -> tuple[np.ndarray, int]:
 def _encodings(theta: float, anc_dim: int) -> tuple[tuple[np.ndarray, ...], ...]:
     """Per (b, x) of ``_BX``: phi_{b,x} (x) |0..0>, conj phi_{b,x} and conj phi_{not b,x}.
 
-    Read-only, and cached per (theta, ancilla dimension) as the check bases are.
+    The states are ``escrow_encoding(theta)``'s.  Read-only, and cached per
+    (theta, ancilla dimension) as the check bases are.
     """
+    table = escrow_encoding(theta)
     out = []
     for b, x in _BX:
-        phi = phi_vec(bx_angle(b, x, theta))
         start = np.zeros(2 * anc_dim, dtype=complex)
-        start[::anc_dim] = phi  # phi_{b,x} (x) |0..0>
-        out.append((start, phi.conj(), phi_vec(bx_angle(1 - b, x, theta)).conj()))
+        start[::anc_dim] = table[b, x]  # phi_{b,x} (x) |0..0>
+        out.append((start, table[b, x].conj(), table[1 - b, x].conj()))
         for a in out[-1]:
             a.setflags(write=False)
     return tuple(out)
@@ -226,8 +227,9 @@ def sealing_metrics(bob: StrategySpec, params: EscrowParams = EscrowParams()
     the four encodings); advantage is the optimal-guess edge over the kept
     ancilla states, a quarter of their trace distance.
     """
+    theta = _theta_of(params)
     u, _ = extract_attack_unitary(bob)
-    return _sealing_reports(u[None], params.theta)[0]
+    return _sealing_reports(u[None], theta)[0]
 
 
 def _sealing_reports(us: np.ndarray, theta: float) -> list[SealingReport]:
@@ -353,7 +355,9 @@ def modified_sealing_check(bob_pair: tuple[StrategySpec, StrategySpec],
     from one decomposition.  The detection on bit b is read off the report
     of the action on b, and the game runs both bits in one pass.
     """
-    theta = params.theta
+    theta = _theta_of(params)
+    if not (isinstance(bob_pair, (tuple, list)) and len(bob_pair) == 2):
+        raise AnalysisError(f"the modified check needs a pair of receivers, not {bob_pair!r}")
     u0, n0 = extract_attack_unitary(bob_pair[0])
     u1, n1 = extract_attack_unitary(bob_pair[1])
     if n0 != n1:

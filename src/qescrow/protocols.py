@@ -61,9 +61,9 @@ measures in the computational basis on receipt; a dishonest sender is free to
 put superpositions on them.  Each program fixes its stack once, from the two
 shapes, in the layout's wire order: the parties' ancillas, the deposits, and
 each message wire (``_MESSAGES``) that a gate or ``MeasureRecord`` of either
-shape names, in any phase.  Every other message wire is a classical bit per
-row for the whole run, a column of the table.  A write XORs a classical
-wire's column and is an X gate on a quantum one; a read of a quantum wire is
+shape names in a phase that the game plays.  Every other message wire is a
+classical bit per row for the whole run, a column of the table.  A write XORs
+a classical wire's column and is an X gate on a quantum one; a read of a quantum wire is
 a ``measure``, and a read of a classical one has one outcome, the row's bit.
 Rounding is divided out where a measurement would divide it out: every
 ``measure`` post-state is divided by the square root of its probability, and
@@ -118,7 +118,6 @@ import numpy as np
 from . import qmath
 from .qmath import (
     DensityMatrix,
-    Mixture,
     OrthogonalMeasurement,
     StateStack,
     StateVector,
@@ -130,8 +129,8 @@ from .qmath import (
 THETA_DEFAULT = math.pi / 8
 COIN_THETA = math.pi / 8
 MAX_TOTAL_WIRES = 9
-# Wires that carry classical messages; one is quantum in a program only if a gate
-# or a measurement of either shape acts on it.  Every other wire of a run is quantum.
+# Wires that carry classical messages; one is quantum in a program only if a gate or a
+# measurement of either shape acts on it in a played phase.  Every other wire is quantum.
 _MESSAGES = frozenset({"rb", "rx", "bp", "rb2", "rx2"})
 
 _COMP1 = OrthogonalMeasurement.computational(1)
@@ -190,26 +189,53 @@ def bx_angle(b: int, x: int, theta: float) -> float:
     return (0.0 if b == 0 else math.pi / 2) + (theta if x else -theta)
 
 
+def _theta_of(params: EscrowParams) -> float:
+    """The escrow angle of ``params``, which must be an ``EscrowParams``."""
+    if not isinstance(params, EscrowParams):
+        raise ProtocolError(f"params {params!r} are not an EscrowParams")
+    return params.theta
+
+
+def _bit(value, what: str) -> int:
+    if not _is_bit(value):
+        raise ProtocolError(f"{what} {value!r} is not a bit (0 or 1)")
+    return value
+
+
+def escrow_encoding(theta: float) -> np.ndarray:
+    """The read-only complex (2, 2, 2) table of phi_{b,x} at a finite real ``theta``, cached."""
+    if not (isinstance(theta, numbers.Real) and math.isfinite(theta)):
+        raise ProtocolError(f"theta {theta!r} is not a finite real number")
+    return _encoding(theta)
+
+
+@functools.lru_cache(maxsize=256)
+def _encoding(theta: float) -> np.ndarray:
+    table = np.array([[phi_vec(bx_angle(b, x, theta)) for x in (0, 1)] for b in (0, 1)])
+    table.setflags(write=False)
+    return table
+
+
+def bit_density(encoding: np.ndarray, b: int) -> DensityMatrix:
+    """Bit b's deposit on ``dep``: the uniform mixture over row b of an encoding table."""
+    m = sum(0.5 * np.outer(phi, phi.conj()) for phi in encoding[_bit(b, "bit")])
+    return DensityMatrix(("dep",), m)
+
+
+def escrow_bit_density(b: int, theta: float) -> DensityMatrix:
+    """Honest depositor's view of bit b on ``dep``: uniform over the two x encodings."""
+    return bit_density(escrow_encoding(theta), b)
+
+
 def escrow_basis(x: int, theta: float) -> OrthogonalMeasurement:
     """The check basis {phi_{0,x}, phi_{1,x}}; the outcome index is the bit b."""
-    return OrthogonalMeasurement.from_basis(
-        [phi_vec(bx_angle(0, x, theta)), phi_vec(bx_angle(1, x, theta))])
+    return OrthogonalMeasurement(escrow_encoding(theta)[:, _bit(x, "basis")].T)
 
 
 @functools.lru_cache(maxsize=256)
 def _check_bases(theta: float) -> OrthogonalMeasurement:
     """Both check bases as one stack indexed by x, cached per theta: every check shares it."""
-    return OrthogonalMeasurement.stack([escrow_basis(x, theta) for x in (0, 1)])
-
-
-def escrow_bit_mixture(b: int, theta: float) -> Mixture:
-    """Honest depositor's view of bit b on ``dep``: uniform over the two x encodings."""
-    return Mixture((0.5, 0.5), [StateVector(("dep",), phi_vec(bx_angle(b, x, theta)))
-                                for x in (0, 1)])
-
-
-def escrow_bit_density(b: int, theta: float) -> DensityMatrix:
-    return escrow_bit_mixture(b, theta).density()
+    return OrthogonalMeasurement(escrow_encoding(theta).transpose(1, 2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -687,8 +713,10 @@ class _Compiler:
     """Resolves a game's steps, for one (Alice shape, Bob shape) pair, to the step functions.
 
     It fixes the stack first: every wire of the layout except the message
-    wires that no ``Apply`` or ``MeasureRecord`` of either shape names, and
-    each of those gets a table column.  It then walks the steps as every
+    wires that no ``Apply`` or ``MeasureRecord`` names in a phase the game
+    plays (``_played``: its ``play`` steps, challenge branches included),
+    and each of those gets a table column.  A round of a phase the game
+    never plays puts no wire in the stack.  It then walks the steps as every
     run of the pair plays them, and tracks what they change: whether the
     rows are normalized, the record keys some step has set, and the
     transcript header.  It places a table column for each value it meets, and it drops
@@ -703,9 +731,10 @@ class _Compiler:
     def __init__(self, game: _Game, alice: tuple, bob: tuple):
         self.shapes = {"alice": alice, "bob": bob}
         layout = _ancilla_wires(*alice[:2]) + game.wires + _ancilla_wires(*bob[:2])
-        acted = {wire for *_, phases in (alice, bob) for _, rounds in phases
-                 for kind, wires, _ in rounds if kind is Apply or kind is MeasureRecord
-                 for wire in wires}
+        played = _played(game.steps)
+        acted = {wire for party, (*_, phases) in self.shapes.items() for phase, rounds in phases
+                 if (party, phase) in played for kind, wires, _ in rounds
+                 if kind is Apply or kind is MeasureRecord for wire in wires}
         self.stack = tuple(w for w in layout if w not in _MESSAGES or w in acted)
         self.columns: dict = {("", "run"): _RUN, ("alice", "b"): _SEED}   # no party is named ""
         self.messages = [self.column(w) for w in layout if w not in self.stack]
@@ -816,6 +845,12 @@ class _Compiler:
             self.normalized, self.recorded, self.entries = fork
             compiled.append((code, self.program(steps)))
         return _challenge, (judge, key, column, said, tuple(compiled))
+
+
+def _played(steps: tuple[tuple, ...]) -> set[tuple[str, str]]:
+    """The (party, phase) pairs that a game's ``steps`` play, challenge branches included."""
+    return {tuple(args) for op, *args in steps if op == "play"}.union(*(
+        _played(branch) for op, *args in steps if op == "challenge" for _, branch in args[1]))
 
 
 @functools.lru_cache(maxsize=256)
@@ -952,6 +987,8 @@ class OutcomeDistribution:
             raise ProtocolError(f"branch probabilities sum to {total}")
 
     def verdict_probability(self, party: str, verdict: Verdict) -> float:
+        if not isinstance(verdict, Verdict):
+            raise ProtocolError(f"verdict {verdict!r} is not a Verdict")
         if party == "alice":
             return sum(b.probability for b in self.branches if b.alice_verdict is verdict)
         if party == "bob":
@@ -959,6 +996,8 @@ class OutcomeDistribution:
         raise ProtocolError(f"unknown party {party!r}")
 
     def transcript_probability(self, entry: tuple) -> float:
+        if not (isinstance(entry, tuple) and len(entry) == 3):
+            raise ProtocolError(f"transcript entry {entry!r} is not a (sender, key, value) tuple")
         return sum(b.probability for b in self.branches if entry in b.transcript)
 
     def sample(self, n: int, rng: np.random.Generator) -> dict[tuple[Verdict, Verdict], int]:
@@ -1065,7 +1104,7 @@ def honest_alice_escrow(params: EscrowParams = EscrowParams()) -> StrategySpec:
     return StrategySpec(
         party="alice", ancilla_count=0, honest=True, label="honest-alice-escrow",
         programs={
-            "deposit": (Draw("x"), _encoder("dep", params.theta, "b", "x")),
+            "deposit": (Draw("x"), _encoder("dep", _theta_of(params), "b", "x")),
             "reveal": (SetBits({"rb": "b", "rx": "x"}),),
             "reveal_bit": (SetBits({"rb": "b"}),),
         },
@@ -1102,7 +1141,7 @@ def honest_alice_weak(params: EscrowParams = EscrowParams()) -> StrategySpec:
     return StrategySpec(
         party="alice", ancilla_count=0, honest=True, label="honest-alice-weak",
         programs={
-            "deposit": (Draw("x"), _encoder("dep", params.theta, "b", "x")),
+            "deposit": (Draw("x"), _encoder("dep", _theta_of(params), "b", "x")),
             "reveal_bit": (SetBits({"rb": "b"}),),
             "coin_deposit": (Draw("b2"), Draw("x2"), _encoder("dep2", COIN_THETA, "b2", "x2")),
             "coin_reveal": (SetBits({"rb2": "b2", "rx2": "x2"}),),
@@ -1217,7 +1256,7 @@ def run_escrow(alice: StrategySpec, bob: StrategySpec, challenge: Challenge,
     must contain ``b`` and ``x`` (honest strategies record them) or the run
     fails with ``MalformedStrategy``.
     """
-    return _batch(_escrow_game(challenge), [alice], [bob], [claimed_bit], params.theta)[0]
+    return _batch(_escrow_game(challenge), [alice], [bob], [claimed_bit], _theta_of(params))[0]
 
 
 def run_escrow_batch(alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec],
@@ -1230,7 +1269,8 @@ def run_escrow_batch(alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec
     ``deposited`` gets each run's reduced deposit as ``_batch`` says: for an
     unseeded run against the honest receiver, its ``deposit_reduced_state``.
     """
-    return _batch(_escrow_game(challenge), alices, bobs, claimed_bits, params.theta, deposited)
+    return _batch(_escrow_game(challenge), alices, bobs, claimed_bits, _theta_of(params),
+                  deposited)
 
 
 def run_escrow_reveal_then_return(alice: StrategySpec, bob: StrategySpec,
@@ -1242,7 +1282,7 @@ def run_escrow_reveal_then_return(alice: StrategySpec, bob: StrategySpec,
     Bob may condition the unitary in his ``return`` program on the revealed
     bit, which lands in his record under ``b_claim``.
     """
-    return _batch(_REVEAL_FIRST, [alice], [bob], [claimed_bit], params.theta)[0]
+    return _batch(_REVEAL_FIRST, [alice], [bob], [claimed_bit], _theta_of(params))[0]
 
 
 def run_escrow_reveal_then_return_batch(alices: Sequence[StrategySpec],
@@ -1250,7 +1290,7 @@ def run_escrow_reveal_then_return_batch(alices: Sequence[StrategySpec],
                                         claimed_bits: Sequence[int | None],
                                         params: EscrowParams) -> list[OutcomeDistribution]:
     """``run_escrow_reveal_then_return`` of each run, in input order (``_batch``)."""
-    return _batch(_REVEAL_FIRST, alices, bobs, claimed_bits, params.theta)
+    return _batch(_REVEAL_FIRST, alices, bobs, claimed_bits, _theta_of(params))
 
 
 def run_coinflip(alice: StrategySpec, bob: StrategySpec) -> OutcomeDistribution:
@@ -1280,7 +1320,7 @@ def run_weak_commitment(alice: StrategySpec, bob: StrategySpec, deposited_bit: i
     provides the mechanics of the composition only; no security property is
     claimed for it.
     """
-    return _batch(_WEAK, [alice], [bob], [deposited_bit], params.theta)[0]
+    return _batch(_WEAK, [alice], [bob], [deposited_bit], _theta_of(params))[0]
 
 
 def deposit_reduced_state(alice: StrategySpec) -> DensityMatrix:

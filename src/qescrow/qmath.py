@@ -240,36 +240,6 @@ def _derived_density(wires: tuple[str, ...], m: np.ndarray) -> DensityMatrix:
 
 
 @dataclass(frozen=True)
-class Mixture:
-    """Classical distribution over pure states on a common wire set."""
-
-    weights: tuple[float, ...]
-    states: tuple[StateVector, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        object.__setattr__(self, "states", tuple(self.states))
-        if len(self.weights) != len(self.states) or not self.states:
-            raise QMathError("weights and states must pair up")
-        if any(w < -ATOL_STATE for w in self.weights):
-            raise QMathError("negative mixture weight")
-        if abs(sum(self.weights) - 1.0) > ATOL_STATE:
-            raise QMathError(f"mixture weights sum to {sum(self.weights)}")
-        wires = self.states[0].wires
-        if any(s.wires != wires for s in self.states):
-            raise WireMismatch("mixture states live on different wires")
-
-    @property
-    def wires(self) -> tuple[str, ...]:
-        return self.states[0].wires
-
-    def density(self) -> DensityMatrix:
-        m = sum(w * np.outer(s.amplitudes, s.amplitudes.conj())
-                for w, s in zip(self.weights, self.states))
-        return DensityMatrix(self.wires, m)
-
-
-@dataclass(frozen=True)
 class Unitary:
     """A nonempty square matrix, or a stack of them, that passed the 1e-9
     unitarity check when it was constructed.
@@ -355,8 +325,8 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def trace_norm(a: np.ndarray) -> float:
     """Sum of singular values; for Hermitian input this is the sum of |eigenvalues|."""
     a = np.asarray(a, dtype=complex)
-    if a.shape[0] != a.shape[1]:
-        raise QMathError("trace norm needs a square matrix")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise QMathError(f"trace norm needs a square matrix, not shape {a.shape}")
     return float(np.sum(np.linalg.svd(a, compute_uv=False)))
 
 

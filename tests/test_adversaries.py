@@ -19,7 +19,6 @@ from qescrow.protocols import (
     MalformedStrategy,
     Verdict,
     escrow_bit_density,
-    escrow_bit_mixture,
     honest_alice_coinflip,
     honest_bob_coinflip,
     honest_bob_escrow,
@@ -50,13 +49,6 @@ def test_quadratic_params_validation():
         adv.AliceQuadraticParams(0.1, 2)
 
 
-def test_quadratic_rejects_bad_realization():
-    r0, r1 = protocol_densities()
-    wrong = escrow_bit_mixture(1, THETA)
-    with pytest.raises(adv.RealizationMismatch):
-        adv.alice_quadratic(adv.AliceQuadraticParams(0.1), r0, r1, (wrong, wrong))
-
-
 def test_quadratic_alpha_zero_is_delayed_choice():
     zero, one = adv.protocol_quadratic_pair(0.0)
     bob = honest_bob_escrow()
@@ -84,12 +76,9 @@ def test_quadratic_closed_forms_on_grid(alpha):
 
 def test_quadratic_orthogonal_pure_states_give_no_advantage():
     # f = 0: the sqrt(f) factor kills the advantage at every alpha
-    r0 = qmath.DensityMatrix(("dep",), np.diag([1.0, 0.0]))
-    r1 = qmath.DensityMatrix(("dep",), np.diag([0.0, 1.0]))
-    mixes = (qmath.Mixture((1.0,), (qmath.StateVector(("dep",), np.array([1, 0], dtype=complex)),)),
-             qmath.Mixture((1.0,), (qmath.StateVector(("dep",), np.array([0, 1], dtype=complex)),)))
+    table = np.array([[[1, 0], [1, 0]], [[0, 1], [0, 1]]], dtype=complex)   # |0>, |0>; |1>, |1>
     for alpha in (0.0, math.pi / 8, math.pi / 4):
-        spec = adv.alice_quadratic(adv.AliceQuadraticParams(alpha, 0), r0, r1, mixes)
+        spec = adv.alice_quadratic(adv.AliceQuadraticParams(alpha, 0), table)
         dist = run_escrow(spec, honest_bob_escrow(), Challenge.REVEAL_TO_BOB)
         p0 = dist.transcript_probability(("alice", "b", 0))
         assert abs(p0 - 0.5) < 1e-9

@@ -8,7 +8,7 @@ import pytest
 from helpers import fixed_bit_alice
 from qescrow import adversaries as adv
 from qescrow import analysis as ana
-from qescrow import qmath
+from qescrow import protocols, qmath
 from qescrow.analysis import (
     BiasReport,
     BindingReport,
@@ -31,6 +31,7 @@ from qescrow.protocols import (
     EscrowParams,
     MalformedStrategy,
     MeasureRecord,
+    ProtocolError,
     SetBits,
     StrategySpec,
     bx_angle,
@@ -378,26 +379,101 @@ def test_modified_rejects_mismatched_registers():
 
 
 _AMPS4 = np.array([1, 0, 0, 0], dtype=complex)
+_ALICE, _BOB = protocols.honest_alice_escrow(), protocols.honest_bob_escrow()
+_REVEAL = protocols.Challenge.REVEAL_TO_BOB
 
 
-@pytest.mark.parametrize("build, error, named", [
-    (lambda: qmath.StateVector("ab", _AMPS4), qmath.WireMismatch, "'ab'"),
-    (lambda: qmath.DensityMatrix("ab", np.eye(4) / 4), qmath.WireMismatch, "'ab'"),
-    (lambda: qmath.random_state("ab", np.random.default_rng(0)), qmath.WireMismatch, "'ab'"),
-    (lambda: qmath.random_density("ab", np.random.default_rng(0)), qmath.WireMismatch, "'ab'"),
-    (lambda: StrategySpec("alice", 0, {}, honest="yes"), MalformedStrategy, "'yes'"),
-    (lambda: adv.unitary_from_angles(2, ("a", "b", "c")), adv.AdversaryError, "'a'"),
-    (lambda: adv.state_from_angles(2, (0.1, "x")), adv.AdversaryError, "'x'"),
-    (lambda: adv.alice_coinflip_from_angles(["t"] * 12), adv.AdversaryError, "'t'"),
-    (lambda: coinflip_bias("bob", adv.constant_bob(0)), ana.AnalysisError, "'bob'"),
-    (lambda: ana.coinflip_bias_batch("alice", [adv.constant_bob(0)]), ana.AnalysisError,
-     "'alice'"),
-], ids=["state-wires-str", "density-wires-str", "random-state-wires-str",
-        "random-density-wires-str", "honest-flag-str", "unitary-angles-str", "state-angles-str",
-        "depositor-angles-str", "bias-party-str", "bias-batch-party-str"])
+def _nan_table():
+    """The escrow encoding table at pi/8, with a NaN in phi_{0,1}."""
+    table = np.array(protocols.escrow_encoding(THETA))
+    table[0, 1, 0] = math.nan
+    return table
+
+
+def _quadratic(table):
+    return adv.alice_quadratic(adv.AliceQuadraticParams(0.1), table)
+
+
+# id: (build, error type, text the message must hold)
+_TYPED_ERRORS = {
+    "state-wires-str": (lambda: qmath.StateVector("ab", _AMPS4), qmath.WireMismatch, "'ab'"),
+    "density-wires-str": (lambda: qmath.DensityMatrix("ab", np.eye(4) / 4), qmath.WireMismatch,
+                          "'ab'"),
+    "random-state-wires-str": (lambda: qmath.random_state("ab", np.random.default_rng(0)),
+                               qmath.WireMismatch, "'ab'"),
+    "random-density-wires-str": (lambda: qmath.random_density("ab", np.random.default_rng(0)),
+                                 qmath.WireMismatch, "'ab'"),
+    "honest-flag-str": (lambda: StrategySpec("alice", 0, {}, honest="yes"), MalformedStrategy,
+                        "'yes'"),
+    "unitary-angles-str": (lambda: adv.unitary_from_angles(2, ("a", "b", "c")),
+                           adv.AdversaryError, "'a'"),
+    "state-angles-str": (lambda: adv.state_from_angles(2, (0.1, "x")), adv.AdversaryError,
+                         "'x'"),
+    "depositor-angles-str": (lambda: adv.alice_coinflip_from_angles(["t"] * 12),
+                             adv.AdversaryError, "'t'"),
+    "bias-party-str": (lambda: coinflip_bias("bob", adv.constant_bob(0)), ana.AnalysisError,
+                       "'bob'"),
+    "bias-batch-party-str": (lambda: ana.coinflip_bias_batch("alice", [adv.constant_bob(0)]),
+                             ana.AnalysisError, "'alice'"),
+    # params that are not an EscrowParams
+    "run-escrow-params": (lambda: protocols.run_escrow(_ALICE, _BOB, _REVEAL, 0, 0.3),
+                          ProtocolError, "0.3"),
+    "run-escrow-batch-params": (lambda: protocols.run_escrow_batch([_ALICE], [_BOB], _REVEAL,
+                                                                   [0], 0.3), ProtocolError, "0.3"),
+    "reveal-then-return-params": (lambda: protocols.run_escrow_reveal_then_return(
+        _ALICE, _BOB, 0, 0.3), ProtocolError, "0.3"),
+    "reveal-then-return-batch-params": (lambda: protocols.run_escrow_reveal_then_return_batch(
+        [_ALICE], [_BOB], [0], 0.3), ProtocolError, "0.3"),
+    "weak-commitment-params": (lambda: protocols.run_weak_commitment(
+        protocols.honest_alice_weak(), protocols.honest_bob_weak(), 0, 0.3), ProtocolError, "0.3"),
+    "honest-escrow-params": (lambda: protocols.honest_alice_escrow(0.3), ProtocolError, "0.3"),
+    "honest-weak-params": (lambda: protocols.honest_alice_weak(0.3), ProtocolError, "0.3"),
+    "binding-params": (lambda: binding_metrics(_ALICE, _ALICE, 0.3), ProtocolError, "0.3"),
+    "sealing-params": (lambda: sealing_metrics(identity_bob(), 0.3), ProtocolError, "0.3"),
+    "return-error-params": (lambda: enumerated_return_error(identity_bob(), 0.3), ProtocolError,
+                            "0.3"),
+    "modified-params": (lambda: modified_sealing_check((identity_bob(), identity_bob()), 0.3),
+                        ProtocolError, "0.3"),
+    "quadratic-pair-params": (lambda: adv.protocol_quadratic_pair(0.1, 0.3), ProtocolError,
+                              "0.3"),
+    # queries that would match nothing
+    "verdict-str": (lambda: protocols.run_coinflip(
+        protocols.honest_alice_coinflip(), honest_bob_coinflip()).verdict_probability("alice", "0"),
+        ProtocolError, "'0'"),
+    "transcript-entry-str": (lambda: protocols.run_coinflip(
+        protocols.honest_alice_coinflip(), honest_bob_coinflip()).transcript_probability("x"),
+        ProtocolError, "'x'"),
+    "quadratic-alpha-str": (lambda: adv.AliceQuadraticParams("a"), adv.AdversaryError, "'a'"),
+    "weak-strength-str": (lambda: adv.BobWeakParams("a"), adv.AdversaryError, "'a'"),
+    "weak-unitary-strength": (lambda: adv.weak_measurement_unitary(
+        escrow_bit_density(0, THETA), escrow_bit_density(1, THETA), 2.0), adv.AdversaryError,
+        "2.0"),
+    "modified-not-a-pair": (lambda: modified_sealing_check((identity_bob(),)), ana.AnalysisError,
+                            "needs a pair"),
+    "trace-norm-vector": (lambda: qmath.trace_norm(np.ones(3)), qmath.QMathError, "(3,)"),
+    # the encoding table: a finite real angle, bits, and a caller's table
+    "encoding-theta-list": (lambda: protocols.escrow_encoding([0.3]), ProtocolError, "[0.3]"),
+    "encoding-theta-nan": (lambda: protocols.escrow_encoding(math.nan), ProtocolError, "nan"),
+    "bit-density-theta-str": (lambda: escrow_bit_density(0, "a"), ProtocolError, "'a'"),
+    "bit-density-bit-2": (lambda: escrow_bit_density(2, THETA), ProtocolError, "bit 2"),
+    "table-density-bit-2": (lambda: protocols.bit_density(protocols.escrow_encoding(THETA), 2),
+                            ProtocolError, "bit 2"),
+    "basis-2": (lambda: protocols.escrow_basis(2, THETA), ProtocolError, "basis 2"),
+    "basis-str": (lambda: protocols.escrow_basis("a", THETA), ProtocolError, "'a'"),
+    "quadratic-table-shape": (lambda: _quadratic(np.ones((3, 2, 2))), adv.AdversaryError,
+                              "(3, 2, 2)"),
+    "quadratic-table-nan": (lambda: _quadratic(_nan_table()), adv.AdversaryError, "nan"),
+    "quadratic-table-norm-2": (lambda: _quadratic(2 * protocols.escrow_encoding(THETA)),
+                               adv.AdversaryError, "norm 2.0"),
+}
+
+
+@pytest.mark.parametrize("build, error, named", _TYPED_ERRORS.values(), ids=list(_TYPED_ERRORS))
 def test_a_malformed_state_flag_angle_or_party_raises_a_typed_error(build, error, named):
-    # at the parent a bare str became one wire per character, "yes" ran as honest, a text
-    # angle raised a raw ValueError, and a str party took the depositor branch
+    # each raised a raw exception or gave a wrong answer before it was checked: a bare str
+    # became one wire per character, "yes" ran as honest, a text angle or a float params
+    # raised a raw error, a str party took the depositor branch, a str verdict matched
+    # nothing, and bit 2 read as bit 1
     with pytest.raises(error) as caught:
         build()
     assert named in str(caught.value)

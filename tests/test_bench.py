@@ -56,13 +56,17 @@ def test_summarize_cli_runs_each_command_and_takes_the_median():
         k = len(calls)
         return {"exit": 3 if k == 5 else 0, "seconds": float(k), "peak_rss_mb": 40.0 + k % 3}
 
-    out = bench.summarize_cli(["coinflip", "selftest"], 3, run)
+    scales = iter([1.0, 1.0, 0.5, 1.5] + [1.0] * 8)
+    out = bench.summarize_cli(["coinflip", "selftest"], 3, run, lambda: next(scales))
     assert calls == ["coinflip"] * 3 + ["selftest"] * 3
     assert out["coinflip"]["seconds"] == {"median": 2.0, "q1": 1.5, "q3": 2.5,
                                           "values": [1.0, 2.0, 3.0]}
     assert out["coinflip"]["peak_rss_mb"]["values"] == [41.0, 42.0, 40.0]
     assert out["coinflip"]["peak_rss_mb"]["median"] == 41.0
     assert out["coinflip"]["exit"] == [0]
+    # each run is read between its own two scales: seconds times their mean
+    assert out["coinflip"]["scales"] == [[1.0, 1.0], [0.5, 1.5], [1.0, 1.0]]
+    assert out["coinflip"]["seconds_calibrated"]["values"] == [1.0, 2.0, 3.0]
     assert out["selftest"]["exit"] == [0, 3]
     assert out["selftest"]["seconds"]["median"] == 5.0
 
@@ -80,12 +84,43 @@ def _tier1_report(failures: int, criterion_1_s: float) -> str:
 def test_summarize_tier1_counts_tests_and_times_each_criterion():
     runs = iter([(1, 31.5, _tier1_report(2, 0.5)), (1, 29.0, _tier1_report(2, 0.75)),
                  (0, 30.0, _tier1_report(0, 0.25))])
-    out = bench.summarize_tier1(3, lambda: next(runs))
+    scales = iter([1.0, 1.0, 0.5, 0.5, 1.0, 2.0])
+    out = bench.summarize_tier1(3, lambda: next(runs), lambda: next(scales))
     assert out == {"exit": [0, 1], "passed": [6, 8], "failed": [1, 3],
                    "seconds": {"median": 30.0, "q1": 29.5, "q3": 30.75,
                                "values": [31.5, 29.0, 30.0]},
+                   "seconds_calibrated": {"median": 31.5, "q1": 23.0, "q3": 38.25,
+                                          "values": [31.5, 14.5, 45.0]},
+                   "scales": [[1.0, 1.0], [0.5, 0.5], [1.0, 2.0]],
                    "acceptance_call_s": {
                        "test_criterion_1": {"median": 0.5, "q1": 0.375, "q3": 0.625,
                                             "values": [0.5, 0.75, 0.25]},
                        "test_criterion_4_x": {"median": 1.25, "q1": 1.25, "q3": 1.25,
                                               "values": [1.25, 1.25, 1.25]}}}
+
+
+def test_scales_are_read_right_before_and_right_after_each_run():
+    events = []
+
+    def scale():
+        events.append("scale")
+        return 1.0
+
+    def run(command):
+        events.append(command)
+        return {"exit": 0, "seconds": 1.0, "peak_rss_mb": 40.0}
+
+    def tier1():
+        events.append("tier-1")
+        return 0, 2.0, _tier1_report(0, 0.5)
+
+    bench.summarize_cli(["coinflip"], 2, run, scale)
+    bench.summarize_tier1(1, tier1, scale)
+    assert events == ["scale", "coinflip", "scale"] * 2 + ["scale", "tier-1", "scale"]
+
+
+def test_the_checkout_scale_is_its_calibration_kernel():
+    scale = bench.checkout_scale(bench.ROOT)
+    assert scale.__name__ == "setup_scale"
+    assert scale.__module__ == "calibration"
+    assert 0.0 < scale() < float("inf")

@@ -130,6 +130,20 @@ def test_a_message_wire_enters_at_its_layout_position(monkeypatch):
     assert seen and all(wires == ("dep", "rb", "dep2") for wires in seen)
 
 
+def test_a_round_of_a_phase_the_game_never_plays_puts_no_wire_in_the_stack(monkeypatch):
+    # the reveal game plays "reveal", not "reveal_bit", so the Hadamard on rb never plays:
+    # rb stays a table column, and the one measure call is the check on dep
+    programs = honest_alice_escrow().programs
+    plain = StrategySpec("alice", 0, programs)
+    unplayed = StrategySpec("alice", 0, dict(programs, reveal_bit=(Apply(("rb",), _HADAMARD),)))
+    run = lambda alice: protocols.run_escrow(alice, honest_bob_escrow(), Challenge.REVEAL_TO_BOB, 0)
+    seen = _record_kernel_calls(monkeypatch)
+    stacks = _record_stack_wires(monkeypatch)
+    assert run(unplayed) == run(plain)
+    assert [call for call in seen if call[0] == "measure"] == [("measure", ("dep",), 2)] * 2
+    assert set(stacks) == {("dep",)}
+
+
 def _angle_depositor():
     return adversaries.alice_coinflip_from_angles(np.linspace(0.1, 1.2, 12))
 

@@ -27,7 +27,7 @@ from qescrow.protocols import (
     deposit_reduced_state,
     escrow_basis,
     escrow_bit_density,
-    escrow_bit_mixture,
+    escrow_encoding,
     honest_alice_coinflip,
     honest_alice_escrow,
     honest_alice_weak,
@@ -65,10 +65,8 @@ def test_phi_bx_table():
     assert bx_angle(0, 1, THETA) == THETA
     assert bx_angle(1, 0, THETA) == math.pi / 2 - THETA
     assert bx_angle(1, 1, THETA) == math.pi / 2 + THETA
-    # the honest mixture of bit 0 holds phi_{0,0} = phi_{-pi/8} first, on the deposit wire
-    state = escrow_bit_mixture(0, THETA).states[0]
-    assert state.wires == ("dep",)
-    assert abs(np.vdot(state.amplitudes, phi_vec(-math.pi / 8)) - 1) < 1e-12
+    # the encoding table's first entry is phi_{0,0} = phi_{-pi/8}
+    assert abs(np.vdot(escrow_encoding(THETA)[0, 0], phi_vec(-math.pi / 8)) - 1) < 1e-12
 
 
 @pytest.mark.parametrize("theta", THETA_GRID)
@@ -546,6 +544,38 @@ def test_honest_party_without_its_result_bits_is_malformed(run):
     # an honest-flagged depositor who never records b has no result of her own
     with pytest.raises(MalformedStrategy):
         run(_HONEST_ALICE_WITHOUT_B)
+
+
+TABLE_THETAS = (math.pi / 16, math.pi / 12, math.pi / 8, 0.3)
+
+
+def _same_floats(a, b) -> bool:
+    """Whether two complex arrays hold the same floats: ``np.array_equal`` on the float view."""
+    return np.array_equal(np.ascontiguousarray(a).view(float), np.ascontiguousarray(b).view(float))
+
+
+@pytest.mark.parametrize("theta", TABLE_THETAS)
+def test_the_encoding_table_holds_the_four_states(theta):
+    table = escrow_encoding(theta)
+    assert table.shape == (2, 2, 2) and table.dtype == complex
+    assert table is escrow_encoding(theta)   # cached per angle
+    for b, x in itertools.product((0, 1), repeat=2):
+        assert [v.hex() for v in table[b, x].view(float)] == [
+            v.hex() for v in phi_vec(bx_angle(b, x, theta)).view(float)]
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("theta", TABLE_THETAS)
+def test_check_bases_and_bit_densities_read_the_table(theta):
+    table = escrow_encoding(theta)
+    for x in (0, 1):   # column b of the basis for x is phi_{b,x}
+        assert _same_floats(escrow_basis(x, theta).matrix, table[:, x].T)
+        assert _same_floats(protocols._check_bases(theta).matrix[x], table[:, x].T)
+    for b in (0, 1):
+        phis = [phi_vec(bx_angle(b, x, theta)) for x in (0, 1)]
+        mixture = 0.5 * np.outer(phis[0], phis[0].conj()) + 0.5 * np.outer(phis[1], phis[1].conj())
+        assert _same_floats(escrow_bit_density(b, theta).matrix, mixture)
 
 
 def test_checks_share_one_stacked_basis():

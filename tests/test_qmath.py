@@ -12,7 +12,6 @@ from helpers import apply_to_state
 from qescrow import qmath
 from qescrow.qmath import (
     DensityMatrix,
-    Mixture,
     NotHermitian,
     NotUnitary,
     OrthogonalMeasurement,
@@ -793,9 +792,6 @@ def test_density_matrix_rejects_negative():
         DensityMatrix(("q",), np.diag([1.5, -0.5]))
 
 
-def test_mixture_density():
-    mix = Mixture((0.25, 0.75), (StateVector(("q",), ket(0)), StateVector(("q",), ket(1))))
-    assert np.allclose(mix.density().matrix, np.diag([0.25, 0.75]))
 
 
 def test_state_preparation_unitary():
