@@ -41,6 +41,7 @@ from .qmath import (
     hermitian_eig,
     maximally_parallel_purifications,
     local_purification_transform,
+    optimal_distinguishing_measurement,
     state_preparation_unitary,
 )
 from .protocols import (
@@ -215,11 +216,10 @@ def bob_weak_measurement(params: BobWeakParams, r0: DensityMatrix, r1: DensityMa
 def full_measurement_bob() -> StrategySpec:
     """Coin-flip receiver who measures the deposit in the eigenbasis of the
     encoding difference and announces the maximum-likelihood guess."""
-    r0, r1 = escrow_bit_density(0, COIN_THETA), escrow_bit_density(1, COIN_THETA)
-    vals, vecs = hermitian_eig(r0.matrix - r1.matrix)
-    # guess 0 on the nonnegative eigenvalue, 1 on the negative: outcome index = guess
-    order = np.argsort(vals < 0, kind="stable")
-    meas = OrthogonalMeasurement.from_basis([vecs[:, i] for i in order])
+    # the eigenvalues come in descending order, so outcome 0 (guess 0) is the
+    # nonnegative one and outcome 1 the negative one: outcome index = guess
+    meas, _ = optimal_distinguishing_measurement(
+        escrow_bit_density(0, COIN_THETA), escrow_bit_density(1, COIN_THETA))
     return StrategySpec(
         party="bob", ancilla_count=0, label="bob-full-measurement",
         programs={"choose": (MeasureRecord(("dep",), meas, "guess"), _ANNOUNCE_GUESS)},

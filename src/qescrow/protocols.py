@@ -17,8 +17,8 @@ own result, reject, branch on a challenge).  One function, ``_batch``, plays a
 game on N runs, each a (depositor, receiver, seeded bit) triple, and a
 runner is its batch of one.  Runs whose strategies have one shape
 (``StrategySpec.shape``: all but the gate and basis matrices) form a group
-that goes through one stack; ``_batch`` checks each shape pair against the
-game once per batch, before any branch runs.  The ``*_batch`` entry points
+that goes through one stack; ``_batch`` compiles (and so checks) every
+group's shape pair before any branch runs.  The ``*_batch`` entry points
 return results in input order.  ``run_escrow_batch`` hands each run's
 reduced deposit, off its rows right after the deposit phase, to a caller's
 check before the rest plays; ``deposit_reduced_state`` is its batch of one.
@@ -26,9 +26,10 @@ check before the rest plays; ``deposit_reduced_state`` is its batch of one.
 A game runs in two stages.  ``_compile`` resolves it, once per (game, Alice
 shape, Bob shape) and kept in a bounded cache, into a program: a tuple of
 (step function, arguments) pairs that ends in ``_end`` or ``_challenge``,
-whose branches are programs too.  Everything the two shapes fix is resolved
-there: the wires of the stack, the table column of every value, each
-branch's transcript header, whether a read is a table write, a
+whose branches are programs too.  Everything the two shapes fix is decided
+there: whether the pair is legal in the game, the wires of the stack, the
+table column of every value, each branch's transcript header and the order
+of its verdict columns, whether a read is a table write, a
 renormalization and a table write, or a ``measure``, whether a write is an
 XOR of a column or an X gate, whether a check builds post-states, the
 challenge's judge, and the steps that are no-ops for a dishonest party.
@@ -93,13 +94,15 @@ itself once, when it is built: distinct non-empty ``str`` wires, unitaries
 of the right shape, a measurement of the right dimension, non-empty ``str``
 record keys, bit sources that are 0, 1 or a key.  A batch checks that its
 runs pair up (or raises ``ProtocolError``), that every seeded bit is 0, 1
-or None and every seat holds a ``StrategySpec`` and, once per shape group
-and from the spec's cached shape, what the game adds: each spec sits in its
-own party's seat, every phase is known, every round touches only wires the
-party holds in it, and in the coin flip and the composed game one party is
-honest.  Every violation raises ``MalformedStrategy`` before any branch
-runs, except a record key that is unset or not a bit, which raises it when
-the step that reads it plays (for the whole batch).
+or None and every seat holds a ``StrategySpec``; compiling a shape pair
+checks what the game adds: each spec sits in its own party's seat, every
+phase is known, every round touches only wires the party holds in it, the
+run fits the wire budget, and in the coin flip and the composed game one
+party is honest.  Every violation raises ``MalformedStrategy`` before any
+branch runs, except a record key that is unset or not a bit, which raises
+it when the step that reads it plays (for the whole batch).  A party with
+no verdict reports the other's, and against a cheater both report the
+honest party's where it has one: a cheater's verdict means nothing.
 Runners are pure functions from strategies to outcome distributions;
 concurrent runs share only caches of checked or derived values.
 """
@@ -402,22 +405,23 @@ def _signature(rnd: Round) -> tuple:
     raise MalformedStrategy(f"unknown round type {type(rnd).__name__}")
 
 
-def validate_strategy(spec: StrategySpec, phase_wires: Mapping[str, tuple[str, ...]]) -> None:
-    """Check a strategy's shape against a game's phase map, before any branch runs.
+def validate_strategy(shape: tuple, phase_wires: Mapping[str, tuple[str, ...]]) -> None:
+    """Check a strategy ``shape`` (``StrategySpec.shape``) against a game's phase map.
 
     Raises ``MalformedStrategy`` unless every phase is one of the game's and
     every round touches only the party's ancillas and the phase's wires.
-    The rounds checked everything else when they were built.
+    The rounds checked everything else when they were built.  ``_compile``
+    calls it once per shape pair.
     """
-    *_, phases = spec.shape
+    party, count, _, phases = shape
     for phase, rounds in phases:
         if phase not in phase_wires:
-            raise MalformedStrategy(f"{spec.party} has a program for unknown phase {phase!r}")
-        allowed = set(spec.ancillas) | set(phase_wires[phase])
+            raise MalformedStrategy(f"{party} has a program for unknown phase {phase!r}")
+        allowed = set(_ancilla_wires(party, count)) | set(phase_wires[phase])
         for _, wires, _ in rounds:
             if not allowed.issuperset(wires):
                 raise MalformedStrategy(
-                    f"{spec.party} touches {set(wires) - allowed} in phase {phase!r}")
+                    f"{party} touches {set(wires) - allowed} in phase {phase!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +716,9 @@ class _Program:
 class _Compiler:
     """Resolves a game's steps, for one (Alice shape, Bob shape) pair, to the step functions.
 
-    It fixes the stack first: every wire of the layout except the message
+    It checks the pair first, or raises ``MalformedStrategy``: in order, each
+    shape's seat and ``validate_strategy``, the wire budget and the
+    honest-party rule.  It then fixes the stack: every wire of the layout except the message
     wires that no ``Apply`` or ``MeasureRecord`` names in a phase the game
     plays (``_played``: its ``play`` steps, challenge branches included),
     and each of those gets a table column.  A round of a phase the game
@@ -722,15 +728,23 @@ class _Compiler:
     transcript header.  It places a table column for each value it meets, and it drops
     the steps that the shapes make no-ops: a dishonest reader's ``receive``
     and a dishonest party's ``own``.  A key counts as set once a step writes
-    it; no check's xor key is the seeded ``b``.  It checks nothing, so
-    compiling never raises: ``_batch`` validates a pair before it compiles
-    it, and what only the data shows (a record key unset or not a bit) is
-    found by the step that reads it, when it runs.
+    it; no check's xor key is the seeded ``b``.  What only the data shows
+    (a record key unset or not a bit) is found by the step that reads it,
+    when it runs.
     """
 
     def __init__(self, game: _Game, alice: tuple, bob: tuple):
         self.shapes = {"alice": alice, "bob": bob}
+        for seat, shape in self.shapes.items():
+            if shape[0] != seat:
+                raise MalformedStrategy(f"{seat}'s seat holds a {shape[0]!r} strategy")
+            validate_strategy(shape, game.phases[seat])
         layout = _ancilla_wires(*alice[:2]) + game.wires + _ancilla_wires(*bob[:2])
+        if len(layout) > MAX_TOTAL_WIRES:
+            raise MalformedStrategy(
+                f"{len(layout)} wires exceed the {MAX_TOTAL_WIRES}-qubit budget")
+        if game.one_honest and not (self.honest("alice") or self.honest("bob")):
+            raise MalformedStrategy("at least one party must be honest")
         played = _played(game.steps)
         acted = {wire for party, (*_, phases) in self.shapes.items() for phase, rounds in phases
                  if (party, phase) in played for kind, wires, _ in rounds
@@ -788,10 +802,13 @@ class _Compiler:
                                                 for party in ("alice", "bob")]),)))
             else:  # "challenge", the last step
                 return tuple(out), self.challenge(*args)
-        verdicts = [self.column((party, "verdict")) for party in ("alice", "bob")]
+        # Alice's two verdict columns, then Bob's; ``_leaf`` takes the first set one of each
+        # two: a party's own, except that against a cheater both read the honest party's
+        a, b = (self.column((party, "verdict")) for party in ("alice", "bob"))
+        verdicts = {(True, False): [a, b, a, b], (False, True): [b, a, b, a]}.get(
+            (self.honest("alice"), self.honest("bob")), [a, b, b, a])
         said = [self.column(i) for i in range(len(self.entries))]
-        key = (self.entries, self.honest("alice"), self.honest("bob"))
-        return tuple(out), (_end, (key, np.array(verdicts + said, dtype=np.intp)))
+        return tuple(out), (_end, (self.entries, np.array(verdicts + said, dtype=np.intp)))
 
     def play(self, party: str, phase: str) -> list:
         out = []
@@ -913,11 +930,9 @@ def _batch(game: _Game, alices: Sequence[StrategySpec], bobs: Sequence[StrategyS
 
     The runs whose two specs have the same ``shape`` form a group.  Before any
     branch of any group runs, the runs must pair up and every seed be 0, 1 or
-    None (``_seeds``), every seat must hold a ``StrategySpec``, and the first
-    pair of every group is checked against the game: the seats, its phase
-    map, the wire budget and the honest-party rule.  That check reads only
-    the two shapes, so the other members share it.  Each group then plays
-    the game compiled for its shape pair (``_compile``) from its root rows,
+    None (``_seeds``), every seat must hold a ``StrategySpec``, and every
+    group's shape pair is compiled (``_compile``), which checks the pair
+    against the game.  Each group then plays its program from its root rows,
     and ``_assemble`` gives one distribution per run.  The results come back
     in input order; a run that raises raises for the whole batch.  Every
     runner is its batch of one.
@@ -933,20 +948,9 @@ def _batch(game: _Game, alices: Sequence[StrategySpec], bobs: Sequence[StrategyS
             seat, spec = ("bob", bob) if isinstance(alice, StrategySpec) else ("alice", alice)
             raise MalformedStrategy(f"{seat}'s seat holds {spec!r}, not a StrategySpec")
         groups.setdefault((alice.shape, bob.shape), []).append(i)
-    for members in groups.values():
-        alice, bob = alices[members[0]], bobs[members[0]]
-        for seat, spec in (("alice", alice), ("bob", bob)):
-            if spec.party != seat:
-                raise MalformedStrategy(f"{seat}'s seat holds a {spec.party!r} strategy")
-            validate_strategy(spec, game.phases[seat])
-        n = len(alice.ancillas + game.wires + bob.ancillas)
-        if n > MAX_TOTAL_WIRES:
-            raise MalformedStrategy(f"{n} wires exceed the {MAX_TOTAL_WIRES}-qubit budget")
-        if game.one_honest and not (alice.honest or bob.honest):
-            raise MalformedStrategy("at least one party must be honest")
+    programs = [_compile(game, *shapes) for shapes in groups]   # a bad pair stops all groups
     heads, deposits, results = [], {}, [None] * len(bits)
-    for shapes, members in groups.items():
-        program = _compile(game, *shapes)
+    for program, members in zip(programs, groups.values()):
         specs = {"alice": [alices[i] for i in members], "bob": [bobs[i] for i in members]}
         rows = _start(program, [bits[i] for i in members])
         at = program.handover if deposited else 0
@@ -1011,39 +1015,25 @@ class OutcomeDistribution:
         return out
 
 
-def _final_verdicts(av: int, bv: int, alice_honest: bool, bob_honest: bool) -> tuple[int, int]:
-    """A leaf's final (Alice, Bob) verdict codes from the codes its row recorded."""
-    if av == _UNSET and bv == _UNSET:
-        raise MalformedStrategy("no verdict was produced on some branch")
-    # A cheater has no meaningful verdict of its own; report the honest outcome.
-    if alice_honest and not bob_honest and av != _UNSET:
-        bv = av
-    elif bob_honest and not alice_honest and bv != _UNSET:
-        av = bv
-    if av == _UNSET:
-        av = bv
-    if bv == _UNSET:
-        bv = av
-    return av, bv
-
-
-def _leaf(entries: tuple[tuple[str, str], ...], alice_honest: bool, bob_honest: bool,
-          codes: bytes) -> tuple[str, tuple]:
+def _leaf(entries: tuple[tuple[str, str], ...], codes: bytes) -> tuple[str, tuple]:
     """The leaf that a row's verdict and transcript codes spell, and its ``repr``.
 
-    The leaf is (Alice's verdict, Bob's verdict, transcript).
+    The leaf is (Alice's verdict, Bob's verdict, transcript); each verdict
+    is the first set code of the party's two verdict columns.
     """
-    av, bv, *said = np.frombuffer(codes, dtype=_CODE).tolist()
-    av, bv = _final_verdicts(av, bv, alice_honest, bob_honest)
+    a, a_else, b, b_else, *said = np.frombuffer(codes, dtype=_CODE).tolist()
+    av, bv = a_else if a == _UNSET else a, b_else if b == _UNSET else b
+    if av == _UNSET:   # both parties' columns are unset
+        raise MalformedStrategy("no verdict was produced on some branch")
     leaf = (_VERDICTS.get(av, av), _VERDICTS.get(bv, bv),
             tuple((sender, key, _SAID.get(v, v)) for (sender, key), v in zip(entries, said)))
     return repr(leaf), leaf
 
 
-# The ``_leaf`` of each row codes met so far, per (transcript header, Alice
-# honest, Bob honest), filled by ``_assemble``; a compiled program names each
-# branch's key.  The games fix every header, and each value is a bit or a
-# verdict, so the games have few distinct leaves.
+# The ``_leaf`` of each row codes met so far, per transcript header, filled
+# by ``_assemble``; a compiled program names each branch's header.  The
+# games fix every header, and each value is a bit or a verdict, so the
+# games have few distinct leaves.
 _LEAVES: dict[tuple, dict[bytes, tuple[str, tuple]]] = {}
 
 
@@ -1068,7 +1058,7 @@ def _assemble(parts: list[tuple], runs: int) -> list[OutcomeDistribution]:
         distinct = dict.fromkeys(keys)   # in the order of first rows
         for key in distinct:
             if key not in known:
-                known[key] = _leaf(*header, key)
+                known[key] = _leaf(header, key)
             text, leaf = known[key]
             distinct[key] = leaves.setdefault(text, (len(leaves), leaf))[0]
         ids += map(distinct.__getitem__, keys)
@@ -1087,9 +1077,10 @@ def _assemble(parts: list[tuple], runs: int) -> list[OutcomeDistribution]:
 
 
 # ---------------------------------------------------------------------------
-# Honest parties: each factory is cached, since a spec is immutable (no
-# caller changes its programs in place); every caller of one shares one spec,
-# so its rounds are built and checked, and its shape and ancillas computed, once.
+# Honest parties: each factory is cached (on the angle it reads from ``params``,
+# which raises ``ProtocolError`` on any other type), since a spec is immutable;
+# every caller of one shares one spec, so its rounds are built and checked, and
+# its shape and ancillas computed, once.
 
 
 def _encoder(wire: str, theta: float, b_key: str, x_key: str) -> Apply:
@@ -1098,13 +1089,17 @@ def _encoder(wire: str, theta: float, b_key: str, x_key: str) -> Apply:
     return Apply((wire,), np.stack(table), keys=(b_key, x_key))
 
 
-@functools.lru_cache(maxsize=256)
 def honest_alice_escrow(params: EscrowParams = EscrowParams()) -> StrategySpec:
     """Deposit phi_{b,x} for the instructed bit b (record-seeded) and random x."""
+    return _honest_alice_escrow(_theta_of(params))
+
+
+@functools.lru_cache(maxsize=256)
+def _honest_alice_escrow(theta: float) -> StrategySpec:
     return StrategySpec(
         party="alice", ancilla_count=0, honest=True, label="honest-alice-escrow",
         programs={
-            "deposit": (Draw("x"), _encoder("dep", _theta_of(params), "b", "x")),
+            "deposit": (Draw("x"), _encoder("dep", theta, "b", "x")),
             "reveal": (SetBits({"rb": "b", "rx": "x"}),),
             "reveal_bit": (SetBits({"rb": "b"}),),
         },
@@ -1136,12 +1131,16 @@ def honest_bob_coinflip() -> StrategySpec:
     )
 
 
-@functools.lru_cache(maxsize=256)
 def honest_alice_weak(params: EscrowParams = EscrowParams()) -> StrategySpec:
+    return _honest_alice_weak(_theta_of(params))
+
+
+@functools.lru_cache(maxsize=256)
+def _honest_alice_weak(theta: float) -> StrategySpec:
     return StrategySpec(
         party="alice", ancilla_count=0, honest=True, label="honest-alice-weak",
         programs={
-            "deposit": (Draw("x"), _encoder("dep", _theta_of(params), "b", "x")),
+            "deposit": (Draw("x"), _encoder("dep", theta, "b", "x")),
             "reveal_bit": (SetBits({"rb": "b"}),),
             "coin_deposit": (Draw("b2"), Draw("x2"), _encoder("dep2", COIN_THETA, "b2", "x2")),
             "coin_reveal": (SetBits({"rb2": "b2", "rx2": "x2"}),),

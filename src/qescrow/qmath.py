@@ -299,10 +299,6 @@ class OrthogonalMeasurement(Unitary):
         return self.matrix.conj().swapaxes(-1, -2)
 
     @classmethod
-    def from_basis(cls, vectors: Sequence[np.ndarray]) -> "OrthogonalMeasurement":
-        return cls(np.column_stack([np.asarray(v, dtype=complex).reshape(-1) for v in vectors]))
-
-    @classmethod
     def computational(cls, n_wires: int) -> "OrthogonalMeasurement":
         return cls(np.eye(2 ** n_wires))
 

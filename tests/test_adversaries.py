@@ -87,7 +87,7 @@ def test_quadratic_orthogonal_pure_states_give_no_advantage():
 def test_quadratic_strategies_validate():
     for alpha in ALPHA_GRID:
         for spec in adv.protocol_quadratic_pair(alpha):
-            assert validate_strategy(spec, {"deposit": ("dep",), "reveal": ("rb", "rx")}) is None
+            assert validate_strategy(spec.shape, {"deposit": ("dep",), "reveal": ("rb", "rx")}) is None
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +164,7 @@ def test_basis_receiver_measures_in_its_matrix_columns():
     # the matrix is taken whole: the same basis, bit for bit, as stacking its two columns
     u2 = adv.unitary_from_angles(2, (0.3, 1.1, 2.7))
     measurement = adv.bob_measure_coinflip(u2).programs["choose"][0].measurement
-    columns = qmath.OrthogonalMeasurement.from_basis([u2[:, 0], u2[:, 1]])
+    columns = qmath.OrthogonalMeasurement(np.column_stack([u2[:, 0], u2[:, 1]]))
     assert measurement.matrix.tobytes() == columns.matrix.tobytes()
     assert measurement.adjoint.tobytes() == columns.adjoint.tobytes()
 

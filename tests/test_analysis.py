@@ -428,10 +428,16 @@ _TYPED_ERRORS = {
         protocols.honest_alice_weak(), protocols.honest_bob_weak(), 0, 0.3), ProtocolError, "0.3"),
     "honest-escrow-params": (lambda: protocols.honest_alice_escrow(0.3), ProtocolError, "0.3"),
     "honest-weak-params": (lambda: protocols.honest_alice_weak(0.3), ProtocolError, "0.3"),
+    "honest-escrow-unhashable-params": (lambda: protocols.honest_alice_escrow([0.3]),
+                                        ProtocolError, "[0.3]"),
+    "honest-weak-unhashable-params": (lambda: protocols.honest_alice_weak([0.3]), ProtocolError,
+                                      "[0.3]"),
     "binding-params": (lambda: binding_metrics(_ALICE, _ALICE, 0.3), ProtocolError, "0.3"),
     "sealing-params": (lambda: sealing_metrics(identity_bob(), 0.3), ProtocolError, "0.3"),
     "return-error-params": (lambda: enumerated_return_error(identity_bob(), 0.3), ProtocolError,
                             "0.3"),
+    "return-error-unhashable-params": (lambda: enumerated_return_error(identity_bob(), [0.3]),
+                                       ProtocolError, "[0.3]"),
     "modified-params": (lambda: modified_sealing_check((identity_bob(), identity_bob()), 0.3),
                         ProtocolError, "0.3"),
     "quadratic-pair-params": (lambda: adv.protocol_quadratic_pair(0.1, 0.3), ProtocolError,

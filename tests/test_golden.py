@@ -21,6 +21,7 @@ from qescrow import qmath
 from qescrow.protocols import (
     Apply,
     Challenge,
+    Draw,
     EscrowParams,
     MeasureRecord,
     SetBits,
@@ -72,6 +73,16 @@ def _flipping_receiver(seed: int) -> StrategySpec:
         Apply(("dep", "c0"), u), MeasureRecord(("c0",), COMP1, "g"), SetBits({"dep": "g"}))})
 
 
+def _random_depositor(seed: int) -> StrategySpec:
+    """A depositor that entangles dep with a0 and claims the bit a0 reads, with a drawn x.
+
+    In the return game against the honest receiver, the depositor's own check is both verdicts.
+    """
+    u = qmath.random_unitary(4, np.random.default_rng(seed))
+    return StrategySpec("alice", 1, {"deposit": (
+        Apply(("a0", "dep"), u), MeasureRecord(("a0",), COMP1, "b"), Draw("x"))})
+
+
 def _dishonest(spec: StrategySpec) -> StrategySpec:
     return StrategySpec(spec.party, spec.ancilla_count, spec.programs)
 
@@ -95,10 +106,20 @@ def _cases() -> dict:
             fixed_bit_alice(1), honest_bob_escrow(), Challenge.REVEAL_TO_BOB),
         "escrow-return-flipping-receiver-b1": lambda: run_escrow(
             honest_alice_escrow(), _flipping_receiver(11), Challenge.RETURN_TO_ALICE, 1),
+        "escrow-reveal-both-dishonest-b0": lambda: run_escrow(
+            _dishonest(honest_alice_escrow()), adv.random_return_attack(rng(3), ancillas=2),
+            Challenge.REVEAL_TO_BOB, 0),
+        "escrow-return-both-dishonest-b1": lambda: run_escrow(
+            _dishonest(honest_alice_escrow()), adv.random_return_attack(rng(3), ancillas=2),
+            Challenge.RETURN_TO_ALICE, 1),
+        "escrow-return-random-depositor-honest-bob": lambda: run_escrow(
+            _random_depositor(12), honest_bob_escrow(), Challenge.RETURN_TO_ALICE),
         "reveal-then-return-keyed-b0": lambda: run_escrow_reveal_then_return(
             honest_alice_escrow(), _keyed_receiver(6), 0),
         "reveal-then-return-keyed-b1": lambda: run_escrow_reveal_then_return(
             honest_alice_escrow(), _keyed_receiver(6), 1),
+        "reveal-then-return-both-dishonest-b1": lambda: run_escrow_reveal_then_return(
+            _dishonest(honest_alice_escrow()), _keyed_receiver(6), 1),
         "coinflip-honest": lambda: run_coinflip(honest_alice_coinflip(), honest_bob_coinflip()),
         "coinflip-full-measurement-bob": lambda: run_coinflip(
             honest_alice_coinflip(), adv.full_measurement_bob()),

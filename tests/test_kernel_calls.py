@@ -7,9 +7,9 @@ same kind of wrapper on ``qmath.is_unitary`` shows that a run does not check a
 gate, or a record-dependent table of gates, again once its round is built, nor
 a batch the stack of its runs' gates and bases.  On ``qmath.renormalize`` it
 shows that only a read after a gate renormalizes, on
-``protocols.validate_strategy`` that a pair of shapes is checked once per
-batch, and on ``qmath.measure`` that a batch's strategies and seeds are all
-checked before any branch runs.  The kernel calls of the composed game show
+``protocols.validate_strategy`` that a pair of shapes is checked once, when
+it is compiled, and on ``qmath.measure`` that a batch's strategies and seeds
+are all checked before any branch runs.  The kernel calls of the composed game show
 that a challenge branch that no row reaches is not played, and those of a
 binding pair that its deposit is played once.  A classical write on a wire
 in the stack is one ``apply_unitary`` call, and like any move of amplitudes
@@ -272,18 +272,34 @@ def _unflagged(spec: StrategySpec) -> StrategySpec:
     return StrategySpec(spec.party, spec.ancilla_count, spec.programs)
 
 
-@pytest.mark.parametrize("run", [
-    lambda: protocols.run_coinflip_batch(
+def _widened(spec: StrategySpec, count: int) -> StrategySpec:
+    """The same programs and flag with ``count`` ancillas."""
+    return StrategySpec(spec.party, count, spec.programs, spec.honest)
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: protocols.run_coinflip_batch(
         [honest_alice_coinflip(), _unflagged(honest_alice_coinflip())],
         [honest_bob_coinflip(), _unflagged(honest_bob_coinflip())]),
-    lambda: protocols.run_weak_commitment(_unflagged(honest_alice_weak()),
-                                          _unflagged(honest_bob_weak()), 1),
-], ids=["coinflip-batch", "weak-commitment"])
-def test_the_honest_party_rule_fires_before_any_branch_runs(run, monkeypatch):
-    # the batch's honest group comes first, yet the dishonest pair stops it before a kernel runs
+     "at least one party must be honest"),
+    (lambda: protocols.run_weak_commitment(_unflagged(honest_alice_weak()),
+                                           _unflagged(honest_bob_weak()), 1),
+     "at least one party must be honest"),
+    (lambda: protocols.run_coinflip_batch(
+        [honest_alice_coinflip(), honest_bob_coinflip()],
+        [honest_bob_coinflip(), honest_alice_coinflip()]),
+     "alice's seat holds a 'bob' strategy"),
+    (lambda: protocols.run_escrow_batch(
+        [honest_alice_escrow(), _widened(honest_alice_escrow(), 4)],
+        [honest_bob_escrow(), _widened(honest_bob_escrow(), 4)],
+        Challenge.REVEAL_TO_BOB, [0, 0], EscrowParams()),
+     "11 wires exceed the 9-qubit budget"),
+], ids=["coinflip-batch", "weak-commitment", "seat-swap-batch", "wire-budget-batch"])
+def test_the_honest_party_rule_fires_before_any_branch_runs(run, message, monkeypatch):
+    # the batch's legal group comes first, yet the illegal pair stops it before a kernel runs
     calls = []
     monkeypatch.setattr(qmath, "measure", _counting(calls, qmath.measure))
-    with pytest.raises(protocols.MalformedStrategy, match="at least one party must be honest"):
+    with pytest.raises(protocols.MalformedStrategy, match=message):
         run()
     assert calls == []
 
@@ -313,23 +329,24 @@ def test_only_a_read_after_a_gate_renormalizes(run, renormalized, monkeypatch):
     assert len(calls) == renormalized
 
 
-def test_a_shape_pair_is_checked_once_per_batch(monkeypatch):
+def test_a_shape_pair_is_checked_once_per_compiled_pair(monkeypatch):
     rng = np.random.default_rng(11)
     bobs = [_receiver(Apply(("dep",), qmath.random_unitary(2, rng))) for _ in range(100)]
     alices = [honest_alice_coinflip()] * len(bobs)
     calls = []
     monkeypatch.setattr(protocols, "validate_strategy",
                         _counting(calls, protocols.validate_strategy))
-    protocols.run_coinflip_batch(alices, bobs)   # one shape group: its first pair is checked
+    protocols._compile.cache_clear()
+    protocols.run_coinflip_batch(alices, bobs)   # one shape group: its pair is compiled and checked
     assert len(calls) == 2
-    for alice, bob in zip(alices, bobs):   # each run is a batch of its own
+    for alice, bob in zip(alices, bobs):   # each run is a batch of its own, of the compiled pair
         protocols.run_coinflip(alice, bob)
-    assert len(calls) == 2 + 200
+    assert len(calls) == 2
     bad = StrategySpec("bob", 0, {"choose": (SetBits({"rb": 1}),)})   # rb is not Bob's wire
-    for _ in range(2):
+    for _ in range(2):   # a pair that raises is not cached, so it is checked on every call
         with pytest.raises(protocols.MalformedStrategy, match="touches"):
             protocols.run_coinflip(honest_alice_coinflip(), bad)
-    assert len(calls) == 202 + 4
+    assert len(calls) == 2 + 4
 
 
 def _record_kernel_calls(monkeypatch) -> list:
@@ -379,6 +396,7 @@ def test_a_binding_pair_plays_its_deposit_once(monkeypatch):
     checks = []
     monkeypatch.setattr(protocols, "validate_strategy",
                         _counting(checks, protocols.validate_strategy))
+    protocols._compile.cache_clear()
     assert analysis.binding_metrics(*pair) == unwrapped
     assert [call for call in seen if call[1] == ("a0", "a1", "dep")] == [
         ("apply_unitary", ("a0", "a1", "dep"), 2)]

@@ -299,7 +299,7 @@ def test_weak_commitment_challenge_split_matches_embedded_coin():
 
     delta = (escrow_bit_density(0, THETA).matrix - escrow_bit_density(1, THETA).matrix)
     vals, vecs = qmath.hermitian_eig(delta)
-    meas = qmath.OrthogonalMeasurement.from_basis([vecs[:, 0], vecs[:, 1]])
+    meas = qmath.OrthogonalMeasurement(np.column_stack([vecs[:, 0], vecs[:, 1]]))
     bob = StrategySpec(
         party="bob", ancilla_count=0, honest=False, label="coin-measurer",
         programs={"coin_choose": (MeasureRecord(("dep2",), meas, "guess"),
