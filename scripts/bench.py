@@ -26,10 +26,17 @@ each ``tests/test_acceptance.py`` test as median and quartiles over the runs.
 
 Wall seconds follow the host's load, so every CLI and tier-1 run is
 calibrated as the workloads' set-up is: ``setup_scale()`` of the checkout's
-``benchmark/calibration.py`` is read right before and right after the run,
-both readings are kept under ``scales``, and ``seconds_calibrated`` is the
-run's seconds times their mean (median and quartiles over the runs, beside
-the raw ``seconds``).
+``benchmark/calibration.py`` is read right before the run, about once every
+``SAMPLE_EVERY_S`` while it runs, and right after it; every reading is kept
+under ``scales``, and ``seconds_calibrated`` is the run's seconds times their
+mean (median and quartiles over the runs, beside the raw ``seconds``).
+
+Under ``memory`` it records, per workload, the peak RSS of a fresh process
+that runs ``MEMORY_BLOCKS`` blocks at the first seed through the checkout's
+``benchmark/run.py`` ``Counter`` (imported, without the calibration kernel),
+and the evaluations it attempted.  Two checkouts read at one count differ
+only in what the library keeps, whereas a timed run's ``peak_rss_mb`` also
+grows with the evaluations the ``Counter`` records.
 
 The numbers are a record, not a gate: the script exits 0 whatever they are,
 and nonzero only if a run crashes or prints no result.
@@ -48,6 +55,7 @@ import sys
 import tempfile
 import time
 import xml.etree.ElementTree as ET
+from concurrent.futures import ThreadPoolExecutor, TimeoutError
 from typing import Callable
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -56,6 +64,10 @@ CLI_COMMANDS = ("coinflip", "escrow-binding", "escrow-sealing", "selftest")
 CLI_ARGS = ("--seed", "7", "--samples", "20")
 CLI_RUNS = 3
 TIER1_RUNS = 3
+SAMPLE_EVERY_S = 1.0   # how often the scale is read while a CLI or tier-1 run goes on
+# Blocks per workload for the memory reading: about the evaluations of a 20 s run.
+MEMORY_BLOCKS = {"coinflip-sweep": 8000, "escrow-frontier": 12000, "optimizer": 27,
+                 "composed-9q": 1200}
 # Runs the command in argv[1:] and prints its exit code, wall seconds and peak RSS.
 CLI_WRAPPER = """
 import json, resource, subprocess, sys, time
@@ -64,6 +76,21 @@ code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode
 seconds = time.perf_counter() - t0
 peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
 print(json.dumps({"exit": code, "seconds": seconds, "peak_rss_mb": peak_kb / 1024}))
+"""
+
+# Runs MEMORY_BLOCKS blocks of one workload (argv: benchmark dir, src dir, workload, seed,
+# blocks) through benchmark/run.py's Counter and prints the evaluations and the peak RSS.
+MEMORY_PROBE = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import run, workloads
+wl = workloads.WORKLOADS[sys.argv[3]](int(sys.argv[4]))
+wl.warm_up()
+counter = run.Counter()
+for _ in range(int(sys.argv[5])):
+    counter.run_block(wl)
+print(json.dumps({"evaluations": counter.attempted, "failed": counter.failed,
+                  "peak_rss_mb": run.peak_rss_mb()}))
 """
 
 # The tier-1 command, with each test's time in the JUnit XML being its call phase.
@@ -79,6 +106,8 @@ CliRunner = Callable[[str], dict]
 Tier1Runner = Callable[[], tuple[int, float, str]]
 # scale() -> the machine's speed now, as NOMINAL_S / the calibration kernel's time
 Scale = Callable[[], float]
+# memory_runner(workload, seed, blocks) -> {"evaluations": n, "failed": n, "peak_rss_mb": peak}
+MemoryRunner = Callable[[str, int, int], dict]
 
 
 def spread(values: list[float]) -> dict:
@@ -111,13 +140,25 @@ def summarize(workloads: list[str], seeds: list[int], runner: Runner) -> dict:
 
 
 def _calibrated(run: Callable[[], dict], scale: Scale) -> dict:
-    """The result of ``run()`` with the two scales read right before and right after it."""
-    before = scale()
-    return {**run(), "scales": [before, scale()]}
+    """The result of ``run()`` with the scales read before it, while it runs, and after it.
+
+    ``run()`` goes on in a worker thread while this one reads ``scale()``
+    every ``SAMPLE_EVERY_S``; an exception of ``run()`` is raised here.
+    """
+    scales = [scale()]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        future = pool.submit(run)
+        while True:
+            try:
+                result = future.result(timeout=SAMPLE_EVERY_S)
+                break
+            except TimeoutError:
+                scales.append(scale())
+    return {**result, "scales": scales + [scale()]}
 
 
 def _seconds(results: list[dict]) -> dict:
-    """Raw and calibrated (seconds times the mean of the run's two scales) seconds of the runs."""
+    """Raw and calibrated (seconds times the mean of the run's scales) seconds of the runs."""
     return {"seconds": spread([r["seconds"] for r in results]),
             "seconds_calibrated": spread([r["seconds"] * statistics.mean(r["scales"])
                                           for r in results]),
@@ -158,6 +199,12 @@ def summarize_tier1(runs: int, runner: Tier1Runner, scale: Scale) -> dict:
             "acceptance_call_s": {name: spread(values) for name, values in calls.items()}}
 
 
+def summarize_memory(workloads: list[str], seed: int, blocks: dict,
+                     runner: MemoryRunner) -> dict:
+    return {name: {"blocks": blocks[name], **runner(name, seed, blocks[name])}
+            for name in workloads}
+
+
 def checkout_scale(repo: pathlib.Path) -> Scale:
     """``setup_scale`` of the checkout's ``benchmark/calibration.py``, loaded by its path."""
     spec = importlib.util.spec_from_file_location(
@@ -179,6 +226,24 @@ def subprocess_runner(repo: pathlib.Path, seconds: float) -> Runner:
                              f"(exit {proc.returncode}):\n{proc.stderr}")
         print(f"{workload} seed {seed} trace {trace}: {lines[-1][:120]}", file=sys.stderr)
         return json.loads(lines[-2]), json.loads(lines[-1])
+    return run
+
+
+def memory_subprocess_runner(repo: pathlib.Path) -> MemoryRunner:
+    # no bytecode is written, as in a fresh checkout, so both checkouts compile their source
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+
+    def run(workload: str, seed: int, blocks: int) -> dict:
+        proc = subprocess.run(
+            [sys.executable, "-c", MEMORY_PROBE, str(repo / "benchmark"), str(repo / "src"),
+             workload, str(seed), str(blocks)], capture_output=True, text=True, cwd=repo,
+            env=env)
+        lines = proc.stdout.strip().splitlines()
+        if proc.returncode != 0 or not lines:
+            raise SystemExit(f"{workload} memory probe failed (exit {proc.returncode}):\n"
+                             f"{proc.stderr}")
+        print(f"{workload} memory: {lines[-1]}", file=sys.stderr)
+        return json.loads(lines[-1])
     return run
 
 
@@ -232,6 +297,8 @@ def main(argv=None) -> int:
     scale = checkout_scale(repo)
     doc = {"pr": args.pr, "seeds": list(SEEDS), "seconds": seconds,
            "workloads": summarize(workloads, list(SEEDS), subprocess_runner(repo, seconds)),
+           "memory": summarize_memory(workloads, SEEDS[0], MEMORY_BLOCKS,
+                                      memory_subprocess_runner(repo)),
            "cli": {"args": list(CLI_ARGS),
                    "commands": summarize_cli(list(CLI_COMMANDS), CLI_RUNS,
                                              cli_subprocess_runner(repo), scale)},

@@ -37,7 +37,11 @@ Running a group is then ``_start``, which builds one root row per run, and
 ``_play``, which calls the steps in order; what is left for them is what the
 data decides: the kernel calls, the runs' operators (stacked when they
 differ), the record reads that may find an unset key, and the challenge
-split.  ``_assemble`` merges the leaves into one distribution per run.
+split.  An honest depositor's deposit is played once per (program, spec,
+seeded bit) and its rows kept (``_honest_deposit``), so a group against it
+starts from those rows.  A kernel wrapper sees the calls that a run makes,
+and a cached deposit makes none.  ``_assemble`` merges the leaves into one
+distribution per run.
 
 The branches of a group are rows (``_Rows``): one ``qmath.StateStack`` holds
 every branch's amplitudes on the run's quantum wires, next to one probability
@@ -342,7 +346,7 @@ class SetBits:
 Round = Draw | Apply | MeasureRecord | SetBits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrategySpec:
     """A party's program: private ancilla count plus per-phase round lists.
 
@@ -354,7 +358,8 @@ class StrategySpec:
     its gate and basis matrices, so specs of one shape run as one stack: the
     party, the ancilla count, the honest flag and, per phase in program
     order, each round's signature (its type, the wires it touches, and its
-    keys, record name or bit sources).
+    keys, record name or bit sources).  A spec hashes and compares by
+    identity, so it can key a cache.
     """
 
     party: str
@@ -370,7 +375,8 @@ class StrategySpec:
         if not isinstance(self.honest, bool):
             raise MalformedStrategy(f"honest flag {self.honest!r} is not a bool")
         count = self.ancilla_count
-        if not (isinstance(count, (int, np.integer)) and 0 <= count <= 4):
+        if not (isinstance(count, (int, np.integer)) and not isinstance(count, bool)
+                and 0 <= count <= 4):
             raise MalformedStrategy(f"ancilla count {count!r} is not an integer in [0, 4]")
         try:
             programs = {k: tuple(v) for k, v in dict(self.programs).items()}
@@ -703,7 +709,8 @@ class _Program:
     ``quantum`` names the stack's wires, which no step changes, and ``root``
     is a root row of the table before its run index and seed are set.
     ``steps`` and ``end`` are the program; the first ``handover`` steps play
-    up to the end of the deposit phase.
+    up to the end of the deposit phase, and ``cached_deposit`` says that the
+    depositor is honest, so ``_deposit`` takes those steps' rows from cache.
     """
 
     quantum: tuple[str, ...]
@@ -711,6 +718,7 @@ class _Program:
     steps: tuple
     end: tuple
     handover: int
+    cached_deposit: bool
 
 
 class _Compiler:
@@ -879,7 +887,7 @@ def _compile(game: _Game, alice: tuple, bob: tuple) -> _Program:
     root = np.full(len(compiler.columns), _UNSET, dtype=_CODE)
     root[compiler.messages] = 0
     root.setflags(write=False)
-    return _Program(quantum, root, steps, end, compiler.handover)
+    return _Program(quantum, root, steps, end, compiler.handover, compiler.honest("alice"))
 
 
 def _start(program: _Program, bits: Sequence[int | None]) -> _Rows:
@@ -893,12 +901,51 @@ def _start(program: _Program, bits: Sequence[int | None]) -> _Rows:
     amps = np.zeros(2 ** len(program.quantum), dtype=complex)
     amps[0] = 1.0
     n = len(bits)
-    # Built through a validated StateVector: the benchmark's tracer counts this construction.
+    # Built through a validated StateVector, so the benchmark's tracer counts each root
+    # built: a group with a dishonest depositor, or an honest deposit not yet cached.
     root = StateStack.of(StateVector(program.quantum, amps)).take(np.zeros(n, dtype=np.intp))
     table = np.repeat(program.root[None], n, axis=0)
     table[:, _RUN] = np.arange(n)
     table[:, _SEED] = [_UNSET if b is None else b for b in bits]
     return _Rows(np.ones(n), root, table)
+
+
+@functools.lru_cache(maxsize=256)
+def _honest_deposit(program: _Program, alice: StrategySpec, bit: int | None) -> _Rows:
+    """One run's rows at the end of an honest depositor's deposit phase, cached.
+
+    The deposit steps read only the depositor's spec, the seeded bit and the
+    program's root row, never the escrow angle (None here) or the receiver.
+    A spec is a key by identity, and the entry holds it, so no other spec
+    can take its key.  A deposit that raises is not cached, and the arrays
+    are read-only.  An entry holds one row per deposit branch (2 for the
+    library's honest escrow and composed depositors, 4 for the coin flip's)
+    of at most 2^9 amplitudes: at most 32 kB, and 8 MB for 256 entries.
+    """
+    rows = _steps(_start(program, [bit]), {"alice": [alice]}, None,
+                  program.steps[:program.handover])
+    rows.probs.setflags(write=False)
+    rows.table.setflags(write=False)
+    return rows
+
+
+def _deposit(program: _Program, specs: Mapping[str, Sequence[StrategySpec]], theta: float,
+             bits: Sequence[int | None]) -> _Rows:
+    """A group's rows at the end of the deposit phase, in run order.
+
+    A group with an honest depositor joins each run's ``_honest_deposit``
+    and numbers its rows' runs anew; any other plays from ``_start``.
+    """
+    if not program.cached_deposit:
+        return _steps(_start(program, bits), specs, theta, program.steps[:program.handover])
+    parts = [_honest_deposit(program, alice, b) for alice, b in zip(specs["alice"], bits)]
+    if len(parts) == 1:   # a run of its own: only the table, which steps write, is copied
+        return _Rows(parts[0].probs, parts[0].states, parts[0].table.copy())
+    table = np.concatenate([rows.table for rows in parts])
+    table[:, _RUN] = np.repeat(np.arange(len(parts)), [len(rows.probs) for rows in parts])
+    states = qmath._trusted(program.quantum,
+                            np.concatenate([rows.states.amplitudes for rows in parts]))
+    return _Rows(np.concatenate([rows.probs for rows in parts]), states, table)
 
 
 def _seeds(alices: Sequence[StrategySpec], bobs: Sequence[StrategySpec],
@@ -932,8 +979,9 @@ def _batch(game: _Game, alices: Sequence[StrategySpec], bobs: Sequence[StrategyS
     branch of any group runs, the runs must pair up and every seed be 0, 1 or
     None (``_seeds``), every seat must hold a ``StrategySpec``, and every
     group's shape pair is compiled (``_compile``), which checks the pair
-    against the game.  Each group then plays its program from its root rows,
-    and ``_assemble`` gives one distribution per run.  The results come back
+    against the game.  Each group then plays its program from its rows at
+    the end of the deposit phase (``_deposit``), and ``_assemble`` gives one
+    distribution per run.  The results come back
     in input order; a run that raises raises for the whole batch.  Every
     runner is its batch of one.
 
@@ -952,16 +1000,17 @@ def _batch(game: _Game, alices: Sequence[StrategySpec], bobs: Sequence[StrategyS
     heads, deposits, results = [], {}, [None] * len(bits)
     for program, members in zip(programs, groups.values()):
         specs = {"alice": [alices[i] for i in members], "bob": [bobs[i] for i in members]}
-        rows = _start(program, [bits[i] for i in members])
-        at = program.handover if deposited else 0
+        rows = None
         if deposited:
-            rows = _steps(rows, specs, theta, program.steps[:at])
+            rows = _deposit(program, specs, theta, [bits[i] for i in members])
             deposits.update(zip(members, _reduced_deposits(rows, len(members))))
-        heads.append((members, specs, rows, program.steps[at:], program.end))
+        heads.append((program, members, specs, rows))
     if deposited:
         deposited([deposits[i] for i in range(len(bits))])
-    for members, specs, rows, steps, end in heads:
-        parts = _play(rows, specs, theta, steps, end)
+    for program, members, specs, rows in heads:
+        if rows is None:
+            rows = _deposit(program, specs, theta, [bits[i] for i in members])
+        parts = _play(rows, specs, theta, program.steps[program.handover:], program.end)
         for i, result in zip(members, _assemble(parts, len(members))):
             results[i] = result
     return results

@@ -2,6 +2,7 @@
 
 import importlib.util
 import pathlib
+import threading
 
 import pytest
 
@@ -117,6 +118,50 @@ def test_scales_are_read_right_before_and_right_after_each_run():
     bench.summarize_cli(["coinflip"], 2, run, scale)
     bench.summarize_tier1(1, tier1, scale)
     assert events == ["scale", "coinflip", "scale"] * 2 + ["scale", "tier-1", "scale"]
+
+
+def test_scales_are_sampled_while_a_run_goes_on(monkeypatch):
+    # the run ends only once the scale has been read twice after it began
+    monkeypatch.setattr(bench, "SAMPLE_EVERY_S", 0.01)
+    readings, third = [], threading.Event()
+
+    def scale():
+        readings.append(len(readings) + 1.0)
+        if len(readings) == 3:
+            third.set()
+        return readings[-1]
+
+    def tier1():
+        assert third.wait(10.0)
+        return 0, 2.0, _tier1_report(0, 0.5)
+
+    out = bench.summarize_tier1(1, tier1, scale)
+    scales = out["scales"][0]
+    assert scales == readings and scales[:3] == [1.0, 2.0, 3.0] and len(scales) >= 4
+    assert out["seconds_calibrated"]["values"] == [2.0 * sum(scales) / len(scales)]
+
+
+def test_a_run_that_fails_stops_the_record():
+    def run(command):
+        raise SystemExit(f"qescrow {command} failed")
+
+    with pytest.raises(SystemExit, match="coinflip failed"):
+        bench.summarize_cli(["coinflip"], 1, run, lambda: 1.0)
+
+
+def test_summarize_memory_runs_each_workload_once_at_its_block_count():
+    calls = []
+
+    def run(workload, seed, blocks):
+        calls.append((workload, seed, blocks))
+        return {"evaluations": 6 * blocks, "failed": 0, "peak_rss_mb": 50.0 + blocks}
+
+    out = bench.summarize_memory(["a", "b"], 1, {"a": 10, "b": 2}, run)
+    assert calls == [("a", 1, 10), ("b", 1, 2)]
+    assert out == {"a": {"blocks": 10, "evaluations": 60, "failed": 0, "peak_rss_mb": 60.0},
+                   "b": {"blocks": 2, "evaluations": 12, "failed": 0, "peak_rss_mb": 52.0}}
+    assert set(bench.MEMORY_BLOCKS) == {"coinflip-sweep", "escrow-frontier", "optimizer",
+                                        "composed-9q"}
 
 
 def test_the_checkout_scale_is_its_calibration_kernel():

@@ -18,7 +18,10 @@ which its program fixed: a message wire that a round acts on is in it from
 the root row on, at its layout position.  A game is compiled once per pair
 of shapes, and its program reaches the kernels through the module
 attributes, so a wrapper installed after the pair was compiled sees every
-call.
+call.  An honest depositor's deposit plays once per (program, spec, seeded
+bit): a run that finds it cached makes no deposit-phase kernel call and gives
+the numbers of a cold run bit for bit, so the tests that count a deposit's
+calls clear that cache first.
 """
 
 import numpy as np
@@ -75,18 +78,22 @@ def test_wrapped_kernels_see_every_runner(runner, monkeypatch):
     apply_unitary = counting("apply_unitary", qmath.apply_unitary)
     monkeypatch.setattr(qmath, "apply_unitary", apply_unitary)
     monkeypatch.setattr(protocols, "apply_unitary", apply_unitary)
+    protocols._honest_deposit.cache_clear()   # a cached deposit makes no kernel call
     assert RUNS[runner]() == unwrapped
     assert calls["measure"] > 0 and calls["apply_unitary"] > 0
 
 
 @pytest.mark.parametrize("runner", sorted(RUNS))
 def test_wrappers_installed_after_a_pair_compiled_see_every_kernel_call(runner, monkeypatch):
-    # a compiled program looks each kernel up when it runs, so it holds none of them
+    # a compiled program looks each kernel up when it runs, so it holds none of them;
+    # both runs that are counted play the deposit, which a warm run takes from cache
     protocols._compile.cache_clear()
+    protocols._honest_deposit.cache_clear()
     while_compiling = _record_kernel_calls(monkeypatch)
     unwrapped = RUNS[runner]()   # compiles the pair with the wrappers in place
     monkeypatch.undo()
     RUNS[runner]()
+    protocols._honest_deposit.cache_clear()
     after = _record_kernel_calls(monkeypatch)
     assert RUNS[runner]() == unwrapped
     assert after == while_compiling != []
@@ -382,6 +389,7 @@ def _record_kernel_calls(monkeypatch) -> list:
 def test_a_challenge_branch_that_no_row_reaches_is_not_played(alice, calls, monkeypatch):
     alice = alice()
     unwrapped = protocols.run_weak_commitment(alice, honest_bob_weak(), 1)
+    protocols._honest_deposit.cache_clear()   # the honest deposit's gate is counted too
     seen = _record_kernel_calls(monkeypatch)
     assert protocols.run_weak_commitment(alice, honest_bob_weak(), 1) == unwrapped
     assert seen == calls
@@ -433,3 +441,111 @@ def test_a_seed_that_is_not_a_bit_fails_before_any_branch_runs(run, seed, monkey
     with pytest.raises(protocols.MalformedStrategy, match="not a bit"):
         run(seed)
     assert calls == []
+
+
+def _exact(dist) -> list:
+    """A distribution as exact values: each branch's probability in hex, verdicts, transcript."""
+    return [(b.probability.hex(), b.alice_verdict, b.bob_verdict, b.transcript)
+            for b in dist.branches]
+
+
+def _attack():
+    return adversaries.random_return_attack(np.random.default_rng(21), ancillas=1)
+
+
+# The five games against their honest depositor: (run(receiver, seed), the seeds the honest
+# depositor takes, its receivers: the honest one and a cheater).
+_HONEST_DEPOSITS = {
+    "reveal": (lambda bob, b: protocols.run_escrow(honest_alice_escrow(), bob,
+                                                   Challenge.REVEAL_TO_BOB, b),
+               (0, 1), lambda: [honest_bob_escrow(), _attack()]),
+    "return": (lambda bob, b: protocols.run_escrow(honest_alice_escrow(), bob,
+                                                   Challenge.RETURN_TO_ALICE, b),
+               (0, 1), lambda: [honest_bob_escrow(), _attack()]),
+    "reveal_then_return": (lambda bob, b: protocols.run_escrow_reveal_then_return(
+        honest_alice_escrow(), bob, b), (0, 1), lambda: [honest_bob_escrow(), _attack()]),
+    "coinflip": (lambda bob, b: protocols.run_coinflip(honest_alice_coinflip(), bob),
+                 (None,), lambda: [honest_bob_coinflip(), _receiver()]),
+    "weak_commitment": (lambda bob, b: protocols.run_weak_commitment(
+        honest_alice_weak(), bob, b), (0, 1), lambda: [honest_bob_weak(),
+                                                       _unflagged(honest_bob_weak())]),
+}
+
+
+@pytest.mark.parametrize("game", sorted(_HONEST_DEPOSITS))
+def test_a_cached_deposit_gives_the_numbers_of_a_cold_one(game):
+    # each cold run plays its deposit; the warm runs share one cache, so an entry that
+    # answered for another seed or receiver would give another run's numbers
+    run, seeds, receivers = _HONEST_DEPOSITS[game]
+    runs = [(bob, b) for bob in receivers() for b in seeds]
+    cold = []
+    for bob, b in runs:
+        protocols._honest_deposit.cache_clear()
+        cold.append(_exact(run(bob, b)))
+    protocols._honest_deposit.cache_clear()
+    for _ in range(2):
+        assert [_exact(run(bob, b)) for bob, b in runs] == cold
+
+
+@pytest.mark.parametrize("runner", sorted(RUNS))
+def test_a_warm_honest_deposit_makes_no_kernel_call(runner, monkeypatch):
+    # the deposit phase's one call is the encoder gate on dep; every later call is the same
+    protocols._honest_deposit.cache_clear()
+    seen = _record_kernel_calls(monkeypatch)
+    RUNS[runner]()
+    cold = list(seen)
+    seen.clear()
+    RUNS[runner]()
+    assert len(cold) == len(seen) + 1 and cold[1:] == seen
+    assert cold[0][:2] == ("apply_unitary", ("dep",))
+    entries = protocols._honest_deposit.cache_info().currsize
+    protocols.run_coinflip(_angle_depositor(), honest_bob_coinflip())   # a dishonest depositor
+    assert protocols._honest_deposit.cache_info().currsize == entries
+
+
+def test_a_batch_of_two_depositors_of_one_shape_equals_its_single_runs():
+    # the composed depositors at pi/16 and pi/8 are one shape group of two specs
+    alices = [honest_alice_weak(EscrowParams(t)) for t in (np.pi / 16, np.pi / 8)]
+    assert alices[0].shape == alices[1].shape and alices[0] is not alices[1]
+    runs = [(alice, b) for b in (0, 1) for alice in alices]
+    protocols._honest_deposit.cache_clear()
+    batch = protocols._batch(protocols._WEAK, [alice for alice, _ in runs],
+                             [honest_bob_weak()] * len(runs), [b for _, b in runs], np.pi / 8)
+    assert [_exact(dist) for dist in batch] == [
+        _exact(protocols.run_weak_commitment(alice, honest_bob_weak(), b)) for alice, b in runs]
+
+
+def test_a_deposit_that_raises_is_not_cached():
+    protocols._honest_deposit.cache_clear()
+    for _ in range(2):   # the honest encoder reads the seeded b, which no run seeded
+        with pytest.raises(protocols.MalformedStrategy, match="reads key 'b' before it is set"):
+            protocols.run_escrow(honest_alice_escrow(), honest_bob_escrow(),
+                                 Challenge.REVEAL_TO_BOB)
+    assert protocols._honest_deposit.cache_info().currsize == 0
+
+
+def test_a_cached_deposit_raises_where_the_deposit_plays():
+    # the first group's check reads an unset x; the second group's honest deposit an unset b.
+    # A batch plays each group's deposit when it plays the group, and with ``deposited``
+    # every group's deposit before any group plays on, so the first error differs
+    alices = [StrategySpec("alice", 0, {"deposit": (Draw("b"), Apply(("dep",), rotation(0.3)))}),
+              honest_alice_escrow()]
+    run = lambda deposited: protocols.run_escrow_batch(
+        alices, [honest_bob_escrow()] * 2, Challenge.RETURN_TO_ALICE, [None, None],
+        EscrowParams(), deposited=deposited)
+    with pytest.raises(protocols.MalformedStrategy, match="reads key 'x' before it is set"):
+        run(None)
+    with pytest.raises(protocols.MalformedStrategy, match="reads key 'b' before it is set"):
+        run(lambda deposits: None)
+
+
+def test_equal_honest_specs_are_two_cache_entries():
+    # a spec keys the cache by identity: equal matrices do not make two specs one
+    twins = [StrategySpec("alice", 0, honest_alice_escrow().programs, honest=True)
+             for _ in range(2)]
+    protocols._honest_deposit.cache_clear()
+    dists = [protocols.run_escrow(alice, honest_bob_escrow(), Challenge.REVEAL_TO_BOB, 0)
+             for alice in twins]
+    assert _exact(dists[0]) == _exact(dists[1])
+    assert protocols._honest_deposit.cache_info().currsize == 2
+    assert protocols._honest_deposit.cache_info().maxsize is not None   # the cache is bounded

@@ -586,7 +586,7 @@ def test_checks_share_one_stacked_basis():
         assert np.array_equal(bases.matrix[x], escrow_basis(x, THETA).matrix)
 
 
-@pytest.mark.parametrize("count", [1.5, "1", None, -1, 5])
+@pytest.mark.parametrize("count", [1.5, "1", None, -1, 5, True, False])
 def test_ancilla_count_must_be_an_integer_from_0_to_4(count):
     with pytest.raises(MalformedStrategy, match="ancilla count"):
         StrategySpec("bob", count, {"receive": (Apply(("dep",), np.eye(2)),)})
